@@ -10,7 +10,8 @@ Subpackages:
   cli        -- command-line interface
 """
 
-from trophodge._core import BACKEND
+# The elimination core is pure Python; run records report this name.
+BACKEND = "python"
 
 __all__ = ["BACKEND"]
 __version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """Command-line surface for the tropical cohomology pipeline.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
-fan, 4 cohomology error, 5 non-smooth input, 6 unbalanced weights.
+Exit codes: 0 success, 1 verification failure, 2 parse error (including
+an invalid weight file), 3 invalid fan (or an incomplete one where a
+complete fan is needed, as by ``chow``), 4 cohomology error, 5 non-smooth
+input, 6 unbalanced weights.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ def cmd_weightss(args):
 def cmd_chow(args):
     fan = _load_fan(args)
     n = fan.ambient_rank
+    if fan.is_smooth() and not fans.is_complete(fan):
+        raise CliError(EXIT_INVALID_FAN, "Chow groups via weights need a complete fan")
     try:
         if args.all:
             dims = [cycles.chow_dim(fan, p) for p in range(n + 1)]

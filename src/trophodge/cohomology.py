@@ -19,20 +19,19 @@ the poset complex there.  The oracle cross-checks both.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from trophodge.exactla import QMatrix, QSubspace, sparse_rank
+from trophodge.exactla import (
+    QMatrix,
+    QSubspace,
+    assemble,
+    block_offsets,
+    block_rows,
+    homology_quotient,
+    sparse_rank,
+)
 from trophodge.tropspace import TropComplex
-
-
-def _thread_count():
-    env = os.environ.get("TROPHODGE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -74,53 +73,6 @@ class CohomologyResult:
     engine: str
 
 
-def _assemble(blocks, row_layout, col_layout):
-    """Dense matrix from a {(row_block, col_block): QMatrix} dict."""
-    rdim = sum(d for _, d in row_layout)
-    cdim = sum(d for _, d in col_layout)
-    roff = {}
-    off = 0
-    for key, d in row_layout:
-        roff[key] = off
-        off += d
-    coff = {}
-    off = 0
-    for key, d in col_layout:
-        coff[key] = off
-        off += d
-    ent = [[Fraction(0)] * cdim for _ in range(rdim)]
-    for (rk, ck), m in blocks.items():
-        r0, c0 = roff[rk], coff[ck]
-        for i, row in enumerate(m.entries):
-            for j, v in enumerate(row):
-                if v:
-                    ent[r0 + i][c0 + j] = v
-    return QMatrix(rdim, cdim, ent)
-
-
-def _assemble_rank(blocks, row_layout, col_layout):
-    """Rank of the block matrix, without densifying it."""
-    roff = {}
-    off = 0
-    for key, d in row_layout:
-        roff[key] = off
-        off += d
-    nrows = off
-    coff = {}
-    off = 0
-    for key, d in col_layout:
-        coff[key] = off
-        off += d
-    rows = [dict() for _ in range(nrows)]
-    for (rk, ck), m in blocks.items():
-        r0, c0 = roff[rk], coff[ck]
-        for i, row in enumerate(m.entries):
-            for j, v in enumerate(row):
-                if v:
-                    rows[r0 + i][c0 + j] = v
-    return sparse_rank(rows)
-
-
 def _cache(cx):
     return cx.__dict__.setdefault("_coh_cache", {})
 
@@ -146,40 +98,15 @@ def build_cochain_complex(cx: TropComplex, p: int) -> CochainComplex:
             coface = cx.cells[cid]
             rho = cx.face_map(face, coface, p).transpose()
             blocks[(cid, fid)] = rho.scale(sign)
-        deltas.append(_assemble(blocks, layout[q + 1], layout[q]))
+        deltas.append(assemble(blocks, layout[q + 1], layout[q]))
     out = CochainComplex(p, tuple(layout), tuple(deltas))
     cache[("cochain", p)] = out
     return out
 
 
-def _quotient_representatives(ker: QSubspace, im_rows):
-    """Echelon basis of ker modulo the span of im_rows."""
-    if not ker.dim:
-        return ()
-    pivots, red = QMatrix.from_rows(
-        [list(r) for r in im_rows], ker.ambient_dim
-    ).rref() if im_rows else ([], [])
-    vecs = []
-    for v in ker.basis:
-        v = list(v)
-        for i, piv in enumerate(pivots):
-            f = v[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, red[i])]
-        vecs.append(v)
-    return QSubspace.span(vecs, ker.ambient_dim).basis
-
-
 def _incidence_cohomology(cx, p, q):
     cc = build_cochain_complex(cx, p)
-    ker = cc.delta(q).kernel_basis()
-    prev = cc.delta(q - 1) if q >= 1 else None
-    im_rows = []
-    if prev is not None and prev.cols:
-        im_rows = [
-            tuple(row[j] for row in prev.entries) for j in range(prev.cols)
-        ]
-    reps = _quotient_representatives(ker, im_rows)
+    reps = homology_quotient(cc.delta(q), cc.delta(q - 1) if q >= 1 else None)
     layout = cc.layout[q] if 0 <= q < len(cc.layout) else ()
     return CohomologyResult(p, q, len(reps), tuple(reps), layout, "incidence")
 
@@ -243,10 +170,10 @@ def _poset_data(cx, p):
                 key = (target, source)
                 blocks[key] = blocks[key] + m if key in blocks else m
         if k == 0:
-            delta0 = _assemble(blocks, layouts[1], layouts[0])
+            delta0 = assemble(blocks, layouts[1], layouts[0])
             ranks.append(delta0.rank())
         else:
-            ranks.append(_assemble_rank(blocks, layouts[k + 1], layouts[k]))
+            ranks.append(sparse_rank(block_rows(blocks, layouts[k + 1], layouts[k])[0]))
     cache[("poset", p)] = (layouts, delta0, ranks)
     return cache[("poset", p)]
 
@@ -302,45 +229,27 @@ def relative_cohomology(cx: TropComplex, sub, p: int, q: int) -> CohomologyResul
     if not sub_cells:
         return cohomology(cx, p, q)
     cc = build_cochain_complex(cx, p)
-    keep = {
-        q_: [i for i, (cid, _) in enumerate(cc.layout[q_])
-             if cx.cells[cid] not in sub_cells]
-        for q_ in range(len(cc.layout))
-    }
 
-    def restrict(q_):
-        if not (0 <= q_ < len(cc.layout)):
-            return ()
-        return tuple(cc.layout[q_][i] for i in keep[q_])
+    def layout(q_):
+        return cc.layout[q_] if 0 <= q_ < len(cc.layout) else ()
+
+    def kept(q_):
+        return tuple(b for b in layout(q_) if cx.cells[b[0]] not in sub_cells)
+
+    def positions(q_):
+        offs, _ = block_offsets(layout(q_))
+        return [offs[cid] + i for cid, d in kept(q_) for i in range(d)]
 
     def restricted_delta(q_):
         full = cc.delta(q_)
-        row_l = cc.layout[q_ + 1] if q_ + 1 < len(cc.layout) else ()
-        col_l = cc.layout[q_] if 0 <= q_ < len(cc.layout) else ()
-        rkeep = _block_positions(row_l, keep.get(q_ + 1, []))
-        ckeep = _block_positions(col_l, keep.get(q_, []))
+        rkeep, ckeep = positions(q_ + 1), positions(q_)
         ent = [[full.entries[i][j] for j in ckeep] for i in rkeep]
         return QMatrix(len(rkeep), len(ckeep), ent)
 
-    ker = restricted_delta(q).kernel_basis()
-    prev = restricted_delta(q - 1) if q >= 1 else None
-    im_rows = []
-    if prev is not None and prev.cols:
-        im_rows = [tuple(r[j] for r in prev.entries) for j in range(prev.cols)]
-    reps = _quotient_representatives(ker, im_rows)
-    return CohomologyResult(p, q, len(reps), tuple(reps), restrict(q), "relative")
-
-
-def _block_positions(layout, kept_indices):
-    offs = []
-    off = 0
-    kept = set(kept_indices)
-    out = []
-    for i, (_cid, d) in enumerate(layout):
-        if i in kept:
-            out.extend(range(off, off + d))
-        off += d
-    return out
+    reps = homology_quotient(
+        restricted_delta(q), restricted_delta(q - 1) if q >= 1 else None
+    )
+    return CohomologyResult(p, q, len(reps), tuple(reps), kept(q), "relative")
 
 
 def _cech_data(cx, p):
@@ -369,11 +278,7 @@ def _cech_data(cx, p):
         """Basis of sections over the union of stars of UB(s)."""
         if s not in sections:
             cover = ub[s]
-            offs = {}
-            off = 0
-            for j in cover:
-                offs[j] = off
-                off += dims[j]
+            offs, off = block_offsets((j, dims[j]) for j in cover)
             rows = []
             for a in cover:
                 for b in cover:
@@ -438,7 +343,7 @@ def _cech_data(cx, p):
                 ).scale(sign)
                 key = (t, s)
                 blocks[key] = blocks[key] + m if key in blocks else m
-        ranks[k] = _assemble_rank(blocks, row_layout, col_layout)
+        ranks[k] = sparse_rank(block_rows(blocks, row_layout, col_layout)[0])
     cache[("cech", p)] = (space_dims, ranks, max_k)
     return cache[("cech", p)]
 
@@ -454,19 +359,9 @@ def cech_oracle(cx: TropComplex, p: int, q: int) -> int:
 
 
 def betti_table(cx: TropComplex):
-    """Matrix h[p][q] for 0 <= p,q <= n, computed per (p,q) in parallel."""
+    """Matrix h[p][q] for 0 <= p,q <= n."""
     n = cx.base_fan.ambient_rank
-    for p in range(n + 1):
-        for c in cx.cells:
-            cx.f_lower(c, p)
-    pq = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        for (p, q), res in zip(pq, pool.map(
-            lambda t: cohomology(cx, t[0], t[1]), pq
-        )):
-            table[p][q] = res.dim
-    return table
+    return [[cohomology(cx, p, q).dim for q in range(n + 1)] for p in range(n + 1)]
 
 
 def betti_to_tsv(table):
@@ -483,17 +378,3 @@ def betti_to_json(table):
         for q in range(len(table[p]))
     ]
     return json.dumps(records, sort_keys=True)
-
-
-def representatives_to_json(result: CohomologyResult):
-    return json.dumps({
-        "p": result.p,
-        "q": result.q,
-        "dim": result.dim,
-        "engine": result.engine,
-        "layout": [[list(k) if isinstance(k, tuple) else k, d]
-                   for k, d in result.layout],
-        "representatives": [
-            [str(x) for x in vec] for vec in result.representatives
-        ],
-    }, sort_keys=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 
 from trophodge import cohomology, fans
@@ -70,9 +71,21 @@ class MinkowskiWeight:
         rays = fan.rays
         weights = {}
         for rec in data["weights"]:
-            cone = Cone(fan.ambient_rank, [rays[i] for i in rec["cone"]])
-            weights[cone] = Fraction(rec["w"])
+            cone = Cone(fan.ambient_rank, [fans.ray_at(rays, i) for i in rec["cone"]])
+            weights[cone] = _weight_value(rec["w"])
         return cls(fan, data["codim"], weights, divisor=bool(data.get("divisor")))
+
+
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _weight_value(w):
+    """A weight read from JSON: an int or a "num/den" string, never a float."""
+    if type(w) is int:
+        return Fraction(w)
+    if isinstance(w, str) and _WEIGHT_RE.fullmatch(w):
+        return Fraction(w)
+    raise ValueError(f"weight {w!r} is not an integer or a 'num/den' string")
 
 
 def balancing_check(mw: MinkowskiWeight):

@@ -4,8 +4,8 @@ Every cohomology dimension computed by this package is the rank of a
 matrix over Q, and every lattice question (smoothness, saturation,
 quotient coordinates) is a Smith normal form.  No floating point anywhere.
 
-Rank and echelon forms funnel through the elimination core selected in
-:mod:`trophodge._core` (compiled when available, pure Python otherwise).
+Ranks and echelon forms funnel through one fraction-free elimination,
+:func:`echelonize`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-from trophodge._core import echelonize
 
 
 def _as_fraction_rows(rows):
@@ -30,6 +28,49 @@ def _int_rows(rows):
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
         out.append([int(x * lcm) for x in row])
     return out
+
+
+def echelonize(mat, nrows, ncols):
+    """Forward fraction-free (Bareiss) Gaussian elimination, in place.
+
+    ``mat`` is a list of row lists of ints.  Rows are permuted so that the
+    first ``rank`` rows form a row echelon system.  Returns
+    ``(rank, pivot_columns)``.  The Bareiss update keeps intermediate
+    entries as minors of the input, which controls coefficient growth
+    without leaving exact integer arithmetic.
+    """
+    r = 0
+    denom = 1
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = -1
+        for i in range(r, nrows):
+            if mat[i][c] != 0:
+                p = i
+                break
+        if p < 0:
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+        rowr = mat[r]
+        piv = rowr[c]
+        for i in range(r + 1, nrows):
+            rowi = mat[i]
+            mic = rowi[c]
+            if mic == 0:
+                # Bareiss still rescales untouched rows.
+                for j in range(c, ncols):
+                    rowi[j] = (rowi[j] * piv) // denom
+            else:
+                rowi[c] = 0
+                for j in range(c + 1, ncols):
+                    rowi[j] = (rowi[j] * piv - mic * rowr[j]) // denom
+        denom = piv
+        pivots.append(c)
+        r += 1
+    return r, pivots
 
 
 def _rref(rows, ncols):
@@ -168,9 +209,6 @@ class QMatrix:
             vecs.append(v)
         return QSubspace.span(vecs, self.cols)
 
-    def column_span(self):
-        return QSubspace.span(list(zip(*self.entries)) if self.rows else [], self.rows)
-
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
         return self.solve_many([b])[0]
@@ -273,11 +311,6 @@ class QSubspace:
     def contains(self, vec):
         return self.coordinates(vec) is not None
 
-    def contains_subspace(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains(v) for v in other.basis)
-
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -343,19 +376,66 @@ def sparse_rank(rows) -> int:
     return rank_
 
 
-def rank(m: QMatrix) -> int:
-    return m.rank()
+def homology_quotient(d_out: QMatrix, d_in: QMatrix | None):
+    """Echelon basis of ker ``d_out`` modulo im ``d_in``.
+
+    ``d_in`` maps into the source of ``d_out`` (None means no incoming
+    map) and ``d_out @ d_in`` must vanish.  Each kernel vector is reduced
+    against the reduced row echelon form of the image, so the result has
+    one vector per dimension of the homology at the middle space.
+    """
+    ker = d_out.kernel_basis()
+    if not ker.dim:
+        return ()
+    pivots, red = d_in.transpose().rref() if d_in is not None else ([], [])
+    vecs = []
+    for v in ker.basis:
+        v = list(v)
+        for i, piv in enumerate(pivots):
+            f = v[piv]
+            if f:
+                v = [a - f * b for a, b in zip(v, red[i])]
+        vecs.append(v)
+    return QSubspace.span(vecs, ker.ambient_dim).basis
 
 
-def kernel_basis(m: QMatrix) -> QSubspace:
-    return m.kernel_basis()
+def block_offsets(layout):
+    """({key: first coordinate of its block}, total dim) of a (key, dim) layout."""
+    offs = {}
+    off = 0
+    for key, d in layout:
+        offs[key] = off
+        off += d
+    return offs, off
 
 
-def quotient_dim(V: QSubspace, W: QSubspace) -> int:
-    """dim V/W, rejecting W not contained in V."""
-    if not V.contains_subspace(W):
-        raise ValueError("W is not a subspace of V")
-    return V.dim - W.dim
+def block_rows(blocks, row_layout, col_layout):
+    """Sparse rows of a block matrix, and its column count.
+
+    ``blocks`` maps (row_key, col_key) to a QMatrix; each layout lists
+    (key, block_dim) in block order.  Rows are {column: nonzero entry}
+    dicts, the form :func:`sparse_rank` takes.
+    """
+    roff, nrows = block_offsets(row_layout)
+    coff, ncols = block_offsets(col_layout)
+    rows = [{} for _ in range(nrows)]
+    for (rk, ck), m in blocks.items():
+        r0, c0 = roff[rk], coff[ck]
+        for i, row in enumerate(m.entries):
+            for j, v in enumerate(row):
+                if v:
+                    rows[r0 + i][c0 + j] = v
+    return rows, ncols
+
+
+def assemble(blocks, row_layout, col_layout) -> QMatrix:
+    """Dense QMatrix of a block matrix given as for :func:`block_rows`."""
+    rows, ncols = block_rows(blocks, row_layout, col_layout)
+    ent = [[0] * ncols for _ in rows]
+    for out, row in zip(ent, rows):
+        for j, v in row.items():
+            out[j] = v
+    return QMatrix(len(rows), ncols, ent)
 
 
 class ZMatrix:
@@ -414,26 +494,7 @@ class ZMatrix:
     def determinant(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        mat = [list(row) for row in self.entries]
-        sign = 1
-        denom = 1
-        for c in range(n):
-            p = next((i for i in range(c, n) if mat[i][c] != 0), None)
-            if p is None:
-                return 0
-            if p != c:
-                mat[c], mat[p] = mat[p], mat[c]
-                sign = -sign
-            piv = mat[c][c]
-            for i in range(c + 1, n):
-                mic = mat[i][c]
-                for j in range(c, n):
-                    mat[i][j] = (mat[i][j] * piv - mic * mat[c][j]) // denom
-            denom = piv
-        return sign * mat[n - 1][n - 1]
+        return int(_minor(self.entries, range(self.rows), range(self.cols)))
 
 
 def smith_normal_form(m: ZMatrix):
@@ -530,10 +591,10 @@ def lex_subsets(n, p):
 
 
 def _minor(rows, row_idx, col_idx):
-    sub = [[rows[i][j] for j in col_idx] for i in row_idx]
+    """Determinant of the square submatrix, as a Fraction."""
+    mat = [[Fraction(rows[i][j]) for j in col_idx] for i in row_idx]
     d = Fraction(1)
-    n = len(row_idx)
-    mat = [list(r) for r in sub]
+    n = len(mat)
     sign = 1
     for c in range(n):
         p = next((i for i in range(c, n) if mat[i][c] != 0), None)

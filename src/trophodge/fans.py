@@ -25,9 +25,28 @@ from trophodge.exactla import (
 )
 
 
+def _integer(x):
+    """x as an int; bools, floats and non-integral values raise ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def ray_at(rays, i):
+    """rays[i] for an index read from input, with no negative wrap-around."""
+    if type(i) is not int or not 0 <= i < len(rays):
+        raise ValueError(f"ray index {i!r} is not in 0..{len(rays) - 1}")
+    return rays[i]
+
+
 def primitive(vec):
-    """Primitive integer vector on the same ray; rejects the zero vector."""
-    vec = tuple(int(x) for x in vec)
+    """Primitive integer vector on the same ray; rejects the zero vector.
+
+    Entries must be integers (integral Fractions included).
+    """
+    vec = tuple(_integer(x) for x in vec)
     g = 0
     for x in vec:
         g = math.gcd(g, abs(x))
@@ -577,9 +596,9 @@ def to_json_dict(fan: Fan) -> dict:
 
 
 def from_json_dict(data: dict) -> Fan:
-    n = int(data["rank"])
+    n = _integer(data["rank"])
     rays = [primitive(r) for r in data["rays"]]
-    maximal = [[rays[i] for i in cone] for cone in data["cones"]]
+    maximal = [[ray_at(rays, i) for i in cone] for cone in data["cones"]]
     if not maximal:
         maximal = [Cone(n, [])]
     return Fan(n, maximal)

@@ -79,20 +79,15 @@ class Cell:
 
 @dataclass(frozen=True)
 class MultiTangent:
-    """F_p(P) with its dual presentation.
+    """F_p(P), a subspace of wedge^p N_{sigma,Q} in lex coordinates.
 
-    ``f_p`` is a subspace of wedge^p N_{sigma,Q} in lex coordinates;
-    ``f_up`` is the isomorphic dual presentation in wedge^p (M cap
-    sigma-perp)_Q: coordinates of a covector are its pairings with the
-    canonical basis of ``f_p``, and ``annihilator`` is the kernel of the
-    restriction from the full dual wedge.
+    F^p(P) is presented as its dual: a covector's coordinates are its
+    pairings with the canonical basis of ``f_p``.
     """
 
     cell_id: int
     p: int
     f_p: QSubspace
-    f_up: QSubspace
-    annihilator: QSubspace
 
     @property
     def dim(self):
@@ -156,7 +151,9 @@ class TropComplex:
         rays = [fans.primitive(r) for r in data["base_fan"]["rays"]]
         cells = []
         for rec in data["cells"]:
-            sed = Cone(base.ambient_rank, [rays[i] for i in rec["sedentarity"]])
+            sed = Cone(
+                base.ambient_rank, [fans.ray_at(rays, i) for i in rec["sedentarity"]]
+            )
             if not base.contains_cone(sed):
                 raise ValueError("cell sedentarity is not a cone of the base fan")
             sec = _section(sed)
@@ -187,9 +184,6 @@ class TropComplex:
     @property
     def top_dim(self):
         return max((c.dim for c in self.cells), default=0)
-
-    def is_face(self, face, coface):
-        return face.is_face_of(coface)
 
     def faces_of(self, cell):
         return tuple(c for c in self.cells if c.is_face_of(cell))
@@ -251,15 +245,7 @@ class TropComplex:
             for coface in self.stratum_cofaces(cell):
                 piece = wedge_power(coface.span(), p)
                 total = piece if total is None else total.sum(piece)
-            ann = (
-                total.matrix().kernel_basis()
-                if total.dim
-                else QSubspace.full(total.ambient_dim)
-            )
-            f_up = QSubspace(total.ambient_dim, total.basis)
-            self._f_cache[key] = MultiTangent(
-                self._index[cell], p, total, f_up, ann
-            )
+            self._f_cache[key] = MultiTangent(self._index[cell], p, total)
         return self._f_cache[key]
 
     def face_map(self, face, coface, p) -> QMatrix:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from trophodge import fans
 from trophodge.exactla import (
     QMatrix,
-    QSubspace,
+    assemble,
+    homology_quotient,
     lex_subsets,
     wedge_matrix,
 )
@@ -124,19 +125,7 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     src = _e1_layout(fan, p, q)
     dst = _e1_layout(fan, p + 1, q)
     k = q - p
-    rows = sum(d for _, d in dst)
-    cols = sum(d for _, d in src)
-    ent = [[Fraction(0)] * cols for _ in range(rows)]
-    roff = {}
-    off = 0
-    for sigma, d in dst:
-        roff[sigma] = off
-        off += d
-    coff = {}
-    off = 0
-    for sigma, d in src:
-        coff[sigma] = off
-        off += d
+    blocks = {}
     first_block = True
     for sigma, sdim in src:
         if not sdim:
@@ -157,13 +146,8 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
             m0 = _splitting_vector(a_sigma, pair)
             a_tau = orbit_lattice(tau).m_perp_basis
             restr = _restriction_matrix(a_sigma, a_tau, pair, m0)
-            block = (wedge_matrix(restr, k - 1) @ contr).scale(eps)
-            r0, c0 = roff[tau], coff[sigma]
-            for i, row in enumerate(block.entries):
-                for j, v in enumerate(row):
-                    if v:
-                        ent[r0 + i][c0 + j] = v
-    return QMatrix(rows, cols, ent)
+            blocks[(tau, sigma)] = (wedge_matrix(restr, k - 1) @ contr).scale(eps)
+    return assemble(blocks, dst, src)
 
 
 def _splitting_vector(a_sigma, pair):
@@ -205,40 +189,12 @@ def e2_page(fan: Fan, corrupt_sign: bool = False) -> SSPage:
     for p in range(n + 1):
         for q in range(n + 1):
             out = d1(fan, p, q, corrupt_sign=corrupt_sign)
-            ker = out.kernel_basis()
-            if p >= 1:
-                inc = d1(fan, p - 1, q, corrupt_sign=corrupt_sign)
-                im = [
-                    tuple(row[j] for row in inc.entries)
-                    for j in range(inc.cols)
-                ]
-            else:
-                im = []
-            basis = _mod_out(ker, im)
+            inc = d1(fan, p - 1, q, corrupt_sign=corrupt_sign) if p >= 1 else None
+            basis = homology_quotient(out, inc)
             dims[(p, q)] = len(basis)
             if basis:
                 reps[(p, q)] = basis
     return SSPage(2, n, dims, e1.layouts, reps)
-
-
-def _mod_out(ker: QSubspace, im_rows):
-    if not ker.dim:
-        return ()
-    if im_rows:
-        pivots, red = QMatrix.from_rows(
-            [list(r) for r in im_rows], ker.ambient_dim
-        ).rref()
-    else:
-        pivots, red = [], []
-    vecs = []
-    for v in ker.basis:
-        v = list(v)
-        for i, piv in enumerate(pivots):
-            f = v[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, red[i])]
-        vecs.append(v)
-    return QSubspace.span(vecs, ker.ambient_dim).basis
 
 
 @functools.lru_cache(maxsize=None)

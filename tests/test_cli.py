@@ -49,6 +49,20 @@ def test_invalid_fan_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rays, cones", [
+    ([[1.7, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
+    ([[True, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, -3]]),
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 3]]),
+])
+def test_fan_file_is_not_reinterpreted(tmp_path, capsys, rays, cones):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": 2, "rays": rays, "cones": cones}))
+    code, out, _ = run(capsys, "fan-validate", "--input", str(path))
+    assert code == 3
+    assert out == ""
+
+
 def test_cohomology_table_p1(capsys):
     code, out, _ = run(capsys, "cohomology", "--builtin", "p1", "--all")
     assert code == 0
@@ -100,6 +114,13 @@ def test_chow_all(capsys):
     assert json.loads(out) == {"dims": [1, 2, 1]}
 
 
+def test_chow_incomplete_fan_exits_3(capsys):
+    code, out, err = run(capsys, "chow", "--builtin", "affine_space(2)", "--all")
+    assert code == 3
+    assert out == ""
+    assert "complete fan" in err
+
+
 def test_pair_balanced_weight(tmp_path, capsys):
     mw = cycles.MinkowskiWeight(
         fans.builtin("p2"),
@@ -137,6 +158,20 @@ def test_pair_unbalanced_exits_6(tmp_path, capsys):
     code, _, err = run(capsys, "pair", "--input", str(path))
     assert code == 6
     assert "unbalanced" in err
+
+
+@pytest.mark.parametrize("field, value", [("cone", [-1]), ("w", 0.1)])
+def test_weight_file_is_not_reinterpreted(tmp_path, capsys, field, value):
+    fan = fans.builtin("p2")
+    mw = cycles.MinkowskiWeight(fan, 1, {c: 1 for c in fan.cones_of_dim(1)})
+    data = json.loads(cycles.weight_to_json(mw))
+    data["weights"][0][field] = value
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "pair", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "invalid weight file" in err
 
 
 def test_subdivide_p2(capsys):

@@ -10,6 +10,7 @@ from trophodge.exactla import (
     QMatrix,
     QSubspace,
     ZMatrix,
+    homology_quotient,
     lex_subsets,
     smith_normal_form,
     sparse_rank,
@@ -111,6 +112,49 @@ def test_snf_transform_and_divisibility(rows):
             assert b % a == 0
     assert abs(u.determinant()) == 1
     assert abs(v.determinant()) == 1
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_determinant_matches_cofactor_expansion(rows):
+    det = ZMatrix(len(rows), len(rows), rows).determinant()
+    assert type(det) is int
+    assert det == _cofactor_det(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(0, 4), st.data())
+def test_homology_quotient_represents_ker_mod_im(out_rows, k, data):
+    d_out = QMatrix.from_rows(out_rows, len(out_rows[0]))
+    n = d_out.cols
+    ker = d_out.kernel_basis().basis
+    coeffs = data.draw(st.lists(
+        st.lists(small_int, min_size=k, max_size=k),
+        min_size=len(ker), max_size=len(ker),
+    ))
+    # columns of d_in are combinations of kernel vectors, so d_out @ d_in = 0
+    d_in = QMatrix(n, k, [
+        [sum(v[i] * c[j] for v, c in zip(ker, coeffs)) for j in range(k)]
+        for i in range(n)
+    ])
+    assert (d_out @ d_in).is_zero()
+    reps = homology_quotient(d_out, d_in if k else None)
+    assert len(reps) == (n - d_out.rank()) - d_in.rank()
+    for v in reps:
+        assert not any(d_out.apply(list(v)))
+    stacked = QMatrix.from_rows(list(reps) + list(d_in.transpose().entries), n)
+    assert stacked.rank() == len(reps) + d_in.rank()
 
 
 def test_wedge_vector_example():

@@ -1,5 +1,7 @@
 """Cones, fans, orbit lattices, subdivision, and the built-in zoo."""
 
+from fractions import Fraction
+
 import pytest
 
 from trophodge import fans
@@ -9,8 +11,10 @@ from trophodge.fans import Cone, Fan, faces, orbit_lattice
 def test_primitive():
     assert fans.primitive((2, 4)) == (1, 2)
     assert fans.primitive((0, -3)) == (0, -1)
-    with pytest.raises(ValueError):
-        fans.primitive((0, 0))
+    assert fans.primitive((Fraction(4), Fraction(-2))) == (2, -1)
+    for bad in [(0, 0), (1.0, 0), (True, 0), (Fraction(1, 2), 1), ("1", 0)]:
+        with pytest.raises(ValueError):
+            fans.primitive(bad)
 
 
 def test_cone_canonical_rays():

@@ -52,15 +52,6 @@ def test_f0_is_q_everywhere():
             assert cx.f_lower(cell, 0).dim == 1
 
 
-def test_fp_equals_dual_dim():
-    for cx in complexes_for_functoriality():
-        n = cx.base_fan.ambient_rank
-        for cell in cx.cells:
-            for p in range(n + 1):
-                mt = cx.f_lower(cell, p)
-                assert mt.f_p.dim == mt.f_up.dim
-
-
 def test_fp_of_maximal_mobile_cell_is_full():
     p2 = fans.builtin("p2")
     cx = tropspace.tautological_complex(p2)
@@ -130,6 +121,14 @@ def test_json_round_trip():
     ]:
         again = TropComplex.from_json_dict(cx.to_json_dict())
         assert again.cells == cx.cells
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_json_sedentarity_index_is_range_checked(index):
+    data = tropspace.tautological_complex(fans.builtin("p1")).to_json_dict()
+    next(r for r in data["cells"] if r["sedentarity"])["sedentarity"] = [index]
+    with pytest.raises(ValueError, match="ray index"):
+        TropComplex.from_json_dict(data)
 
 
 def test_subcomplex_closure():
