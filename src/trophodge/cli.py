@@ -188,6 +188,12 @@ def _verify_fan(name, fan, corrupt=False):
 
     comparison = weightss.compare_with_trop(fan, corrupt_sign=corrupt)
     record("e2_matches_tropical", comparison["pass"])
+    if not comparison["pass"]:
+        checks[-1]["mismatches"] = [
+            [p, q, e2, h_trop]
+            for p, q, e2, h_trop, ok in comparison["entries"]
+            if not ok
+        ]
     cx = weightss.trop_complex_for(fan)
     betti = cohomology.betti_table(cx)
     record(

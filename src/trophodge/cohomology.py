@@ -25,6 +25,8 @@ from fractions import Fraction
 from trophodge.exactla import (
     QMatrix,
     QSubspace,
+    _null_space,
+    _rref,
     assemble,
     block_offsets,
     block_rows,
@@ -154,7 +156,7 @@ def _poset_data(cx, p):
     ]
     live = [set(chain for chain, _ in lay) for lay in layouts]
     ranks = []
-    delta0 = None
+    ker0 = QSubspace.full(sum(d for _, d in layouts[0])) if len(levels) == 1 else None
     for k in range(len(levels) - 1):
         blocks = {}
         for target, _ in layouts[k + 1]:
@@ -169,17 +171,19 @@ def _poset_data(cx, p):
                     m = rho(source[-1], target[-1]).scale(sign)
                 key = (target, source)
                 blocks[key] = blocks[key] + m if key in blocks else m
+        rows, ncols = block_rows(blocks, layouts[k + 1], layouts[k])
         if k == 0:
-            delta0 = assemble(blocks, layouts[1], layouts[0])
-            ranks.append(delta0.rank())
+            pivots, red = _rref(rows, ncols)
+            ranks.append(len(pivots))
+            ker0 = _null_space(pivots, red, ncols)
         else:
-            ranks.append(sparse_rank(block_rows(blocks, layouts[k + 1], layouts[k])[0]))
-    cache[("poset", p)] = (layouts, delta0, ranks)
+            ranks.append(sparse_rank(rows))
+    cache[("poset", p)] = (layouts, ker0, ranks)
     return cache[("poset", p)]
 
 
 def _poset_cohomology(cx, p, q):
-    layouts, delta0, ranks = _poset_data(cx, p)
+    layouts, ker0, ranks = _poset_data(cx, p)
     if q >= len(layouts) or q < 0:
         return CohomologyResult(p, q, 0, (), (), "poset")
     space = sum(d for _, d in layouts[q])
@@ -189,11 +193,7 @@ def _poset_cohomology(cx, p, q):
     reps = ()
     layout = ()
     if q == 0 and dim:
-        ker = (
-            delta0.kernel_basis() if delta0 is not None
-            else QSubspace.full(space)
-        )
-        reps = tuple(ker.basis)
+        reps = tuple(ker0.basis)
         layout = tuple((chain[0], d) for chain, d in layouts[0])
     return CohomologyResult(p, q, dim, reps, layout, "poset")
 

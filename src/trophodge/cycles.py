@@ -69,11 +69,19 @@ class MinkowskiWeight:
         ref = data["fan"]
         fan = fans.builtin(ref) if isinstance(ref, str) else fans.from_json_dict(ref)
         rays = fan.rays
+        codim = data["codim"]
+        if type(codim) is not int:
+            raise ValueError(f"codim {codim!r} is not an integer")
+        divisor = data.get("divisor", False)
+        if type(divisor) is not bool:
+            raise ValueError(f"divisor {divisor!r} is not true or false")
         weights = {}
         for rec in data["weights"]:
             cone = Cone(fan.ambient_rank, [fans.ray_at(rays, i) for i in rec["cone"]])
+            if cone in weights:
+                raise ValueError(f"cone {rec['cone']} is listed twice")
             weights[cone] = _weight_value(rec["w"])
-        return cls(fan, data["codim"], weights, divisor=bool(data.get("divisor")))
+        return cls(fan, codim, weights, divisor=divisor)
 
 
 _WEIGHT_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")

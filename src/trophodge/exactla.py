@@ -4,8 +4,9 @@ Every cohomology dimension computed by this package is the rank of a
 matrix over Q, and every lattice question (smoothness, saturation,
 quotient coordinates) is a Smith normal form.  No floating point anywhere.
 
-Ranks and echelon forms funnel through one fraction-free elimination,
-:func:`echelonize`.
+Every rank, reduced row echelon form, kernel, solve and determinant comes
+out of one sparse Gauss-Jordan elimination over Fraction entries,
+:func:`_gauss_jordan`, on rows stored as {column: entry} dicts.
 """
 
 from __future__ import annotations
@@ -19,83 +20,87 @@ def _as_fraction_rows(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _int_rows(rows):
-    """Clear denominators row by row; preserves row space."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in row])
-    return out
+def _sparse_rows(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def echelonize(mat, nrows, ncols):
-    """Forward fraction-free (Bareiss) Gaussian elimination, in place.
-
-    ``mat`` is a list of row lists of ints.  Rows are permuted so that the
-    first ``rank`` rows form a row echelon system.  Returns
-    ``(rank, pivot_columns)``.  The Bareiss update keeps intermediate
-    entries as minors of the input, which controls coefficient growth
-    without leaving exact integer arithmetic.
-    """
-    r = 0
-    denom = 1
-    pivots = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = -1
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-        rowr = mat[r]
-        piv = rowr[c]
-        for i in range(r + 1, nrows):
-            rowi = mat[i]
-            mic = rowi[c]
-            if mic == 0:
-                # Bareiss still rescales untouched rows.
-                for j in range(c, ncols):
-                    rowi[j] = (rowi[j] * piv) // denom
+def _subtract(row, f, tail):
+    """row -= f * tail in place, dropping the entries that cancel."""
+    g = -f
+    for j, x in tail.items():
+        if j in row:
+            y = row[j] + g * x
+            if y:
+                row[j] = y
             else:
-                rowi[c] = 0
-                for j in range(c + 1, ncols):
-                    rowi[j] = (rowi[j] * piv - mic * rowr[j]) // denom
-        denom = piv
-        pivots.append(c)
-        r += 1
-    return r, pivots
+                del row[j]
+        else:
+            row[j] = g * x
+
+
+def _gauss_jordan(rows, reduce):
+    """The one exact elimination: sparse Gauss-Jordan over Q.
+
+    ``rows`` is a sequence of {column: nonzero entry} dicts; it is not
+    modified.  Rows are taken shortest first.  Each is cleared at its
+    leftmost column against the pivot rows found so far, until it
+    vanishes or opens a new pivot there.  So the pivots are the greedy
+    leftmost columns, which are those of the reduced row echelon form.
+
+    Returns {pivot column: (input row index, pivot before scaling, tail)}
+    where the tail is the pivot row scaled to a unit pivot, without its
+    pivot entry.  With ``reduce`` the tails are back-substituted into the
+    rows of the reduced row echelon form; without it they stay echelon.
+    """
+    pivots = {}
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = dict(rows[i])
+        while row:
+            c = min(row)
+            if c not in pivots:
+                v = Fraction(row.pop(c))
+                pivots[c] = (i, v, {j: x / v for j, x in row.items()})
+                break
+            _subtract(row, row.pop(c), pivots[c][2])
+    if reduce:
+        for c in sorted(pivots, reverse=True):
+            tail = pivots[c][2]
+            for j in [j for j in tail if j in pivots]:
+                _subtract(tail, tail.pop(j), pivots[j][2])
+    return pivots
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form over Q.
+    """Reduced row echelon form over Q of sparse rows (as for sparse_rank).
 
-    Returns (pivots, reduced_rows) with unit pivots; rows are tuples of
-    Fraction.  Forward elimination is fraction-free on an integer scaling
-    of the input, back substitution is done over Q on the small echelon
-    system.
+    Returns (pivots, reduced_rows) with unit pivots; rows are dense tuples
+    of Fraction.
     """
-    mat = _int_rows(_as_fraction_rows(rows))
-    nrows = len(mat)
-    if nrows == 0 or ncols == 0:
-        return [], []
-    r, pivots = echelonize(mat, nrows, ncols)
-    ech = [[Fraction(x) for x in mat[i]] for i in range(r)]
-    for i in reversed(range(r)):
-        piv = pivots[i]
-        val = ech[i][piv]
-        ech[i] = [x / val for x in ech[i]]
-        for k in range(i):
-            factor = ech[k][piv]
-            if factor:
-                ech[k] = [a - factor * b for a, b in zip(ech[k], ech[i])]
-    return pivots, [tuple(row) for row in ech]
+    pivots = _gauss_jordan(rows, reduce=True)
+    cols = sorted(pivots)
+    red = []
+    for c in cols:
+        dense = [Fraction(0)] * ncols
+        dense[c] = Fraction(1)
+        for j, x in pivots[c][2].items():
+            dense[j] = x
+        red.append(tuple(dense))
+    return cols, red
+
+
+def _null_space(pivots, red, ncols):
+    """Canonical basis of the right null space, read off an RREF."""
+    pivot_set = set(pivots)
+    vecs = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        vecs.append(v)
+    return QSubspace.span(vecs, ncols)
 
 
 class QMatrix:
@@ -185,29 +190,15 @@ class QMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def rank(self):
-        mat = _int_rows(self.entries)
-        if not mat or self.cols == 0:
-            return 0
-        r, _ = echelonize(mat, self.rows, self.cols)
-        return r
+        return sparse_rank(_sparse_rows(self.entries))
 
     def rref(self):
         """(pivots, rows) of the reduced row echelon form."""
-        return _rref(self.entries, self.cols)
+        return _rref(_sparse_rows(self.entries), self.cols)
 
     def kernel_basis(self):
         """Basis of the right null space as a QSubspace of Q^cols."""
-        pivots, red = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        vecs = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -red[i][f]
-            vecs.append(v)
-        return QSubspace.span(vecs, self.cols)
+        return _null_space(*self.rref(), self.cols)
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -225,7 +216,7 @@ class QMatrix:
         aug = [
             list(row) + [b[i] for b in bs] for i, row in enumerate(self.entries)
         ]
-        pivots, red = _rref(aug, self.cols + k)
+        pivots, red = _rref(_sparse_rows(aug), self.cols + k)
         if any(p >= self.cols for p in pivots):
             # some system is inconsistent; its pivot row contaminates the
             # joint elimination, so redo the systems one by one
@@ -250,7 +241,7 @@ class QSubspace:
         basis = _as_fraction_rows(basis)
         if any(len(v) != ambient_dim for v in basis):
             raise ValueError("basis vector length mismatch")
-        if basis and QMatrix.from_rows(basis, ambient_dim).rank() != len(basis):
+        if sparse_rank(_sparse_rows(basis)) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
@@ -260,10 +251,10 @@ class QSubspace:
 
     @classmethod
     def span(cls, vectors, ambient_dim):
-        vectors = [v for v in _as_fraction_rows(vectors) if any(x != 0 for x in v)]
-        if not vectors:
-            return cls(ambient_dim, ())
-        _, red = _rref(vectors, ambient_dim)
+        vectors = _as_fraction_rows(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector length mismatch")
+        _, red = _rref(_sparse_rows(vectors), ambient_dim)
         return cls(ambient_dim, red)
 
     @classmethod
@@ -338,65 +329,28 @@ class QSubspace:
 def sparse_rank(rows) -> int:
     """Exact rank of a sparse rational matrix.
 
-    ``rows`` is a list of {column: nonzero Fraction} dicts.  Pivots are
-    chosen to limit fill-in (shortest row, then rarest column), which
-    keeps incidence-style matrices near linear; entries stay Fractions.
+    ``rows`` is a list of {column: nonzero Fraction} dicts.  This is the
+    forward pass of :func:`_gauss_jordan` alone, without back-substitution.
     """
-    rows = [dict(r) for r in rows if r]
-    col_rows = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    alive = set(range(len(rows)))
-    rank_ = 0
-    while alive:
-        i = min(alive, key=lambda j: (len(rows[j]), j))
-        if not rows[i]:
-            alive.discard(i)
-            continue
-        c = min(rows[i], key=lambda col: (len(col_rows[col]), col))
-        piv = rows[i][c]
-        rank_ += 1
-        targets = [j for j in col_rows[c] if j != i and j in alive]
-        for j in targets:
-            f = rows[j][c] / piv
-            rj = rows[j]
-            for col, val in rows[i].items():
-                new = rj.get(col, Fraction(0)) - f * val
-                if new:
-                    rj[col] = new
-                    col_rows.setdefault(col, set()).add(j)
-                else:
-                    if col in rj:
-                        del rj[col]
-                        col_rows[col].discard(j)
-        for col in rows[i]:
-            col_rows[col].discard(i)
-        alive.discard(i)
-    return rank_
+    return len(_gauss_jordan(rows, reduce=False))
 
 
 def homology_quotient(d_out: QMatrix, d_in: QMatrix | None):
     """Echelon basis of ker ``d_out`` modulo im ``d_in``.
 
     ``d_in`` maps into the source of ``d_out`` (None means no incoming
-    map) and ``d_out @ d_in`` must vanish.  Each kernel vector is reduced
-    against the reduced row echelon form of the image, so the result has
-    one vector per dimension of the homology at the middle space.
+    map) and ``d_out @ d_in`` must vanish.  The result is the reduced
+    basis of the vectors of ker + im that vanish at the pivot columns of
+    im: the rows of the RREF of ker + im at the other pivots, one per
+    dimension of the homology at the middle space.
     """
     ker = d_out.kernel_basis()
-    if not ker.dim:
-        return ()
-    pivots, red = d_in.transpose().rref() if d_in is not None else ([], [])
-    vecs = []
-    for v in ker.basis:
-        v = list(v)
-        for i, piv in enumerate(pivots):
-            f = v[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, red[i])]
-        vecs.append(v)
-    return QSubspace.span(vecs, ker.ambient_dim).basis
+    if d_in is None:
+        return ker.basis
+    image = _sparse_rows(zip(*d_in.entries))
+    image_pivots = _gauss_jordan(image, reduce=False)
+    pivots, red = _rref(image + _sparse_rows(ker.basis), d_out.cols)
+    return tuple(r for c, r in zip(pivots, red) if c not in image_pivots)
 
 
 def block_offsets(layout):
@@ -591,25 +545,30 @@ def lex_subsets(n, p):
 
 
 def _minor(rows, row_idx, col_idx):
-    """Determinant of the square submatrix, as a Fraction."""
-    mat = [[Fraction(rows[i][j]) for j in col_idx] for i in row_idx]
-    d = Fraction(1)
-    n = len(mat)
-    sign = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            mat[c], mat[p] = mat[p], mat[c]
-            sign = -sign
-        piv = mat[c][c]
-        for i in range(c + 1, n):
-            f = mat[i][c] / piv
-            for j in range(c, n):
-                mat[i][j] -= f * mat[c][j]
-        d *= piv
-    return sign * d
+    """Determinant of the square submatrix, as a Fraction.
+
+    The forward pass of :func:`_gauss_jordan` brings the rows to echelon
+    form by adding multiples of other rows, so the determinant is the
+    product of the pivots before scaling, times the sign of the
+    permutation taking each row to its pivot column.
+    """
+    sub = [
+        {k: rows[i][j] for k, j in enumerate(col_idx) if rows[i][j]}
+        for i in row_idx
+    ]
+    pivots = _gauss_jordan(sub, reduce=False)
+    if len(pivots) < len(sub):
+        return Fraction(0)
+    det = Fraction(1)
+    perm = [0] * len(sub)
+    for c, (i, v, _) in pivots.items():
+        det *= v
+        perm[i] = c
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b]:
+                det = -det
+    return det
 
 
 def wedge_vector(vectors, n, p):

@@ -598,6 +598,9 @@ def to_json_dict(fan: Fan) -> dict:
 def from_json_dict(data: dict) -> Fan:
     n = _integer(data["rank"])
     rays = [primitive(r) for r in data["rays"]]
+    for i, r in enumerate(rays):
+        if r in rays[:i]:
+            raise ValueError(f"ray {i} lies on ray {rays.index(r)}")
     maximal = [[ray_at(rays, i) for i in cone] for cone in data["cones"]]
     if not maximal:
         maximal = [Cone(n, [])]

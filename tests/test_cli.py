@@ -54,6 +54,8 @@ def test_invalid_fan_exits_3(tmp_path, capsys):
     ([[True, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
     ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, -3]]),
     ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 3]]),
+    ([[1, 0], [0, 1], [-1, -1], [2, 0]], [[0, 1], [1, 2], [2, 3]]),
+    ([[1, 0], [0, 1], [-1, -1], [1, 0]], [[0, 1], [1, 2], [2, 3]]),
 ])
 def test_fan_file_is_not_reinterpreted(tmp_path, capsys, rays, cones):
     path = tmp_path / "fan.json"
@@ -174,6 +176,25 @@ def test_weight_file_is_not_reinterpreted(tmp_path, capsys, field, value):
     assert "invalid weight file" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda data: data.update(codim=1.0),
+    lambda data: data.update(codim=True),
+    lambda data: data.update(divisor="false"),
+    lambda data: data["weights"].append(dict(data["weights"][0], w="2")),
+], ids=["codim-float", "codim-bool", "divisor-string", "duplicate-cone"])
+def test_weight_file_header_is_strict(tmp_path, capsys, edit):
+    fan = fans.builtin("p2")
+    mw = cycles.MinkowskiWeight(fan, 1, {c: 1 for c in fan.cones_of_dim(1)})
+    data = json.loads(cycles.weight_to_json(mw))
+    edit(data)
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "pair", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "invalid weight file" in err
+
+
 def test_subdivide_p2(capsys):
     code, out, _ = run(capsys, "subdivide", "--builtin", "p2", "--ray", "1,1")
     assert code == 0
@@ -199,8 +220,11 @@ def test_verify_corrupt_sign_exits_1(capsys):
     )
     assert code == 1
     report = json.loads(out)["reports"][0]
-    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    failed = {c["name"]: c for c in report["checks"] if not c["pass"]}
     assert "e2_matches_tropical" in failed
+    mismatches = failed["e2_matches_tropical"]["mismatches"]
+    assert mismatches
+    assert all(e2 != h_trop for _, _, e2, h_trop in mismatches)
 
 
 def test_output_files_are_deterministic(tmp_path, capsys):

@@ -157,6 +157,26 @@ def test_homology_quotient_represents_ker_mod_im(out_rows, k, data):
     assert stacked.rank() == len(reps) + d_in.rank()
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(1, 4), st.data())
+def test_homology_quotient_reduces_kernel_modulo_image(out_rows, k, data):
+    # d_in is arbitrary, as under verify's corrupted d1 sign: the result must
+    # still be the kernel reduced modulo the image, or verify can miss it
+    d_out = QMatrix.from_rows(out_rows, len(out_rows[0]))
+    n = d_out.cols
+    d_in = QMatrix.from_rows(data.draw(st.lists(
+        st.lists(small_int, min_size=k, max_size=k), min_size=n, max_size=n,
+    )), k)
+    pivots, red = d_in.transpose().rref()
+    vecs = []
+    for v in d_out.kernel_basis().basis:
+        for c, r in zip(pivots, red):
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, r)]
+        vecs.append(v)
+    assert homology_quotient(d_out, d_in) == QSubspace.span(vecs, n).basis
+
+
 def test_wedge_vector_example():
     assert wedge_vector([[1, 0], [0, 1]], 2, 2) == (1,)
     assert wedge_vector([[1, 0, 0], [0, 1, 0]], 3, 2) == (1, 0, 0)

@@ -1,0 +1,114 @@
+"""The exact elimination core against sympy as an independent oracle."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trophodge.exactla import QMatrix, ZMatrix, _minor, sparse_rank
+
+sympy = pytest.importorskip("sympy")
+
+# a third of the entries are zero, so pivots get skipped and rows vanish
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+def rational_matrices(max_n=7):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.integers(1, max_n).flatmap(
+            lambda m: st.lists(
+                st.lists(entries, min_size=m, max_size=m),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+
+
+def square_matrices(max_n=7):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def to_sympy(rows, cols):
+    return sympy.Matrix(len(rows), cols, lambda i, j: sympy.Rational(
+        rows[i][j].numerator, rows[i][j].denominator
+    ))
+
+
+def to_fraction(x):
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_rank_rref_and_kernel_match_sympy(rows):
+    m = QMatrix.from_rows(rows, len(rows[0]))
+    ref, ref_pivots = to_sympy(rows, m.cols).rref()
+    assert m.rank() == len(ref_pivots)
+    pivots, red = m.rref()
+    assert pivots == list(ref_pivots)
+    assert red == [
+        tuple(to_fraction(ref[i, j]) for j in range(m.cols))
+        for i in range(len(ref_pivots))
+    ]
+    ker = m.kernel_basis()
+    assert ker.dim == m.cols - len(ref_pivots)
+    for v in ker.basis:
+        assert not any(m.apply(list(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.lists(st.lists(entries, min_size=7, max_size=7), max_size=3))
+def test_solve_many_consistency_matches_sympy(rows, rhs):
+    m = QMatrix.from_rows(rows, len(rows[0]))
+    bs = [b[:m.rows] for b in rhs]
+    a = to_sympy(rows, m.cols)
+    for b, x in zip(bs, m.solve_many(bs)):
+        aug = a.row_join(to_sympy([[y] for y in b], 1))
+        assert (x is not None) == (aug.rank() == a.rank())
+        if x is not None:
+            assert list(m.apply(list(x))) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_sparse_rank_matches_sympy(rows):
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert sparse_rank(sparse) == to_sympy(rows, len(rows[0])).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_minor_matches_sympy_determinant(rows):
+    n = len(rows)
+    det = _minor(rows, range(n), range(n))
+    assert type(det) is Fraction
+    assert det == (to_fraction(to_sympy(rows, n).det()) if n else 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices().map(
+    lambda rows: [[x.numerator for x in row] for row in rows]
+))
+def test_integer_determinant_matches_sympy(rows):
+    n = len(rows)
+    det = ZMatrix(n, n, rows).determinant()
+    assert det == (int(sympy.Matrix(rows).det()) if n else 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.randoms(use_true_random=False))
+def test_rref_is_independent_of_row_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    cols = len(rows[0])
+    assert QMatrix.from_rows(shuffled, cols).rref() == QMatrix.from_rows(rows, cols).rref()
