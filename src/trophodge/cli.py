@@ -152,7 +152,7 @@ def cmd_pair(args):
                 )
             raise CliError(EXIT_UNBALANCED, "weights are not balanced")
     fan = mw.fan
-    cx = cycles.fans_complex(fan)
+    cx = weightss.trop_complex_for(fan)
     cycle = cycles.weight_cycle(cx, mw)
     d = cycle.p
     res = cohomology.cohomology(cx, d, d)

@@ -214,7 +214,11 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
 
 
 def relative_cohomology(cx: TropComplex, sub, p: int, q: int) -> CohomologyResult:
-    """Cohomology of cochains vanishing on a closed subcomplex."""
+    """Cohomology of cochains vanishing on a closed subcomplex.
+
+    Only for a boundary-closed complex: elsewhere the incidence cochains
+    compute compact supports, which the absolute groups do not.
+    """
     if isinstance(sub, TropComplex):
         sub_cells = set(sub.cells)
     else:
@@ -226,6 +230,8 @@ def relative_cohomology(cx: TropComplex, sub, p: int, q: int) -> CohomologyResul
         for f in cx.faces_of(c):
             if f not in sub_cells:
                 raise ValueError("subcomplex is not closed")
+    if not cx.is_boundary_closed():
+        raise ValueError("relative cohomology needs a boundary-closed complex")
     if not sub_cells:
         return cohomology(cx, p, q)
     cc = build_cochain_complex(cx, p)
@@ -332,7 +338,7 @@ def _cech_data(cx, p):
                             w[offs_t[j] + cidx] = v[offs_s[j] + cidx]
                     ws.append(w)
                 segments.append((i, s, gs.dim, start))
-            coords_all = gt.coordinates_many(ws) if ws else []
+            coords_all = [gt.coordinates(w) for w in ws]
             for i, s, sdim, start in segments:
                 sign = -1 if i % 2 else 1
                 cols_m = coords_all[start:start + sdim]

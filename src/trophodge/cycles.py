@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from trophodge import cohomology, fans
+from trophodge import cohomology, fans, weightss
 from trophodge.exactla import QMatrix, QSubspace, wedge_vector
 from trophodge.fans import Cone, Fan, orbit_lattice
 from trophodge.tropspace import Cell, TropComplex
@@ -288,7 +288,7 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
     The map sends a weight vector to the homology class of the weighted
     sum of boundary divisor cycles in degree (n-1, n-1).
     """
-    cx = fans_complex(fan)
+    cx = weightss.trop_complex_for(fan)
     n = fan.ambient_rank
     d = n - 1
     cc = cohomology.build_cochain_complex(cx, d)
@@ -303,12 +303,6 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
         ext.append(row)
     ker = QMatrix.from_rows(ext, len(rays) + bnd.rows).kernel_basis()
     return QSubspace.span([v[: len(rays)] for v in ker.basis], len(rays))
-
-
-def fans_complex(fan: Fan) -> TropComplex:
-    from trophodge import weightss
-
-    return weightss.trop_complex_for(fan)
 
 
 def divisor_combination(cx: TropComplex, ray_weights) -> TropCycle:

@@ -12,7 +12,6 @@ out of one sparse Gauss-Jordan elimination over Fraction entries,
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 
@@ -233,18 +232,34 @@ class QMatrix:
 
 
 class QSubspace:
-    """Subspace of Q^n with a canonical (RREF) basis."""
+    """Subspace of Q^n, stored by its reduced row echelon basis.
 
-    __slots__ = ("ambient_dim", "basis")
+    The basis must be the RREF of the subspace (nonzero rows, increasing
+    unit pivots, zeros in the other rows' pivot columns), which is unique
+    for it: equal subspaces have equal bases.  ``pivots[i]`` is the pivot
+    column of ``basis[i]``, so the coordinates of a vector of the
+    subspace are its entries at the pivots.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis):
         basis = _as_fraction_rows(basis)
         if any(len(v) != ambient_dim for v in basis):
             raise ValueError("basis vector length mismatch")
-        if sparse_rank(_sparse_rows(basis)) != len(basis):
-            raise ValueError("basis vectors are linearly dependent")
+        pivots = []
+        for v in basis:
+            c = next((j for j, x in enumerate(v) if x), None)
+            if c is None:
+                raise ValueError("basis has a zero row")
+            if v[c] != 1 or (pivots and c <= pivots[-1]):
+                raise ValueError("basis is not in reduced row echelon form")
+            pivots.append(c)
+        if any(v[c] for i, v in enumerate(basis) for c in pivots[i + 1:]):
+            raise ValueError("basis is not in reduced row echelon form")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *a):
         raise AttributeError("QSubspace is immutable")
@@ -273,8 +288,7 @@ class QSubspace:
         return (
             isinstance(other, QSubspace)
             and self.ambient_dim == other.ambient_dim
-            and QSubspace.span(self.basis, self.ambient_dim).basis
-            == QSubspace.span(other.basis, other.ambient_dim).basis
+            and self.basis == other.basis
         )
 
     def __hash__(self):
@@ -287,43 +301,25 @@ class QSubspace:
         return QMatrix(self.dim, self.ambient_dim, self.basis)
 
     def coordinates(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside."""
-        if not self.basis:
-            return () if all(Fraction(x) == 0 for x in vec) else None
-        return self.matrix().transpose().solve(vec)
+        """Coordinates of vec in the canonical basis, or None if outside.
 
-    def coordinates_many(self, vecs):
-        if not self.basis:
-            return [
-                () if all(Fraction(x) == 0 for x in v) else None for v in vecs
-            ]
-        return self.matrix().transpose().solve_many(vecs)
+        They can only be vec's entries at the pivots; vec lies in the
+        subspace iff that combination of the basis also matches it at the
+        other columns.
+        """
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        coords = tuple(Fraction(vec[c]) for c in self.pivots)
+        pivot_set = set(self.pivots)
+        for j, x in enumerate(vec):
+            if j not in pivot_set and x != sum(
+                a * v[j] for a, v in zip(coords, self.basis)
+            ):
+                return None
+        return coords
 
     def contains(self, vec):
         return self.coordinates(vec) is not None
-
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return QSubspace.span(list(self.basis) + list(other.basis), self.ambient_dim)
-
-    def intersection(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if not self.basis or not other.basis:
-            return QSubspace.zero(self.ambient_dim)
-        stacked = QMatrix.from_rows(
-            [list(u) for u in self.basis] + [list(v) for v in other.basis],
-            self.ambient_dim,
-        ).transpose()
-        vecs = []
-        for coeffs in stacked.kernel_basis().basis:
-            v = [Fraction(0)] * self.ambient_dim
-            for c, u in zip(coeffs[: self.dim], self.basis):
-                for k in range(self.ambient_dim):
-                    v[k] += c * u[k]
-            vecs.append(v)
-        return QSubspace.span(vecs, self.ambient_dim)
 
 
 def sparse_rank(rows) -> int:
@@ -579,23 +575,6 @@ def wedge_vector(vectors, n, p):
     return tuple(
         _minor(vectors, range(p), cols) for cols in lex_subsets(n, p)
     )
-
-
-def wedge_power(V: QSubspace, p: int) -> QSubspace:
-    """The p-th exterior power, in lex p-subset coordinates of wedge^p Q^n."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    n = V.ambient_dim
-    amb = math.comb(n, p)
-    if p == 0:
-        return QSubspace.span([(1,)], 1)
-    if p > V.dim:
-        return QSubspace.zero(amb)
-    vecs = [
-        wedge_vector([V.basis[i] for i in sub], n, p)
-        for sub in lex_subsets(V.dim, p)
-    ]
-    return QSubspace.span(vecs, amb)
 
 
 def wedge_matrix(A: QMatrix, p: int) -> QMatrix:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -606,7 +605,3 @@ def from_json_dict(data: dict) -> Fan:
         maximal = [Cone(n, [])]
     return Fan(n, maximal)
 
-
-def load(path) -> Fan:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))

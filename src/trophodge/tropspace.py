@@ -7,14 +7,19 @@ in N with sigma as a face, so the face relation is uniform:
     (sigma', tau') is a face of (sigma, tau)  iff
     sigma is a face of sigma' and tau' is a face of tau.
 
-Multi-tangent spaces F_p live in lex wedge coordinates of the stratum
-lattice N_sigma; F^p is presented as the dual via the pairing with the
-canonical echelon basis of F_p.
+Multi-tangent spaces F_p(P) = sum over the stratum cofaces tau of P of
+wedge^p T(tau) live in lex wedge coordinates of the stratum lattice
+N_sigma.  Since wedge^p T(tau') lies in wedge^p T(tau) when tau' is a
+face of tau, and the wedges of the p-subsets of a spanning set span
+wedge^p, F_p(P) is one span: of the wedges of the p-subsets of the
+projected rays of each stratum coface that is not a face of another.
+F^p is presented as the dual via the pairing with the canonical echelon
+basis of F_p.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +30,7 @@ from trophodge.exactla import (
     QSubspace,
     _minor,
     wedge_matrix,
-    wedge_power,
+    wedge_vector,
 )
 from trophodge.fans import Cone, Fan, faces, orbit_lattice
 
@@ -239,13 +244,22 @@ class TropComplex:
     # -- multi-tangent spaces -----------------------------------------
 
     def f_lower(self, cell, p) -> MultiTangent:
+        """F_p(cell): the span of p-fold wedges of projected coface rays."""
         key = (cell, p)
         if key not in self._f_cache:
-            total = QSubspace.zero(math.comb(cell.stratum_rank, p)) if p else None
-            for coface in self.stratum_cofaces(cell):
-                piece = wedge_power(coface.span(), p)
-                total = piece if total is None else total.sum(piece)
-            self._f_cache[key] = MultiTangent(self._index[cell], p, total)
+            cofaces = self.stratum_cofaces(cell)
+            proj = orbit_lattice(cell.sedentarity).proj.to_q()
+            n = cell.stratum_rank
+            wedges = []
+            for c in cofaces:
+                if any(d != c and c.is_face_of(d) for d in cofaces):
+                    continue
+                rays = [v for v in map(proj.apply, c.tau.rays) if any(v)]
+                wedges.extend(
+                    wedge_vector(sub, n, p) for sub in itertools.combinations(rays, p)
+                )
+            f_p = QSubspace.span(wedges, math.comb(n, p))
+            self._f_cache[key] = MultiTangent(self._index[cell], p, f_p)
         return self._f_cache[key]
 
     def face_map(self, face, coface, p) -> QMatrix:
@@ -448,7 +462,3 @@ def tropical_line() -> TropComplex:
         cells.append(Cell(zero, Cone(2, [ray])))
     return TropComplex(t2, cells)
 
-
-def load(path) -> TropComplex:
-    with open(path) as fh:
-        return TropComplex.from_json_dict(json.load(fh))

@@ -119,7 +119,10 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     """The residue differential E_1^{p,q} -> E_1^{p+1,q} as a block matrix.
 
     ``corrupt_sign`` flips one block sign; it exists as a negative
-    control for the verification suite.
+    control for the verification suite.  The control cannot fire on
+    p1, torus(n) and affine_space(1), affine_space(2): a torus has no
+    d_1 blocks, and on the others the flip is a change of basis, so
+    d_1 still squares to zero and no rank changes.
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)

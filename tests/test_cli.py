@@ -227,6 +227,15 @@ def test_verify_corrupt_sign_exits_1(capsys):
     assert all(e2 != h_trop for _, _, e2, h_trop in mismatches)
 
 
+def test_verify_corrupt_sign_fails_where_the_flip_matters(capsys):
+    code, out, _ = run(capsys, "verify", "--all-builtins", "--corrupt-d1-sign")
+    assert code == 1
+    failed = {r["fan"] for r in json.loads(out)["reports"] if not r["pass"]}
+    blind = {"p1", "torus(1)", "torus(2)", "torus(3)",
+             "affine_space(1)", "affine_space(2)"}
+    assert failed == set(fans.BUILTIN_ZOO) - blind
+
+
 def test_output_files_are_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

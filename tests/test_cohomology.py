@@ -143,6 +143,14 @@ def test_relative_rejects_non_closed():
         relative_cohomology(cx, open_part, 0, 0)
 
 
+def test_relative_rejects_complex_that_is_not_boundary_closed():
+    cx = tropspace.affine_complex(1)
+    infinity = cx.subcomplex(lambda c: c.sedentarity.dim > 0)
+    for sub in (infinity, []):
+        with pytest.raises(ValueError, match="boundary-closed"):
+            relative_cohomology(cx, sub, 0, 1)
+
+
 def les_alternating_sum(cx, sub, p, n):
     total = 0
     for q in range(n + 2):

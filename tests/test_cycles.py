@@ -15,7 +15,6 @@ from trophodge.cycles import (
     divisor_class_kernel,
     divisor_combination,
     divisor_cycle,
-    fans_complex,
     is_balanced,
     numerical_kernel_check,
     pair,
@@ -24,6 +23,7 @@ from trophodge.cycles import (
     weight_from_json,
     weight_to_json,
 )
+from trophodge.weightss import trop_complex_for
 
 SURFACES = [
     "p2", "p1xp1", "blowup_p2",
@@ -88,7 +88,7 @@ def test_chow_rejects_bad_fans():
 
 def test_balanced_weight_gives_cycle():
     p2 = fans.builtin("p2")
-    cx = fans_complex(p2)
+    cx = trop_complex_for(p2)
     line = cycle_class(cx, ray_weight(p2, [1, 1, 1]))
     assert line.is_cycle()
     bad = cycle_class(cx, ray_weight(p2, [1, 1, 2]))
@@ -97,7 +97,7 @@ def test_balanced_weight_gives_cycle():
 
 def test_tropical_line_pairs_to_unit():
     p2 = fans.builtin("p2")
-    cx = fans_complex(p2)
+    cx = trop_complex_for(p2)
     line = cycle_class(cx, ray_weight(p2, [1, 1, 1]))
     res = cohomology.cohomology(cx, 1, 1)
     assert res.dim == 1
@@ -107,7 +107,7 @@ def test_tropical_line_pairs_to_unit():
 def test_divisor_cycles_are_closed():
     for name in ["p2", "p1xp1", "hirzebruch(2)"]:
         fan = fans.builtin(name)
-        cx = fans_complex(fan)
+        cx = trop_complex_for(fan)
         for ray in fan.rays:
             assert divisor_cycle(cx, ray).is_cycle(), (name, ray)
 
@@ -115,7 +115,7 @@ def test_divisor_cycles_are_closed():
 def test_principal_divisor_pairs_to_zero():
     for name in ["p2", "p1xp1"]:
         fan = fans.builtin(name)
-        cx = fans_complex(fan)
+        cx = trop_complex_for(fan)
         for m in [(1, 0), (0, 1), (2, -3)]:
             cyc = divisor_combination(cx, principal_divisor_weights(fan, m))
             res = cohomology.cohomology(cx, 1, 1)
@@ -156,7 +156,7 @@ def test_pairing_invariant_under_coboundary():
     rng = random.Random(7)
     for name in ["p2", "hirzebruch(1)"]:
         fan = fans.builtin(name)
-        cx = fans_complex(fan)
+        cx = trop_complex_for(fan)
         cc = cohomology.build_cochain_complex(cx, 1)
         balanced = cycles.chow_space(fan, 1).basis[0]
         line = cycle_class(cx, ray_weight(fan, list(balanced)))
@@ -195,7 +195,7 @@ def test_weight_json_builtin_ref_and_divisor_flag():
 
 def test_divisor_weight_cycle_dispatch():
     fan = fans.builtin("p1xp1")
-    cx = fans_complex(fan)
+    cx = trop_complex_for(fan)
     weights = principal_divisor_weights(fan, (1, 0))
     mw = MinkowskiWeight(
         fan, 1,

@@ -1,8 +1,8 @@
-"""Exact linear algebra: ranks, kernels, SNF, wedge powers."""
+"""Exact linear algebra: ranks, kernels, subspaces, SNF, wedges."""
 
-import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from trophodge.exactla import (
     smith_normal_form,
     sparse_rank,
     wedge_matrix,
-    wedge_power,
     wedge_vector,
 )
 
@@ -182,12 +181,6 @@ def test_wedge_vector_example():
     assert wedge_vector([[1, 0, 0], [0, 1, 0]], 3, 2) == (1, 0, 0)
 
 
-def test_wedge_power_dims():
-    v = QSubspace.span([[1, 0, 0], [0, 1, 0]], 3)
-    for p in range(4):
-        assert wedge_power(v, p).dim == math.comb(2, p)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3),
@@ -206,11 +199,40 @@ def test_lex_subsets():
     assert lex_subsets(2, 0) == [()]
 
 
-def test_subspace_modular_law():
-    u = QSubspace.span([[1, 0, 0], [0, 1, 0]], 3)
-    w = QSubspace.span([[0, 1, 0], [0, 0, 1]], 3)
-    assert u.sum(w).dim + u.intersection(w).dim == u.dim + w.dim
-    assert u.intersection(w).contains([0, 1, 0])
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_coordinates_match_solve(gens, data):
+    n = len(gens[0])
+    v = QSubspace.span(gens, n)
+    coeffs = data.draw(st.lists(small_int, min_size=len(gens), max_size=len(gens)))
+    inside = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
+    other = data.draw(st.lists(small_int, min_size=n, max_size=n))
+    assert v.coordinates(inside) is not None
+    for vec in (inside, other):
+        assert v.coordinates(vec) == v.matrix().transpose().solve(vec)
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 1], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[2, 0]],
+    [[1, 2], [2, 4]],
+    [[1, 0], [0, 0]],
+], ids=["uncleared-pivot", "pivots-out-of-order", "non-unit-pivot",
+        "dependent", "zero-row"])
+def test_subspace_requires_rref_basis(basis):
+    with pytest.raises(ValueError):
+        QSubspace(2, basis)
+
+
+def test_subspace_reads_coordinates_at_pivots():
+    v = QSubspace(3, [[1, 2, 0], [0, 0, 1]])
+    assert v.pivots == (0, 2)
+    assert v.coordinates([3, 6, -1]) == (3, -1)
+    assert v.coordinates([3, 5, -1]) is None
+    assert QSubspace.zero(2).coordinates([0, 0]) == ()
+    with pytest.raises(ValueError):
+        v.coordinates([1, 2])
 
 
 def test_subspace_equality_is_basis_free():

@@ -1,10 +1,12 @@
 """Cells, multi-tangent spaces, and face maps of compactified fan spaces."""
 
+import itertools
 import math
 
 import pytest
 
-from trophodge import fans, tropspace
+from trophodge import fans, tropspace, weightss
+from trophodge.exactla import QSubspace, wedge_vector
 from trophodge.fans import Cone
 from trophodge.tropspace import Cell, TropComplex
 
@@ -58,6 +60,40 @@ def test_fp_of_maximal_mobile_cell_is_full():
     top = Cell(Cone(2, []), p2.cones_of_dim(2)[0])
     for p in range(3):
         assert cx.f_lower(top, p).dim == math.comb(2, p)
+
+
+def complexes_for_f_lower():
+    out = [weightss.trop_complex_for(fans.builtin(name)) for name in fans.BUILTIN_ZOO]
+    out.append(tropspace.tropical_line())
+    for name in ["p2", "hirzebruch(1)"]:
+        fan = fans.builtin(name)
+        top = fan.cones_of_dim(2)[0]
+        refined = fans.star_subdivision(fan, tuple(map(sum, zip(*top.rays))))
+        out.append(tropspace.tautological_complex(fans.torus(2), fan))
+        out.append(tropspace.tautological_complex(fans.torus(2), refined))
+    out.append(tropspace.refined_complex(
+        fans.torus(2), fans.star_subdivision(fans.orthant_fan(2), (1, 1))
+    ))
+    a2 = fans.affine_space(2)
+    out.append(tropspace.refined_complex(
+        a2, fans.star_subdivision(fans.completion(a2), (-1, -1))
+    ))
+    return out
+
+
+def test_f_lower_is_the_sum_of_wedge_powers_of_stratum_cofaces():
+    """F_p(P) = sum of wedge^p span(tau) over the stratum cofaces tau of P."""
+    for cx in complexes_for_f_lower():
+        for cell in cx.cells:
+            n = cell.stratum_rank
+            for p in range(n + 1):
+                wedges = [
+                    wedge_vector(sub, n, p)
+                    for coface in cx.stratum_cofaces(cell)
+                    for sub in itertools.combinations(coface.span().basis, p)
+                ]
+                expected = QSubspace.span(wedges, math.comb(n, p))
+                assert cx.f_lower(cell, p).f_p.basis == expected.basis
 
 
 def test_tropical_line_vertex_f1():
