@@ -14,6 +14,11 @@ boundary closed (every face at infinity present, so all cells have
 compact closure).  On supports with unbounded cells it computes the
 compactly supported groups instead, so :func:`cohomology` switches to
 the poset complex there.  The oracle cross-checks both.
+
+Dimensions come from ranks alone: dim H^q = dim C^q - rk delta_q -
+rk delta_{q-1}, with the ranks cached on the complex, which is all
+:func:`betti_table` computes.  Representatives (a basis of ker modulo im)
+come only from :func:`cohomology`.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ def _poset_chains(cx):
     if "chains" not in cache:
         n = len(cx.cells)
         strict = [
-            [j for j in range(n) if j != i and cx.cells[i].is_face_of(cx.cells[j])]
-            for i in range(n)
+            [cx.cell_id(c) for c in cx.cofaces_of(cell) if c != cell]
+            for cell in cx.cells
         ]
         levels = [[(i,) for i in range(n)]]
         while True:
@@ -205,10 +210,7 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     rest use the face-poset complex (the incidence model would compute
     compact supports there).
     """
-    cache = _cache(cx)
-    if "closed" not in cache:
-        cache["closed"] = cx.is_boundary_closed()
-    if cache["closed"]:
+    if cx.is_boundary_closed():
         return _incidence_cohomology(cx, p, q)
     return _poset_cohomology(cx, p, q)
 
@@ -288,7 +290,7 @@ def _cech_data(cx, p):
             rows = []
             for a in cover:
                 for b in cover:
-                    if a == b or not cx.cells[a].is_face_of(cx.cells[b]):
+                    if a == b or a not in face_sets[b]:
                         continue
                     rho = cx.face_map(cx.cells[a], cx.cells[b], p).transpose()
                     for r in range(dims[b]):
@@ -364,10 +366,37 @@ def cech_oracle(cx: TropComplex, p: int, q: int) -> int:
     return space_dims[q] - ranks.get(q, 0) - (ranks.get(q - 1, 0) if q else 0)
 
 
+def _delta_rank(cx, p, q):
+    """rk delta_q of the incidence complex for p, cached on the complex."""
+    cache = _cache(cx)
+    if ("rank", p, q) not in cache:
+        cache[("rank", p, q)] = build_cochain_complex(cx, p).delta(q).rank()
+    return cache[("rank", p, q)]
+
+
 def betti_table(cx: TropComplex):
-    """Matrix h[p][q] for 0 <= p,q <= n."""
+    """Matrix h[p][q] for 0 <= p,q <= n, from ranks alone.
+
+    The dimensions are those :func:`cohomology` gives, but no
+    representative is computed: dim C^q - rk delta_q - rk delta_{q-1} of
+    the incidence complex, or of the face-poset complex where the complex
+    is not boundary closed.
+    """
     n = cx.base_fan.ambient_rank
-    return [[cohomology(cx, p, q).dim for q in range(n + 1)] for p in range(n + 1)]
+    if not cx.is_boundary_closed():
+        return [
+            [_poset_cohomology(cx, p, q).dim for q in range(n + 1)]
+            for p in range(n + 1)
+        ]
+    return [
+        [
+            build_cochain_complex(cx, p).space_dim(q)
+            - _delta_rank(cx, p, q)
+            - _delta_rank(cx, p, q - 1)
+            for q in range(n + 1)
+        ]
+        for p in range(n + 1)
+    ]
 
 
 def betti_to_tsv(table):

@@ -16,7 +16,9 @@ from fractions import Fraction
 
 
 def _as_fraction_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
 
 
 def _sparse_rows(rows):
@@ -183,7 +185,8 @@ class QMatrix:
     def apply(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, vec)) for row in self.entries)
+        (vec,) = _as_fraction_rows([vec])
+        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
@@ -381,7 +384,7 @@ def block_rows(blocks, row_layout, col_layout):
 def assemble(blocks, row_layout, col_layout) -> QMatrix:
     """Dense QMatrix of a block matrix given as for :func:`block_rows`."""
     rows, ncols = block_rows(blocks, row_layout, col_layout)
-    ent = [[0] * ncols for _ in rows]
+    ent = [[Fraction(0)] * ncols for _ in rows]
     for out, row in zip(ent, rows):
         for j, v in row.items():
             out[j] = v

@@ -15,10 +15,18 @@ wedge^p, F_p(P) is one span: of the wedges of the p-subsets of the
 projected rays of each stratum coface that is not a face of another.
 F^p is presented as the dual via the pairing with the canonical echelon
 basis of F_p.
+
+The incidence of the complex is indexed once, by lookup instead of a scan
+over all pairs of cells: the faces of (sigma, tau) are the cells
+(sigma', tau') with tau' a face of tau and sigma a face of sigma', a face
+of tau'.  The projected rays and span of a cell, and the stratum
+projections N_sigma1 -> N_sigma2 with their wedge powers, are cached like
+the cone data of :mod:`trophodge.fans`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,8 +74,7 @@ class Cell:
 
     def span(self):
         """Q-span of the shape inside N_{sigma,Q}."""
-        proj = orbit_lattice(self.sedentarity).proj.to_q()
-        return QSubspace.span([proj.apply(r) for r in self.tau.rays], self.stratum_rank)
+        return _cell_span(self)
 
     def is_face_of(self, other):
         return (
@@ -115,6 +122,8 @@ class TropComplex:
         self._f_cache = {}
         self._map_cache = {}
         self._poset_cache = None
+        self._incidence_cache = None
+        self._closed = None
         if validate:
             self._validate()
 
@@ -190,11 +199,31 @@ class TropComplex:
     def top_dim(self):
         return max((c.dim for c in self.cells), default=0)
 
+    def _incidence(self):
+        """(face ids, coface ids) per cell id, the cell itself included."""
+        if self._incidence_cache is None:
+            key = {(c.sedentarity, c.tau): i for i, c in enumerate(self.cells)}
+            down = tuple(
+                tuple(sorted({
+                    key[(s, t)]
+                    for t in faces(cell.tau)
+                    for s in faces(t)
+                    if (s, t) in key and cell.sedentarity in faces(s)
+                }))
+                for cell in self.cells
+            )
+            up = [[] for _ in self.cells]
+            for i, ids in enumerate(down):
+                for j in ids:
+                    up[j].append(i)
+            self._incidence_cache = (down, tuple(map(tuple, up)))
+        return self._incidence_cache
+
     def faces_of(self, cell):
-        return tuple(c for c in self.cells if c.is_face_of(cell))
+        return tuple(self.cells[i] for i in self._incidence()[0][self._index[cell]])
 
     def cofaces_of(self, cell):
-        return tuple(c for c in self.cells if cell.is_face_of(c))
+        return tuple(self.cells[i] for i in self._incidence()[1][self._index[cell]])
 
     def stratum_cofaces(self, cell):
         """Cofaces in the same stratum, including the cell itself."""
@@ -206,13 +235,14 @@ class TropComplex:
         """Codimension-1 face pairs: (face_id, coface_id, case, sign)."""
         if self._poset_cache is None:
             out = []
-            for coface in self.cells:
-                for face in self.cells:
-                    if face.dim != coface.dim - 1 or not face.is_face_of(coface):
+            for cid, coface in enumerate(self.cells):
+                for fid in self._incidence()[0][cid]:
+                    face = self.cells[fid]
+                    if face.dim != coface.dim - 1:
                         continue
                     case = _case_tag(face, coface)
                     sign = self._incidence_sign(face, coface)
-                    out.append((self._index[face], self._index[coface], case, sign))
+                    out.append((fid, cid, case, sign))
             self._poset_cache = tuple(out)
         return self._poset_cache
 
@@ -222,13 +252,15 @@ class TropComplex:
         Exactly then is the support compact and the plain incidence
         cochain complex computes sheaf cohomology.
         """
-        cell_set = set(self.cells)
-        for cell in self.cells:
-            for sig in faces(cell.tau):
-                if cell.sedentarity in faces(sig):
-                    if Cell(sig, cell.tau) not in cell_set:
-                        return False
-        return True
+        if self._closed is None:
+            cell_set = set(self.cells)
+            self._closed = all(
+                Cell(sig, cell.tau) in cell_set
+                for cell in self.cells
+                for sig in faces(cell.tau)
+                if cell.sedentarity in faces(sig)
+            )
+        return self._closed
 
     def subcomplex(self, predicate):
         kept = [c for c in self.cells if predicate(c)]
@@ -247,17 +279,15 @@ class TropComplex:
         """F_p(cell): the span of p-fold wedges of projected coface rays."""
         key = (cell, p)
         if key not in self._f_cache:
-            cofaces = self.stratum_cofaces(cell)
-            proj = orbit_lattice(cell.sedentarity).proj.to_q()
             n = cell.stratum_rank
-            wedges = []
-            for c in cofaces:
-                if any(d != c and c.is_face_of(d) for d in cofaces):
-                    continue
-                rays = [v for v in map(proj.apply, c.tau.rays) if any(v)]
-                wedges.extend(
-                    wedge_vector(sub, n, p) for sub in itertools.combinations(rays, p)
-                )
+            # a stratum coface c is a face of no other one iff c is its
+            # own only stratum coface
+            wedges = [
+                wedge_vector(sub, n, p)
+                for c in self.stratum_cofaces(cell)
+                if len(self.stratum_cofaces(c)) == 1
+                for sub in itertools.combinations(_projected_rays(c), p)
+            ]
             f_p = QSubspace.span(wedges, math.comb(n, p))
             self._f_cache[key] = MultiTangent(self._index[cell], p, f_p)
         return self._f_cache[key]
@@ -267,7 +297,7 @@ class TropComplex:
         key = (face, coface, p)
         if key in self._map_cache:
             return self._map_cache[key]
-        if not face.is_face_of(coface):
+        if self._index[face] not in self._incidence()[0][self._index[coface]]:
             raise ValueError("face_map requires a face pair")
         src = self.f_lower(coface, p).f_p
         dst = self.f_lower(face, p).f_p
@@ -281,8 +311,7 @@ class TropComplex:
                         "composite face map needs the intermediate cell "
                         f"({mid.label()}) in the complex"
                     )
-            proj = _stratum_projection(coface.sedentarity, face.sedentarity)
-            wedge = wedge_matrix(proj, p)
+            wedge = _stratum_wedge(coface.sedentarity, face.sedentarity, p)
             images = [wedge.apply(v) for v in src.basis]
         cols = []
         for img in images:
@@ -388,6 +417,19 @@ def _section(sed: Cone) -> QMatrix:
     return QMatrix(n, proj.rows, [[cols[j][i] for j in range(proj.rows)] for i in range(n)])
 
 
+@functools.lru_cache(maxsize=None)
+def _projected_rays(cell: Cell) -> tuple:
+    """The nonzero images of the lifted rays of a cell in N_sigma."""
+    proj = orbit_lattice(cell.sedentarity).proj.to_q()
+    return tuple(v for v in map(proj.apply, cell.tau.rays) if any(v))
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_span(cell: Cell) -> QSubspace:
+    return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
+
+
+@functools.lru_cache(maxsize=None)
 def _stratum_projection(sed_small: Cone, sed_big: Cone) -> QMatrix:
     """Matrix of N_{sigma1} -> N_{sigma2} for sigma1 a face of sigma2."""
     p1 = orbit_lattice(sed_small).proj.to_q()
@@ -400,6 +442,12 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> QMatrix:
             raise ValueError("stratum projections are not nested")
         rows.append(sol)
     return QMatrix(p2.rows, p1.rows, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> QMatrix:
+    """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}."""
+    return wedge_matrix(_stratum_projection(sed_small, sed_big), p)
 
 
 def tautological_complex(fan: Fan, structure: Fan | None = None) -> TropComplex:

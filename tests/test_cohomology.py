@@ -2,7 +2,7 @@
 
 import pytest
 
-from trophodge import cohomology, fans, tropspace
+from trophodge import cohomology, exactla, fans, tropspace, weightss
 from trophodge.cohomology import (
     betti_table,
     build_cochain_complex,
@@ -89,6 +89,42 @@ def test_representatives_are_cocycles():
             assert res.dim == len(res.representatives)
             for rep in res.representatives:
                 assert all(x == 0 for x in cc.delta(q).apply(list(rep)))
+
+
+def test_betti_table_matches_representatives(monkeypatch):
+    """Rank-only dimensions count the representatives cohomology() finds."""
+    closed = [
+        cx for cx in map(weightss.trop_complex_for, map(fans.builtin, fans.BUILTIN_ZOO))
+        if cx.is_boundary_closed()
+    ]
+    tables = [betti_table(cx) for cx in closed]
+    for cx, table in zip(closed, tables):
+        n = cx.base_fan.ambient_rank
+        for p in range(n + 1):
+            for q in range(n + 1):
+                reps = cohomology.cohomology(cx, p, q).representatives
+                assert table[p][q] == len(reps), (cx, p, q)
+
+    def no_elimination(rows, reduce):
+        raise AssertionError("betti_table eliminated again")
+
+    monkeypatch.setattr(exactla, "_gauss_jordan", no_elimination)
+    assert [betti_table(cx) for cx in closed] == tables
+
+
+def test_betti_table_does_not_scan_cell_pairs(monkeypatch):
+    """Incidence is looked up: is_face_of runs at most once per face pair."""
+    calls = []
+    is_face_of = tropspace.Cell.is_face_of
+
+    def counting(self, other):
+        calls.append(None)
+        return is_face_of(self, other)
+
+    monkeypatch.setattr(tropspace.Cell, "is_face_of", counting)
+    cx = tropspace.tautological_complex(fans.builtin("p3"))
+    betti_table(cx)
+    assert len(calls) <= len(cx.face_poset())
 
 
 def test_vanishing_above_diagonal_and_h_p0():

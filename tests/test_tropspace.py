@@ -96,6 +96,30 @@ def test_f_lower_is_the_sum_of_wedge_powers_of_stratum_cofaces():
                 assert cx.f_lower(cell, p).f_p.basis == expected.basis
 
 
+def test_incidence_index_matches_face_scan():
+    """The indexed incidence equals a scan of all pairs with is_face_of."""
+    complexes = complexes_for_f_lower()
+    complexes.append(weightss.trop_complex_for(fans.projective_space(4)))
+    for cx in complexes:
+        poset = []
+        for coface in cx.cells:
+            faces = tuple(c for c in cx.cells if c.is_face_of(coface))
+            cofaces = tuple(c for c in cx.cells if coface.is_face_of(c))
+            assert cx.faces_of(coface) == faces
+            assert cx.cofaces_of(coface) == cofaces
+            assert cx.stratum_cofaces(coface) == tuple(
+                c for c in cofaces if c.sedentarity == coface.sedentarity
+            )
+            for face in faces:
+                if face.dim == coface.dim - 1:
+                    poset.append((
+                        cx.cell_id(face), cx.cell_id(coface),
+                        tropspace._case_tag(face, coface),
+                        cx._incidence_sign(face, coface),
+                    ))
+        assert cx.face_poset() == tuple(poset)
+
+
 def test_tropical_line_vertex_f1():
     cx = tropspace.tropical_line()
     vertex = Cell(Cone(2, []), Cone(2, []))
