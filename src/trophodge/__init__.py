@@ -4,7 +4,7 @@ Subpackages:
   exactla    -- rational/integer linear algebra (ranks, kernels, SNF, wedges)
   fans       -- cones, fans, orbit lattices, star subdivision, built-in zoo
   tropspace  -- the compactified fan space as a stratified cell complex
-  cohomology -- cellular tropical cohomology with a Cech oracle
+  cohomology -- cellular tropical cohomology, by duality on open supports
   weightss   -- the weight spectral sequence of a smooth toric variety
   cycles     -- Minkowski weights, cycle classes, and intersection pairings
   cli        -- command-line interface

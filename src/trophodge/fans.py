@@ -489,6 +489,7 @@ def blowup_p2() -> Fan:
     return star_subdivision(projective_space(2), (1, 1))
 
 
+@functools.lru_cache(maxsize=None)
 def orthant_fan(n: int) -> Fan:
     """Complete fan of all 2^n orthants, the fan of (P^1)^n."""
     new_max = []

@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import cech_oracle
 from trophodge import cohomology, cycles, fans, tropspace, weightss
 
 ZOO = [
@@ -155,7 +156,7 @@ def check_cech():
         n = cx.base_fan.ambient_rank
         for p in range(n + 1):
             for q in range(n + 1):
-                if cohomology.cech_oracle(cx, p, q) != cohomology.cohomology(
+                if cech_oracle(cx, p, q) != cohomology.cohomology(
                     cx, p, q
                 ).dim:
                     return False

@@ -1,12 +1,14 @@
-"""Tropical cohomology: cochain complexes, Cech oracle, relative pairs."""
+"""Tropical cohomology: cochain complexes, duality, oracles, relative pairs."""
+
+import math
 
 import pytest
 
+from oracles import cech_oracle, poset_betti_table
 from trophodge import cohomology, exactla, fans, tropspace, weightss
 from trophodge.cohomology import (
     betti_table,
     build_cochain_complex,
-    cech_oracle,
     relative_cohomology,
 )
 
@@ -66,18 +68,69 @@ def test_known_betti_tables():
     assert betti_table(p1xp1) == diag_table(2, [1, 2, 1])
 
 
-def test_torus_betti_row():
-    assert betti_table(tropspace.torus_complex(2)) == [
-        [1, 0, 0],
-        [2, 0, 0],
-        [1, 0, 0],
-    ]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torus_betti_row(n):
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for p in range(n + 1):
+        table[p][0] = math.comb(n, p)
+    assert betti_table(tropspace.torus_complex(n)) == table
 
 
-def test_affine_space_betti():
-    table = betti_table(tropspace.affine_complex(2))
-    assert table[0][0] == 1
-    assert sum(sum(row) for row in table) == 1
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_affine_space_betti(n):
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    table[0][0] = 1
+    assert betti_table(tropspace.affine_complex(n)) == table
+
+
+def open_complexes():
+    """The open complexes of the zoo, the tropical line and the refinement checks.
+
+    The refinement checks are ``check_refinement_invariance`` in the
+    acceptance suite and ``test_fan_structure_independence_*`` here.
+    """
+    built = [tropspace.tropical_line()]
+    for name in fans.BUILTIN_ZOO:
+        fan = fans.builtin(name)
+        n = fan.ambient_rank
+        if fans.is_complete(fan):
+            top = fan.cones_of_dim(n)[0]
+            ray = tuple(sum(col) for col in zip(*top.rays))
+            for structure in (fan, fans.star_subdivision(fan, ray)):
+                built.append(tropspace.tautological_complex(fans.torus(n), structure))
+        else:
+            sign = -1 if name.startswith("affine") else 1
+            refined = fans.star_subdivision(fans.completion(fan), (sign,) * n)
+            built.append(weightss.trop_complex_for(fan))
+            built.append(tropspace.refined_complex(fan, refined))
+    unique = {(cx.base_fan, cx.cells): cx for cx in built}
+    return [cx for cx in unique.values() if not cx.is_boundary_closed()]
+
+
+def test_duality_matches_poset_oracle():
+    """Poincare duality on H_c gives the face-poset table on open complexes."""
+    complexes = open_complexes()
+    assert len(complexes) == 25
+    for cx in complexes:
+        n = cx.base_fan.ambient_rank
+        table = poset_betti_table(cx)
+        assert betti_table(cx) == table, cx
+        for p in range(n + 1):
+            for q in range(n + 1):
+                res = cohomology.cohomology(cx, p, q)
+                assert (res.dim, res.representatives) == (table[p][q], ()), (cx, p, q)
+
+
+def test_open_complex_over_non_smooth_fan_is_rejected():
+    cone = [(1, 0), (1, 2)]
+    base = fans.Fan(2, [cone])
+    structure = fans.Fan(2, [cone, [(1, 2), (-1, -1)], [(-1, -1), (1, 0)]])
+    cx = tropspace.tautological_complex(base, structure)
+    assert not base.is_smooth() and not cx.is_boundary_closed()
+    with pytest.raises(ValueError, match="smooth base fan"):
+        betti_table(cx)
+    with pytest.raises(ValueError, match="smooth base fan"):
+        cohomology.cohomology(cx, 0, 0)
 
 
 def test_representatives_are_cocycles():
