@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including
 an invalid weight file), 3 invalid fan (or an incomplete one where a
-complete fan is needed, as by ``chow``), 4 cohomology error, 5 non-smooth
-input, 6 unbalanced weights.
+complete fan is needed, as by ``chow`` and ``pair``), 4 cohomology error,
+5 non-smooth input (for ``pair``, a fan on which the weight cycle cannot
+be built), 6 unbalanced weights.
 """
 
 from __future__ import annotations
@@ -141,19 +142,23 @@ def cmd_pair(args):
         mw = cycles.MinkowskiWeight.from_json_dict(data)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise CliError(EXIT_PARSE, f"invalid weight file: {exc}")
-    if not mw.divisor:
-        violations = cycles.balancing_check(mw)
-        if violations:
-            for sigma, defect in violations:
-                print(
-                    f"unbalanced at cone {list(sigma.rays)}: "
-                    f"defect {[str(x) for x in defect]}",
-                    file=sys.stderr,
-                )
-            raise CliError(EXIT_UNBALANCED, "weights are not balanced")
-    fan = mw.fan
-    cx = weightss.trop_complex_for(fan)
-    cycle = cycles.weight_cycle(cx, mw)
+    if not fans.is_complete(mw.fan):
+        raise CliError(EXIT_INVALID_FAN, "pairing needs a complete fan")
+    try:
+        if not mw.divisor:
+            violations = cycles.balancing_check(mw)
+            if violations:
+                for sigma, defect in violations:
+                    print(
+                        f"unbalanced at cone {list(sigma.rays)}: "
+                        f"defect {[str(x) for x in defect]}",
+                        file=sys.stderr,
+                    )
+                raise CliError(EXIT_UNBALANCED, "weights are not balanced")
+        cx = weightss.trop_complex_for(mw.fan)
+        cycle = cycles.weight_cycle(cx, mw)
+    except ValueError as exc:
+        raise CliError(EXIT_NONSMOOTH, f"cannot build the weight cycle: {exc}")
     d = cycle.p
     res = cohomology.cohomology(cx, d, d)
     lines = [

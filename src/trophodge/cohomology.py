@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from trophodge.exactla import QMatrix, assemble, block_offsets, homology_quotient
+from trophodge.exactla import QMatrix, assemble, homology_quotient
 from trophodge.tropspace import TropComplex
 
 
@@ -114,51 +114,6 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
         return CohomologyResult(p, q, _dim(cx, p, q, d), ())
     cc = build_cochain_complex(cx, p)
     reps = homology_quotient(cc.delta(q), cc.delta(q - 1) if q >= 1 else None)
-    return CohomologyResult(p, q, len(reps), tuple(reps))
-
-
-def relative_cohomology(cx: TropComplex, sub, p: int, q: int) -> CohomologyResult:
-    """Cohomology of cochains vanishing on a closed subcomplex.
-
-    Only for a boundary-closed complex: elsewhere the incidence cochains
-    compute compact supports, which the absolute groups do not.
-    """
-    if isinstance(sub, TropComplex):
-        sub_cells = set(sub.cells)
-    else:
-        sub_cells = set(sub)
-    mine = set(cx.cells)
-    if not sub_cells <= mine:
-        raise ValueError("subcomplex has cells outside the complex")
-    for c in sub_cells:
-        for f in cx.faces_of(c):
-            if f not in sub_cells:
-                raise ValueError("subcomplex is not closed")
-    if not cx.is_boundary_closed():
-        raise ValueError("relative cohomology needs a boundary-closed complex")
-    if not sub_cells:
-        return cohomology(cx, p, q)
-    cc = build_cochain_complex(cx, p)
-
-    def layout(q_):
-        return cc.layout[q_] if 0 <= q_ < len(cc.layout) else ()
-
-    def kept(q_):
-        return tuple(b for b in layout(q_) if cx.cells[b[0]] not in sub_cells)
-
-    def positions(q_):
-        offs, _ = block_offsets(layout(q_))
-        return [offs[cid] + i for cid, d in kept(q_) for i in range(d)]
-
-    def restricted_delta(q_):
-        full = cc.delta(q_)
-        rkeep, ckeep = positions(q_ + 1), positions(q_)
-        ent = [[full.entries[i][j] for j in ckeep] for i in rkeep]
-        return QMatrix(len(rkeep), len(ckeep), ent)
-
-    reps = homology_quotient(
-        restricted_delta(q), restricted_delta(q - 1) if q >= 1 else None
-    )
     return CohomologyResult(p, q, len(reps), tuple(reps))
 
 

@@ -111,7 +111,7 @@ def balancing_check(mw: MinkowskiWeight):
             w = mw.weight(tau)
             if not w:
                 continue
-            rho = _new_ray(sigma, tau)
+            rho = fans.new_ray(sigma, tau)
             img = proj.apply(rho)
             defect = [d + w * x for d, x in zip(defect, img)]
         if any(defect):
@@ -121,13 +121,6 @@ def balancing_check(mw: MinkowskiWeight):
 
 def is_balanced(mw: MinkowskiWeight) -> bool:
     return not balancing_check(mw)
-
-
-def _new_ray(sigma, tau):
-    new = [r for r in tau.rays if r not in sigma.rays]
-    if len(new) != 1:
-        raise ValueError("expected a one-ray cone extension")
-    return new[0]
 
 
 def _balancing_matrix(fan: Fan, codim: int):
@@ -143,7 +136,7 @@ def _balancing_matrix(fan: Fan, codim: int):
         for tau in cols:
             if sigma not in fans.faces(tau):
                 continue
-            img = proj.apply(_new_ray(sigma, tau))
+            img = proj.apply(fans.new_ray(sigma, tau))
             for i, x in enumerate(img):
                 block[i][pos[tau]] = Fraction(x)
         rows.extend(block)
@@ -232,7 +225,7 @@ def cycle_class(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
         cell = Cell(zero, cone)
         cid = cx.cell_id(cell)
         vol = _volume_element(cell)
-        coords = cx.f_lower(cell, d).f_p.coordinates([w * sign * x for x in vol])
+        coords = cx.f_lower(cell, d).coordinates([w * sign * x for x in vol])
         if coords is None:
             raise ValueError("volume element outside the multi-tangent space")
         chain[cid] = coords
@@ -256,7 +249,7 @@ def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
         cell = Cell(rho, tau)
         cid = cx.cell_id(cell)
         vol = _volume_element(cell)
-        coords = cx.f_lower(cell, d).f_p.coordinates([sign * x for x in vol])
+        coords = cx.f_lower(cell, d).coordinates([sign * x for x in vol])
         if coords is None:
             raise ValueError("volume element outside the multi-tangent space")
         chain[cid] = coords

@@ -175,9 +175,6 @@ class QMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
 
-    def __neg__(self):
-        return QMatrix(self.rows, self.cols, [[-x for x in row] for row in self.entries])
-
     def scale(self, c):
         c = Fraction(c)
         return QMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])

@@ -164,10 +164,6 @@ class Cone:
             for normal, _ in self.facet_normals()
         )
 
-    def interior_point(self):
-        """A point of the relative interior (sum of the rays; 0 for the zero cone)."""
-        return tuple(sum(col) for col in zip(*self.rays)) if self.rays else (0,) * self.ambient_rank
-
 
 def _pointed(n, rays):
     # pointed iff no nontrivial nonnegative combination of the rays is 0,
@@ -250,6 +246,14 @@ def faces(cone: Cone):
     for facet in cone.facets():
         out.update(faces(facet))
     return tuple(sorted(out, key=lambda c: (c.dim, c.rays)))
+
+
+def new_ray(sigma: Cone, tau: Cone):
+    """The one ray of tau outside its facet sigma; ValueError if not one."""
+    new = [r for r in tau.rays if r not in sigma.rays]
+    if len(new) != 1:
+        raise ValueError("expected a one-ray cone extension")
+    return new[0]
 
 
 def is_smooth(cone: Cone) -> bool:

@@ -1,8 +1,8 @@
 """The compactified fan space as a stratified cell complex.
 
 A cell carries a sedentarity cone sigma (which stratum at infinity it
-lives in) and a shape; internally the shape is kept as a lifted cone tau
-in N with sigma as a face, so the face relation is uniform:
+lives in) and a shape, kept as a lifted cone tau in N with sigma as a
+face, so the face relation is uniform:
 
     (sigma', tau') is a face of (sigma, tau)  iff
     sigma is a face of sigma' and tau' is a face of tau.
@@ -12,9 +12,8 @@ wedge^p T(tau) live in lex wedge coordinates of the stratum lattice
 N_sigma.  Since wedge^p T(tau') lies in wedge^p T(tau) when tau' is a
 face of tau, and the wedges of the p-subsets of a spanning set span
 wedge^p, F_p(P) is one span: of the wedges of the p-subsets of the
-projected rays of each stratum coface that is not a face of another.
-F^p is presented as the dual via the pairing with the canonical echelon
-basis of F_p.
+projected rays of each stratum coface that is not a face of another;
+:meth:`TropComplex.f_lower` returns it as a :class:`QSubspace`.
 
 The incidence of the complex is indexed once, by lookup instead of a scan
 over all pairs of cells: the faces of (sigma, tau) are the cells
@@ -62,16 +61,6 @@ class Cell:
     def stratum_rank(self):
         return self.sedentarity.ambient_rank - self.sedentarity.dim
 
-    def shape(self):
-        """The shape cone in the coordinates of N_sigma."""
-        proj = orbit_lattice(self.sedentarity).proj
-        rays = []
-        for r in self.tau.rays:
-            img = proj.to_q().apply(r)
-            if any(x != 0 for x in img):
-                rays.append(fans.primitive(img))
-        return Cone(self.stratum_rank, rays)
-
     def span(self):
         """Q-span of the shape inside N_{sigma,Q}."""
         return _cell_span(self)
@@ -87,23 +76,6 @@ class Cell:
 
     def label(self):
         return f"sed={list(self.sedentarity.rays)} shape={list(self.tau.rays)}"
-
-
-@dataclass(frozen=True)
-class MultiTangent:
-    """F_p(P), a subspace of wedge^p N_{sigma,Q} in lex coordinates.
-
-    F^p(P) is presented as its dual: a covector's coordinates are its
-    pairings with the canonical basis of ``f_p``.
-    """
-
-    cell_id: int
-    p: int
-    f_p: QSubspace
-
-    @property
-    def dim(self):
-        return self.f_p.dim
 
 
 class TropComplex:
@@ -158,34 +130,6 @@ class TropComplex:
             if fan.contains_cone(sigma)
         ]
         return cls(fan, cells, validate=False)
-
-    @classmethod
-    def from_json_dict(cls, data):
-        base = fans.from_json_dict(data["base_fan"])
-        rays = [fans.primitive(r) for r in data["base_fan"]["rays"]]
-        cells = []
-        for rec in data["cells"]:
-            sed = Cone(
-                base.ambient_rank, [fans.ray_at(rays, i) for i in rec["sedentarity"]]
-            )
-            if not base.contains_cone(sed):
-                raise ValueError("cell sedentarity is not a cone of the base fan")
-            sec = _section(sed)
-            lifted = [sec.apply(r) for r in rec["rays"]]
-            tau = Cone(base.ambient_rank, list(sed.rays) + [r for r in lifted if any(r)])
-            cells.append(Cell(sed, tau))
-        return cls(base, cells)
-
-    def to_json_dict(self):
-        fan_dict = fans.to_json_dict(self.base_fan)
-        ray_index = {tuple(r): i for i, r in enumerate(fan_dict["rays"])}
-        recs = []
-        for cell in self.cells:
-            recs.append({
-                "sedentarity": sorted(ray_index[r] for r in cell.sedentarity.rays),
-                "rays": [list(r) for r in cell.shape().rays],
-            })
-        return {"base_fan": fan_dict, "cells": recs}
 
     # -- poset --------------------------------------------------------
 
@@ -262,21 +206,15 @@ class TropComplex:
             )
         return self._closed
 
-    def subcomplex(self, predicate):
-        kept = [c for c in self.cells if predicate(c)]
-        return TropComplex(self.base_fan, kept, validate=False)
-
-    def is_closed_subcomplex(self, other):
-        mine = set(self.cells)
-        if not all(c in mine for c in other.cells):
-            return False
-        theirs = set(other.cells)
-        return all(f in theirs for c in other.cells for f in self.faces_of(c))
-
     # -- multi-tangent spaces -----------------------------------------
 
-    def f_lower(self, cell, p) -> MultiTangent:
-        """F_p(cell): the span of p-fold wedges of projected coface rays."""
+    def f_lower(self, cell, p) -> QSubspace:
+        """F_p(cell): the span of p-fold wedges of projected coface rays.
+
+        A subspace of wedge^p N_{sigma,Q} in lex coordinates.  F^p is
+        presented as the dual: a covector's coordinates are its pairings
+        with the canonical echelon basis of F_p.
+        """
         key = (cell, p)
         if key not in self._f_cache:
             n = cell.stratum_rank
@@ -288,8 +226,7 @@ class TropComplex:
                 if len(self.stratum_cofaces(c)) == 1
                 for sub in itertools.combinations(_projected_rays(c), p)
             ]
-            f_p = QSubspace.span(wedges, math.comb(n, p))
-            self._f_cache[key] = MultiTangent(self._index[cell], p, f_p)
+            self._f_cache[key] = QSubspace.span(wedges, math.comb(n, p))
         return self._f_cache[key]
 
     def face_map(self, face, coface, p) -> QMatrix:
@@ -299,8 +236,8 @@ class TropComplex:
             return self._map_cache[key]
         if self._index[face] not in self._incidence()[0][self._index[coface]]:
             raise ValueError("face_map requires a face pair")
-        src = self.f_lower(coface, p).f_p
-        dst = self.f_lower(face, p).f_p
+        src = self.f_lower(coface, p)
+        dst = self.f_lower(face, p)
         if face.sedentarity == coface.sedentarity:
             images = list(src.basis)
         else:
@@ -403,18 +340,6 @@ def _case_tag(face, coface):
     if face.tau == coface.tau:
         return 2
     return 3
-
-
-def _section(sed: Cone) -> QMatrix:
-    """Right inverse of the stratum projection N -> N_sigma."""
-    n = sed.ambient_rank
-    proj = orbit_lattice(sed).proj.to_q()
-    cols = []
-    for i in range(proj.rows):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(proj.rows)]
-        sol = proj.solve(e)
-        cols.append(sol)
-    return QMatrix(n, proj.rows, [[cols[j][i] for j in range(proj.rows)] for i in range(n)])
 
 
 @functools.lru_cache(maxsize=None)

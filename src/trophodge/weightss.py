@@ -28,18 +28,12 @@ from trophodge.fans import Fan, faces, orbit_lattice
 
 @dataclass(frozen=True)
 class SSPage:
-    """One page of the spectral sequence.
-
-    ``dims[(p, q)]`` holds the entry dimension; ``layouts[(p, q)]`` the
-    per-cone block layout of the ambient E_1 term; on the E_2 page
-    ``representatives[(p, q)]`` is a basis of ker/im in E_1 coordinates.
-    """
+    """One page of the spectral sequence: ``dims[(p, q)]`` is the dimension
+    of the (p, q) entry."""
 
     level: int
     rank: int
     dims: dict
-    layouts: dict
-    representatives: dict
 
     def dim(self, p, q):
         return self.dims.get((p, q), 0)
@@ -70,21 +64,15 @@ def _e1_layout(fan, p, q):
     return tuple((sigma, math.comb(n - p, k)) for sigma in fan.cones_of_dim(p))
 
 
-def _e1_dim(fan, p, q):
-    return sum(d for _, d in _e1_layout(fan, p, q))
-
-
 def e1_page(fan: Fan) -> SSPage:
     _require_smooth(fan)
     n = fan.ambient_rank
-    dims = {}
-    layouts = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            lay = _e1_layout(fan, p, q)
-            layouts[(p, q)] = lay
-            dims[(p, q)] = sum(d for _, d in lay)
-    return SSPage(1, n, dims, layouts, {})
+    dims = {
+        (p, q): sum(d for _, d in _e1_layout(fan, p, q))
+        for p in range(n + 1)
+        for q in range(n + 1)
+    }
+    return SSPage(1, n, dims)
 
 
 def _contraction_matrix(m, k, coeffs):
@@ -101,20 +89,6 @@ def _contraction_matrix(m, k, coeffs):
     return QMatrix(len(rows_idx), len(cols_idx), ent)
 
 
-def _epsilon(sigma, tau):
-    """Incidence sign and the new ray for a one-ray cone extension.
-
-    The residue blocks L . i_rho already anticommute around every square
-    sigma < tau_1, tau_2 < upsilon (interior products with distinct rays
-    anticommute and the splittings drop out), so the combinatorial sign
-    is trivial; a position-based sign would double instead of cancel.
-    """
-    new = [r for r in tau.rays if r not in sigma.rays]
-    if len(new) != 1:
-        raise ValueError("expected a one-ray extension in a smooth fan")
-    return 1, new[0]
-
-
 def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     """The residue differential E_1^{p,q} -> E_1^{p+1,q} as a block matrix.
 
@@ -129,7 +103,12 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     dst = _e1_layout(fan, p + 1, q)
     k = q - p
     blocks = {}
-    first_block = True
+    # The residue blocks L . i_rho already anticommute around every square
+    # sigma < tau_1, tau_2 < upsilon (interior products with distinct rays
+    # anticommute and the splittings drop out), so the combinatorial sign
+    # is trivial; a position-based sign would double instead of cancel.
+    # Only ``corrupt_sign`` flips one, on the first block.
+    eps = -1 if corrupt_sign else 1
     for sigma, sdim in src:
         if not sdim:
             continue
@@ -137,10 +116,7 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
         for tau, tdim in dst:
             if sigma not in faces(tau) or not tdim:
                 continue
-            eps, rho = _epsilon(sigma, tau)
-            if corrupt_sign and first_block:
-                eps = -eps
-                first_block = False
+            rho = fans.new_ray(sigma, tau)
             pair = [
                 sum(Fraction(a) * b for a, b in zip(vec, rho))
                 for vec in a_sigma
@@ -150,6 +126,7 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
             a_tau = orbit_lattice(tau).m_perp_basis
             restr = _restriction_matrix(a_sigma, a_tau, pair, m0)
             blocks[(tau, sigma)] = (wedge_matrix(restr, k - 1) @ contr).scale(eps)
+            eps = 1
     return assemble(blocks, dst, src)
 
 
@@ -186,18 +163,14 @@ def _restriction_matrix(a_sigma, a_tau, pair, m0_coords):
 def e2_page(fan: Fan, corrupt_sign: bool = False) -> SSPage:
     _require_smooth(fan)
     n = fan.ambient_rank
-    e1 = e1_page(fan)
     dims = {}
-    reps = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
+    for q in range(n + 1):
+        inc = None
+        for p in range(n + 1):
             out = d1(fan, p, q, corrupt_sign=corrupt_sign)
-            inc = d1(fan, p - 1, q, corrupt_sign=corrupt_sign) if p >= 1 else None
-            basis = homology_quotient(out, inc)
-            dims[(p, q)] = len(basis)
-            if basis:
-                reps[(p, q)] = basis
-    return SSPage(2, n, dims, e1.layouts, reps)
+            dims[(p, q)] = len(homology_quotient(out, inc))
+            inc = out
+    return SSPage(2, n, dims)
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,11 +244,3 @@ def euler_consistency(fan: Fan):
         ok = ok and good
         entries.append((k, total, b[k], good))
     return {"betti": b, "entries": entries, "pass": ok}
-
-
-def compare_report_tsv(report):
-    lines = ["p\tq\tE2\th_trop\tok"]
-    for p, q, lhs, rhs, good in report["entries"]:
-        lines.append(f"{p}\t{q}\t{lhs}\t{rhs}\t{'pass' if good else 'FAIL'}")
-    lines.append("overall\t\t\t\t" + ("pass" if report["pass"] else "FAIL"))
-    return "\n".join(lines) + "\n"

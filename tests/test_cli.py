@@ -162,6 +162,36 @@ def test_pair_unbalanced_exits_6(tmp_path, capsys):
     assert "unbalanced" in err
 
 
+CUBE_VERTICES = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+CUBE_FACES = [
+    [i for i, v in enumerate(CUBE_VERTICES) if v[axis] == side]
+    for axis in range(3)
+    for side in (1, -1)
+]
+
+
+@pytest.mark.parametrize("data, code, out", [
+    ({"fan": {"rank": 3, "rays": CUBE_VERTICES, "cones": CUBE_FACES},
+      "codim": 0, "weights": [{"cone": f, "w": 1} for f in CUBE_FACES]}, 5, ""),
+    ({"fan": {"rank": 2, "rays": [[1, 0], [1, 1]], "cones": [[0, 1]]},
+      "codim": 2, "weights": [{"cone": [], "w": 1}]}, 3, ""),
+    ({"fan": "affine_space(2)", "codim": 2, "weights": [{"cone": [], "w": 1}]}, 3, ""),
+    ({"fan": "torus(2)", "codim": 2, "weights": [{"cone": [], "w": 1}]}, 3, ""),
+    ({"fan": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+              "cones": [[0, 1], [1, 2], [2, 0]]},
+      "codim": 1, "weights": [{"cone": [0], "w": 1}, {"cone": [1], "w": 2},
+                              {"cone": [2], "w": 1}]}, 0, "1\n"),
+], ids=["cube-non-simplicial", "incomplete-non-orthant", "affine_space(2)",
+        "torus(2)", "p112-non-smooth"])
+def test_pair_needs_a_fan_it_can_build_the_cycle_on(tmp_path, capsys, data, code, out):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(data))
+    got_code, got_out, err = run(capsys, "pair", "--input", str(path))
+    assert (got_code, got_out) == (code, out)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value", [("cone", [-1]), ("w", 0.1)])
 def test_weight_file_is_not_reinterpreted(tmp_path, capsys, field, value):
     fan = fans.builtin("p2")

@@ -1,4 +1,4 @@
-"""Tropical cohomology: cochain complexes, duality, oracles, relative pairs."""
+"""Tropical cohomology: cochain complexes, duality, oracles."""
 
 import math
 
@@ -6,11 +6,7 @@ import pytest
 
 from oracles import cech_oracle, poset_betti_table
 from trophodge import cohomology, exactla, fans, tropspace, weightss
-from trophodge.cohomology import (
-    betti_table,
-    build_cochain_complex,
-    relative_cohomology,
-)
+from trophodge.cohomology import betti_table, build_cochain_complex
 
 
 def small_complexes():
@@ -205,66 +201,6 @@ def test_cech_rejects_oversized():
     assert len(cx.cells) > 50
     with pytest.raises(ValueError):
         cech_oracle(cx, 0, 0)
-
-
-def test_relative_full_and_empty():
-    cx = tropspace.tautological_complex(fans.builtin("p1"))
-    for p in range(2):
-        for q in range(2):
-            assert relative_cohomology(cx, cx, p, q).dim == 0
-            assert (
-                relative_cohomology(cx, [], p, q).dim
-                == cohomology.cohomology(cx, p, q).dim
-            )
-
-
-def test_relative_p1_mod_boundary():
-    cx = tropspace.tautological_complex(fans.builtin("p1"))
-    boundary = cx.subcomplex(lambda c: c.sedentarity.dim > 0)
-    assert relative_cohomology(cx, boundary, 1, 1).dim == 1
-    assert relative_cohomology(cx, boundary, 0, 0).dim == 0
-
-
-def test_relative_rejects_non_closed():
-    cx = tropspace.tautological_complex(fans.builtin("p1"))
-    open_part = [c for c in cx.cells if c.dim == 1]
-    with pytest.raises(ValueError):
-        relative_cohomology(cx, open_part, 0, 0)
-
-
-def test_relative_rejects_complex_that_is_not_boundary_closed():
-    cx = tropspace.affine_complex(1)
-    infinity = cx.subcomplex(lambda c: c.sedentarity.dim > 0)
-    for sub in (infinity, []):
-        with pytest.raises(ValueError, match="boundary-closed"):
-            relative_cohomology(cx, sub, 0, 1)
-
-
-def les_alternating_sum(cx, sub, p, n):
-    total = 0
-    for q in range(n + 2):
-        total += (-1) ** q * (
-            relative_cohomology(cx, sub, p, q).dim
-            - cohomology.cohomology(cx, p, q).dim
-            + cohomology.cohomology(sub, p, q).dim
-        )
-    return total
-
-
-def test_les_p1_boundary_points():
-    cx = tropspace.tautological_complex(fans.builtin("p1"))
-    sub = cx.subcomplex(lambda c: c.sedentarity.dim > 0)
-    for p in range(2):
-        assert les_alternating_sum(cx, sub, p, 1) == 0
-
-
-def test_les_p2_boundary_divisor():
-    cx = tropspace.tautological_complex(fans.builtin("p2"))
-    rho = fans.builtin("p2").cones_of_dim(1)[0]
-    sub = cx.subcomplex(lambda c: rho in fans.faces(c.sedentarity))
-    assert cx.is_closed_subcomplex(sub)
-    for p in range(3):
-        assert les_alternating_sum(cx, sub, p, 2) == 0
 
 
 def test_fan_structure_independence_complete():

@@ -131,8 +131,16 @@ def test_page_json_format():
     ]
 
 
-def test_compare_report_tsv():
-    report = compare_with_trop(fans.builtin("p1"))
-    tsv = weightss.compare_report_tsv(report)
-    assert tsv.startswith("p\tq\tE2\th_trop\tok")
-    assert tsv.rstrip().endswith("pass")
+def test_e2_page_builds_each_d1_once(monkeypatch):
+    """Each d1(p, q) serves as the outgoing and then the incoming map."""
+    calls = []
+    build = weightss.d1
+
+    def counting(fan, p, q, corrupt_sign=False):
+        calls.append((p, q))
+        return build(fan, p, q, corrupt_sign=corrupt_sign)
+
+    monkeypatch.setattr(weightss, "d1", counting)
+    page = e2_page(fans.builtin("p2"))
+    assert page.table() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert sorted(calls) == [(p, q) for p in range(3) for q in range(3)]
