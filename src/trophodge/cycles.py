@@ -67,8 +67,12 @@ class MinkowskiWeight:
     @classmethod
     def from_json_dict(cls, data):
         ref = data["fan"]
-        fan = fans.builtin(ref) if isinstance(ref, str) else fans.from_json_dict(ref)
-        rays = fan.rays
+        if isinstance(ref, str):
+            fan = fans.builtin(ref)
+            rays = fan.rays
+        else:
+            fan = fans.from_json_dict(ref)
+            rays = [fans.primitive(r) for r in ref["rays"]]
         codim = data["codim"]
         if type(codim) is not int:
             raise ValueError(f"codim {codim!r} is not an integer")
@@ -189,16 +193,8 @@ class TropCycle:
 
 def _primitive(vec):
     """Integer coprime rescaling of a rational vector, same orientation."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if not g:
-        raise ValueError("zero volume vector")
-    return [Fraction(x, g) for x in ints]
+    den = math.lcm(*(x.denominator for x in vec))
+    return [Fraction(x) for x in fans.primitive([x * den for x in vec])]
 
 
 def _volume_element(cell: Cell):

@@ -298,29 +298,30 @@ def orbit_lattice(cone: Cone) -> OrbitLattice:
 
 
 class Fan:
-    """Finite fan: cones closed under faces with pairwise face intersections."""
+    """Finite fan: the given cones and all their faces.
+
+    ``maximal_cones`` are the cones that are not a proper face of a given
+    cone; :func:`check_face_intersections` runs on them only.
+    """
 
     __slots__ = ("ambient_rank", "cones", "maximal_cones", "_hash")
 
-    def __init__(self, ambient_rank, maximal_cones, validate=True):
-        maxi = []
+    def __init__(self, ambient_rank, maximal_cones):
+        given = []
         for c in maximal_cones:
             cone = c if isinstance(c, Cone) else Cone(ambient_rank, c)
             if cone.ambient_rank != ambient_rank:
                 raise ValueError("cone ambient rank mismatch")
-            maxi.append(cone)
+            given.append(cone)
         all_cones = set()
-        for cone in maxi:
+        for cone in given:
             all_cones.update(faces(cone))
         if not all_cones:
             all_cones = {Cone(ambient_rank, [])}
         cones = tuple(sorted(all_cones, key=lambda c: (c.dim, c.rays)))
-        maximal = tuple(
-            c for c in cones
-            if not any(c != d and c in faces(d) for d in cones)
-        )
-        if validate:
-            _validate_fan(ambient_rank, cones, maximal)
+        proper = {f for c in given for f in faces(c) if f != c}
+        maximal = tuple(c for c in cones if c not in proper)
+        check_face_intersections(maximal)
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "maximal_cones", maximal)
@@ -368,19 +369,21 @@ class Fan:
         return all(is_smooth(c) for c in self.maximal_cones)
 
 
-def _validate_fan(n, cones, maximal):
-    face_sets = {c: set(faces(c)) for c in cones}
-    for c in cones:
-        if not face_sets[c] <= set(cones):
-            raise ValueError("fan is not closed under faces")
+def check_face_intersections(cones):
+    """Raise ValueError unless each two cones meet in a common face.
+
+    Give the maximal cones only, none a face of another; that is enough.
+    If F = s1 cap s2 is a face of both maximal cones s1, s2 and t_i is a
+    face of s_i, then t1 cap t2 = (t1 cap F) cap (t2 cap F), a face of t1
+    and of t2 (Cox-Little-Schenck, Toric Varieties, 3.1).  So a bad pair
+    of faces exists only if a bad pair of maximal cones does.
+    """
     for c1, c2 in itertools.combinations(cones, 2):
-        common = face_sets[c1] & face_sets[c2]
+        common = set(faces(c1)) & set(faces(c2))
         top = max(common, key=lambda c: c.dim)
         if sum(1 for c in common if c.dim == top.dim) != 1:
             raise ValueError("cones intersect badly (two maximal common faces)")
-        if top == c1 or top == c2:
-            continue
-        if not _intersection_inside_face(n, c1, c2, top):
+        if not _intersection_inside_face(c1.ambient_rank, c1, c2, top):
             raise ValueError("intersection of two cones is not a common face")
 
 
@@ -601,12 +604,14 @@ def to_json_dict(fan: Fan) -> dict:
 
 def from_json_dict(data: dict) -> Fan:
     n = _integer(data["rank"])
+    if n < 0:
+        raise ValueError(f"rank {n} is negative")
     rays = [primitive(r) for r in data["rays"]]
     for i, r in enumerate(rays):
         if r in rays[:i]:
             raise ValueError(f"ray {i} lies on ray {rays.index(r)}")
     maximal = [[ray_at(rays, i) for i in cone] for cone in data["cones"]]
-    if not maximal:
-        maximal = [Cone(n, [])]
+    if any(len(set(c)) != len(c) for c in maximal):
+        raise ValueError("a cone lists a ray twice")
     return Fan(n, maximal)
 

@@ -310,28 +310,15 @@ class TropComplex:
         cell_set = set(self.cells)
         by_sed = {}
         for cell in self.cells:
-            by_sed.setdefault(cell.sedentarity, []).append(cell)
+            by_sed.setdefault(cell.sedentarity, []).append(cell.tau)
         for cell in self.cells:
             for sub in faces(cell.tau):
                 if cell.sedentarity in faces(sub):
                     if Cell(cell.sedentarity, sub) not in cell_set:
                         raise ValueError("complex is not closed under faces")
-        for sed, group in by_sed.items():
-            shapes = [c.tau for c in group]
-            for i, a in enumerate(shapes):
-                for b in shapes[i + 1:]:
-                    common = set(faces(a)) & set(faces(b))
-                    top = max(common, key=lambda c: c.dim)
-                    if sum(1 for c in common if c.dim == top.dim) != 1:
-                        raise ValueError("cells intersect badly within a stratum")
-                    if top in (a, b):
-                        continue
-                    if not fans._intersection_inside_face(
-                        a.ambient_rank, a, b, top
-                    ):
-                        raise ValueError(
-                            "cell intersection is not a common face"
-                        )
+        for shapes in by_sed.values():
+            proper = {f for s in shapes for f in faces(s) if f != s}
+            fans.check_face_intersections([s for s in shapes if s not in proper])
 
 
 def _case_tag(face, coface):

@@ -161,6 +161,12 @@ def _restriction_matrix(a_sigma, a_tau, pair, m0_coords):
 
 
 def e2_page(fan: Fan, corrupt_sign: bool = False) -> SSPage:
+    return _e2_page(fan, corrupt_sign)
+
+
+@functools.lru_cache(maxsize=None)
+def _e2_page(fan, corrupt_sign):
+    """E_2 page, cached per fan under one key however ``e2_page`` is called."""
     _require_smooth(fan)
     n = fan.ambient_rank
     dims = {}

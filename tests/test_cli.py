@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trophodge import cli, cycles, fans
+from trophodge import cli, cycles, fans, weightss
 
 
 def run(capsys, *argv):
@@ -56,10 +56,19 @@ def test_invalid_fan_exits_3(tmp_path, capsys):
     ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 3]]),
     ([[1, 0], [0, 1], [-1, -1], [2, 0]], [[0, 1], [1, 2], [2, 3]]),
     ([[1, 0], [0, 1], [-1, -1], [1, 0]], [[0, 1], [1, 2], [2, 3]]),
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0], [0, 0]]),
 ])
 def test_fan_file_is_not_reinterpreted(tmp_path, capsys, rays, cones):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({"rank": 2, "rays": rays, "cones": cones}))
+    code, out, _ = run(capsys, "fan-validate", "--input", str(path))
+    assert code == 3
+    assert out == ""
+
+
+def test_fan_file_rank_is_not_reinterpreted(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": -1, "rays": [], "cones": []}))
     code, out, _ = run(capsys, "fan-validate", "--input", str(path))
     assert code == 3
     assert out == ""
@@ -206,6 +215,27 @@ def test_weight_file_is_not_reinterpreted(tmp_path, capsys, field, value):
     assert "invalid weight file" in err
 
 
+P1XP1_FILE_ORDER = {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                    "cones": [[0, 2], [2, 1], [1, 3], [3, 0]]}
+P1XP1_LEX_ORDER = {"rank": 2, "rays": [[-1, 0], [0, -1], [0, 1], [1, 0]],
+                   "cones": [[0, 1], [0, 2], [1, 3], [2, 3]]}
+
+
+@pytest.mark.parametrize("divisor, file_cones, lex_cones, out", [
+    (True, [[1]], [[0]], "1\n0\n"),
+    (False, [[0], [1]], [[0], [3]], "0\n1\n"),
+], ids=["divisor-of-ray-minus-e1", "balanced-on-rays-e1-minus-e1"])
+def test_weight_file_cone_indices_follow_the_file_rays(
+        tmp_path, capsys, divisor, file_cones, lex_cones, out):
+    """Cone indices of an inline fan refer to its rays in the file's order."""
+    for fan, cones in [(P1XP1_FILE_ORDER, file_cones), (P1XP1_LEX_ORDER, lex_cones)]:
+        data = {"fan": fan, "codim": 1, "divisor": divisor,
+                "weights": [{"cone": c, "w": 1} for c in cones]}
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "pair", "--input", str(path)) == (0, out, "")
+
+
 @pytest.mark.parametrize("edit", [
     lambda data: data.update(codim=1.0),
     lambda data: data.update(codim=True),
@@ -242,6 +272,21 @@ def test_verify_single_builtin(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "torus(3)")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_builds_each_d1_once(monkeypatch):
+    weightss._e2_page.cache_clear()
+    calls = []
+    build = weightss.d1
+
+    def counting(fan, p, q, corrupt_sign=False):
+        calls.append((p, q))
+        return build(fan, p, q, corrupt_sign=corrupt_sign)
+
+    monkeypatch.setattr(weightss, "d1", counting)
+    report = cli._verify_fan("p2", fans.builtin("p2"))
+    assert report["pass"]
+    assert sorted(calls) == [(p, q) for p in range(3) for q in range(3)]
 
 
 def test_verify_corrupt_sign_exits_1(capsys):

@@ -69,6 +69,50 @@ def test_fan_rejects_overlapping_cones():
         Fan(2, [[(1, 0), (0, 1)], [(1, 1), (1, -1)]])
 
 
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+@pytest.mark.parametrize("cones", [
+    [[E1, E2, E3], [E3, (2, -1, 0), (-1, 2, 0)]],
+    [[(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+     [(1, 0, 1), (-1, 0, 1), (0, 1, -1)]],
+], ids=["crossing-with-a-shared-ray", "shared-rays-not-a-face"])
+def test_fan_rejects_crossing_maximal_cones(cones):
+    with pytest.raises(ValueError):
+        Fan(3, cones)
+
+
+def _maximal_by_all_pairs(fan):
+    return tuple(
+        c for c in fan.cones
+        if not any(c != d and c in faces(d) for d in fan.cones)
+    )
+
+
+def test_maximal_cones_are_the_cones_no_given_cone_contains():
+    names = list(fans.BUILTIN_ZOO) + ["projective_space(4)", "orthant(4)"]
+    for name in names:
+        fan = fans.builtin(name)
+        assert fan.maximal_cones == _maximal_by_all_pairs(fan), name
+    assert Fan(2, [[(1, 0), (0, 1)], [(1, 0)]]).maximal_cones == (
+        Cone(2, [(1, 0), (0, 1)]),
+    )
+
+
+def test_fan_checks_intersections_of_maximal_pairs_only(monkeypatch):
+    calls = []
+    check = fans._intersection_inside_face
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(fans, "_intersection_inside_face", counting)
+    orthants = fans.orthant_fan(4).maximal_cones
+    Fan(4, [c.rays for c in orthants])
+    assert 0 < len(calls) <= 16 * 15 // 2
+
+
 def test_fan_face_closure_and_intersections():
     fan = fans.builtin("p1xp1")
     for c in fan.cones:

@@ -133,6 +133,7 @@ def test_page_json_format():
 
 def test_e2_page_builds_each_d1_once(monkeypatch):
     """Each d1(p, q) serves as the outgoing and then the incoming map."""
+    weightss._e2_page.cache_clear()
     calls = []
     build = weightss.d1
 
