@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from trophodge.exactla import QMatrix, assemble, homology_quotient
+from trophodge.exactla import QMatrix, block_offsets, homology_quotient, sparse_rank
 from trophodge.tropspace import TropComplex
 
 
@@ -42,9 +42,7 @@ class CochainComplex:
     deltas: tuple
 
     def space_dim(self, q):
-        if 0 <= q < len(self.layout):
-            return sum(d for _, d in self.layout[q])
-        return 0
+        return _space_dim(self.layout, q)
 
     def delta(self, q):
         if 0 <= q < len(self.deltas):
@@ -70,31 +68,52 @@ def _cache(cx):
     return cx.__dict__.setdefault("_coh_cache", {})
 
 
+def _layout(cx, p):
+    """layout[q] of the incidence complex for p, cached on the complex."""
+    cache = _cache(cx)
+    if ("layout", p) not in cache:
+        cache[("layout", p)] = tuple(
+            tuple((cx.cell_id(c), cx.f_lower(c, p).dim) for c in cx.cells_of_dim(q))
+            for q in range(cx.top_dim + 1)
+        )
+    return cache[("layout", p)]
+
+
+def _space_dim(layout, q):
+    return sum(d for _, d in layout[q]) if 0 <= q < len(layout) else 0
+
+
+def _delta_rows(cx, p, q):
+    """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1}, and its column count.
+
+    Row j of the block of a coface holds column j of each of its face
+    maps, with the incidence sign folded in, in the columns of the face.
+    """
+    layout = _layout(cx, p)
+    roff, nrows = block_offsets(layout[q + 1])
+    coff, ncols = block_offsets(layout[q])
+    rows = [{} for _ in range(nrows)]
+    for fid, cid, _case, sign in cx.face_poset():
+        face = cx.cells[fid]
+        if face.dim != q:
+            continue
+        r0, c0 = roff[cid], coff[fid]
+        for j, col in enumerate(cx.face_map_columns(face, cx.cells[cid], p)):
+            row = rows[r0 + j]
+            for i, x in enumerate(col):
+                if x:
+                    row[c0 + i] = x if sign > 0 else -x
+    return rows, ncols
+
+
 def build_cochain_complex(cx: TropComplex, p: int) -> CochainComplex:
     cache = _cache(cx)
-    if ("cochain", p) in cache:
-        return cache[("cochain", p)]
-    top = cx.top_dim
-    layout = []
-    for q in range(top + 1):
-        layout.append(tuple(
-            (cx.cell_id(c), cx.f_lower(c, p).dim) for c in cx.cells_of_dim(q)
-        ))
-    poset = cx.face_poset()
-    deltas = []
-    for q in range(top):
-        blocks = {}
-        for fid, cid, _case, sign in poset:
-            face = cx.cells[fid]
-            if face.dim != q:
-                continue
-            coface = cx.cells[cid]
-            rho = cx.face_map(face, coface, p).transpose()
-            blocks[(cid, fid)] = rho.scale(sign)
-        deltas.append(assemble(blocks, layout[q + 1], layout[q]))
-    out = CochainComplex(p, tuple(layout), tuple(deltas))
-    cache[("cochain", p)] = out
-    return out
+    if ("cochain", p) not in cache:
+        deltas = tuple(
+            QMatrix.from_sparse(*_delta_rows(cx, p, q)) for q in range(cx.top_dim)
+        )
+        cache[("cochain", p)] = CochainComplex(p, _layout(cx, p), deltas)
+    return cache[("cochain", p)]
 
 
 def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
@@ -118,10 +137,17 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
 
 
 def _delta_rank(cx, p, q):
-    """rk delta_q of the incidence complex for p, cached on the complex."""
+    """rk delta_q of the incidence complex for p, cached on the complex.
+
+    The rows are written again from the cached face maps and ranked
+    sparse; no dense differential is built for a rank.
+    """
     cache = _cache(cx)
     if ("rank", p, q) not in cache:
-        cache[("rank", p, q)] = build_cochain_complex(cx, p).delta(q).rank()
+        rank = 0
+        if 0 <= q < cx.top_dim:
+            rank = sparse_rank(_delta_rows(cx, p, q)[0])
+        cache[("rank", p, q)] = rank
     return cache[("rank", p, q)]
 
 
@@ -143,7 +169,7 @@ def _dim(cx, p, q, d):
             return 0
         p, q = d - p, d - q
     return (
-        build_cochain_complex(cx, p).space_dim(q)
+        _space_dim(_layout(cx, p), q)
         - _delta_rank(cx, p, q)
         - _delta_rank(cx, p, q - 1)
     )

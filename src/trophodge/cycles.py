@@ -81,7 +81,10 @@ class MinkowskiWeight:
             raise ValueError(f"divisor {divisor!r} is not true or false")
         weights = {}
         for rec in data["weights"]:
-            cone = Cone(fan.ambient_rank, [fans.ray_at(rays, i) for i in rec["cone"]])
+            cone_rays = [fans.ray_at(rays, i) for i in rec["cone"]]
+            if len(set(cone_rays)) != len(cone_rays):
+                raise ValueError(f"cone {rec['cone']} lists a ray twice")
+            cone = Cone(fan.ambient_rank, cone_rays)
             if cone in weights:
                 raise ValueError(f"cone {rec['cone']} is listed twice")
             weights[cone] = _weight_value(rec["w"])

@@ -4,14 +4,19 @@ Every cohomology dimension computed by this package is the rank of a
 matrix over Q, and every lattice question (smoothness, saturation,
 quotient coordinates) is a Smith normal form.  No floating point anywhere.
 
-Every rank, reduced row echelon form, kernel, solve and determinant comes
-out of one sparse Gauss-Jordan elimination over Fraction entries,
-:func:`_gauss_jordan`, on rows stored as {column: entry} dicts.
+Every rank, reduced row echelon form, kernel and solve comes out of one
+sparse Gauss-Jordan elimination over Fraction entries,
+:func:`_gauss_jordan`, on rows stored as {column: entry} dicts.  Every
+determinant (a minor, a Plucker coordinate, an entry of a wedge power, an
+orientation sign) comes out of :func:`_bareiss`: fraction-free Bareiss
+elimination on integer rows, each row first cleared of its denominators
+by a positive factor.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -136,6 +141,16 @@ class QMatrix:
     @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
+
+    @classmethod
+    def from_sparse(cls, rows, cols):
+        """The dense matrix of {column: entry} rows with ``cols`` columns."""
+        zero = Fraction(0)
+        ent = [[zero] * cols for _ in rows]
+        for out, row in zip(ent, rows):
+            for j, v in row.items():
+                out[j] = v
+        return cls(len(rows), cols, ent)
 
     def __eq__(self, other):
         return (
@@ -309,12 +324,11 @@ class QSubspace:
         """
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        coords = tuple(Fraction(vec[c]) for c in self.pivots)
+        (coords,) = _as_fraction_rows([[vec[c] for c in self.pivots]])
+        terms = [(a, v) for a, v in zip(coords, self.basis) if a]
         pivot_set = set(self.pivots)
         for j, x in enumerate(vec):
-            if j not in pivot_set and x != sum(
-                a * v[j] for a, v in zip(coords, self.basis)
-            ):
+            if j not in pivot_set and x != sum(a * v[j] for a, v in terms if v[j]):
                 return None
         return coords
 
@@ -380,12 +394,7 @@ def block_rows(blocks, row_layout, col_layout):
 
 def assemble(blocks, row_layout, col_layout) -> QMatrix:
     """Dense QMatrix of a block matrix given as for :func:`block_rows`."""
-    rows, ncols = block_rows(blocks, row_layout, col_layout)
-    ent = [[Fraction(0)] * ncols for _ in rows]
-    for out, row in zip(ent, rows):
-        for j, v in row.items():
-            out[j] = v
-    return QMatrix(len(rows), ncols, ent)
+    return QMatrix.from_sparse(*block_rows(blocks, row_layout, col_layout))
 
 
 class ZMatrix:
@@ -444,7 +453,7 @@ class ZMatrix:
     def determinant(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return int(_minor(self.entries, range(self.rows), range(self.cols)))
+        return _bareiss([list(row) for row in self.entries])
 
 
 def smith_normal_form(m: ZMatrix):
@@ -540,40 +549,71 @@ def lex_subsets(n, p):
     return list(itertools.combinations(range(n), p))
 
 
+def _integer_rows(rows):
+    """Each row times the positive lcm of its denominators, and their product.
+
+    Scaling rows by positive factors keeps the sign of a determinant and
+    divides its value by the product.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return out, scale
+
+
+def _bareiss(a):
+    """Determinant of a square integer matrix (a list of lists it overwrites).
+
+    Fraction-free Bareiss elimination (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+    every update (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1} divides exactly.  A
+    zero pivot is swapped with the first row below it that is nonzero
+    there, flipping the sign.
+    """
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def _minor(rows, row_idx, col_idx):
     """Determinant of the square submatrix, as a Fraction.
 
-    The forward pass of :func:`_gauss_jordan` brings the rows to echelon
-    form by adding multiples of other rows, so the determinant is the
-    product of the pivots before scaling, times the sign of the
-    permutation taking each row to its pivot column.
+    The rows are cleared of denominators by :func:`_integer_rows`, and the
+    integer determinant from :func:`_bareiss` is divided by the scale.
     """
-    sub = [
-        {k: rows[i][j] for k, j in enumerate(col_idx) if rows[i][j]}
-        for i in row_idx
-    ]
-    pivots = _gauss_jordan(sub, reduce=False)
-    if len(pivots) < len(sub):
-        return Fraction(0)
-    det = Fraction(1)
-    perm = [0] * len(sub)
-    for c, (i, v, _) in pivots.items():
-        det *= v
-        perm[i] = c
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                det = -det
-    return det
+    a, scale = _integer_rows([rows[i][j] for j in col_idx] for i in row_idx)
+    return Fraction(_bareiss(a), scale)
 
 
 def wedge_vector(vectors, n, p):
-    """Plucker coordinates of v_1 ^ ... ^ v_p in the lex p-subset basis of Q^n."""
+    """Plucker coordinates of v_1 ^ ... ^ v_p in the lex p-subset basis of Q^n.
+
+    They are the p x p minors of the rows v_i, which are cleared of
+    denominators once for all of them.
+    """
     if len(vectors) != p:
         raise ValueError("need exactly p vectors")
-    vectors = _as_fraction_rows(vectors)
+    a, scale = _integer_rows(vectors)
     return tuple(
-        _minor(vectors, range(p), cols) for cols in lex_subsets(n, p)
+        Fraction(_bareiss([[row[j] for j in cols] for row in a]), scale)
+        for cols in lex_subsets(n, p)
     )
 
 

@@ -21,6 +21,12 @@ over all pairs of cells: the faces of (sigma, tau) are the cells
 of tau'.  The projected rays and span of a cell, and the stratum
 projections N_sigma1 -> N_sigma2 with their wedge powers, are cached like
 the cone data of :mod:`trophodge.fans`.
+
+The lattice data is integral in orbit-lattice coordinates: the projected
+rays, the stratum maps (integral because each projection N -> N_sigma is
+onto) and their wedge powers, kept as sparse integer rows, are computed in
+ints, and every Plucker coordinate and incidence sign is an integer
+determinant.  Fractions enter only through the RREF bases of the spans.
 """
 
 from __future__ import annotations
@@ -29,14 +35,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from trophodge import fans
 from trophodge.exactla import (
     QMatrix,
     QSubspace,
+    ZMatrix,
+    _bareiss,
     _minor,
-    wedge_matrix,
+    lex_subsets,
+    smith_normal_form,
     wedge_vector,
 )
 from trophodge.fans import Cone, Fan, faces, orbit_lattice
@@ -53,7 +61,7 @@ class Cell:
         if self.sedentarity not in faces(self.tau):
             raise ValueError("sedentarity must be a face of the lifted shape")
 
-    @property
+    @functools.cached_property
     def dim(self):
         return self.tau.dim - self.sedentarity.dim
 
@@ -231,6 +239,18 @@ class TropComplex:
 
     def face_map(self, face, coface, p) -> QMatrix:
         """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the canonical bases."""
+        cols = self.face_map_columns(face, coface, p)
+        rows = self.f_lower(face, p).dim
+        return QMatrix(rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
+
+    def face_map_columns(self, face, coface, p):
+        """The columns of :meth:`face_map`, cached.
+
+        Column j holds the coordinates, in the canonical basis of
+        F_p(face), of the image of the j-th canonical basis vector of
+        F_p(coface).  Across strata the image is the sparse integer wedge
+        of the stratum map applied to that vector.
+        """
         key = (face, coface, p)
         if key in self._map_cache:
             return self._map_cache[key]
@@ -239,7 +259,7 @@ class TropComplex:
         src = self.f_lower(coface, p)
         dst = self.f_lower(face, p)
         if face.sedentarity == coface.sedentarity:
-            images = list(src.basis)
+            images = src.basis
         else:
             if face.tau != coface.tau:
                 mid = Cell(face.sedentarity, coface.tau)
@@ -249,55 +269,59 @@ class TropComplex:
                         f"({mid.label()}) in the complex"
                     )
             wedge = _stratum_wedge(coface.sedentarity, face.sedentarity, p)
-            images = [wedge.apply(v) for v in src.basis]
+            images = []
+            for v in src.basis:
+                nz = {c: x for c, x in enumerate(v) if x}
+                images.append(tuple(
+                    sum(m * nz[c] for c, m in row if c in nz) for row in wedge
+                ))
         cols = []
         for img in images:
             coords = dst.coordinates(img)
             if coords is None:
                 raise ValueError("face map image leaves the target F_p")
             cols.append(coords)
-        mat = QMatrix(
-            dst.dim, src.dim,
-            [[cols[j][i] for j in range(src.dim)] for i in range(dst.dim)],
-        )
-        self._map_cache[key] = mat
-        return mat
+        cols = tuple(cols)
+        self._map_cache[key] = cols
+        return cols
 
     # -- orientation and signs ----------------------------------------
 
     def _incidence_sign(self, face, coface):
+        """Sign of the coface orientation against (outward vector, face).
+
+        Each cell is oriented by the RREF basis of its span.  Within a
+        stratum the rows are the coordinates, in the coface basis, of the
+        outward vector (minus the sum of the coface rays off the face) and
+        of the face basis.  Across strata the first row is the coordinate
+        vector y of the sum of the new sedentarity rays, which the stratum
+        map b kills; row i + 1 holds, for each coface basis vector, the
+        i-th face coordinate of its image under b.  With X the coordinates
+        of lifts of the face basis, the determinant is |y|^2 / det(y; X),
+        so its sign is that of the lifted frame, with no lift computed.
+        """
         bp = coface.span()
+        proj = orbit_lattice(coface.sedentarity).proj.entries
         if face.sedentarity == coface.sedentarity:
-            proj = orbit_lattice(coface.sedentarity).proj.to_q()
-            inward = [Fraction(0)] * coface.stratum_rank
-            for r in coface.tau.rays:
-                if r not in face.tau.rays:
-                    img = proj.apply(r)
-                    inward = [a + b for a, b in zip(inward, img)]
-            first = [-x for x in inward]
-            lifted = list(face.span().basis)
+            off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
+            vecs = [[-x for x in _apply(proj, _ray_sum(off_face))]]
+            vecs += face.span().basis
+            b_rows = []
         else:
-            proj = orbit_lattice(coface.sedentarity).proj.to_q()
             new_rays = [
                 r for r in face.sedentarity.rays if r not in coface.sedentarity.rays
             ]
-            first = [Fraction(0)] * coface.stratum_rank
-            for r in new_rays:
-                img = proj.apply(r)
-                first = [a + b for a, b in zip(first, img)]
-            b = _stratum_projection(coface.sedentarity, face.sedentarity)
-            bpmat_t = bp.matrix().transpose()
-            lift_system = b @ bpmat_t
-            lifted = []
-            for v in face.span().basis:
-                coeffs = lift_system.solve(v)
-                lifted.append(bpmat_t.apply(coeffs))
+            vecs = [_apply(proj, _ray_sum(new_rays))]
+            b = _stratum_projection(coface.sedentarity, face.sedentarity).entries
+            images = [_apply(b, v) for v in bp.basis]
+            b_rows = [[w[i] for w in images] for i in face.span().pivots]
         rows = []
-        for vec in [first] + lifted:
+        for vec in vecs:
             coords = bp.coordinates(vec)
             if coords is None:
                 raise ValueError("orientation vector leaves the coface span")
             rows.append(coords)
+        rows += b_rows
         d = bp.dim
         det = _minor(rows, range(d), range(d))
         if det == 0:
@@ -329,11 +353,20 @@ def _case_tag(face, coface):
     return 3
 
 
+def _apply(mat_rows, vec):
+    """A matrix, given by its rows, applied to a vector."""
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat_rows)
+
+
+def _ray_sum(rays):
+    return tuple(map(sum, zip(*rays)))
+
+
 @functools.lru_cache(maxsize=None)
 def _projected_rays(cell: Cell) -> tuple:
-    """The nonzero images of the lifted rays of a cell in N_sigma."""
-    proj = orbit_lattice(cell.sedentarity).proj.to_q()
-    return tuple(v for v in map(proj.apply, cell.tau.rays) if any(v))
+    """The nonzero images of the lifted rays of a cell in N_sigma, in ints."""
+    proj = orbit_lattice(cell.sedentarity).proj.entries
+    return tuple(v for v in (_apply(proj, r) for r in cell.tau.rays) if any(v))
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,24 +375,49 @@ def _cell_span(cell: Cell) -> QSubspace:
 
 
 @functools.lru_cache(maxsize=None)
-def _stratum_projection(sed_small: Cone, sed_big: Cone) -> QMatrix:
-    """Matrix of N_{sigma1} -> N_{sigma2} for sigma1 a face of sigma2."""
-    p1 = orbit_lattice(sed_small).proj.to_q()
-    p2 = orbit_lattice(sed_big).proj.to_q()
-    p1t = p1.transpose()
-    rows = []
-    for row in p2.entries:
-        sol = p1t.solve(row)
-        if sol is None:
-            raise ValueError("stratum projections are not nested")
-        rows.append(sol)
-    return QMatrix(p2.rows, p1.rows, rows)
+def _proj_section(sed: Cone) -> ZMatrix:
+    """An integer right inverse of ``orbit_lattice(sed).proj``.
+
+    proj is onto N_sigma, so its Smith form U @ proj @ V is [I 0] and
+    V[:, :k] @ U is a right inverse.
+    """
+    proj = orbit_lattice(sed).proj
+    u, _, v = smith_normal_form(proj)
+    k = proj.rows
+    return ZMatrix(v.rows, k, [row[:k] for row in v.entries]) @ u
 
 
 @functools.lru_cache(maxsize=None)
-def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> QMatrix:
-    """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}."""
-    return wedge_matrix(_stratum_projection(sed_small, sed_big), p)
+def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
+    """Integer matrix b of N_{sigma1} -> N_{sigma2}, sigma1 a face of sigma2.
+
+    It is the b with b @ proj1 = proj2; that b is integral, because proj1
+    is onto, so b = proj2 @ (a right inverse of proj1).
+    """
+    p1 = orbit_lattice(sed_small).proj
+    p2 = orbit_lattice(sed_big).proj
+    b = p2 @ _proj_section(sed_small)
+    if b @ p1 != p2:
+        raise ValueError("stratum projections are not nested")
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
+    """wedge^p of the stratum projection, as sparse rows of (col, int).
+
+    Rows and columns follow the lex p-subsets of the target and source
+    coordinates; the entries are the p x p minors of the integer map.
+    """
+    b = _stratum_projection(sed_small, sed_big)
+    col_subs = lex_subsets(b.cols, p)
+    out = []
+    for rs in lex_subsets(b.rows, p):
+        minors = (
+            _bareiss([[b.entries[i][j] for j in cs] for i in rs]) for cs in col_subs
+        )
+        out.append(tuple((j, m) for j, m in enumerate(minors) if m))
+    return tuple(out)
 
 
 def tautological_complex(fan: Fan, structure: Fan | None = None) -> TropComplex:

@@ -9,22 +9,32 @@
 
 Both build their own matrices and share only the exact linear algebra
 with the production path.
+
+The rational lattice geometry that the integer stratum maps and
+incidence signs of ``trophodge.tropspace`` replaced is kept here too,
+as :func:`fraction_face_map` and :func:`fraction_incidence_sign`: the
+stratum map solved over Q, its wedge power as a dense QMatrix, and each
+face vector lifted into the coface span by a solve.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from trophodge.cohomology import CohomologyResult, _cache
 from trophodge.exactla import (
     QMatrix,
     QSubspace,
+    _minor,
     _null_space,
     _rref,
     block_offsets,
     block_rows,
     sparse_rank,
+    wedge_matrix,
 )
+from trophodge.fans import orbit_lattice
 from trophodge.tropspace import TropComplex
 
 
@@ -69,7 +79,8 @@ def _poset_data(cx, p):
 
     def rho(i, j):
         if (i, j) not in rhos:
-            rhos[(i, j)] = cx.face_map(cx.cells[i], cx.cells[j], p).transpose()
+            cols = cx.face_map_columns(cx.cells[i], cx.cells[j], p)
+            rhos[(i, j)] = QMatrix(dims[j], dims[i], cols)
         return rhos[(i, j)]
 
     layouts = [
@@ -152,11 +163,11 @@ def _cech_data(cx, p):
                 for b in cover:
                     if a == b or a not in face_sets[b]:
                         continue
-                    rho = cx.face_map(cx.cells[a], cx.cells[b], p).transpose()
+                    rho = cx.face_map_columns(cx.cells[a], cx.cells[b], p)
                     for r in range(dims[b]):
                         row = [Fraction(0)] * off
                         for cidx in range(dims[a]):
-                            row[offs[a] + cidx] = rho.entries[r][cidx]
+                            row[offs[a] + cidx] = rho[r][cidx]
                         row[offs[b] + r] -= 1
                         rows.append(row)
             if rows:
@@ -224,3 +235,79 @@ def cech_oracle(cx: TropComplex, p: int, q: int) -> int:
     if q > max_k or q < 0:
         return 0
     return space_dims[q] - ranks.get(q, 0) - (ranks.get(q - 1, 0) if q else 0)
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_stratum_projection(sed_small, sed_big) -> QMatrix:
+    """N_{sigma1} -> N_{sigma2} over Q: rows of proj2 solved against proj1."""
+    p1 = orbit_lattice(sed_small).proj.to_q()
+    p2 = orbit_lattice(sed_big).proj.to_q()
+    p1t = p1.transpose()
+    rows = []
+    for row in p2.entries:
+        sol = p1t.solve(row)
+        if sol is None:
+            raise ValueError("stratum projections are not nested")
+        rows.append(sol)
+    return QMatrix(p2.rows, p1.rows, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_stratum_wedge(sed_small, sed_big, p) -> QMatrix:
+    return wedge_matrix(fraction_stratum_projection(sed_small, sed_big), p)
+
+
+def fraction_face_map(cx: TropComplex, face, coface, p) -> QMatrix:
+    """i_{P2 < P1} through the dense rational wedge of the stratum map."""
+    src = cx.f_lower(coface, p)
+    dst = cx.f_lower(face, p)
+    if face.sedentarity == coface.sedentarity:
+        images = list(src.basis)
+    else:
+        wedge = _fraction_stratum_wedge(coface.sedentarity, face.sedentarity, p)
+        images = [wedge.apply(v) for v in src.basis]
+    cols = []
+    for img in images:
+        coords = dst.coordinates(img)
+        if coords is None:
+            raise ValueError("face map image leaves the target F_p")
+        cols.append(coords)
+    return QMatrix(
+        dst.dim, src.dim,
+        [[cols[j][i] for j in range(src.dim)] for i in range(dst.dim)],
+    )
+
+
+def fraction_incidence_sign(face, coface):
+    """The incidence sign with each face vector lifted by a rational solve."""
+    bp = coface.span()
+    proj = orbit_lattice(coface.sedentarity).proj.to_q()
+    if face.sedentarity == coface.sedentarity:
+        inward = [Fraction(0)] * coface.stratum_rank
+        for r in coface.tau.rays:
+            if r not in face.tau.rays:
+                inward = [a + b for a, b in zip(inward, proj.apply(r))]
+        first = [-x for x in inward]
+        lifted = list(face.span().basis)
+    else:
+        first = [Fraction(0)] * coface.stratum_rank
+        for r in face.sedentarity.rays:
+            if r not in coface.sedentarity.rays:
+                first = [a + b for a, b in zip(first, proj.apply(r))]
+        b = fraction_stratum_projection(coface.sedentarity, face.sedentarity)
+        bpmat_t = bp.matrix().transpose()
+        lift_system = b @ bpmat_t
+        lifted = [
+            bpmat_t.apply(lift_system.solve(v)) for v in face.span().basis
+        ]
+    rows = []
+    for vec in [first] + lifted:
+        coords = bp.coordinates(vec)
+        if coords is None:
+            raise ValueError("orientation vector leaves the coface span")
+        rows.append(coords)
+    d = bp.dim
+    det = _minor(rows, range(d), range(d))
+    if det == 0:
+        raise ValueError("degenerate incidence orientation")
+    return 1 if det > 0 else -1

@@ -201,7 +201,7 @@ def test_pair_needs_a_fan_it_can_build_the_cycle_on(tmp_path, capsys, data, code
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field, value", [("cone", [-1]), ("w", 0.1)])
+@pytest.mark.parametrize("field, value", [("cone", [-1]), ("w", 0.1), ("cone", [0, 0])])
 def test_weight_file_is_not_reinterpreted(tmp_path, capsys, field, value):
     fan = fans.builtin("p2")
     mw = cycles.MinkowskiWeight(fan, 1, {c: 1 for c in fan.cones_of_dim(1)})

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trophodge.exactla import QMatrix, ZMatrix, _minor, sparse_rank
+from trophodge.exactla import (
+    QMatrix,
+    ZMatrix,
+    _minor,
+    lex_subsets,
+    sparse_rank,
+    wedge_vector,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -112,3 +119,37 @@ def test_rref_is_independent_of_row_order(rows, rnd):
     rnd.shuffle(shuffled)
     cols = len(rows[0])
     assert QMatrix.from_rows(shuffled, cols).rref() == QMatrix.from_rows(rows, cols).rref()
+
+
+def zero_led_integer_matrices(rows, cols):
+    """Integer matrices with entries up to 10^12, first column zero on top.
+
+    The leading pivot is zero, so the Bareiss elimination has to swap rows
+    before its first exact division.
+    """
+    big = st.integers(-10**12, 10**12)
+    return st.lists(
+        st.lists(big, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda m: [[0] + r[1:] if i == 0 else r for i, r in enumerate(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: zero_led_integer_matrices(n, n)))
+def test_minor_of_large_integer_matrices_matches_sympy(rows):
+    n = len(rows)
+    det = _minor(rows, range(n), range(n))
+    assert type(det) is Fraction
+    assert det == int(sympy.Matrix(rows).det())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda p: st.integers(p, 5).flatmap(
+        lambda n: zero_led_integer_matrices(p, n).map(lambda m: (m, n, p)))))
+def test_wedge_vector_of_large_integer_vectors_matches_sympy(case):
+    vectors, n, p = case
+    ref = sympy.Matrix(vectors)
+    assert wedge_vector(vectors, n, p) == tuple(
+        int(ref.extract(list(range(p)), list(cols)).det())
+        for cols in lex_subsets(n, p)
+    )

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import oracles
 from trophodge import fans, tropspace, weightss
 from trophodge.exactla import QSubspace, wedge_vector
 from trophodge.fans import Cone
@@ -202,3 +203,31 @@ def test_refined_complex_rejects_subdivided_base():
     sub = fans.star_subdivision(p2, (1, 1))
     with pytest.raises(ValueError):
         tropspace.refined_complex(p2, sub)
+
+
+def test_integer_geometry_matches_the_fraction_oracle():
+    """Integer stratum maps and signs agree with the rational computation.
+
+    Every face pair, every p: the zoo, P^4, the tropical line, and a
+    complete fan with the non-unimodular ray (2, 3), whose cell spans have
+    RREF bases with denominators.
+    """
+    skew = fans.Fan(2, [[(1, 0), (2, 3)], [(2, 3), (-1, 0)],
+                        [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
+    complexes = [weightss.trop_complex_for(fans.builtin(name))
+                 for name in fans.BUILTIN_ZOO]
+    complexes += [weightss.trop_complex_for(fans.projective_space(4)),
+                  tropspace.tropical_line(), tropspace.tautological_complex(skew)]
+    assert any(
+        x.denominator > 1 for cell in complexes[-1].cells
+        for v in cell.span().basis for x in v
+    )
+    for cx in complexes:
+        for fid, cid, _case, sign in cx.face_poset():
+            face, coface = cx.cells[fid], cx.cells[cid]
+            assert sign == oracles.fraction_incidence_sign(face, coface)
+        for coface in cx.cells:
+            for face in cx.faces_of(coface):
+                for p in range(coface.stratum_rank + 1):
+                    assert cx.face_map(face, coface, p) == (
+                        oracles.fraction_face_map(cx, face, coface, p))
