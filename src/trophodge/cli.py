@@ -1,10 +1,11 @@
 """Command-line surface for the tropical cohomology pipeline.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including
-an invalid weight file), 3 invalid fan (or an incomplete one where a
-complete fan is needed, as by ``chow`` and ``pair``), 4 cohomology error,
-5 non-smooth input (for ``pair``, a fan on which the weight cycle cannot
-be built), 6 unbalanced weights.
+an invalid weight file, an input file that cannot be read and an
+``--output`` that cannot be written), 3 invalid fan (or an incomplete one
+where a complete fan is needed, as by ``chow`` and ``pair``), 4 cohomology
+error, 5 non-smooth input (for ``pair``, a fan on which the weight cycle
+cannot be built), 6 unbalanced weights.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ def _load_json(path):
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_PARSE, f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -113,7 +113,7 @@ def balancing_check(mw: MinkowskiWeight):
         proj = lat.proj.to_q()
         defect = [Fraction(0)] * lat.n_sigma_rank
         for tau in fan.cones_of_dim(n - mw.codim):
-            if sigma not in fans.faces(tau):
+            if sigma not in fans.face_set(tau):
                 continue
             w = mw.weight(tau)
             if not w:
@@ -141,7 +141,7 @@ def _balancing_matrix(fan: Fan, codim: int):
         proj = lat.proj.to_q()
         block = [[Fraction(0)] * len(cols) for _ in range(lat.n_sigma_rank)]
         for tau in cols:
-            if sigma not in fans.faces(tau):
+            if sigma not in fans.face_set(tau):
                 continue
             img = proj.apply(fans.new_ray(sigma, tau))
             for i, x in enumerate(img):
@@ -243,7 +243,7 @@ def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
     sign = (-1) ** (d * (d - 1) // 2)
     chain = {}
     for tau in fan.cones_of_dim(n):
-        if rho not in fans.faces(tau):
+        if rho not in fans.face_set(tau):
             continue
         cell = Cell(rho, tau)
         cid = cx.cell_id(cell)

@@ -5,8 +5,8 @@ matrix over Q, and every lattice question (smoothness, saturation,
 quotient coordinates) is a Smith normal form.  No floating point anywhere.
 
 Every rank, reduced row echelon form, kernel and solve comes out of one
-sparse Gauss-Jordan elimination over Fraction entries,
-:func:`_gauss_jordan`, on rows stored as {column: entry} dicts.  Every
+sparse Gauss-Jordan elimination over Q, :func:`_gauss_jordan`, on rows
+stored as {column: entry} dicts with int or Fraction entries.  Every
 determinant (a minor, a Plucker coordinate, an entry of a wedge power, an
 orientation sign) comes out of :func:`_bareiss`: fraction-free Bareiss
 elimination on integer rows, each row first cleared of its denominators
@@ -15,6 +15,7 @@ by a positive factor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -47,11 +48,12 @@ def _subtract(row, f, tail):
 def _gauss_jordan(rows, reduce):
     """The one exact elimination: sparse Gauss-Jordan over Q.
 
-    ``rows`` is a sequence of {column: nonzero entry} dicts; it is not
-    modified.  Rows are taken shortest first.  Each is cleared at its
-    leftmost column against the pivot rows found so far, until it
-    vanishes or opens a new pivot there.  So the pivots are the greedy
-    leftmost columns, which are those of the reduced row echelon form.
+    ``rows`` is a sequence of {column: nonzero entry} dicts, the entries
+    ints or Fractions; it is not modified.  Rows are taken shortest
+    first.  Each is cleared at its leftmost column against the pivot rows
+    found so far, until it vanishes or opens a new pivot there.  So the
+    pivots are the greedy leftmost columns, which are those of the reduced
+    row echelon form.
 
     Returns {pivot column: (input row index, pivot before scaling, tail)}
     where the tail is the pivot row scaled to a unit pivot, without its
@@ -292,7 +294,9 @@ class QSubspace:
         return cls(ambient_dim, ())
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def full(cls, ambient_dim):
+        """The whole of Q^n, with the identity basis; one shared copy per n."""
         return cls(ambient_dim, QMatrix.identity(ambient_dim).entries)
 
     @property
@@ -320,10 +324,13 @@ class QSubspace:
 
         They can only be vec's entries at the pivots; vec lies in the
         subspace iff that combination of the basis also matches it at the
-        other columns.
+        other columns.  On the whole space, with the identity basis, they
+        are vec itself.
         """
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length mismatch")
+        if len(self.pivots) == self.ambient_dim:
+            return _as_fraction_rows([vec])[0]
         (coords,) = _as_fraction_rows([[vec[c] for c in self.pivots]])
         terms = [(a, v) for a, v in zip(coords, self.basis) if a]
         pivot_set = set(self.pivots)
@@ -339,8 +346,9 @@ class QSubspace:
 def sparse_rank(rows) -> int:
     """Exact rank of a sparse rational matrix.
 
-    ``rows`` is a list of {column: nonzero Fraction} dicts.  This is the
-    forward pass of :func:`_gauss_jordan` alone, without back-substitution.
+    ``rows`` is a list of {column: nonzero entry} dicts, the entries ints
+    or Fractions.  This is the forward pass of :func:`_gauss_jordan`
+    alone, without back-substitution.
     """
     return len(_gauss_jordan(rows, reduce=False))
 

@@ -248,6 +248,12 @@ def faces(cone: Cone):
     return tuple(sorted(out, key=lambda c: (c.dim, c.rays)))
 
 
+@functools.lru_cache(maxsize=None)
+def face_set(cone: Cone) -> frozenset:
+    """The faces of the cone as a set, for membership tests by hash."""
+    return frozenset(faces(cone))
+
+
 def new_ray(sigma: Cone, tau: Cone):
     """The one ray of tau outside its facet sigma; ValueError if not one."""
     new = [r for r in tau.rays if r not in sigma.rays]
@@ -379,7 +385,7 @@ def check_face_intersections(cones):
     of faces exists only if a bad pair of maximal cones does.
     """
     for c1, c2 in itertools.combinations(cones, 2):
-        common = set(faces(c1)) & set(faces(c2))
+        common = face_set(c1) & face_set(c2)
         top = max(common, key=lambda c: c.dim)
         if sum(1 for c in common if c.dim == top.dim) != 1:
             raise ValueError("cones intersect badly (two maximal common faces)")
@@ -425,7 +431,7 @@ def is_complete(fan: Fan) -> bool:
     if any(c.dim != n for c in fan.maximal_cones):
         return False
     for wall in fan.cones_of_dim(n - 1):
-        count = sum(1 for c in top if wall in faces(c))
+        count = sum(1 for c in top if wall in face_set(c))
         if count != 2:
             return False
     return True

@@ -13,7 +13,10 @@ N_sigma.  Since wedge^p T(tau') lies in wedge^p T(tau) when tau' is a
 face of tau, and the wedges of the p-subsets of a spanning set span
 wedge^p, F_p(P) is one span: of the wedges of the p-subsets of the
 projected rays of each stratum coface that is not a face of another;
-:meth:`TropComplex.f_lower` returns it as a :class:`QSubspace`.
+:meth:`TropComplex.f_lower` returns it as a :class:`QSubspace`.  When one
+of those cofaces is full-dimensional in its stratum, as every cell of a
+complex with a complete structure fan has, F_p(P) is all of
+wedge^p N_sigma, and no wedge is computed.
 
 The incidence of the complex is indexed once, by lookup instead of a scan
 over all pairs of cells: the faces of (sigma, tau) are the cells
@@ -24,9 +27,12 @@ the cone data of :mod:`trophodge.fans`.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays, the stratum maps (integral because each projection N -> N_sigma is
-onto) and their wedge powers, kept as sparse integer rows, are computed in
+onto) and their wedge powers, kept as integer columns, are computed in
 ints, and every Plucker coordinate and incidence sign is an integer
-determinant.  Fractions enter only through the RREF bases of the spans.
+determinant.  A full F_p has the identity basis, and a face map between
+two full ones is integral: the identity inside a stratum, the wedge of
+the stratum map across strata.  Fractions enter only through the RREF
+bases of the other spans and the coordinates in them.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from trophodge.exactla import (
     smith_normal_form,
     wedge_vector,
 )
-from trophodge.fans import Cone, Fan, faces, orbit_lattice
+from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class Cell:
     tau: Cone
 
     def __post_init__(self):
-        if self.sedentarity not in faces(self.tau):
+        if self.sedentarity not in face_set(self.tau):
             raise ValueError("sedentarity must be a face of the lifted shape")
 
     @functools.cached_property
@@ -75,8 +81,8 @@ class Cell:
 
     def is_face_of(self, other):
         return (
-            other.sedentarity in faces(self.sedentarity)
-            and self.tau in faces(other.tau)
+            other.sedentarity in face_set(self.sedentarity)
+            and self.tau in face_set(other.tau)
         )
 
     def sort_key(self):
@@ -152,7 +158,12 @@ class TropComplex:
         return max((c.dim for c in self.cells), default=0)
 
     def _incidence(self):
-        """(face ids, coface ids) per cell id, the cell itself included."""
+        """Id tuples per cell id: faces, cofaces, stratum cofaces, maximal ones.
+
+        Each includes the cell itself.  A stratum coface has the cell's
+        sedentarity; it is maximal when it is its own only stratum
+        coface, a face of no other one.
+        """
         if self._incidence_cache is None:
             key = {(c.sedentarity, c.tau): i for i, c in enumerate(self.cells)}
             down = tuple(
@@ -160,7 +171,7 @@ class TropComplex:
                     key[(s, t)]
                     for t in faces(cell.tau)
                     for s in faces(t)
-                    if (s, t) in key and cell.sedentarity in faces(s)
+                    if (s, t) in key and cell.sedentarity in face_set(s)
                 }))
                 for cell in self.cells
             )
@@ -168,7 +179,13 @@ class TropComplex:
             for i, ids in enumerate(down):
                 for j in ids:
                     up[j].append(i)
-            self._incidence_cache = (down, tuple(map(tuple, up)))
+            seds = {}
+            sed = [seds.setdefault(c.sedentarity, len(seds)) for c in self.cells]
+            same = tuple(
+                tuple(j for j in ids if sed[j] == sed[i]) for i, ids in enumerate(up)
+            )
+            top = tuple(tuple(j for j in ids if len(same[j]) == 1) for ids in same)
+            self._incidence_cache = (down, tuple(map(tuple, up)), same, top)
         return self._incidence_cache
 
     def faces_of(self, cell):
@@ -179,9 +196,7 @@ class TropComplex:
 
     def stratum_cofaces(self, cell):
         """Cofaces in the same stratum, including the cell itself."""
-        return tuple(
-            c for c in self.cofaces_of(cell) if c.sedentarity == cell.sedentarity
-        )
+        return tuple(self.cells[i] for i in self._incidence()[2][self._index[cell]])
 
     def face_poset(self):
         """Codimension-1 face pairs: (face_id, coface_id, case, sign)."""
@@ -210,7 +225,7 @@ class TropComplex:
                 Cell(sig, cell.tau) in cell_set
                 for cell in self.cells
                 for sig in faces(cell.tau)
-                if cell.sedentarity in faces(sig)
+                if cell.sedentarity in face_set(sig)
             )
         return self._closed
 
@@ -221,20 +236,25 @@ class TropComplex:
 
         A subspace of wedge^p N_{sigma,Q} in lex coordinates.  F^p is
         presented as the dual: a covector's coordinates are its pairings
-        with the canonical echelon basis of F_p.
+        with the canonical echelon basis of F_p.  If a maximal stratum
+        coface is full-dimensional in the stratum, F_p is the whole
+        space, since wedge^p T(c) <= F_p <= wedge^p N_sigma, and its basis
+        is the identity.
         """
         key = (cell, p)
         if key not in self._f_cache:
             n = cell.stratum_rank
-            # a stratum coface c is a face of no other one iff c is its
-            # own only stratum coface
-            wedges = [
-                wedge_vector(sub, n, p)
-                for c in self.stratum_cofaces(cell)
-                if len(self.stratum_cofaces(c)) == 1
-                for sub in itertools.combinations(_projected_rays(c), p)
-            ]
-            self._f_cache[key] = QSubspace.span(wedges, math.comb(n, p))
+            top = [self.cells[i] for i in self._incidence()[3][self._index[cell]]]
+            if any(c.dim == n for c in top):
+                f = QSubspace.full(math.comb(n, p))
+            else:
+                wedges = [
+                    wedge_vector(sub, n, p)
+                    for c in top
+                    for sub in itertools.combinations(_projected_rays(c), p)
+                ]
+                f = QSubspace.span(wedges, math.comb(n, p))
+            self._f_cache[key] = f
         return self._f_cache[key]
 
     def face_map(self, face, coface, p) -> QMatrix:
@@ -248,40 +268,45 @@ class TropComplex:
 
         Column j holds the coordinates, in the canonical basis of
         F_p(face), of the image of the j-th canonical basis vector of
-        F_p(coface).  Across strata the image is the sparse integer wedge
-        of the stratum map applied to that vector.
+        F_p(coface).  Across strata the image is the integer wedge of the
+        stratum map applied to that vector.  Between two full F_p, whose
+        bases are the identity, the columns are those integer maps
+        themselves: the identity, or the wedge of the stratum map.
         """
         key = (face, coface, p)
         if key in self._map_cache:
             return self._map_cache[key]
         if self._index[face] not in self._incidence()[0][self._index[coface]]:
             raise ValueError("face_map requires a face pair")
+        same = face.sedentarity == coface.sedentarity
+        if not same and face.tau != coface.tau:
+            mid = Cell(face.sedentarity, coface.tau)
+            if mid not in self._index:
+                raise ValueError(
+                    "composite face map needs the intermediate cell "
+                    f"({mid.label()}) in the complex"
+                )
         src = self.f_lower(coface, p)
         dst = self.f_lower(face, p)
-        if face.sedentarity == coface.sedentarity:
-            images = src.basis
+        int_cols = (
+            _identity_columns(src.ambient_dim) if same
+            else _stratum_wedge(coface.sedentarity, face.sedentarity, p)
+        )
+        if src.dim == src.ambient_dim and dst.dim == dst.ambient_dim:
+            cols = int_cols
         else:
-            if face.tau != coface.tau:
-                mid = Cell(face.sedentarity, coface.tau)
-                if mid not in self._index:
-                    raise ValueError(
-                        "composite face map needs the intermediate cell "
-                        f"({mid.label()}) in the complex"
-                    )
-            wedge = _stratum_wedge(coface.sedentarity, face.sedentarity, p)
-            images = []
+            cols = []
             for v in src.basis:
-                nz = {c: x for c, x in enumerate(v) if x}
-                images.append(tuple(
-                    sum(m * nz[c] for c, m in row if c in nz) for row in wedge
-                ))
-        cols = []
-        for img in images:
-            coords = dst.coordinates(img)
-            if coords is None:
-                raise ValueError("face map image leaves the target F_p")
-            cols.append(coords)
-        cols = tuple(cols)
+                img = [0] * dst.ambient_dim
+                for x, col in zip(v, int_cols):
+                    if x:
+                        for i, m in enumerate(col):
+                            img[i] += m * x
+                coords = dst.coordinates(img)
+                if coords is None:
+                    raise ValueError("face map image leaves the target F_p")
+                cols.append(coords)
+            cols = tuple(cols)
         self._map_cache[key] = cols
         return cols
 
@@ -313,8 +338,7 @@ class TropComplex:
             ]
             vecs = [_apply(proj, _ray_sum(new_rays))]
             b = _stratum_projection(coface.sedentarity, face.sedentarity).entries
-            images = [_apply(b, v) for v in bp.basis]
-            b_rows = [[w[i] for w in images] for i in face.span().pivots]
+            b_rows = [_apply(bp.basis, b[i]) for i in face.span().pivots]
         rows = []
         for vec in vecs:
             coords = bp.coordinates(vec)
@@ -337,7 +361,7 @@ class TropComplex:
             by_sed.setdefault(cell.sedentarity, []).append(cell.tau)
         for cell in self.cells:
             for sub in faces(cell.tau):
-                if cell.sedentarity in faces(sub):
+                if cell.sedentarity in face_set(sub):
                     if Cell(cell.sedentarity, sub) not in cell_set:
                         raise ValueError("complex is not closed under faces")
         for shapes in by_sed.values():
@@ -404,20 +428,23 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
-    """wedge^p of the stratum projection, as sparse rows of (col, int).
+    """wedge^p of the stratum projection, as its tuple of integer columns.
 
     Rows and columns follow the lex p-subsets of the target and source
     coordinates; the entries are the p x p minors of the integer map.
     """
     b = _stratum_projection(sed_small, sed_big)
-    col_subs = lex_subsets(b.cols, p)
-    out = []
-    for rs in lex_subsets(b.rows, p):
-        minors = (
-            _bareiss([[b.entries[i][j] for j in cs] for i in rs]) for cs in col_subs
-        )
-        out.append(tuple((j, m) for j, m in enumerate(minors) if m))
-    return tuple(out)
+    row_subs = lex_subsets(b.rows, p)
+    return tuple(
+        tuple(_bareiss([[b.entries[i][j] for j in cs] for i in rs]) for rs in row_subs)
+        for cs in lex_subsets(b.cols, p)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_columns(n: int) -> tuple:
+    """The integer columns of the n x n identity."""
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 def tautological_complex(fan: Fan, structure: Fan | None = None) -> TropComplex:

@@ -23,7 +23,7 @@ from trophodge.exactla import (
     lex_subsets,
     wedge_matrix,
 )
-from trophodge.fans import Fan, faces, orbit_lattice
+from trophodge.fans import Fan, face_set, orbit_lattice
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
             continue
         a_sigma = orbit_lattice(sigma).m_perp_basis
         for tau, tdim in dst:
-            if sigma not in faces(tau) or not tdim:
+            if sigma not in face_set(tau) or not tdim:
                 continue
             rho = fans.new_ray(sigma, tau)
             pair = [

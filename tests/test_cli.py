@@ -38,6 +38,17 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "x.tsv"
+    code, out, err = run(
+        capsys, "cohomology", "--builtin", "p2", "--all", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert not target.exists()
+
+
 def test_invalid_fan_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

@@ -1,6 +1,7 @@
 """Tropical cohomology: cochain complexes, duality, oracles."""
 
 import math
+import sys
 
 import pytest
 
@@ -174,6 +175,31 @@ def test_betti_table_does_not_scan_cell_pairs(monkeypatch):
     cx = tropspace.tautological_complex(fans.builtin("p3"))
     betti_table(cx)
     assert len(calls) <= len(cx.face_poset())
+
+
+def test_betti_table_of_p4_spans_no_wedges(monkeypatch):
+    """Every F_p of P^4 is full: f_lower wedges nothing and spans nothing."""
+    calls = {"wedge": 0, "span": 0}
+    wedge_vector = tropspace.wedge_vector
+    span = exactla.QSubspace.span.__func__
+    f_lower_code = tropspace.TropComplex.f_lower.__code__
+
+    def counting_wedge(*args):
+        calls["wedge"] += 1
+        return wedge_vector(*args)
+
+    def counting_span(cls, *args):
+        if sys._getframe(1).f_code is f_lower_code:
+            calls["span"] += 1
+        return span(cls, *args)
+
+    monkeypatch.setattr(tropspace, "wedge_vector", counting_wedge)
+    monkeypatch.setattr(exactla.QSubspace, "span", classmethod(counting_span))
+    betti_table(tropspace.tropical_line())
+    assert calls["wedge"] > 0 and calls["span"] > 0
+    calls.update(wedge=0, span=0)
+    betti_table(tropspace.tautological_complex(fans.projective_space(4)))
+    assert calls == {"wedge": 0, "span": 0}
 
 
 def test_vanishing_above_diagonal_and_h_p0():

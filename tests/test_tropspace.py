@@ -97,6 +97,43 @@ def test_f_lower_is_the_sum_of_wedge_powers_of_stratum_cofaces():
                 assert cx.f_lower(cell, p).basis == expected.basis
 
 
+def test_f_p_is_full_on_every_toric_complex():
+    """A complete structure fan gives each cell a full-dimensional stratum
+    coface, so F_p(cell) is all of wedge^p N_sigma with the identity basis."""
+    named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
+    named += [fans.projective_space(4), fans.orthant_fan(3)]
+    for fan in named:
+        cx = weightss.trop_complex_for(fan)
+        for cell in cx.cells:
+            assert any(c.dim == cell.stratum_rank for c in cx.stratum_cofaces(cell))
+            for p in range(fan.ambient_rank + 1):
+                f = cx.f_lower(cell, p)
+                assert f == QSubspace.full(math.comb(cell.stratum_rank, p))
+
+
+def test_tropical_line_vertex_takes_the_wedge_span():
+    cx = tropspace.tropical_line()
+    vertex = Cell(Cone(2, []), Cone(2, []))
+    assert all(c.dim < vertex.stratum_rank for c in cx.stratum_cofaces(vertex))
+    assert cx.f_lower(vertex, 2).dim == 0
+    for p in range(3):
+        wedges = [
+            wedge_vector(sub, 2, p)
+            for ray in cx.stratum_cofaces(vertex)
+            for sub in itertools.combinations(ray.span().basis, p)
+        ]
+        assert cx.f_lower(vertex, p) == QSubspace.span(wedges, math.comb(2, p))
+
+
+def test_face_maps_between_full_f_p_are_integral():
+    cx = tropspace.tautological_complex(fans.projective_space(4))
+    for coface in cx.cells:
+        for face in cx.faces_of(coface):
+            for p in range(coface.stratum_rank + 1):
+                cols = cx.face_map_columns(face, coface, p)
+                assert all(type(x) is int for col in cols for x in col)
+
+
 def test_incidence_index_matches_face_scan():
     """The indexed incidence equals a scan of all pairs with is_face_of."""
     complexes = complexes_for_f_lower()
