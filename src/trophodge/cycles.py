@@ -109,17 +109,14 @@ def balancing_check(mw: MinkowskiWeight):
     n = fan.ambient_rank
     out = []
     for sigma in fan.cones_of_dim(n - mw.codim - 1):
-        lat = orbit_lattice(sigma)
-        proj = lat.proj.to_q()
-        defect = [Fraction(0)] * lat.n_sigma_rank
+        defect = [Fraction(0)] * orbit_lattice(sigma).n_sigma_rank
         for tau in fan.cones_of_dim(n - mw.codim):
             if sigma not in fans.face_set(tau):
                 continue
             w = mw.weight(tau)
             if not w:
                 continue
-            rho = fans.new_ray(sigma, tau)
-            img = proj.apply(rho)
+            img = fans.project(sigma, fans.new_ray(sigma, tau))
             defect = [d + w * x for d, x in zip(defect, img)]
         if any(defect):
             out.append((sigma, tuple(defect)))
@@ -137,15 +134,13 @@ def _balancing_matrix(fan: Fan, codim: int):
     pos = {c: j for j, c in enumerate(cols)}
     rows = []
     for sigma in fan.cones_of_dim(n - codim - 1):
-        lat = orbit_lattice(sigma)
-        proj = lat.proj.to_q()
-        block = [[Fraction(0)] * len(cols) for _ in range(lat.n_sigma_rank)]
+        block = [[0] * len(cols) for _ in range(orbit_lattice(sigma).n_sigma_rank)]
         for tau in cols:
             if sigma not in fans.face_set(tau):
                 continue
-            img = proj.apply(fans.new_ray(sigma, tau))
+            img = fans.project(sigma, fans.new_ray(sigma, tau))
             for i, x in enumerate(img):
-                block[i][pos[tau]] = Fraction(x)
+                block[i][pos[tau]] = x
         rows.extend(block)
     return QMatrix.from_rows(rows, len(cols)), cols
 

@@ -184,14 +184,6 @@ class QMatrix:
         ]
         return QMatrix(self.rows, other.cols, out)
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(
-            self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
     def scale(self, c):
         c = Fraction(c)
         return QMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])
@@ -218,34 +210,16 @@ class QMatrix:
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
-        return self.solve_many([b])[0]
-
-    def solve_many(self, bs):
-        """Solutions of self @ x = b for several right-hand sides at once.
-
-        One elimination serves all systems; inconsistent ones give None.
-        """
-        bs = [list(b) for b in bs]
-        if any(len(b) != self.rows for b in bs):
+        if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
-        k = len(bs)
-        aug = [
-            list(row) + [b[i] for b in bs] for i, row in enumerate(self.entries)
-        ]
-        pivots, red = _rref(_sparse_rows(aug), self.cols + k)
-        if any(p >= self.cols for p in pivots):
-            # some system is inconsistent; its pivot row contaminates the
-            # joint elimination, so redo the systems one by one
-            if k == 1:
-                return [None]
-            return [self.solve(b) for b in bs]
-        out = []
-        for j in range(k):
-            x = [Fraction(0)] * self.cols
-            for i, p in enumerate(pivots):
-                x[p] = red[i][self.cols + j]
-            out.append(tuple(x))
-        return out
+        aug = [list(row) + [x] for row, x in zip(self.entries, b)]
+        pivots, red = _rref(_sparse_rows(aug), self.cols + 1)
+        if pivots and pivots[-1] == self.cols:
+            return None
+        x = [Fraction(0)] * self.cols
+        for c, row in zip(pivots, red):
+            x[c] = row[self.cols]
+        return tuple(x)
 
 
 class QSubspace:
@@ -400,24 +374,17 @@ def block_rows(blocks, row_layout, col_layout):
     return rows, ncols
 
 
-def assemble(blocks, row_layout, col_layout) -> QMatrix:
-    """Dense QMatrix of a block matrix given as for :func:`block_rows`."""
-    return QMatrix.from_sparse(*block_rows(blocks, row_layout, col_layout))
-
-
 class ZMatrix:
     """Immutable dense integer matrix."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(row) for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry shape does not match rows x cols")
-        for row in entries:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("ZMatrix entries must be integers")
+        if any(type(x) is not int for row in entries for x in row):
+            raise TypeError("ZMatrix entries must be integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -608,6 +575,20 @@ def _minor(rows, row_idx, col_idx):
     """
     a, scale = _integer_rows([rows[i][j] for j in col_idx] for i in row_idx)
     return Fraction(_bareiss(a), scale)
+
+
+def wedge_columns(m: ZMatrix, p: int) -> tuple:
+    """wedge^p(m) as a tuple of integer columns, in lex p-subset bases.
+
+    Each entry is a p x p minor from :func:`_bareiss`.  The shape comes from
+    m.rows and m.cols, so a map with no rows still has its columns.
+    """
+    a = m.entries
+    row_subs = lex_subsets(m.rows, p)
+    return tuple(
+        tuple(_bareiss([[a[i][j] for j in cs] for i in rs]) for rs in row_subs)
+        for cs in lex_subsets(m.cols, p)
+    )
 
 
 def wedge_vector(vectors, n, p):

@@ -262,6 +262,7 @@ def new_ray(sigma: Cone, tau: Cone):
     return new[0]
 
 
+@functools.lru_cache(maxsize=None)
 def is_smooth(cone: Cone) -> bool:
     """True iff the rays extend to a Z-basis of N."""
     if cone.is_zero:
@@ -301,6 +302,26 @@ def orbit_lattice(cone: Cone) -> OrbitLattice:
     rows = u.entries[r:]
     proj = ZMatrix.from_rows([list(row) for row in rows], n) if rows else ZMatrix(0, n, [])
     return OrbitLattice(cone, proj, proj.entries, n - r)
+
+
+def project(cone: Cone, vec) -> tuple:
+    """The image of a vector of N in N_sigma: its pairings with ``m_perp_basis``."""
+    return tuple(
+        sum(a * x for a, x in zip(m, vec)) for m in orbit_lattice(cone).m_perp_basis
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def proj_section(cone: Cone) -> ZMatrix:
+    """An integer right inverse of ``orbit_lattice(cone).proj``.
+
+    proj is onto N_sigma, so its Smith form U @ proj @ V is [I 0] and
+    V[:, :k] @ U is a right inverse.
+    """
+    proj = orbit_lattice(cone).proj
+    u, _, v = smith_normal_form(proj)
+    k = proj.rows
+    return ZMatrix(v.rows, k, [row[:k] for row in v.entries]) @ u
 
 
 class Fan:

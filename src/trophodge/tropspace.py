@@ -26,9 +26,10 @@ projections N_sigma1 -> N_sigma2 with their wedge powers, are cached like
 the cone data of :mod:`trophodge.fans`.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
-rays, the stratum maps (integral because each projection N -> N_sigma is
-onto) and their wedge powers, kept as integer columns, are computed in
-ints, and every Plucker coordinate and incidence sign is an integer
+rays (``fans.project``), the stratum maps proj2 @ ``fans.proj_section``
+(integral because each projection N -> N_sigma is onto) and their wedge
+powers (``exactla.wedge_columns``, shared with d_1 in
+:mod:`trophodge.weightss`) are computed in ints, and every Plucker coordinate and incidence sign is an integer
 determinant.  A full F_p has the identity basis, and a face map between
 two full ones is integral: the identity inside a stratum, the wedge of
 the stratum map across strata.  Fractions enter only through the RREF
@@ -47,10 +48,8 @@ from trophodge.exactla import (
     QMatrix,
     QSubspace,
     ZMatrix,
-    _bareiss,
     _minor,
-    lex_subsets,
-    smith_normal_form,
+    wedge_columns,
     wedge_vector,
 )
 from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
@@ -326,18 +325,16 @@ class TropComplex:
         so its sign is that of the lifted frame, with no lift computed.
         """
         bp = coface.span()
-        proj = orbit_lattice(coface.sedentarity).proj.entries
-        if face.sedentarity == coface.sedentarity:
+        sed = coface.sedentarity
+        if face.sedentarity == sed:
             off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
-            vecs = [[-x for x in _apply(proj, _ray_sum(off_face))]]
+            vecs = [[-x for x in fans.project(sed, _ray_sum(off_face))]]
             vecs += face.span().basis
             b_rows = []
         else:
-            new_rays = [
-                r for r in face.sedentarity.rays if r not in coface.sedentarity.rays
-            ]
-            vecs = [_apply(proj, _ray_sum(new_rays))]
-            b = _stratum_projection(coface.sedentarity, face.sedentarity).entries
+            new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
+            vecs = [fans.project(sed, _ray_sum(new_rays))]
+            b = _stratum_projection(sed, face.sedentarity).entries
             b_rows = [_apply(bp.basis, b[i]) for i in face.span().pivots]
         rows = []
         for vec in vecs:
@@ -389,26 +386,13 @@ def _ray_sum(rays):
 @functools.lru_cache(maxsize=None)
 def _projected_rays(cell: Cell) -> tuple:
     """The nonzero images of the lifted rays of a cell in N_sigma, in ints."""
-    proj = orbit_lattice(cell.sedentarity).proj.entries
-    return tuple(v for v in (_apply(proj, r) for r in cell.tau.rays) if any(v))
+    sed = cell.sedentarity
+    return tuple(v for v in (fans.project(sed, r) for r in cell.tau.rays) if any(v))
 
 
 @functools.lru_cache(maxsize=None)
 def _cell_span(cell: Cell) -> QSubspace:
     return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
-
-
-@functools.lru_cache(maxsize=None)
-def _proj_section(sed: Cone) -> ZMatrix:
-    """An integer right inverse of ``orbit_lattice(sed).proj``.
-
-    proj is onto N_sigma, so its Smith form U @ proj @ V is [I 0] and
-    V[:, :k] @ U is a right inverse.
-    """
-    proj = orbit_lattice(sed).proj
-    u, _, v = smith_normal_form(proj)
-    k = proj.rows
-    return ZMatrix(v.rows, k, [row[:k] for row in v.entries]) @ u
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,7 +404,7 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
     """
     p1 = orbit_lattice(sed_small).proj
     p2 = orbit_lattice(sed_big).proj
-    b = p2 @ _proj_section(sed_small)
+    b = p2 @ fans.proj_section(sed_small)
     if b @ p1 != p2:
         raise ValueError("stratum projections are not nested")
     return b
@@ -428,17 +412,8 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
-    """wedge^p of the stratum projection, as its tuple of integer columns.
-
-    Rows and columns follow the lex p-subsets of the target and source
-    coordinates; the entries are the p x p minors of the integer map.
-    """
-    b = _stratum_projection(sed_small, sed_big)
-    row_subs = lex_subsets(b.rows, p)
-    return tuple(
-        tuple(_bareiss([[b.entries[i][j] for j in cs] for i in rs]) for rs in row_subs)
-        for cs in lex_subsets(b.cols, p)
-    )
+    """wedge^p of the stratum projection, as its integer columns."""
+    return wedge_columns(_stratum_projection(sed_small, sed_big), p)
 
 
 @functools.lru_cache(maxsize=None)

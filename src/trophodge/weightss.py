@@ -1,10 +1,14 @@
 """Weight spectral sequence of a smooth toric variety.
 
-E_1^{p,q} is the direct sum over p-dimensional cones of the lattice
-realization wedge^{q-p}(M cap sigma-perp)_Q of the orbit cohomology;
-d_1 is the signed Gersten residue (contraction with the new ray's
-primitive normal, then restriction to the smaller perp lattice).
-Everything is exact over Q.
+E_1^{p,q} is the direct sum over p-dimensional cones sigma of
+wedge^{q-p} M_sigma, M_sigma = M cap sigma-perp, in lex coordinates of
+``orbit_lattice(sigma).m_perp_basis``.  d_1 is the Gersten residue.  For
+tau = sigma + rho, the contraction with the image rho-bar of rho in
+N_sigma lands in wedge^{k-1} M_tau, since it squares to zero, and any
+left inverse of the inclusion M_tau -> M_sigma reads off its coordinates
+there.  r^T with r = proj_sigma @ proj_section(tau) is one: b @ r = I for
+the stratum map b.  So each block is wedge^{k-1}(r^T) . i_{rho-bar}, in
+integers, with no splitting m0 with <m0, rho> = 1 to choose.
 """
 
 from __future__ import annotations
@@ -13,17 +17,17 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from trophodge import fans
 from trophodge.exactla import (
     QMatrix,
-    assemble,
+    ZMatrix,
+    block_offsets,
     homology_quotient,
     lex_subsets,
-    wedge_matrix,
+    wedge_columns,
 )
-from trophodge.fans import Fan, face_set, orbit_lattice
+from trophodge.fans import Fan, face_set
 
 
 @dataclass(frozen=True)
@@ -75,22 +79,13 @@ def e1_page(fan: Fan) -> SSPage:
     return SSPage(1, n, dims)
 
 
-def _contraction_matrix(m, k, coeffs):
-    """Contraction wedge^k Q^m -> wedge^{k-1} Q^m with the functional coeffs."""
-    rows_idx = lex_subsets(m, k - 1)
-    cols_idx = lex_subsets(m, k)
-    pos = {s: i for i, s in enumerate(rows_idx)}
-    ent = [[Fraction(0)] * len(cols_idx) for _ in rows_idx]
-    for j, s in enumerate(cols_idx):
-        for a, elem in enumerate(s):
-            rest = s[:a] + s[a + 1:]
-            sign = -1 if a % 2 else 1
-            ent[pos[rest]][j] += sign * coeffs[elem]
-    return QMatrix(len(rows_idx), len(cols_idx), ent)
-
-
 def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     """The residue differential E_1^{p,q} -> E_1^{p+1,q} as a block matrix.
+
+    With k = q - p, the block of sigma < tau = sigma + rho sends the lex
+    k-subset s to sum_a (-1)^a rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a}
+    (see the module docstring); its integer rows are written at the
+    ``block_offsets`` of the two layouts.
 
     ``corrupt_sign`` flips one block sign; it exists as a negative
     control for the verification suite.  The control cannot fire on
@@ -101,63 +96,36 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
     dst = _e1_layout(fan, p + 1, q)
-    k = q - p
-    blocks = {}
-    # The residue blocks L . i_rho already anticommute around every square
+    roff, nrows = block_offsets(dst)
+    coff, ncols = block_offsets(src)
+    rows = [{} for _ in range(nrows)]
+    k, m = q - p, fan.ambient_rank - p
+    # a block needs 1 <= k, so dst is empty below that
+    faces = {t: i for i, t in enumerate(lex_subsets(m, k - 1))} if dst else {}
+    # The blocks already anticommute around every square
     # sigma < tau_1, tau_2 < upsilon (interior products with distinct rays
-    # anticommute and the splittings drop out), so the combinatorial sign
-    # is trivial; a position-based sign would double instead of cancel.
-    # Only ``corrupt_sign`` flips one, on the first block.
+    # anticommute), so the combinatorial sign is trivial; a position-based
+    # sign would double instead of cancel.  Only ``corrupt_sign`` flips
+    # one, on the first block.
     eps = -1 if corrupt_sign else 1
-    for sigma, sdim in src:
-        if not sdim:
-            continue
-        a_sigma = orbit_lattice(sigma).m_perp_basis
-        for tau, tdim in dst:
-            if sigma not in face_set(tau) or not tdim:
+    for sigma, _ in src:
+        for tau, _ in dst:
+            if sigma not in face_set(tau):
                 continue
-            rho = fans.new_ray(sigma, tau)
-            pair = [
-                sum(Fraction(a) * b for a, b in zip(vec, rho))
-                for vec in a_sigma
-            ]
-            contr = _contraction_matrix(len(a_sigma), k, pair)
-            m0 = _splitting_vector(a_sigma, pair)
-            a_tau = orbit_lattice(tau).m_perp_basis
-            restr = _restriction_matrix(a_sigma, a_tau, pair, m0)
-            blocks[(tau, sigma)] = (wedge_matrix(restr, k - 1) @ contr).scale(eps)
+            rho_bar = fans.project(sigma, fans.new_ray(sigma, tau))
+            section = fans.proj_section(tau)
+            r_t = [fans.project(sigma, v) for v in zip(*section.entries)]
+            wedge = wedge_columns(ZMatrix(section.cols, m, r_t), k - 1)
+            r0, c0 = roff[tau], coff[sigma]
+            for j, s in enumerate(lex_subsets(m, k)):
+                for a, e in enumerate(s):
+                    c = eps * (-1) ** a * rho_bar[e]
+                    for i, x in enumerate(wedge[faces[s[:a] + s[a + 1:]]]):
+                        if c * x:
+                            row = rows[r0 + i]
+                            row[c0 + j] = row.get(c0 + j, 0) + c * x
             eps = 1
-    return assemble(blocks, dst, src)
-
-
-def _splitting_vector(a_sigma, pair):
-    """Coordinates (in the sigma-perp basis) of m0 with <m0, rho> = 1."""
-    sol = QMatrix(1, len(a_sigma), [pair]).solve([Fraction(1)])
-    if sol is None:
-        raise ValueError("ray pairs to zero with the whole perp lattice")
-    return sol
-
-
-def _restriction_matrix(a_sigma, a_tau, pair, m0_coords):
-    """Matrix of x -> x - <x,rho> m0 from sigma-perp to tau-perp bases."""
-    n = len(a_sigma[0]) if a_sigma else 0
-    m0 = [
-        sum(c * Fraction(v[i]) for c, v in zip(m0_coords, a_sigma))
-        for i in range(n)
-    ]
-    images = []
-    for vec, pr in zip(a_sigma, pair):
-        images.append(tuple(Fraction(x) - pr * y for x, y in zip(vec, m0)))
-    if not a_tau:
-        return QMatrix(0, len(a_sigma), [])
-    at = QMatrix.from_rows([list(r) for r in a_tau], n).transpose()
-    cols = at.solve_many(images)
-    if any(c is None for c in cols):
-        raise ValueError("restriction image leaves the tau-perp lattice")
-    return QMatrix(
-        len(a_tau), len(a_sigma),
-        [[cols[j][i] for j in range(len(a_sigma))] for i in range(len(a_tau))],
-    )
+    return QMatrix.from_sparse(rows, ncols)
 
 
 def e2_page(fan: Fan, corrupt_sign: bool = False) -> SSPage:

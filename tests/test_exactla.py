@@ -14,6 +14,7 @@ from trophodge.exactla import (
     lex_subsets,
     smith_normal_form,
     sparse_rank,
+    wedge_columns,
     wedge_matrix,
     wedge_vector,
 )
@@ -53,21 +54,6 @@ def test_solve_and_inconsistent():
     assert list(m.solve([4, 9])) == [Fraction(2), Fraction(3)]
     sing = QMatrix.from_rows([[1, 1], [1, 1]], 2)
     assert sing.solve([0, 1]) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices(), st.integers(0, 3))
-def test_solve_many_matches_individual_solves(rows, k):
-    m = QMatrix.from_rows(rows, len(rows[0]))
-    bs = [[Fraction((i * 7 + j * 3) % 5 - 2) for i in range(m.rows)] for j in range(k)]
-    joint = m.solve_many(bs)
-    for b, sol in zip(bs, joint):
-        single = m.solve(b)
-        if single is None:
-            assert sol is None
-        else:
-            assert sol is not None
-            assert list(m.apply(list(sol))) == [Fraction(x) for x in b]
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,6 +116,25 @@ def test_determinant_matches_cofactor_expansion(rows):
     det = ZMatrix(len(rows), len(rows), rows).determinant()
     assert type(det) is int
     assert det == _cofactor_det(rows)
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(2), 1.9, 2.0, True, "1"])
+def test_zmatrix_rejects_non_int_entries(bad):
+    with pytest.raises(TypeError):
+        ZMatrix(1, 2, [[bad, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(4), st.integers(0, 3))
+def test_wedge_columns_match_wedge_matrix(rows, p):
+    m = ZMatrix.from_rows(rows)
+    cols = wedge_columns(m, p)
+    assert wedge_matrix(m.to_q(), p).transpose().entries == cols
+
+
+@pytest.mark.parametrize("p, cols", [(0, ((1,),)), (1, ((), (), ())), (2, ((), (), ()))])
+def test_wedge_columns_of_a_map_with_no_rows(p, cols):
+    assert wedge_columns(ZMatrix(0, 3, []), p) == cols
 
 
 @settings(max_examples=60, deadline=None)

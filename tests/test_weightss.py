@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from trophodge import fans, weightss
+from trophodge import exactla, fans, weightss
 from trophodge.weightss import (
     betti_from_h_vector,
     compare_with_trop,
@@ -145,3 +145,25 @@ def test_e2_page_builds_each_d1_once(monkeypatch):
     page = e2_page(fans.builtin("p2"))
     assert page.table() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert sorted(calls) == [(p, q) for p in range(3) for q in range(3)]
+
+
+def test_e2_page_does_no_rational_solve(monkeypatch):
+    """d_1 is written from integer lattice data: no Fraction minor, no solve."""
+    weightss._e2_page.cache_clear()
+    calls = []
+    minor = exactla._minor
+    solve = exactla.QMatrix.solve
+
+    def counting_minor(*args):
+        calls.append("minor")
+        return minor(*args)
+
+    def counting_solve(self, b):
+        calls.append("solve")
+        return solve(self, b)
+
+    monkeypatch.setattr(exactla, "_minor", counting_minor)
+    monkeypatch.setattr(exactla.QMatrix, "solve", counting_solve)
+    page = e2_page(fans.builtin("p3"))
+    assert page.table() == [[int(p == q) for q in range(4)] for p in range(4)]
+    assert calls == []
