@@ -5,12 +5,17 @@ matrix over Q, and every lattice question (smoothness, saturation,
 quotient coordinates) is a Smith normal form.  No floating point anywhere.
 
 Every rank, reduced row echelon form, kernel and solve comes out of one
-sparse Gauss-Jordan elimination over Q, :func:`_gauss_jordan`, on rows
-stored as {column: entry} dicts with int or Fraction entries.  Every
-determinant (a minor, a Plucker coordinate, an entry of a wedge power, an
-orientation sign) comes out of :func:`_bareiss`: fraction-free Bareiss
-elimination on integer rows, each row first cleared of its denominators
-by a positive factor.
+sparse fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan`, on
+rows stored as {column: entry} dicts.  Each input row, with int or
+Fraction entries, is scaled once to a primitive integer row; a row is
+cleared at a pivot row P as a * row - b * P with the smallest integers a
+and b that cancel the entry, then divided by its content.  Fractions are
+made only where a reduced row is divided by its pivot entry, for unit
+pivots (:func:`_rref`, so an RREF, a kernel or a solve); a rank makes
+none.  Every determinant (a minor, a Plucker coordinate, an entry of a
+wedge power, an orientation sign) comes out of :func:`_bareiss`:
+fraction-free Bareiss elimination on integer rows.  Both cores clear the
+denominators of a row by the same positive factor, :func:`_cleared`.
 """
 
 from __future__ import annotations
@@ -31,50 +36,90 @@ def _sparse_rows(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def _subtract(row, f, tail):
-    """row -= f * tail in place, dropping the entries that cancel."""
-    g = -f
-    for j, x in tail.items():
-        if j in row:
-            y = row[j] + g * x
-            if y:
-                row[j] = y
+def _cleared(values):
+    """The values (ints or Fractions) times the positive lcm of their
+    denominators, as a list of ints, and that lcm."""
+    m = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (m // x.denominator) for x in values], m
+
+
+def _primitive(row):
+    """A {column: entry} row as a primitive integer row.
+
+    The entries are cleared of their denominators and divided by their
+    content, both positive factors.  Zero entries are dropped, so a row
+    with no nonzero entry comes back empty.
+    """
+    ints, _ = _cleared(row.values())
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return {j: x for j, x in zip(row, ints) if x}
+
+
+def _combine(row, c, pivot_row):
+    """row := (a * row - b * pivot_row) / content, in place.
+
+    With g = gcd(pivot_row[c], row[c]), a = pivot_row[c] / g and
+    b = row[c] / g are the smallest integers that cancel the entries at
+    column c; entries that cancel are dropped.
+    """
+    v, x = pivot_row[c], row[c]
+    g = math.gcd(v, x)
+    a, b = v // g, x // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, y in pivot_row.items():
+        z = row.get(j)
+        if z is None:
+            row[j] = -b * y
+        else:
+            z -= b * y
+            if z:
+                row[j] = z
             else:
                 del row[j]
-        else:
-            row[j] = g * x
+    g = math.gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
 def _gauss_jordan(rows, reduce):
-    """The one exact elimination: sparse Gauss-Jordan over Q.
+    """The one exact elimination: sparse fraction-free Gauss-Jordan.
 
-    ``rows`` is a sequence of {column: nonzero entry} dicts, the entries
-    ints or Fractions; it is not modified.  Rows are taken shortest
-    first.  Each is cleared at its leftmost column against the pivot rows
-    found so far, until it vanishes or opens a new pivot there.  So the
-    pivots are the greedy leftmost columns, which are those of the reduced
-    row echelon form.
+    ``rows`` is a sequence of {column: entry} dicts, the entries ints or
+    Fractions; it is not modified.  Each row is first scaled to a
+    primitive integer row (:func:`_primitive`).  Rows are taken shortest
+    first.  Each is cleared at its leftmost column c against the pivot row
+    P found there so far, as a * row - b * P with a = P[c] / g, b = row[c]
+    / g and g = gcd(P[c], row[c]), then divided by its content
+    (:func:`_combine`), until it vanishes or opens a new pivot at c.  So
+    every working row is a nonzero multiple of the row that elimination
+    over Q with unit pivots would hold, and the pivots are the greedy
+    leftmost columns, which are those of the reduced row echelon form.
 
-    Returns {pivot column: (input row index, pivot before scaling, tail)}
-    where the tail is the pivot row scaled to a unit pivot, without its
-    pivot entry.  With ``reduce`` the tails are back-substituted into the
-    rows of the reduced row echelon form; without it they stay echelon.
+    Returns {pivot column: primitive integer row}.  With ``reduce`` each
+    row is also cleared, the same way, at the pivot columns of the rows
+    below it, so the rows are those of the reduced row echelon form up to
+    a nonzero factor each; without it they stay echelon.  No Fraction is
+    made here.
     """
     pivots = {}
     for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        row = dict(rows[i])
+        row = _primitive(rows[i])
         while row:
             c = min(row)
             if c not in pivots:
-                v = Fraction(row.pop(c))
-                pivots[c] = (i, v, {j: x / v for j, x in row.items()})
+                pivots[c] = row
                 break
-            _subtract(row, row.pop(c), pivots[c][2])
+            _combine(row, c, pivots[c])
     if reduce:
         for c in sorted(pivots, reverse=True):
-            tail = pivots[c][2]
-            for j in [j for j in tail if j in pivots]:
-                _subtract(tail, tail.pop(j), pivots[j][2])
+            row = pivots[c]
+            for j in [j for j in row if j != c and j in pivots]:
+                _combine(row, j, pivots[j])
     return pivots
 
 
@@ -82,33 +127,48 @@ def _rref(rows, ncols):
     """Reduced row echelon form over Q of sparse rows (as for sparse_rank).
 
     Returns (pivots, reduced_rows) with unit pivots; rows are dense tuples
-    of Fraction.
+    of Fraction.  Each integer row of :func:`_gauss_jordan` is divided by
+    its pivot entry here, the one place the elimination makes Fractions.
     """
     pivots = _gauss_jordan(rows, reduce=True)
     cols = sorted(pivots)
+    zero, one = Fraction(0), Fraction(1)
     red = []
     for c in cols:
-        dense = [Fraction(0)] * ncols
-        dense[c] = Fraction(1)
-        for j, x in pivots[c][2].items():
-            dense[j] = x
+        row = pivots[c]
+        v = row[c]
+        dense = [zero] * ncols
+        for j, x in row.items():
+            dense[j] = Fraction(x, v)
+        dense[c] = one
         red.append(tuple(dense))
     return cols, red
 
 
-def _null_space(pivots, red, ncols):
-    """Canonical basis of the right null space, read off an RREF."""
-    pivot_set = set(pivots)
-    vecs = []
+def _null_rows(pivots, ncols):
+    """The canonical basis of the right null space of a reduced elimination.
+
+    ``pivots`` is the result of :func:`_gauss_jordan` with ``reduce``.
+    For each free column f the vector is e_f minus the entries at column f
+    of the unit-pivot rows, as a sparse integer row scaled by the lcm of
+    their pivot entries.
+    """
+    at = {}
+    for c, row in pivots.items():
+        for j, x in row.items():
+            if j != c:
+                at.setdefault(j, []).append((c, x, row[c]))
+    rows = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        vecs.append(v)
-    return QSubspace.span(vecs, ncols)
+        terms = at.get(f, ())
+        m = math.lcm(*(v for _, _, v in terms))
+        row = {f: m}
+        for c, x, v in terms:
+            row[c] = -x * (m // v)
+        rows.append(row)
+    return rows
 
 
 class QMatrix:
@@ -206,7 +266,8 @@ class QMatrix:
 
     def kernel_basis(self):
         """Basis of the right null space as a QSubspace of Q^cols."""
-        return _null_space(*self.rref(), self.cols)
+        pivots = _gauss_jordan(_sparse_rows(self.entries), reduce=True)
+        return QSubspace(self.cols, _rref(_null_rows(pivots, self.cols), self.cols)[1])
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -320,9 +381,10 @@ class QSubspace:
 def sparse_rank(rows) -> int:
     """Exact rank of a sparse rational matrix.
 
-    ``rows`` is a list of {column: nonzero entry} dicts, the entries ints
-    or Fractions.  This is the forward pass of :func:`_gauss_jordan`
-    alone, without back-substitution.
+    ``rows`` is a list of {column: entry} dicts, the entries ints or
+    Fractions; zero entries and empty rows are skipped.  This is the
+    forward pass of :func:`_gauss_jordan` alone, without
+    back-substitution, so on integer rows it makes no Fraction.
     """
     return len(_gauss_jordan(rows, reduce=False))
 
@@ -335,13 +397,17 @@ def homology_quotient(d_out: QMatrix, d_in: QMatrix | None):
     basis of the vectors of ker + im that vanish at the pivot columns of
     im: the rows of the RREF of ker + im at the other pivots, one per
     dimension of the homology at the middle space.
+
+    The kernel enters that RREF as the canonical null vectors read off
+    the reduced integer rows of ``d_out`` (:func:`_null_rows`), not as a
+    reduced basis of their own: the RREF of ker + im does not depend on
+    which spanning rows it starts from.
     """
-    ker = d_out.kernel_basis()
-    if d_in is None:
-        return ker.basis
-    image = _sparse_rows(zip(*d_in.entries))
+    n = d_out.cols
+    kernel = _null_rows(_gauss_jordan(_sparse_rows(d_out.entries), reduce=True), n)
+    image = _sparse_rows(zip(*d_in.entries)) if d_in is not None else []
     image_pivots = _gauss_jordan(image, reduce=False)
-    pivots, red = _rref(image + _sparse_rows(ker.basis), d_out.cols)
+    pivots, red = _rref(image + kernel, n)
     return tuple(r for c, r in zip(pivots, red) if c not in image_pivots)
 
 
@@ -533,8 +599,8 @@ def _integer_rows(rows):
     out = []
     scale = 1
     for row in rows:
-        m = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
+        ints, m = _cleared(row)
+        out.append(ints)
         scale *= m
     return out, scale
 

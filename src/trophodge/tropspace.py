@@ -65,6 +65,10 @@ class Cell:
     def __post_init__(self):
         if self.sedentarity not in face_set(self.tau):
             raise ValueError("sedentarity must be a face of the lifted shape")
+        object.__setattr__(self, "_hash", hash((self.sedentarity, self.tau)))
+
+    def __hash__(self):
+        return self._hash
 
     @functools.cached_property
     def dim(self):
@@ -320,7 +324,9 @@ class TropComplex:
         of the face basis.  Across strata the first row is the coordinate
         vector y of the sum of the new sedentarity rays, which the stratum
         map b kills; row i + 1 holds, for each coface basis vector, the
-        i-th face coordinate of its image under b.  With X the coordinates
+        i-th face coordinate of its image under b; when the coface span is
+        full its basis is the identity, and that row is the integer row of
+        b at the i-th face pivot.  With X the coordinates
         of lifts of the face basis, the determinant is |y|^2 / det(y; X),
         so its sign is that of the lifted frame, with no lift computed.
         """
@@ -335,7 +341,10 @@ class TropComplex:
             new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
             vecs = [fans.project(sed, _ray_sum(new_rays))]
             b = _stratum_projection(sed, face.sedentarity).entries
-            b_rows = [_apply(bp.basis, b[i]) for i in face.span().pivots]
+            if bp.dim == bp.ambient_dim:
+                b_rows = [b[i] for i in face.span().pivots]
+            else:
+                b_rows = [_apply(bp.basis, b[i]) for i in face.span().pivots]
         rows = []
         for vec in vecs:
             coords = bp.coordinates(vec)

@@ -27,8 +27,6 @@ from trophodge.exactla import (
     QMatrix,
     QSubspace,
     _minor,
-    _null_space,
-    _rref,
     block_offsets,
     block_rows,
     sparse_rank,
@@ -108,9 +106,8 @@ def _poset_data(cx, p):
                 blocks[key] = blocks[key] + m if key in blocks else m
         rows, ncols = block_rows(blocks, layouts[k + 1], layouts[k])
         if k == 0:
-            pivots, red = _rref(rows, ncols)
-            ranks.append(len(pivots))
-            ker0 = _null_space(pivots, red, ncols)
+            ker0 = QMatrix.from_sparse(rows, ncols).kernel_basis()
+            ranks.append(ncols - ker0.dim)
         else:
             ranks.append(sparse_rank(rows))
     cache[("poset", p)] = (layouts, ker0, ranks)

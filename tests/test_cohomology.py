@@ -177,6 +177,29 @@ def test_betti_table_does_not_scan_cell_pairs(monkeypatch):
     assert len(calls) <= len(cx.face_poset())
 
 
+def test_ranks_make_no_fraction(monkeypatch):
+    """The elimination core runs on integer rows in integer arithmetic.
+
+    The geometry of a fresh P^3 complex (F_p bases, face maps and signs) is
+    built first; then every rank of its Betti table is taken with
+    ``exactla.Fraction`` unusable.
+    """
+    cx = tropspace.tautological_complex(fans.builtin("p3"))
+    cx.face_poset()
+    for cell in cx.cells:
+        for p in range(4):
+            cx.f_lower(cell, p)
+
+    def no_fraction(*args):
+        raise AssertionError("the elimination made a Fraction")
+
+    monkeypatch.setattr(exactla, "Fraction", no_fraction)
+    rows = [{0: 2, 3: -4}, {0: 3, 1: 5}, {1: 5, 0: 3}, {3: 7}]
+    assert exactla.sparse_rank(rows) == 3
+    assert sorted(exactla._gauss_jordan(rows, reduce=True)) == [0, 1, 3]
+    assert betti_table(cx) == diag_table(3, [1, 1, 1, 1])
+
+
 def test_betti_table_of_p4_spans_no_wedges(monkeypatch):
     """Every F_p of P^4 is full: f_lower wedges nothing and spans nothing."""
     calls = {"wedge": 0, "span": 0}

@@ -181,6 +181,36 @@ def test_homology_quotient_reduces_kernel_modulo_image(out_rows, k, data):
     assert homology_quotient(d_out, d_in) == QSubspace.span(vecs, n).basis
 
 
+@pytest.mark.parametrize("rows, rank", [
+    ([], 0),
+    ([{}], 0),
+    ([{}, {2: 3}, {}], 1),
+    ([{0: 0, 1: Fraction(0)}], 0),
+    ([{0: 0, 1: 2}, {1: Fraction(4, 3)}], 1),
+], ids=["no-rows", "empty-row", "empty-rows-around", "zero-entries", "zero-leading-entry"])
+def test_sparse_rank_skips_empty_rows_and_zero_entries(rows, rank):
+    assert sparse_rank(rows) == rank
+
+
+def test_homology_quotient_reads_the_kernel_off_one_elimination(monkeypatch):
+    """The null vectors of d_out go straight into the RREF of ker + im."""
+    d_out = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 2, 2]])
+    d_in = QMatrix.from_rows([[3], [-3], [0], [0]])
+    f = Fraction
+    expected = {
+        "none": ((f(1), f(-1), f(0), f(0)), (f(0), f(0), f(1), f(-1))),
+        "in": ((f(0), f(0), f(1), f(-1)),),
+    }
+
+    def forbidden(*args):
+        raise AssertionError("homology_quotient reduced the kernel on its own")
+
+    monkeypatch.setattr(QSubspace, "span", classmethod(forbidden))
+    monkeypatch.setattr(QMatrix, "kernel_basis", forbidden)
+    assert homology_quotient(d_out, None) == expected["none"]
+    assert homology_quotient(d_out, d_in) == expected["in"]
+
+
 def test_wedge_vector_example():
     assert wedge_vector([[1, 0], [0, 1]], 2, 2) == (1,)
     assert wedge_vector([[1, 0, 0], [0, 1, 0]], 3, 2) == (1, 0, 0)

@@ -10,6 +10,7 @@ from trophodge.exactla import (
     QMatrix,
     ZMatrix,
     _minor,
+    homology_quotient,
     lex_subsets,
     sparse_rank,
     wedge_vector,
@@ -24,8 +25,15 @@ entries = st.one_of(
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
 )
 
+# numerators and denominators up to 10^12: the integer rows of the
+# elimination grow, and their contents have to be divided out
+large_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+)
 
-def rational_matrices(max_n=7):
+
+def rational_matrices(max_n=7, entries=entries):
     return st.integers(1, max_n).flatmap(
         lambda n: st.integers(1, max_n).flatmap(
             lambda m: st.lists(
@@ -55,9 +63,7 @@ def to_fraction(x):
     return Fraction(int(x.p), int(x.q))
 
 
-@settings(max_examples=80, deadline=None)
-@given(rational_matrices())
-def test_rank_rref_and_kernel_match_sympy(rows):
+def check_rank_rref_and_kernel(rows):
     m = QMatrix.from_rows(rows, len(rows[0]))
     ref, ref_pivots = to_sympy(rows, m.cols).rref()
     assert m.rank() == len(ref_pivots)
@@ -71,6 +77,27 @@ def test_rank_rref_and_kernel_match_sympy(rows):
     assert ker.dim == m.cols - len(ref_pivots)
     for v in ker.basis:
         assert not any(m.apply(list(v)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_rank_rref_and_kernel_match_sympy(rows):
+    check_rank_rref_and_kernel(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices(6, large_entries))
+def test_rank_rref_and_kernel_of_large_entries_match_sympy(rows):
+    check_rank_rref_and_kernel(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0]],
+    [[0, 0, 0], [1, 2, 0], [0, 0, 0]],
+    [[0, 0], [0, 0]],
+], ids=["one-zero-row", "zero-rows-around", "all-zero"])
+def test_rank_rref_and_kernel_with_zero_rows_match_sympy(rows):
+    check_rank_rref_and_kernel([[Fraction(x) for x in row] for row in rows])
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,10 +115,43 @@ def test_solve_many_consistency_matches_sympy(rows, rhs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices())
+@given(st.one_of(rational_matrices(), rational_matrices(6, large_entries)))
 def test_sparse_rank_matches_sympy(rows):
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     assert sparse_rank(sparse) == to_sympy(rows, len(rows[0])).rank()
+
+
+def sympy_homology_quotient(out_rows, in_rows, n):
+    """The RREF of nullspace(d_out) plus colspace(d_in), without the rows
+    whose pivot is a pivot of colspace(d_in) alone."""
+    image = [v.T for v in to_sympy(in_rows, len(in_rows[0])).columnspace()] if in_rows else []
+    kernel = [v.T for v in to_sympy(out_rows, n).nullspace()]
+    if not image + kernel:
+        return ()
+    ref, pivots = sympy.Matrix.vstack(*image, *kernel).rref()
+    image_pivots = sympy.Matrix.vstack(*image).rref()[1] if image else ()
+    return tuple(
+        tuple(to_fraction(ref[i, j]) for j in range(n))
+        for i, c in enumerate(pivots) if c not in image_pivots
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(rational_matrices(6), rational_matrices(5, large_entries)),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_homology_quotient_matches_sympy(out_rows, k, data):
+    # d_in is arbitrary, so d_out @ d_in need not vanish, as under verify's
+    # corrupted d_1 sign; k = 0 stands for no incoming map
+    n = len(out_rows[0])
+    in_rows = data.draw(st.lists(
+        st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n,
+    )) if k else []
+    d_out = QMatrix.from_rows(out_rows, n)
+    d_in = QMatrix.from_rows(in_rows, k) if k else None
+    assert homology_quotient(d_out, d_in) == sympy_homology_quotient(out_rows, in_rows, n)
 
 
 @settings(max_examples=80, deadline=None)
