@@ -37,8 +37,7 @@ def _sparse_rows(rows):
 
 
 def _cleared(values):
-    """The values (ints or Fractions) times the positive lcm of their
-    denominators, as a list of ints, and that lcm."""
+    """(the values times m as ints, m), m the positive lcm of their denominators."""
     m = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (m // x.denominator) for x in values], m
 

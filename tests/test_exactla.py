@@ -187,7 +187,8 @@ def test_homology_quotient_reduces_kernel_modulo_image(out_rows, k, data):
     ([{}, {2: 3}, {}], 1),
     ([{0: 0, 1: Fraction(0)}], 0),
     ([{0: 0, 1: 2}, {1: Fraction(4, 3)}], 1),
-], ids=["no-rows", "empty-row", "empty-rows-around", "zero-entries", "zero-leading-entry"])
+], ids=["no-rows", "empty-row", "empty-rows-around", "zero-entries",
+        "zero-leading-entry"])
 def test_sparse_rank_skips_empty_rows_and_zero_entries(rows, rank):
     assert sparse_rank(rows) == rank
 
