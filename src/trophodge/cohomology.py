@@ -11,10 +11,14 @@ dimension d, H^{p,q} = (H_c^{d-p,d-q})^dual (Jell-Shaw-Smacka,
 "Superforms, tropical cohomology and Poincare duality",
 arXiv:1512.07409), turns them into h^{p,q}.
 
-Dimensions come from ranks alone: dim H^q = dim C^q - rk delta_q -
-rk delta_{q-1}, with the ranks cached on the complex, which is all
-:func:`betti_table` computes.  Representatives (a basis of ker modulo im)
-come only from :func:`cohomology`, on boundary-closed complexes.
+Each delta_q is written once per (p, q), as sparse integer rows at the
+``block_offsets`` of the layout, and cached on the complex.  Dimensions
+come from ranks alone: dim H^q = dim C^q - rk delta_q - rk delta_{q-1},
+with the ranks cached beside the rows, which is all :func:`betti_table`
+computes.  Representatives (a basis of ker modulo im) come only from
+:func:`cohomology`, on boundary-closed complexes, from the same rows.  No
+dense differential is built on either path; :class:`CochainComplex` has a
+dense ``QMatrix`` view for tests and for the benchmark's counts.
 
 The face-poset and Cech models that cross-check this path are test
 oracles in ``tests/oracles.py``.
@@ -31,29 +35,34 @@ from trophodge.tropspace import TropComplex
 
 @dataclass(frozen=True)
 class CochainComplex:
-    """Incidence cochain complex for a fixed p.
+    """Incidence cochain complex for a fixed p, as sparse integer rows.
 
-    ``layout[q]`` lists (cell_id, block_dim) in block order; ``deltas[q]``
-    maps C^q to C^{q+1}.
+    ``layout[q]`` lists (cell_id, block_dim) in block order; ``rows[q]``
+    holds the {column: entry} rows of delta_q: C^q -> C^{q+1}, the same
+    rows the complex caches for its ranks and representatives.
+    :meth:`delta` and :attr:`deltas` are dense ``QMatrix`` views, built
+    on request, for tests and for the benchmark's counts.
     """
 
     p: int
     layout: tuple
-    deltas: tuple
+    rows: tuple
 
     def space_dim(self, q):
         return _space_dim(self.layout, q)
 
     def delta(self, q):
-        if 0 <= q < len(self.deltas):
-            return self.deltas[q]
+        if 0 <= q < len(self.rows):
+            return QMatrix.from_sparse(self.rows[q], self.space_dim(q))
         return QMatrix.zeros(self.space_dim(q + 1), self.space_dim(q))
 
+    @property
+    def deltas(self):
+        return tuple(self.delta(q) for q in range(len(self.rows)))
+
     def verify_d_squared(self):
-        for q in range(len(self.deltas) - 1):
-            if not (self.deltas[q + 1] @ self.deltas[q]).is_zero():
-                return False
-        return True
+        deltas = self.deltas
+        return all((after @ before).is_zero() for before, after in zip(deltas, deltas[1:]))
 
 
 @dataclass(frozen=True)
@@ -84,14 +93,30 @@ def _space_dim(layout, q):
 
 
 def _delta_rows(cx, p, q):
-    """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1}, and its column count.
+    """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1}, cached.
+
+    Each delta_q is written once per (p, q), by :func:`_write_delta_rows`,
+    and cached on the complex; the callers must not modify the rows.
+    Outside 0 <= q < top_dim, delta_q is the zero map, with one empty row
+    per coordinate of C^{q+1}.
+    """
+    layout = _layout(cx, p)
+    if not 0 <= q < cx.top_dim:
+        return [{} for _ in range(_space_dim(layout, q + 1))]
+    cache = _cache(cx)
+    if ("delta", p, q) not in cache:
+        cache[("delta", p, q)] = _write_delta_rows(cx, layout, p, q)
+    return cache[("delta", p, q)]
+
+
+def _write_delta_rows(cx, layout, p, q):
+    """The rows of delta_q, written at the ``block_offsets`` of the layout.
 
     Row j of the block of a coface holds column j of each of its face
     maps, with the incidence sign folded in, in the columns of the face.
     """
-    layout = _layout(cx, p)
     roff, nrows = block_offsets(layout[q + 1])
-    coff, ncols = block_offsets(layout[q])
+    coff, _ = block_offsets(layout[q])
     rows = [{} for _ in range(nrows)]
     for fid, cid, _case, sign in cx.face_poset():
         face = cx.cells[fid]
@@ -103,51 +128,47 @@ def _delta_rows(cx, p, q):
             for i, x in enumerate(col):
                 if x:
                     row[c0 + i] = x if sign > 0 else -x
-    return rows, ncols
+    return rows
 
 
 def build_cochain_complex(cx: TropComplex, p: int) -> CochainComplex:
-    cache = _cache(cx)
-    if ("cochain", p) not in cache:
-        deltas = tuple(
-            QMatrix.from_sparse(*_delta_rows(cx, p, q)) for q in range(cx.top_dim)
-        )
-        cache[("cochain", p)] = CochainComplex(p, _layout(cx, p), deltas)
-    return cache[("cochain", p)]
+    """The incidence complex for p, with every delta_q written (and cached)."""
+    rows = tuple(_delta_rows(cx, p, q) for q in range(cx.top_dim))
+    return CochainComplex(p, _layout(cx, p), rows)
 
 
 def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     """H^{p,q} of the complex, exact over Q.
 
     A boundary-closed complex gets the dimension and representatives from
-    its incidence cochain complex.  Any other complex must be a tropical
-    manifold: a complex over a smooth base fan (``weightss.trop_complex_for``
-    builds one for every non-complete fan it accepts) or a smooth tropical
-    curve such as the tropical line.  Its dimension comes by Poincare
-    duality from the compactly supported groups the incidence complex
-    computes, with ``representatives=()``; a base fan that is not smooth
-    raises ValueError.
+    its incidence cochain complex: ker delta_q modulo im delta_{q-1}, on
+    the cached sparse rows of those two maps only.  Any other complex must
+    be a tropical manifold: a complex over a smooth base fan
+    (``weightss.trop_complex_for`` builds one for every non-complete fan
+    it accepts) or a smooth tropical curve such as the tropical line.  Its
+    dimension comes by Poincare duality from the compactly supported
+    groups the incidence complex computes, with ``representatives=()``; a
+    base fan that is not smooth raises ValueError.
     """
     d = _duality_dim(cx)
     if d is not None:
         return CohomologyResult(p, q, _dim(cx, p, q, d), ())
-    cc = build_cochain_complex(cx, p)
-    reps = homology_quotient(cc.delta(q), cc.delta(q - 1) if q >= 1 else None)
+    incoming = _delta_rows(cx, p, q - 1) if q >= 1 else None
+    reps = homology_quotient(
+        _delta_rows(cx, p, q), _space_dim(_layout(cx, p), q), incoming
+    )
     return CohomologyResult(p, q, len(reps), tuple(reps))
 
 
 def _delta_rank(cx, p, q):
     """rk delta_q of the incidence complex for p, cached on the complex.
 
-    The rows are written again from the cached face maps and ranked
-    sparse; no dense differential is built for a rank.
+    The rows are the cached rows of :func:`_delta_rows`, ranked sparse;
+    no dense differential is built for a rank.
     """
     cache = _cache(cx)
     if ("rank", p, q) not in cache:
-        rank = 0
-        if 0 <= q < cx.top_dim:
-            rank = sparse_rank(_delta_rows(cx, p, q)[0])
-        cache[("rank", p, q)] = rank
+        cache[("rank", p, q)] = sparse_rank(_delta_rows(cx, p, q))
     return cache[("rank", p, q)]
 
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from trophodge import cohomology, fans, weightss
-from trophodge.exactla import QMatrix, QSubspace, wedge_vector
+from trophodge.exactla import QMatrix, QSubspace, block_offsets, null_rows, wedge_vector
 from trophodge.fans import Cone, Fan, orbit_lattice
 from trophodge.tropspace import Cell, TropComplex
 
@@ -160,30 +160,54 @@ def chow_dim(fan: Fan, codim: int) -> int:
 
 
 class TropCycle:
-    """Cellular p-cycle: block coordinates of an F_p chain per p-cell."""
+    """Cellular p-cycle: block coordinates of an F_p chain per p-cell.
+
+    ``chain`` maps the id of a p-cell to its coordinates in the canonical
+    basis of F_p of that cell; an id that is not a p-cell of the complex,
+    or a block of the wrong length, raises ValueError.
+    """
 
     def __init__(self, cx: TropComplex, p: int, chain):
+        chain = {cid: tuple(v) for cid, v in chain.items()}
+        for cid, block in chain.items():
+            if not (type(cid) is int and 0 <= cid < len(cx.cells)):
+                raise ValueError(f"chain names no cell of the complex: {cid!r}")
+            cell = cx.cells[cid]
+            if cell.dim != p:
+                raise ValueError(f"chain block on a {cell.dim}-cell, not a {p}-cell")
+            if len(block) != cx.f_lower(cell, p).dim:
+                raise ValueError("chain block dimension mismatch")
         self.cx = cx
         self.p = p
-        self.chain = {cid: tuple(v) for cid, v in chain.items() if any(v)}
+        self.chain = {cid: v for cid, v in chain.items() if any(v)}
 
     def vector(self):
         """Chain coordinates in the degree-p block layout of the complex."""
-        cc = cohomology.build_cochain_complex(self.cx, self.p)
         out = []
-        for cid, d in cc.layout[self.p]:
-            block = self.chain.get(cid, (Fraction(0),) * d)
-            if len(block) != d:
-                raise ValueError("chain block dimension mismatch")
-            out.extend(block)
+        for cid, d in cohomology._layout(self.cx, self.p)[self.p]:
+            out.extend(self.chain.get(cid, (Fraction(0),) * d))
         return out
 
     def boundary(self):
-        """Cellular boundary, as coordinates in the degree-(p-1) layout."""
-        cc = cohomology.build_cochain_complex(self.cx, self.p)
+        """Cellular boundary, as coordinates in the degree-(p-1) layout.
+
+        It is delta_{p-1} transposed applied to the chain, summed over the
+        sparse rows of delta_{p-1} at the chain's nonzero coordinates.
+        """
         if self.p == 0:
             return []
-        return cc.delta(self.p - 1).transpose().apply(self.vector())
+        cx, p = self.cx, self.p
+        layout = cohomology._layout(cx, p)
+        offs, _ = block_offsets(layout[p])
+        rows = cohomology._delta_rows(cx, p, p - 1)
+        out = [Fraction(0)] * cohomology._space_dim(layout, p - 1)
+        for cid, block in self.chain.items():
+            off = offs[cid]
+            for i, x in enumerate(block):
+                if x:
+                    for j, y in rows[off + i].items():
+                        out[j] += x * y
+        return tuple(out)
 
     def is_cycle(self) -> bool:
         return all(x == 0 for x in self.boundary())
@@ -254,12 +278,24 @@ def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
     """Exact pairing of a degree-(p,p) cocycle with a p-cycle.
 
     The cocycle is given in the block coordinates of the incidence
-    cochain space C^p; blocks are mutually dual, so this is a dot product.
+    cochain space C^p; blocks are mutually dual, so this is a dot product,
+    summed over the nonzero coordinates of the chain at the
+    ``block_offsets`` of its blocks.
     """
-    vec = cycle.vector()
-    if len(cocycle_coords) != len(vec):
+    layout = cohomology._layout(cycle.cx, cycle.p)[cycle.p]
+    offs, total = block_offsets(layout)
+    if len(cocycle_coords) != total:
         raise ValueError("cocycle and cycle live in dual spaces of equal size")
-    return sum((Fraction(a) * b for a, b in zip(cocycle_coords, vec)), Fraction(0))
+    dims = dict(layout)
+    out = Fraction(0)
+    for cid, block in cycle.chain.items():
+        if len(block) != dims[cid]:
+            raise ValueError("chain block dimension mismatch")
+        off = offs[cid]
+        for i, x in enumerate(block):
+            if x:
+                out += Fraction(cocycle_coords[off + i]) * x
+    return out
 
 
 def principal_divisor_weights(fan: Fan, m):
@@ -273,23 +309,29 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
     """Ray weight vectors whose divisor combination is null-homologous.
 
     The map sends a weight vector to the homology class of the weighted
-    sum of boundary divisor cycles in degree (n-1, n-1).
+    sum of boundary divisor cycles in degree (n-1, n-1).  Its kernel is
+    the projection to the ray weights of the null space of [D | delta^T],
+    D with one divisor cycle per column, written as sparse rows over C^d.
     """
     cx = weightss.trop_complex_for(fan)
     n = fan.ambient_rank
     d = n - 1
-    cc = cohomology.build_cochain_complex(cx, d)
     rays = fan.rays
-    cols = [divisor_cycle(cx, r).vector() for r in rays]
-    bnd = cc.delta(d)
-    ext = []
-    dim_c = cc.space_dim(d)
-    for i in range(dim_c):
-        row = [col[i] for col in cols]
-        row.extend(bnd.entries[j][i] for j in range(bnd.rows))
-        ext.append(row)
-    ker = QMatrix.from_rows(ext, len(rays) + bnd.rows).kernel_basis()
-    return QSubspace.span([v[: len(rays)] for v in ker.basis], len(rays))
+    offs, dim_c = block_offsets(cohomology._layout(cx, d)[d])
+    ext = [{} for _ in range(dim_c)]
+    for r, ray in enumerate(rays):
+        for cid, block in divisor_cycle(cx, ray).chain.items():
+            for i, x in enumerate(block):
+                if x:
+                    ext[offs[cid] + i][r] = x
+    bnd = cohomology._delta_rows(cx, d, d)
+    for j, row in enumerate(bnd):
+        for i, x in row.items():
+            ext[i][len(rays) + j] = x
+    ker = null_rows(ext, len(rays) + len(bnd))
+    return QSubspace.span(
+        [[v.get(r, 0) for r in range(len(rays))] for v in ker], len(rays)
+    )
 
 
 def divisor_combination(cx: TropComplex, ray_weights) -> TropCycle:

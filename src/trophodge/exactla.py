@@ -12,10 +12,15 @@ cleared at a pivot row P as a * row - b * P with the smallest integers a
 and b that cancel the entry, then divided by its content.  Fractions are
 made only where a reduced row is divided by its pivot entry, for unit
 pivots (:func:`_rref`, so an RREF, a kernel or a solve); a rank makes
-none.  Every determinant (a minor, a Plucker coordinate, an entry of a
-wedge power, an orientation sign) comes out of :func:`_bareiss`:
-fraction-free Bareiss elimination on integer rows.  Both cores clear the
-denominators of a row by the same positive factor, :func:`_cleared`.
+none.  The differentials of the package, delta of the cochain complex
+and d_1 of the weight spectral sequence, are written as such integer
+rows and reach :func:`sparse_rank` and :func:`homology_quotient`
+directly; only the methods of the dense :class:`QMatrix` read their
+entries into rows first.  Every determinant (a minor, a Plucker
+coordinate, an entry of a wedge power, an orientation sign) comes out of
+:func:`_bareiss`: fraction-free Bareiss elimination on integer rows.
+Both cores clear the denominators of a row by the same positive factor,
+:func:`_cleared`.
 """
 
 from __future__ import annotations
@@ -144,14 +149,16 @@ def _rref(rows, ncols):
     return cols, red
 
 
-def _null_rows(pivots, ncols):
-    """The canonical basis of the right null space of a reduced elimination.
+def null_rows(rows, ncols):
+    """The canonical basis of the right null space of sparse rows.
 
-    ``pivots`` is the result of :func:`_gauss_jordan` with ``reduce``.
-    For each free column f the vector is e_f minus the entries at column f
-    of the unit-pivot rows, as a sparse integer row scaled by the lcm of
-    their pivot entries.
+    ``rows`` are {column: entry} dicts over ``ncols`` columns, which
+    :func:`_gauss_jordan` reduces.  For each free column f the vector is
+    e_f minus the entries at column f of the unit-pivot rows, as a sparse
+    integer row scaled by the lcm of their pivot entries; the basis is
+    not itself reduced.
     """
+    pivots = _gauss_jordan(rows, reduce=True)
     at = {}
     for c, row in pivots.items():
         for j, x in row.items():
@@ -265,8 +272,8 @@ class QMatrix:
 
     def kernel_basis(self):
         """Basis of the right null space as a QSubspace of Q^cols."""
-        pivots = _gauss_jordan(_sparse_rows(self.entries), reduce=True)
-        return QSubspace(self.cols, _rref(_null_rows(pivots, self.cols), self.cols)[1])
+        null = null_rows(_sparse_rows(self.entries), self.cols)
+        return QSubspace(self.cols, _rref(null, self.cols)[1])
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -388,25 +395,33 @@ def sparse_rank(rows) -> int:
     return len(_gauss_jordan(rows, reduce=False))
 
 
-def homology_quotient(d_out: QMatrix, d_in: QMatrix | None):
-    """Echelon basis of ker ``d_out`` modulo im ``d_in``.
+def homology_quotient(out_rows, ncols, in_rows):
+    """Echelon basis of ker d_out modulo im d_in, from sparse rows.
 
-    ``d_in`` maps into the source of ``d_out`` (None means no incoming
-    map) and ``d_out @ d_in`` must vanish.  The result is the reduced
-    basis of the vectors of ker + im that vanish at the pivot columns of
-    im: the rows of the RREF of ker + im at the other pivots, one per
-    dimension of the homology at the middle space.
+    ``out_rows`` are the {column: entry} rows of d_out, whose source has
+    ``ncols`` coordinates; ``in_rows`` are the rows of d_in, which maps
+    into that source (one row per coordinate), or None for no incoming
+    map.  The image is read off ``in_rows`` by a sparse transpose; empty
+    rows and zero entries are skipped.  ``d_out @ d_in`` need not vanish.
+    The result is the reduced basis of the vectors of ker + im that vanish
+    at the pivot columns of im: the rows of the RREF of ker + im at the
+    other pivots, as dense tuples of Fraction, one per dimension of the
+    homology at the middle space when ``d_out @ d_in`` does vanish.
 
-    The kernel enters that RREF as the canonical null vectors read off
-    the reduced integer rows of ``d_out`` (:func:`_null_rows`), not as a
-    reduced basis of their own: the RREF of ker + im does not depend on
-    which spanning rows it starts from.
+    The kernel enters that RREF as the canonical null vectors of
+    ``out_rows`` (:func:`null_rows`), not as a reduced basis of their
+    own: the RREF of ker + im does not depend on which spanning rows it
+    starts from.
     """
-    n = d_out.cols
-    kernel = _null_rows(_gauss_jordan(_sparse_rows(d_out.entries), reduce=True), n)
-    image = _sparse_rows(zip(*d_in.entries)) if d_in is not None else []
+    kernel = null_rows(out_rows, ncols)
+    columns = {}
+    for i, row in enumerate(in_rows or ()):
+        for j, x in row.items():
+            if x:
+                columns.setdefault(j, {})[i] = x
+    image = [columns[j] for j in sorted(columns)]
     image_pivots = _gauss_jordan(image, reduce=False)
-    pivots, red = _rref(image + kernel, n)
+    pivots, red = _rref(image + kernel, ncols)
     return tuple(r for c, r in zip(pivots, red) if c not in image_pivots)
 
 

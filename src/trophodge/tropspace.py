@@ -48,7 +48,8 @@ from trophodge.exactla import (
     QMatrix,
     QSubspace,
     ZMatrix,
-    _minor,
+    _bareiss,
+    _cleared,
     wedge_columns,
     wedge_vector,
 )
@@ -318,42 +319,44 @@ class TropComplex:
     def _incidence_sign(self, face, coface):
         """Sign of the coface orientation against (outward vector, face).
 
-        Each cell is oriented by the RREF basis of its span.  Within a
-        stratum the rows are the coordinates, in the coface basis, of the
-        outward vector (minus the sum of the coface rays off the face) and
-        of the face basis.  Across strata the first row is the coordinate
-        vector y of the sum of the new sedentarity rays, which the stratum
-        map b kills; row i + 1 holds, for each coface basis vector, the
-        i-th face coordinate of its image under b; when the coface span is
-        full its basis is the identity, and that row is the integer row of
-        b at the i-th face pivot.  With X the coordinates
-        of lifts of the face basis, the determinant is |y|^2 / det(y; X),
-        so its sign is that of the lifted frame, with no lift computed.
+        Each cell is oriented by the RREF basis of its span, and every row
+        below is in ints: each basis vector is taken times the positive
+        lcm of its denominators (:func:`_integer_basis`).  Within a stratum
+        the rows are the coordinates, in the coface basis, of the outward
+        vector (minus the sum of the coface rays off the face) and of the
+        scaled face basis: their entries at the coface pivots.  Across
+        strata the first row is the coordinate vector y of the sum of the
+        new sedentarity rays, which the stratum map b kills; row i + 1
+        holds b[i], at the i-th face pivot, applied to each coface basis
+        vector.  With X the coordinates of lifts of the face basis, the
+        determinant is |y|^2 / det(y; X), so its sign is that of the lifted
+        frame, with no lift computed.  Taken against the scaled coface
+        basis, the columns of that matrix are scaled by positive factors,
+        which keeps the sign.
         """
-        bp = coface.span()
+        basis = _integer_basis(coface)
+        pivots = coface.span().pivots
         sed = coface.sedentarity
         if face.sedentarity == sed:
             off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
             vecs = [[-x for x in fans.project(sed, _ray_sum(off_face))]]
-            vecs += face.span().basis
+            vecs += _integer_basis(face)
+            col_scales = (1,) * len(pivots)
             b_rows = []
         else:
             new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
             vecs = [fans.project(sed, _ray_sum(new_rays))]
             b = _stratum_projection(sed, face.sedentarity).entries
-            if bp.dim == bp.ambient_dim:
-                b_rows = [b[i] for i in face.span().pivots]
-            else:
-                b_rows = [_apply(bp.basis, b[i]) for i in face.span().pivots]
-        rows = []
+            col_scales = [v[c] for v, c in zip(basis, pivots)]
+            b_rows = [
+                [sum(x * y for x, y in zip(b[i], v)) for v in basis]
+                for i in face.span().pivots
+            ]
         for vec in vecs:
-            coords = bp.coordinates(vec)
-            if coords is None:
+            if not _in_span(vec, basis, pivots):
                 raise ValueError("orientation vector leaves the coface span")
-            rows.append(coords)
-        rows += b_rows
-        d = bp.dim
-        det = _minor(rows, range(d), range(d))
+        rows = [[m * vec[c] for m, c in zip(col_scales, pivots)] for vec in vecs]
+        det = _bareiss((rows + b_rows)[:len(pivots)])
         if det == 0:
             raise ValueError("degenerate incidence orientation")
         return 1 if det > 0 else -1
@@ -383,9 +386,22 @@ def _case_tag(face, coface):
     return 3
 
 
-def _apply(mat_rows, vec):
-    """A matrix, given by its rows, applied to a vector."""
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat_rows)
+def _in_span(vec, basis, pivots):
+    """Whether an integer vector lies in the span of a scaled RREF basis.
+
+    ``basis[k]`` is the k-th RREF vector, with its pivot at ``pivots[k]``,
+    times m_k = basis[k][pivots[k]] > 0.  With L the lcm of the m_k, vec
+    lies in the span iff L * vec = sum_k vec[pivots[k]] * (L / m_k) * basis[k].
+    """
+    if len(pivots) == len(vec):
+        return True
+    scales = [v[c] for v, c in zip(basis, pivots)]
+    lcm = math.lcm(*scales)
+    coeffs = [vec[c] * (lcm // m) for c, m in zip(pivots, scales)]
+    return all(
+        lcm * x == sum(a * v[j] for a, v in zip(coeffs, basis))
+        for j, x in enumerate(vec)
+    )
 
 
 def _ray_sum(rays):
@@ -402,6 +418,16 @@ def _projected_rays(cell: Cell) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _cell_span(cell: Cell) -> QSubspace:
     return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_basis(cell: Cell) -> tuple:
+    """The RREF basis of the cell span in ints.
+
+    Each vector is taken times the positive lcm of its denominators, which
+    is then its entry at its pivot; on a full span, the identity.
+    """
+    return tuple(tuple(_cleared(v)[0]) for v in cell.span().basis)
 
 
 @functools.lru_cache(maxsize=None)

@@ -82,16 +82,25 @@ def e1_page(fan: Fan) -> SSPage:
 def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
     """The residue differential E_1^{p,q} -> E_1^{p+1,q} as a block matrix.
 
-    With k = q - p, the block of sigma < tau = sigma + rho sends the lex
-    k-subset s to sum_a (-1)^a rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a}
-    (see the module docstring); its integer rows are written at the
-    ``block_offsets`` of the two layouts.
+    A dense view of the rows :func:`_d1_rows` writes, which the E_2 page
+    reads directly.
 
     ``corrupt_sign`` flips one block sign; it exists as a negative
     control for the verification suite.  The control cannot fire on
     p1, torus(n) and affine_space(1), affine_space(2): a torus has no
     d_1 blocks, and on the others the flip is a change of basis, so
     d_1 still squares to zero and no rank changes.
+    """
+    return QMatrix.from_sparse(*_d1_rows(fan, p, q, corrupt_sign))
+
+
+def _d1_rows(fan, p, q, corrupt_sign):
+    """Sparse integer rows {col: entry} of d_1 at (p, q), and its column count.
+
+    With k = q - p, the block of sigma < tau = sigma + rho sends the lex
+    k-subset s to sum_a (-1)^a rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a}
+    (see the module docstring); its integer rows are written at the
+    ``block_offsets`` of the two layouts.
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
@@ -125,7 +134,7 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
                             row = rows[r0 + i]
                             row[c0 + j] = row.get(c0 + j, 0) + c * x
             eps = 1
-    return QMatrix.from_sparse(rows, ncols)
+    return rows, ncols
 
 
 def e2_page(fan: Fan, corrupt_sign: bool = False) -> SSPage:
@@ -141,8 +150,8 @@ def _e2_page(fan, corrupt_sign):
     for q in range(n + 1):
         inc = None
         for p in range(n + 1):
-            out = d1(fan, p, q, corrupt_sign=corrupt_sign)
-            dims[(p, q)] = len(homology_quotient(out, inc))
+            out, ncols = _d1_rows(fan, p, q, corrupt_sign)
+            dims[(p, q)] = len(homology_quotient(out, ncols, inc))
             inc = out
     return SSPage(2, n, dims)
 

@@ -284,3 +284,60 @@ def test_betti_serializers():
     tsv = cohomology.betti_to_tsv(table)
     assert tsv.splitlines()[1] == "0\t1\t0"
     assert '"dim": 1' in cohomology.betti_to_json(table)
+
+
+def test_differentials_reach_the_elimination_as_rows(monkeypatch):
+    """No dense differential on the cohomology, E_2 or pairing path.
+
+    On a fresh P^3 complex, with its geometry (cell spans, F_p, face
+    poset) built first and a cycle made, ``cohomology``, ``e2_page`` and
+    ``pair`` never call ``QMatrix.from_sparse`` or ``exactla._sparse_rows``.
+    """
+    from trophodge import cycles
+
+    fan = fans.builtin("p3")
+    cx = tropspace.tautological_complex(fan)
+    cx.face_poset()
+    for cell in cx.cells:
+        for p in range(4):
+            cx.f_lower(cell, p)
+    weight = cycles.MinkowskiWeight(fan, 2, dict.fromkeys(fan.cones_of_dim(1), 1))
+    line = cycles.cycle_class(cx, weight)
+    weightss._e2_page.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("a differential was densified")
+
+    monkeypatch.setattr(exactla.QMatrix, "from_sparse", classmethod(forbidden))
+    monkeypatch.setattr(exactla, "_sparse_rows", forbidden)
+    dims = [cohomology.cohomology(cx, p, q).dim for p in range(4) for q in range(4)]
+    assert dims == [int(p == q) for p in range(4) for q in range(4)]
+    assert weightss.e2_page(fan).table() == diag_table(3, [1, 1, 1, 1])
+    (rep,) = cohomology.cohomology(cx, 1, 1).representatives
+    assert cycles.pair(rep, line) in (-1, 1)
+
+
+def test_each_delta_is_written_once(monkeypatch):
+    """Ranks and representatives read one cache of the rows of delta_q.
+
+    A P^4 Betti table writes every delta_q once; representatives of
+    H^{2,2} afterwards write none.  On a fresh complex, ``cohomology``
+    writes delta_{q-1} and delta_q only.
+    """
+    writes = []
+    write = cohomology._write_delta_rows
+
+    def counting(cx, layout, p, q):
+        writes.append((p, q))
+        return write(cx, layout, p, q)
+
+    monkeypatch.setattr(cohomology, "_write_delta_rows", counting)
+    cx = tropspace.tautological_complex(fans.projective_space(4))
+    betti_table(cx)
+    assert sorted(writes) == [(p, q) for p in range(5) for q in range(4)]
+    assert cohomology.cohomology(cx, 2, 2).dim == 1
+    assert len(writes) == 20
+    writes.clear()
+    cx = tropspace.tautological_complex(fans.builtin("p3"))
+    assert cohomology.cohomology(cx, 2, 2).dim == 1
+    assert sorted(writes) == [(2, 1), (2, 2)]

@@ -206,3 +206,39 @@ def test_divisor_weight_cycle_dispatch():
     assert cyc.is_cycle()
     for rep in cohomology.cohomology(cx, 1, 1).representatives:
         assert pair(rep, cyc) == 0
+
+
+@pytest.mark.parametrize("case", ["vertex", "unknown-id", "negative-id", "long-block"])
+def test_trop_cycle_rejects_blocks_off_its_cells(case):
+    """A chain block on a cell that is not a p-cell, or of the wrong length,
+    is an error, not a block the vector silently drops."""
+    cx = trop_complex_for(fans.builtin("p2"))
+    edge = cx.cells_of_dim(1)[0]
+    size = cx.f_lower(edge, 1).dim
+    chain = {
+        "vertex": {cx.cell_id(cx.cells_of_dim(0)[0]): (1,)},
+        "unknown-id": {10**6: (1,)},
+        "negative-id": {-1: (1,) * size},
+        "long-block": {cx.cell_id(edge): (1,) * (size + 1)},
+    }[case]
+    with pytest.raises(ValueError):
+        cycles.TropCycle(cx, 1, chain)
+
+
+def test_pair_sums_the_chain_against_the_dense_vector():
+    """The sparse pairing equals the dot product with the dense chain
+    vector, and it keeps both of its size checks."""
+    rng = random.Random(11)
+    fan = fans.builtin("p2")
+    cx = trop_complex_for(fan)
+    line = cycle_class(cx, ray_weight(fan, [1, 1, 1]))
+    vec = line.vector()
+    for _ in range(5):
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in vec]
+        assert pair(coords, line) == sum(a * b for a, b in zip(coords, vec))
+    with pytest.raises(ValueError, match="dual spaces"):
+        pair(coords[1:], line)
+    cid = next(iter(line.chain))
+    line.chain[cid] = line.chain[cid] + (1,)
+    with pytest.raises(ValueError, match="block dimension"):
+        pair(coords, line)

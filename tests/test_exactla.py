@@ -137,6 +137,10 @@ def test_wedge_columns_of_a_map_with_no_rows(p, cols):
     assert wedge_columns(ZMatrix(0, 3, []), p) == cols
 
 
+def sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.integers(0, 4), st.data())
 def test_homology_quotient_represents_ker_mod_im(out_rows, k, data):
@@ -153,7 +157,7 @@ def test_homology_quotient_represents_ker_mod_im(out_rows, k, data):
         for i in range(n)
     ])
     assert (d_out @ d_in).is_zero()
-    reps = homology_quotient(d_out, d_in if k else None)
+    reps = homology_quotient(sparse(out_rows), n, sparse(d_in.entries) if k else None)
     assert len(reps) == (n - d_out.rank()) - d_in.rank()
     for v in reps:
         assert not any(d_out.apply(list(v)))
@@ -168,17 +172,30 @@ def test_homology_quotient_reduces_kernel_modulo_image(out_rows, k, data):
     # still be the kernel reduced modulo the image, or verify can miss it
     d_out = QMatrix.from_rows(out_rows, len(out_rows[0]))
     n = d_out.cols
-    d_in = QMatrix.from_rows(data.draw(st.lists(
+    in_rows = data.draw(st.lists(
         st.lists(small_int, min_size=k, max_size=k), min_size=n, max_size=n,
-    )), k)
-    pivots, red = d_in.transpose().rref()
+    ))
+    pivots, red = QMatrix.from_rows(in_rows, k).transpose().rref()
     vecs = []
     for v in d_out.kernel_basis().basis:
         for c, r in zip(pivots, red):
             f = v[c]
             v = [a - f * b for a, b in zip(v, r)]
         vecs.append(v)
-    assert homology_quotient(d_out, d_in) == QSubspace.span(vecs, n).basis
+    reps = homology_quotient(sparse(out_rows), n, sparse(in_rows))
+    assert reps == QSubspace.span(vecs, n).basis
+
+
+@pytest.mark.parametrize("out_rows, in_rows, expected", [
+    ([{0: 1, 1: 1}], [{}, {}, {}], ((1, -1, 0), (0, 0, 1))),
+    ([], [{0: 2}, {0: 2}, {}], ((0, 1, 0), (0, 0, 1))),
+    ([], None, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ([{0: 1, 2: -1}], None, ((1, 0, 1), (0, 1, 0))),
+    ([{0: 1, 2: -1}], [{}, {0: 5}, {}], ((1, 0, 1),)),
+], ids=["empty-d_in", "d_out-without-rows", "nothing-at-all", "zero-column",
+        "zero-column-in-image"])
+def test_homology_quotient_edge_rows(out_rows, in_rows, expected):
+    assert homology_quotient(out_rows, 3, in_rows) == expected
 
 
 @pytest.mark.parametrize("rows, rank", [
@@ -195,8 +212,8 @@ def test_sparse_rank_skips_empty_rows_and_zero_entries(rows, rank):
 
 def test_homology_quotient_reads_the_kernel_off_one_elimination(monkeypatch):
     """The null vectors of d_out go straight into the RREF of ker + im."""
-    d_out = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 2, 2]])
-    d_in = QMatrix.from_rows([[3], [-3], [0], [0]])
+    d_out = [{0: 1, 1: 1}, {2: 2, 3: 2}]
+    d_in = [{0: 3}, {0: -3}, {}, {}]
     f = Fraction
     expected = {
         "none": ((f(1), f(-1), f(0), f(0)), (f(0), f(0), f(1), f(-1))),
@@ -208,8 +225,8 @@ def test_homology_quotient_reads_the_kernel_off_one_elimination(monkeypatch):
 
     monkeypatch.setattr(QSubspace, "span", classmethod(forbidden))
     monkeypatch.setattr(QMatrix, "kernel_basis", forbidden)
-    assert homology_quotient(d_out, None) == expected["none"]
-    assert homology_quotient(d_out, d_in) == expected["in"]
+    assert homology_quotient(d_out, 4, None) == expected["none"]
+    assert homology_quotient(d_out, 4, d_in) == expected["in"]
 
 
 def test_wedge_vector_example():

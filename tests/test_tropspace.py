@@ -1,7 +1,10 @@
 """Cells, multi-tangent spaces, and face maps of compactified fan spaces."""
 
+import contextlib
+import fractions
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -209,6 +212,49 @@ def test_incidence_signs_nonzero():
     for cx in complexes_for_functoriality():
         for _, _, _, sign in cx.face_poset():
             assert sign in (1, -1)
+
+
+@contextlib.contextmanager
+def fractions_made():
+    """The Fractions constructed in the block, one name per construction."""
+    made = []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == fractions.__file__
+                and code.co_name in ("__new__", "_from_coprime_ints")):
+            made.append(code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        yield made
+    finally:
+        sys.setprofile(None)
+
+
+def test_incidence_signs_make_no_fraction():
+    """Every incidence sign of P^3 is an integer determinant.
+
+    The cell spans are built, and cached, with the face poset; taking every
+    sign again then makes no Fraction, across strata with cofaces of lower
+    dimension in their stratum too.  The rational oracle, watched the same
+    way, makes some.
+    """
+    cx = tropspace.tautological_complex(fans.builtin("p3"))
+    poset = cx.face_poset()
+    pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _, _ in poset]
+    assert any(
+        face.sedentarity != coface.sedentarity
+        and coface.span().dim < coface.stratum_rank
+        for face, coface in pairs
+    )
+    with fractions_made() as made:
+        signs = [cx._incidence_sign(face, coface) for face, coface in pairs]
+    assert made == []
+    assert signs == [sign for *_, sign in poset]
+    with fractions_made() as made:
+        oracles.fraction_incidence_sign(*pairs[-1])
+    assert made
 
 
 def test_validation_rejects_bad_intersections():

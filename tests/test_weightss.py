@@ -132,16 +132,16 @@ def test_page_json_format():
 
 
 def test_e2_page_builds_each_d1_once(monkeypatch):
-    """Each d1(p, q) serves as the outgoing and then the incoming map."""
+    """The rows of each d1(p, q) serve as the outgoing and then the incoming map."""
     weightss._e2_page.cache_clear()
     calls = []
-    build = weightss.d1
+    build = weightss._d1_rows
 
-    def counting(fan, p, q, corrupt_sign=False):
+    def counting(fan, p, q, corrupt_sign):
         calls.append((p, q))
-        return build(fan, p, q, corrupt_sign=corrupt_sign)
+        return build(fan, p, q, corrupt_sign)
 
-    monkeypatch.setattr(weightss, "d1", counting)
+    monkeypatch.setattr(weightss, "_d1_rows", counting)
     page = e2_page(fans.builtin("p2"))
     assert page.table() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert sorted(calls) == [(p, q) for p in range(3) for q in range(3)]
