@@ -49,7 +49,7 @@ from trophodge.exactla import (
     QSubspace,
     ZMatrix,
     _bareiss,
-    _cleared,
+    _gauss_jordan,
     wedge_columns,
     wedge_vector,
 )
@@ -319,43 +319,39 @@ class TropComplex:
     def _incidence_sign(self, face, coface):
         """Sign of the coface orientation against (outward vector, face).
 
-        Each cell is oriented by the RREF basis of its span, and every row
-        below is in ints: each basis vector is taken times the positive
-        lcm of its denominators (:func:`_integer_basis`).  Within a stratum
-        the rows are the coordinates, in the coface basis, of the outward
-        vector (minus the sum of the coface rays off the face) and of the
-        scaled face basis: their entries at the coface pivots.  Across
+        Each cell is oriented by the RREF basis of its span.  Within a
+        stratum the rows are the coordinates, in the coface basis, of the
+        outward vector (minus the sum of the coface rays off the face) and
+        of the face basis: their entries at the coface pivots.  Across
         strata the first row is the coordinate vector y of the sum of the
         new sedentarity rays, which the stratum map b kills; row i + 1
-        holds b[i], at the i-th face pivot, applied to each coface basis
-        vector.  With X the coordinates of lifts of the face basis, the
-        determinant is |y|^2 / det(y; X), so its sign is that of the lifted
-        frame, with no lift computed.  Taken against the scaled coface
-        basis, the columns of that matrix are scaled by positive factors,
-        which keeps the sign.
+        holds, for each coface basis vector, b[i] at the i-th face pivot
+        applied to it.  With X the coordinates of lifts of the face basis,
+        the determinant is |y|^2 / det(y; X), so its sign is that of the
+        lifted frame, with no lift computed.  Every row is in ints: the
+        face basis vectors and the columns are scaled by the positive
+        factors of :func:`_integer_basis`, which keeps the sign.
         """
-        basis = _integer_basis(coface)
-        pivots = coface.span().pivots
+        pivots, basis = _integer_basis(coface)
+        scales = [v[c] for v, c in zip(basis, pivots)]
         sed = coface.sedentarity
         if face.sedentarity == sed:
             off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
             vecs = [[-x for x in fans.project(sed, _ray_sum(off_face))]]
-            vecs += _integer_basis(face)
-            col_scales = (1,) * len(pivots)
+            vecs += _integer_basis(face)[1]
             b_rows = []
         else:
             new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
             vecs = [fans.project(sed, _ray_sum(new_rays))]
             b = _stratum_projection(sed, face.sedentarity).entries
-            col_scales = [v[c] for v, c in zip(basis, pivots)]
             b_rows = [
                 [sum(x * y for x, y in zip(b[i], v)) for v in basis]
-                for i in face.span().pivots
+                for i in _integer_basis(face)[0]
             ]
         for vec in vecs:
             if not _in_span(vec, basis, pivots):
                 raise ValueError("orientation vector leaves the coface span")
-        rows = [[m * vec[c] for m, c in zip(col_scales, pivots)] for vec in vecs]
+        rows = [[m * vec[c] for m, c in zip(scales, pivots)] for vec in vecs]
         det = _bareiss((rows + b_rows)[:len(pivots)])
         if det == 0:
             raise ValueError("degenerate incidence orientation")
@@ -422,12 +418,21 @@ def _cell_span(cell: Cell) -> QSubspace:
 
 @functools.lru_cache(maxsize=None)
 def _integer_basis(cell: Cell) -> tuple:
-    """The RREF basis of the cell span in ints.
+    """(pivots, basis) of the cell span, the RREF basis in ints.
 
-    Each vector is taken times the positive lcm of its denominators, which
-    is then its entry at its pivot; on a full span, the identity.
+    Each vector of ``cell.span().basis`` is taken times the positive lcm of
+    its denominators, which is then its entry at its pivot; on a full span
+    the basis is the identity.  That is the primitive integer row the
+    reduced elimination of the projected rays holds at the pivot, with
+    its sign made positive there, so no Fraction is made.
     """
-    return tuple(tuple(_cleared(v)[0]) for v in cell.span().basis)
+    rows = _gauss_jordan([dict(enumerate(r)) for r in _projected_rays(cell)], True)
+    pivots = tuple(sorted(rows))
+    basis = []
+    for c in pivots:
+        sign = 1 if rows[c][c] > 0 else -1
+        basis.append(tuple(sign * rows[c].get(j, 0) for j in range(cell.stratum_rank)))
+    return pivots, tuple(basis)
 
 
 @functools.lru_cache(maxsize=None)

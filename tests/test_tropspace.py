@@ -235,23 +235,21 @@ def fractions_made():
 def test_incidence_signs_make_no_fraction():
     """Every incidence sign of P^3 is an integer determinant.
 
-    The cell spans are built, and cached, with the face poset; taking every
-    sign again then makes no Fraction, across strata with cofaces of lower
-    dimension in their stratum too.  The rational oracle, watched the same
-    way, makes some.
+    The face poset of a new complex takes a sign for every face pair,
+    across strata with cofaces of lower dimension in their stratum too,
+    and makes no Fraction.  The rational oracle, watched the same way,
+    makes some.
     """
     cx = tropspace.tautological_complex(fans.builtin("p3"))
-    poset = cx.face_poset()
+    with fractions_made() as made:
+        poset = cx.face_poset()
+    assert made == []
     pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _, _ in poset]
     assert any(
         face.sedentarity != coface.sedentarity
         and coface.span().dim < coface.stratum_rank
         for face, coface in pairs
     )
-    with fractions_made() as made:
-        signs = [cx._incidence_sign(face, coface) for face, coface in pairs]
-    assert made == []
-    assert signs == [sign for *_, sign in poset]
     with fractions_made() as made:
         oracles.fraction_incidence_sign(*pairs[-1])
     assert made
