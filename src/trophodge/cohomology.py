@@ -17,8 +17,8 @@ come from ranks alone: dim H^q = dim C^q - rk delta_q - rk delta_{q-1},
 with the ranks cached beside the rows, which is all :func:`betti_table`
 computes.  Representatives (a basis of ker modulo im) come only from
 :func:`cohomology`, on boundary-closed complexes, from the same rows.  No
-dense differential is built on either path; :class:`CochainComplex` has a
-dense ``QMatrix`` view for tests and for the benchmark's counts.
+dense differential is built on either path; the one dense view,
+``CochainComplex.deltas``, is for the benchmark's counts.
 
 The face-poset and Cech models that cross-check this path are test
 oracles in ``tests/oracles.py``.
@@ -40,8 +40,8 @@ class CochainComplex:
     ``layout[q]`` lists (cell_id, block_dim) in block order; ``rows[q]``
     holds the {column: entry} rows of delta_q: C^q -> C^{q+1}, the same
     rows the complex caches for its ranks and representatives.
-    :meth:`delta` and :attr:`deltas` are dense ``QMatrix`` views, built
-    on request, for tests and for the benchmark's counts.
+    :attr:`deltas` is a dense ``QMatrix`` view of them, built on request,
+    for the benchmark's counts.
     """
 
     p: int
@@ -51,18 +51,12 @@ class CochainComplex:
     def space_dim(self, q):
         return _space_dim(self.layout, q)
 
-    def delta(self, q):
-        if 0 <= q < len(self.rows):
-            return QMatrix.from_sparse(self.rows[q], self.space_dim(q))
-        return QMatrix.zeros(self.space_dim(q + 1), self.space_dim(q))
-
     @property
     def deltas(self):
-        return tuple(self.delta(q) for q in range(len(self.rows)))
-
-    def verify_d_squared(self):
-        deltas = self.deltas
-        return all((after @ before).is_zero() for before, after in zip(deltas, deltas[1:]))
+        return tuple(
+            QMatrix.from_sparse(rows, self.space_dim(q))
+            for q, rows in enumerate(self.rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ def _write_delta_rows(cx, layout, p, q):
     roff, nrows = block_offsets(layout[q + 1])
     coff, _ = block_offsets(layout[q])
     rows = [{} for _ in range(nrows)]
-    for fid, cid, _case, sign in cx.face_poset():
+    for fid, cid, sign in cx.face_poset():
         face = cx.cells[fid]
         if face.dim != q:
             continue

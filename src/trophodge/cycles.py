@@ -15,9 +15,9 @@ import re
 from fractions import Fraction
 
 from trophodge import cohomology, fans, weightss
-from trophodge.exactla import QMatrix, QSubspace, block_offsets, null_rows, wedge_vector
+from trophodge.exactla import QSubspace, block_offsets, null_rows, wedge_vector
 from trophodge.fans import Cone, Fan, orbit_lattice
-from trophodge.tropspace import Cell, TropComplex
+from trophodge.tropspace import Cell, TropComplex, _integer_basis
 
 
 class MinkowskiWeight:
@@ -128,21 +128,22 @@ def is_balanced(mw: MinkowskiWeight) -> bool:
 
 
 def _balancing_matrix(fan: Fan, codim: int):
-    """Rows: balancing equations; columns: codim-``codim`` cones in fan order."""
+    """(rows, cols): the balancing equations as sparse {column: entry} rows,
+    and the codim-``codim`` cones that index their columns, in fan order."""
     n = fan.ambient_rank
     cols = fan.cones_of_dim(n - codim)
-    pos = {c: j for j, c in enumerate(cols)}
     rows = []
     for sigma in fan.cones_of_dim(n - codim - 1):
-        block = [[0] * len(cols) for _ in range(orbit_lattice(sigma).n_sigma_rank)]
-        for tau in cols:
+        block = [{} for _ in range(orbit_lattice(sigma).n_sigma_rank)]
+        for j, tau in enumerate(cols):
             if sigma not in fans.face_set(tau):
                 continue
             img = fans.project(sigma, fans.new_ray(sigma, tau))
-            for i, x in enumerate(img):
-                block[i][pos[tau]] = x
+            for row, x in zip(block, img):
+                if x:
+                    row[j] = x
         rows.extend(block)
-    return QMatrix.from_rows(rows, len(cols)), cols
+    return rows, cols
 
 
 def chow_space(fan: Fan, codim: int) -> QSubspace:
@@ -151,8 +152,8 @@ def chow_space(fan: Fan, codim: int) -> QSubspace:
         raise ValueError("Chow groups via weights need a smooth fan")
     if not fans.is_complete(fan):
         raise ValueError("Chow groups via weights need a complete fan")
-    mat, _ = _balancing_matrix(fan, codim)
-    return mat.kernel_basis()
+    rows, cols = _balancing_matrix(fan, codim)
+    return QSubspace.kernel(rows, len(cols))
 
 
 def chow_dim(fan: Fan, codim: int) -> int:
@@ -221,11 +222,12 @@ def _primitive(vec):
 
 def _volume_element(cell: Cell):
     """Primitive generator of wedge^dim of the cell span, oriented by the
-    echelon basis of the span (the same orientation the incidence signs use)."""
-    span = cell.span()
-    return _primitive(
-        list(wedge_vector([list(v) for v in span.basis], span.ambient_dim, span.dim))
-    )
+    echelon basis of the span (the same orientation the incidence signs use).
+
+    The rows of ``tropspace._integer_basis`` are positive multiples of that
+    basis, so their wedge is a positive multiple of its wedge."""
+    _, basis = _integer_basis(cell)
+    return _primitive(list(wedge_vector(basis, cell.stratum_rank, len(basis))))
 
 
 def cycle_class(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
@@ -380,12 +382,13 @@ def _cyclic_rays(fan: Fan):
     return sorted(fan.rays, key=functools.cmp_to_key(cmp))
 
 
-def surface_intersection_matrix(fan: Fan) -> QMatrix:
+def surface_intersection_matrix(fan: Fan) -> tuple:
     """Divisor intersection numbers of a smooth complete toric surface.
 
-    Indexed by the fan's rays in their canonical order: adjacent rays
-    meet with multiplicity one and the self-intersection of the ray v_i
-    is -b_i where v_{i-1} + v_{i+1} = b_i v_i in cyclic order.
+    A tuple of row tuples, indexed by the fan's rays in their canonical
+    order: adjacent rays meet with multiplicity one and the
+    self-intersection of the ray v_i is -b_i where v_{i-1} + v_{i+1} =
+    b_i v_i in cyclic order.
     """
     if fan.ambient_rank != 2:
         raise ValueError("intersection matrix is for surfaces")
@@ -415,14 +418,15 @@ def surface_intersection_matrix(fan: Fan) -> QMatrix:
                 row.append(Fraction(1))
             else:
                 row.append(Fraction(0))
-        ent.append(row)
-    return QMatrix(len(rays), len(rays), ent)
+        ent.append(tuple(row))
+    return tuple(ent)
 
 
 def numerical_kernel_check(fan: Fan):
     """Compare the null-homologous divisor kernel with the numerical one."""
     homological = divisor_class_kernel(fan)
-    numerical = surface_intersection_matrix(fan).kernel_basis()
+    rows = surface_intersection_matrix(fan)
+    numerical = QSubspace.kernel([dict(enumerate(r)) for r in rows], len(rows))
     return {
         "homological": homological,
         "numerical": numerical,

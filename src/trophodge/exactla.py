@@ -4,23 +4,23 @@ Every cohomology dimension computed by this package is the rank of a
 matrix over Q, and every lattice question (smoothness, saturation,
 quotient coordinates) is a Smith normal form.  No floating point anywhere.
 
-Every rank, reduced row echelon form, kernel and solve comes out of one
-sparse fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan`, on
-rows stored as {column: entry} dicts.  Each input row, with int or
-Fraction entries, is scaled once to a primitive integer row; a row is
-cleared at a pivot row P as a * row - b * P with the smallest integers a
-and b that cancel the entry, then divided by its content.  Fractions are
-made only where a reduced row is divided by its pivot entry, for unit
-pivots (:func:`_rref`, so an RREF, a kernel or a solve); a rank makes
-none.  The differentials of the package, delta of the cochain complex
-and d_1 of the weight spectral sequence, are written as such integer
-rows and reach :func:`sparse_rank` and :func:`homology_quotient`
-directly; only the methods of the dense :class:`QMatrix` read their
-entries into rows first.  Every determinant (a minor, a Plucker
-coordinate, an entry of a wedge power, an orientation sign) comes out of
-:func:`_bareiss`: fraction-free Bareiss elimination on integer rows.
-Both cores clear the denominators of a row by the same positive factor,
-:func:`_cleared`.
+Every rank, reduced row echelon form and kernel comes out of one sparse
+fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan`, on rows
+stored as {column: entry} dicts, the one matrix form of the package.
+Each input row, with int or Fraction entries, is scaled once to a
+primitive integer row; a row is cleared at a pivot row P as
+a * row - b * P with the smallest integers a and b that cancel the
+entry, then divided by its content.  Fractions are made only where a reduced row is
+divided by its pivot entry, for unit pivots (:func:`_rref`, so an RREF
+or a kernel, :meth:`QSubspace.kernel`); a rank makes none.  The
+differentials of the package, delta of the cochain complex and d_1 of
+the weight spectral sequence, are written as such integer rows and
+reach :func:`sparse_rank` and :func:`homology_quotient` directly.
+:class:`QMatrix` is only a dense view of such rows, for the benchmark's
+counts.  Every determinant (a Plucker coordinate, an entry of a wedge
+power, an orientation sign) comes out of :func:`_bareiss`: fraction-free
+Bareiss elimination on integer rows.  Both cores clear the denominators
+of a row by the same positive factor, :func:`_cleared`.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ def _as_fraction_rows(rows):
     return tuple(
         tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
     )
-
-
-def _sparse_rows(rows):
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def _cleared(values):
@@ -178,7 +174,12 @@ def null_rows(rows, ncols):
 
 
 class QMatrix:
-    """Immutable dense matrix over Q (row-major)."""
+    """Immutable dense matrix over Q (row-major).
+
+    The one dense rational matrix of the package: a view of sparse rows,
+    which ``CochainComplex.deltas`` gives the benchmark's counts.  All
+    rational algebra runs on the sparse rows themselves.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -192,23 +193,6 @@ class QMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows, cols=None):
-        rows = list(rows)
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer cols from an empty row list")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def from_sparse(cls, rows, cols):
@@ -233,60 +217,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
-
-    def transpose(self):
-        return QMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in ot]
-            for row in self.entries
-        ]
-        return QMatrix(self.rows, other.cols, out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return QMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])
-
-    def apply(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        (vec,) = _as_fraction_rows([vec])
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
-
-    def rank(self):
-        return sparse_rank(_sparse_rows(self.entries))
-
-    def rref(self):
-        """(pivots, rows) of the reduced row echelon form."""
-        return _rref(_sparse_rows(self.entries), self.cols)
-
-    def kernel_basis(self):
-        """Basis of the right null space as a QSubspace of Q^cols."""
-        null = null_rows(_sparse_rows(self.entries), self.cols)
-        return QSubspace(self.cols, _rref(null, self.cols)[1])
-
-    def solve(self, b):
-        """One solution x of self @ x = b, or None if inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
-        aug = [list(row) + [x] for row, x in zip(self.entries, b)]
-        pivots, red = _rref(_sparse_rows(aug), self.cols + 1)
-        if pivots and pivots[-1] == self.cols:
-            return None
-        x = [Fraction(0)] * self.cols
-        for c, row in zip(pivots, red):
-            x[c] = row[self.cols]
-        return tuple(x)
 
 
 class QSubspace:
@@ -327,18 +257,24 @@ class QSubspace:
         vectors = _as_fraction_rows(vectors)
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length mismatch")
-        _, red = _rref(_sparse_rows(vectors), ambient_dim)
-        return cls(ambient_dim, red)
+        rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+        return cls(ambient_dim, _rref(rows, ambient_dim)[1])
 
     @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim, ())
+    def kernel(cls, rows, ncols):
+        """The right null space of {column: entry} rows over ``ncols`` columns.
+
+        Its basis is the RREF of the canonical null vectors
+        (:func:`null_rows`); with no rows it is the whole of Q^ncols.
+        """
+        return cls(ncols, _rref(null_rows(rows, ncols), ncols)[1])
 
     @classmethod
     @functools.lru_cache(maxsize=None)
     def full(cls, ambient_dim):
         """The whole of Q^n, with the identity basis; one shared copy per n."""
-        return cls(ambient_dim, QMatrix.identity(ambient_dim).entries)
+        n = ambient_dim
+        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def dim(self):
@@ -356,9 +292,6 @@ class QSubspace:
 
     def __repr__(self):
         return f"QSubspace(dim {self.dim} in Q^{self.ambient_dim})"
-
-    def matrix(self):
-        return QMatrix(self.dim, self.ambient_dim, self.basis)
 
     def coordinates(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside.
@@ -435,25 +368,6 @@ def block_offsets(layout):
     return offs, off
 
 
-def block_rows(blocks, row_layout, col_layout):
-    """Sparse rows of a block matrix, and its column count.
-
-    ``blocks`` maps (row_key, col_key) to a QMatrix; each layout lists
-    (key, block_dim) in block order.  Rows are {column: nonzero entry}
-    dicts, the form :func:`sparse_rank` takes.
-    """
-    roff, nrows = block_offsets(row_layout)
-    coff, ncols = block_offsets(col_layout)
-    rows = [{} for _ in range(nrows)]
-    for (rk, ck), m in blocks.items():
-        r0, c0 = roff[rk], coff[ck]
-        for i, row in enumerate(m.entries):
-            for j, v in enumerate(row):
-                if v:
-                    rows[r0 + i][c0 + j] = v
-    return rows, ncols
-
-
 class ZMatrix:
     """Immutable dense integer matrix."""
 
@@ -501,14 +415,6 @@ class ZMatrix:
         ot = list(zip(*other.entries)) if other.rows else [()] * other.cols
         out = [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
         return ZMatrix(self.rows, other.cols, out)
-
-    def to_q(self):
-        return QMatrix(self.rows, self.cols, self.entries)
-
-    def determinant(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _bareiss([list(row) for row in self.entries])
 
 
 def smith_normal_form(m: ZMatrix):
@@ -647,16 +553,6 @@ def _bareiss(a):
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def _minor(rows, row_idx, col_idx):
-    """Determinant of the square submatrix, as a Fraction.
-
-    The rows are cleared of denominators by :func:`_integer_rows`, and the
-    integer determinant from :func:`_bareiss` is divided by the scale.
-    """
-    a, scale = _integer_rows([rows[i][j] for j in col_idx] for i in row_idx)
-    return Fraction(_bareiss(a), scale)
-
-
 def wedge_columns(m: ZMatrix, p: int) -> tuple:
     """wedge^p(m) as a tuple of integer columns, in lex p-subset bases.
 
@@ -684,18 +580,3 @@ def wedge_vector(vectors, n, p):
         Fraction(_bareiss([[row[j] for j in cols] for row in a]), scale)
         for cols in lex_subsets(n, p)
     )
-
-
-def wedge_matrix(A: QMatrix, p: int) -> QMatrix:
-    """Matrix of wedge^p(A): wedge^p Q^cols -> wedge^p Q^rows, lex bases."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    row_subs = lex_subsets(A.rows, p)
-    col_subs = lex_subsets(A.cols, p)
-    if p == 0:
-        return QMatrix.identity(1)
-    ent = [
-        [_minor(A.entries, rs, cs) for cs in col_subs]
-        for rs in row_subs
-    ]
-    return QMatrix(len(row_subs), len(col_subs), ent)

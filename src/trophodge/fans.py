@@ -16,12 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from trophodge.exactla import (
-    QMatrix,
-    QSubspace,
-    ZMatrix,
-    smith_normal_form,
-)
+from trophodge.exactla import QSubspace, ZMatrix, smith_normal_form
 
 
 def _integer(x):
@@ -212,10 +207,7 @@ def _facet_normals(cone):
     for sub in itertools.combinations(cone.rays, d - 1):
         if QSubspace.span(sub, n).dim != d - 1:
             continue
-        if sub:
-            kern = QMatrix.from_rows(sub, n).kernel_basis()
-        else:
-            kern = QSubspace.full(n)
+        kern = QSubspace.kernel([dict(enumerate(r)) for r in sub], n)
         for cand in kern.basis:
             evals = [sum(c * r for c, r in zip(cand, ray)) for ray in cone.rays]
             if all(e == 0 for e in evals):
@@ -418,11 +410,9 @@ def _cone_system(cone):
     """(eqs, ineqs) rows of length n+1 cutting out the cone."""
     n = cone.ambient_rank
     eqs = []
-    span = cone.span()
-    if span.dim < n:
-        ker = span.matrix().kernel_basis() if span.dim else QSubspace.full(n)
-        for u in ker.basis:
-            eqs.append(list(u) + [0])
+    if cone.dim < n:
+        ker = QSubspace.kernel([dict(enumerate(r)) for r in cone.rays], n)
+        eqs = [list(u) + [0] for u in ker.basis]
     ineqs = [list(normal) + [0] for normal, _ in cone.facet_normals()]
     return eqs, ineqs
 

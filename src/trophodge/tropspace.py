@@ -21,7 +21,7 @@ wedge^p N_sigma, and no wedge is computed.
 The incidence of the complex is indexed once, by lookup instead of a scan
 over all pairs of cells: the faces of (sigma, tau) are the cells
 (sigma', tau') with tau' a face of tau and sigma a face of sigma', a face
-of tau'.  The projected rays and span of a cell, and the stratum
+of tau'.  The projected rays and span basis of a cell, and the stratum
 projections N_sigma1 -> N_sigma2 with their wedge powers, are cached like
 the cone data of :mod:`trophodge.fans`.
 
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 from trophodge import fans
 from trophodge.exactla import (
-    QMatrix,
     QSubspace,
     ZMatrix,
     _bareiss,
@@ -78,10 +77,6 @@ class Cell:
     @property
     def stratum_rank(self):
         return self.sedentarity.ambient_rank - self.sedentarity.dim
-
-    def span(self):
-        """Q-span of the shape inside N_{sigma,Q}."""
-        return _cell_span(self)
 
     def is_face_of(self, other):
         return (
@@ -203,7 +198,7 @@ class TropComplex:
         return tuple(self.cells[i] for i in self._incidence()[2][self._index[cell]])
 
     def face_poset(self):
-        """Codimension-1 face pairs: (face_id, coface_id, case, sign)."""
+        """Codimension-1 face pairs: (face_id, coface_id, sign)."""
         if self._poset_cache is None:
             out = []
             for cid, coface in enumerate(self.cells):
@@ -211,9 +206,7 @@ class TropComplex:
                     face = self.cells[fid]
                     if face.dim != coface.dim - 1:
                         continue
-                    case = _case_tag(face, coface)
-                    sign = self._incidence_sign(face, coface)
-                    out.append((fid, cid, case, sign))
+                    out.append((fid, cid, self._incidence_sign(face, coface)))
             self._poset_cache = tuple(out)
         return self._poset_cache
 
@@ -261,27 +254,22 @@ class TropComplex:
             self._f_cache[key] = f
         return self._f_cache[key]
 
-    def face_map(self, face, coface, p) -> QMatrix:
-        """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the canonical bases."""
-        cols = self.face_map_columns(face, coface, p)
-        rows = self.f_lower(face, p).dim
-        return QMatrix(rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
-
     def face_map_columns(self, face, coface, p):
-        """The columns of :meth:`face_map`, cached.
+        """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the canonical bases, by columns.
 
-        Column j holds the coordinates, in the canonical basis of
-        F_p(face), of the image of the j-th canonical basis vector of
-        F_p(coface).  Across strata the image is the integer wedge of the
-        stratum map applied to that vector.  Between two full F_p, whose
-        bases are the identity, the columns are those integer maps
-        themselves: the identity, or the wedge of the stratum map.
+        The columns are cached.  Column j holds the coordinates, in the
+        canonical basis of F_p(face), of the image of the j-th canonical
+        basis vector of F_p(coface).  Across strata the image is the
+        integer wedge of the stratum map applied to that vector.  Between
+        two full F_p, whose bases are the identity, the columns are those
+        integer maps themselves: the identity, or the wedge of the stratum
+        map.
         """
         key = (face, coface, p)
         if key in self._map_cache:
             return self._map_cache[key]
         if self._index[face] not in self._incidence()[0][self._index[coface]]:
-            raise ValueError("face_map requires a face pair")
+            raise ValueError("a face map requires a face pair")
         same = face.sedentarity == coface.sedentarity
         if not same and face.tau != coface.tau:
             mid = Cell(face.sedentarity, coface.tau)
@@ -374,14 +362,6 @@ class TropComplex:
             fans.check_face_intersections([s for s in shapes if s not in proper])
 
 
-def _case_tag(face, coface):
-    if face.sedentarity == coface.sedentarity:
-        return 1
-    if face.tau == coface.tau:
-        return 2
-    return 3
-
-
 def _in_span(vec, basis, pivots):
     """Whether an integer vector lies in the span of a scaled RREF basis.
 
@@ -412,19 +392,15 @@ def _projected_rays(cell: Cell) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_span(cell: Cell) -> QSubspace:
-    return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
-
-
-@functools.lru_cache(maxsize=None)
 def _integer_basis(cell: Cell) -> tuple:
     """(pivots, basis) of the cell span, the RREF basis in ints.
 
-    Each vector of ``cell.span().basis`` is taken times the positive lcm of
-    its denominators, which is then its entry at its pivot; on a full span
-    the basis is the identity.  That is the primitive integer row the
-    reduced elimination of the projected rays holds at the pivot, with
-    its sign made positive there, so no Fraction is made.
+    Each vector of the RREF basis of the span of the projected rays is
+    taken times the positive lcm of its denominators, which is then its
+    entry at its pivot; on a full span the basis is the identity.  That is
+    the primitive integer row the reduced elimination of the projected
+    rays holds at the pivot, with its sign made positive there, so no
+    Fraction is made.
     """
     rows = _gauss_jordan([dict(enumerate(r)) for r in _projected_rays(cell)], True)
     pivots = tuple(sorted(rows))

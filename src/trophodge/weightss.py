@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from trophodge import fans
 from trophodge.exactla import (
-    QMatrix,
     ZMatrix,
     block_offsets,
     homology_quotient,
@@ -79,28 +78,22 @@ def e1_page(fan: Fan) -> SSPage:
     return SSPage(1, n, dims)
 
 
-def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> QMatrix:
+def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> tuple:
     """The residue differential E_1^{p,q} -> E_1^{p+1,q} as a block matrix.
 
-    A dense view of the rows :func:`_d1_rows` writes, which the E_2 page
-    reads directly.
+    Returns (rows, ncols): its sparse integer rows {col: entry}, one per
+    coordinate of E_1^{p+1,q}, and the column count, dim E_1^{p,q}; the
+    E_2 page reads them directly.  With k = q - p, the block of sigma <
+    tau = sigma + rho sends the lex k-subset s to sum_a (-1)^a
+    rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a} (see the module docstring);
+    its integer rows are written at the ``block_offsets`` of the two
+    layouts.
 
     ``corrupt_sign`` flips one block sign; it exists as a negative
     control for the verification suite.  The control cannot fire on
     p1, torus(n) and affine_space(1), affine_space(2): a torus has no
     d_1 blocks, and on the others the flip is a change of basis, so
     d_1 still squares to zero and no rank changes.
-    """
-    return QMatrix.from_sparse(*_d1_rows(fan, p, q, corrupt_sign))
-
-
-def _d1_rows(fan, p, q, corrupt_sign):
-    """Sparse integer rows {col: entry} of d_1 at (p, q), and its column count.
-
-    With k = q - p, the block of sigma < tau = sigma + rho sends the lex
-    k-subset s to sum_a (-1)^a rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a}
-    (see the module docstring); its integer rows are written at the
-    ``block_offsets`` of the two layouts.
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
@@ -150,7 +143,7 @@ def _e2_page(fan, corrupt_sign):
     for q in range(n + 1):
         inc = None
         for p in range(n + 1):
-            out, ncols = _d1_rows(fan, p, q, corrupt_sign)
+            out, ncols = d1(fan, p, q, corrupt_sign)
             dims[(p, q)] = len(homology_quotient(out, ncols, inc))
             inc = out
     return SSPage(2, n, dims)

@@ -13,8 +13,11 @@ with the production path.
 The rational lattice geometry that the integer stratum maps and
 incidence signs of ``trophodge.tropspace`` replaced is kept here too,
 as :func:`fraction_face_map` and :func:`fraction_incidence_sign`: the
-stratum map solved over Q, its wedge power as a dense QMatrix, and each
-face vector lifted into the coface span by a solve.
+stratum map solved over Q, its wedge power as Plucker coordinates of its
+columns, and each face vector lifted into the coface span by a solve.
+
+:func:`composes_to` multiplies matrices given as rows, for the checks
+that delta and d_1 square to zero and that face maps compose.
 """
 
 from __future__ import annotations
@@ -24,16 +27,51 @@ from fractions import Fraction
 
 from trophodge.cohomology import CohomologyResult, _cache
 from trophodge.exactla import (
-    QMatrix,
     QSubspace,
-    _minor,
+    _rref,
     block_offsets,
-    block_rows,
+    lex_subsets,
     sparse_rank,
-    wedge_matrix,
+    wedge_vector,
 )
 from trophodge.fans import orbit_lattice
-from trophodge.tropspace import TropComplex
+from trophodge.tropspace import TropComplex, _projected_rays
+
+
+def composes_to(after, before, product=None):
+    """Whether after @ before equals ``product``, or is zero if it is None.
+
+    Each matrix is a sequence of rows, a row a {column: entry} dict or a
+    dense sequence.  A face map comes as its columns, the rows of its
+    transpose, so the columns of A @ B are (columns of B) @ (columns of A).
+    """
+    def entries(row):
+        return row.items() if isinstance(row, dict) else enumerate(row)
+
+    if product is not None and len(product) != len(after):
+        return False
+    for i, row in enumerate(after):
+        acc = {}
+        for j, x in entries(row):
+            for k, y in entries(before[j]):
+                acc[k] = acc.get(k, 0) + x * y
+        want = {} if product is None else dict(entries(product[i]))
+        if {k: x for k, x in acc.items() if x} != {k: x for k, x in want.items() if x}:
+            return False
+    return True
+
+
+def cell_span(cell) -> QSubspace:
+    """The Q-span of a cell in N_sigma, by the RREF of its projected rays."""
+    return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
+
+
+def _put(rows, r0, c0, block, sign):
+    """Write sign times a block, given by its rows, into sparse rows at (r0, c0)."""
+    for r, row in enumerate(block):
+        for c, x in enumerate(row):
+            if x:
+                rows[r0 + r][c0 + c] = sign * x
 
 
 def poset_betti_table(cx: TropComplex):
@@ -73,14 +111,6 @@ def _poset_data(cx, p):
         return cache[("poset", p)]
     levels = _poset_chains(cx)
     dims = [cx.f_lower(c, p).dim for c in cx.cells]
-    rhos = {}
-
-    def rho(i, j):
-        if (i, j) not in rhos:
-            cols = cx.face_map_columns(cx.cells[i], cx.cells[j], p)
-            rhos[(i, j)] = QMatrix(dims[j], dims[i], cols)
-        return rhos[(i, j)]
-
     layouts = [
         tuple(
             (chain, dims[chain[-1]]) for chain in level if dims[chain[-1]]
@@ -91,7 +121,9 @@ def _poset_data(cx, p):
     ranks = []
     ker0 = QSubspace.full(sum(d for _, d in layouts[0])) if len(levels) == 1 else None
     for k in range(len(levels) - 1):
-        blocks = {}
+        roff, nrows = block_offsets(layouts[k + 1])
+        coff, ncols = block_offsets(layouts[k])
+        rows = [{} for _ in range(nrows)]
         for target, _ in layouts[k + 1]:
             for i in range(len(target)):
                 source = target[:i] + target[i + 1:]
@@ -99,14 +131,16 @@ def _poset_data(cx, p):
                     continue
                 sign = -1 if i % 2 else 1
                 if i < len(target) - 1:
-                    m = QMatrix.identity(dims[target[-1]]).scale(sign)
+                    # both chains end at the same cell: the identity of F^p there
+                    d = dims[target[-1]]
+                    block = [[int(a == b) for b in range(d)] for a in range(d)]
                 else:
-                    m = rho(source[-1], target[-1]).scale(sign)
-                key = (target, source)
-                blocks[key] = blocks[key] + m if key in blocks else m
-        rows, ncols = block_rows(blocks, layouts[k + 1], layouts[k])
+                    # the dual face map, rows indexed by the coface basis
+                    face, coface = cx.cells[source[-1]], cx.cells[target[-1]]
+                    block = cx.face_map_columns(face, coface, p)
+                _put(rows, roff[target], coff[source], block, sign)
         if k == 0:
-            ker0 = QMatrix.from_sparse(rows, ncols).kernel_basis()
+            ker0 = QSubspace.kernel(rows, ncols)
             ranks.append(ncols - ker0.dim)
         else:
             ranks.append(sparse_rank(rows))
@@ -162,18 +196,10 @@ def _cech_data(cx, p):
                         continue
                     rho = cx.face_map_columns(cx.cells[a], cx.cells[b], p)
                     for r in range(dims[b]):
-                        row = [Fraction(0)] * off
-                        for cidx in range(dims[a]):
-                            row[offs[a] + cidx] = rho[r][cidx]
-                        row[offs[b] + r] -= 1
+                        row = {offs[a] + cidx: x for cidx, x in enumerate(rho[r]) if x}
+                        row[offs[b] + r] = -1
                         rows.append(row)
-            if rows:
-                basis = QMatrix.from_rows(rows, off).kernel_basis()
-            elif off:
-                basis = QSubspace.full(off)
-            else:
-                basis = QSubspace.zero(0)
-            sections[s] = (basis, offs, off)
+            sections[s] = (QSubspace.kernel(rows, off), offs, off)
         return sections[s]
 
     by_size = {}
@@ -188,8 +214,9 @@ def _cech_data(cx, p):
         rows_s = sorted(by_size.get(k + 1, []), key=sorted)
         col_layout = tuple((s, gamma(s)[0].dim) for s in cols)
         row_layout = tuple((s, gamma(s)[0].dim) for s in rows_s)
-        space_dims[k] = sum(d for _, d in col_layout)
-        blocks = {}
+        coff, space_dims[k] = block_offsets(col_layout)
+        roff, nrows = block_offsets(row_layout)
+        rows = [{} for _ in range(nrows)]
         for t in rows_s:
             t_sorted = sorted(t)
             gt, offs_t, total_t = gamma(t)
@@ -211,15 +238,9 @@ def _cech_data(cx, p):
             coords_all = [gt.coordinates(w) for w in ws]
             for i, s, sdim, start in segments:
                 sign = -1 if i % 2 else 1
-                cols_m = coords_all[start:start + sdim]
-                m = QMatrix(
-                    gt.dim, sdim,
-                    [[cols_m[b][a] for b in range(sdim)]
-                     for a in range(gt.dim)],
-                ).scale(sign)
-                key = (t, s)
-                blocks[key] = blocks[key] + m if key in blocks else m
-        ranks[k] = sparse_rank(block_rows(blocks, row_layout, col_layout)[0])
+                block = zip(*coords_all[start:start + sdim])
+                _put(rows, roff[t], coff[s], block, sign)
+        ranks[k] = sparse_rank(rows)
     cache[("cech", p)] = (space_dims, ranks, max_k)
     return cache[("cech", p)]
 
@@ -234,68 +255,83 @@ def cech_oracle(cx: TropComplex, p: int, q: int) -> int:
     return space_dims[q] - ranks.get(q, 0) - (ranks.get(q - 1, 0) if q else 0)
 
 
+def _solve(a, b, ncols):
+    """One solution x of a @ x = b over Q, from the RREF of [a | b], or None."""
+    aug = [dict(enumerate(list(row) + [y])) for row, y in zip(a, b)]
+    pivots, red = _rref(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in zip(pivots, red):
+        x[c] = row[ncols]
+    return x
+
+
+def _apply(rows, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in rows]
+
+
 @functools.lru_cache(maxsize=None)
-def fraction_stratum_projection(sed_small, sed_big) -> QMatrix:
-    """N_{sigma1} -> N_{sigma2} over Q: rows of proj2 solved against proj1."""
-    p1 = orbit_lattice(sed_small).proj.to_q()
-    p2 = orbit_lattice(sed_big).proj.to_q()
-    p1t = p1.transpose()
+def fraction_stratum_projection(sed_small, sed_big) -> tuple:
+    """N_{sigma1} -> N_{sigma2} over Q, as rows: proj2 solved against proj1."""
+    p1 = orbit_lattice(sed_small).proj
+    p1t = [[row[j] for row in p1.entries] for j in range(p1.cols)]
     rows = []
-    for row in p2.entries:
-        sol = p1t.solve(row)
+    for row in orbit_lattice(sed_big).proj.entries:
+        sol = _solve(p1t, row, p1.rows)
         if sol is None:
             raise ValueError("stratum projections are not nested")
-        rows.append(sol)
-    return QMatrix(p2.rows, p1.rows, rows)
+        rows.append(tuple(sol))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
-def _fraction_stratum_wedge(sed_small, sed_big, p) -> QMatrix:
-    return wedge_matrix(fraction_stratum_projection(sed_small, sed_big), p)
+def _fraction_stratum_wedge(sed_small, sed_big, p) -> tuple:
+    """The columns of wedge^p of the rational stratum map, in lex bases:
+    column s holds the Plucker coordinates of the columns of the map in s."""
+    b = fraction_stratum_projection(sed_small, sed_big)
+    n_small = orbit_lattice(sed_small).proj.rows
+    cols = [[row[j] for row in b] for j in range(n_small)]
+    return tuple(
+        wedge_vector([cols[j] for j in s], len(b), p) for s in lex_subsets(n_small, p)
+    )
 
 
-def fraction_face_map(cx: TropComplex, face, coface, p) -> QMatrix:
-    """i_{P2 < P1} through the dense rational wedge of the stratum map."""
+def fraction_face_map(cx: TropComplex, face, coface, p) -> tuple:
+    """The columns of i_{P2 < P1}, through the rational wedge of the stratum map."""
     src = cx.f_lower(coface, p)
     dst = cx.f_lower(face, p)
     if face.sedentarity == coface.sedentarity:
         images = list(src.basis)
     else:
         wedge = _fraction_stratum_wedge(coface.sedentarity, face.sedentarity, p)
-        images = [wedge.apply(v) for v in src.basis]
+        images = [_apply(zip(*wedge), v) for v in src.basis]
     cols = []
     for img in images:
         coords = dst.coordinates(img)
         if coords is None:
             raise ValueError("face map image leaves the target F_p")
         cols.append(coords)
-    return QMatrix(
-        dst.dim, src.dim,
-        [[cols[j][i] for j in range(src.dim)] for i in range(dst.dim)],
-    )
+    return tuple(cols)
 
 
 def fraction_incidence_sign(face, coface):
     """The incidence sign with each face vector lifted by a rational solve."""
-    bp = coface.span()
-    proj = orbit_lattice(coface.sedentarity).proj.to_q()
+    bp = cell_span(coface)
+    proj = orbit_lattice(coface.sedentarity).proj.entries
+    face_basis = cell_span(face).basis
     if face.sedentarity == coface.sedentarity:
-        inward = [Fraction(0)] * coface.stratum_rank
-        for r in coface.tau.rays:
-            if r not in face.tau.rays:
-                inward = [a + b for a, b in zip(inward, proj.apply(r))]
-        first = [-x for x in inward]
-        lifted = list(face.span().basis)
+        off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
+        first = [-x for x in _apply(proj, [sum(c) for c in zip(*off_face)])]
+        lifted = list(face_basis)
     else:
-        first = [Fraction(0)] * coface.stratum_rank
-        for r in face.sedentarity.rays:
-            if r not in coface.sedentarity.rays:
-                first = [a + b for a, b in zip(first, proj.apply(r))]
+        sed = coface.sedentarity
+        new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
+        first = _apply(proj, [sum(c) for c in zip(*new_rays)])
         b = fraction_stratum_projection(coface.sedentarity, face.sedentarity)
-        bpmat_t = bp.matrix().transpose()
-        lift_system = b @ bpmat_t
+        lift_system = [_apply(bp.basis, row) for row in b]
         lifted = [
-            bpmat_t.apply(lift_system.solve(v)) for v in face.span().basis
+            _apply(zip(*bp.basis), _solve(lift_system, v, bp.dim)) for v in face_basis
         ]
     rows = []
     for vec in [first] + lifted:
@@ -304,7 +340,7 @@ def fraction_incidence_sign(face, coface):
             raise ValueError("orientation vector leaves the coface span")
         rows.append(coords)
     d = bp.dim
-    det = _minor(rows, range(d), range(d))
+    (det,) = wedge_vector(rows, d, d)
     if det == 0:
         raise ValueError("degenerate incidence orientation")
     return 1 if det > 0 else -1

@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import cech_oracle
+from oracles import cech_oracle, composes_to
 from trophodge import cohomology, cycles, fans, tropspace, weightss
 
 ZOO = [
@@ -119,12 +119,13 @@ def check_delta_and_d1_squared():
         n = fan.ambient_rank
         cx = weightss.trop_complex_for(fan)
         for p in range(n + 1):
-            if not cohomology.build_cochain_complex(cx, p).verify_d_squared():
+            rows = cohomology.build_cochain_complex(cx, p).rows
+            if not all(map(composes_to, rows[1:], rows)):
                 return False
             for q in range(n + 1):
-                if p < n and not (
-                    weightss.d1(fan, p + 1, q) @ weightss.d1(fan, p, q)
-                ).is_zero():
+                if p < n and not composes_to(
+                    weightss.d1(fan, p + 1, q)[0], weightss.d1(fan, p, q)[0]
+                ):
                     return False
     return True
 
@@ -142,8 +143,11 @@ def check_functoriality():
                     if c0 == c1 or not c0.is_face_of(c1):
                         continue
                     for p in range(n + 1):
-                        via = cx.face_map(c0, c1, p) @ cx.face_map(c1, c2, p)
-                        if via.entries != cx.face_map(c0, c2, p).entries:
+                        if not composes_to(
+                            cx.face_map_columns(c1, c2, p),
+                            cx.face_map_columns(c0, c1, p),
+                            cx.face_map_columns(c0, c2, p),
+                        ):
                             return False
     return True
 
@@ -201,14 +205,16 @@ def check_pairing_coboundary_invariance():
         line = cycles.cycle_class(cx, balanced_line_weight(fan))
         if not line.is_cycle():
             return False
-        delta0 = cc.delta(0)
         for rep in cohomology.cohomology(cx, 1, 1).representatives:
             base = cycles.pair(rep, line)
             for _ in range(20):
                 noise = [
-                    Fraction(rng.randint(-9, 9)) for _ in range(delta0.cols)
+                    Fraction(rng.randint(-9, 9)) for _ in range(cc.space_dim(0))
                 ]
-                moved = [a + b for a, b in zip(rep, delta0.apply(noise))]
+                image = [
+                    sum(x * noise[j] for j, x in row.items()) for row in cc.rows[0]
+                ]
+                moved = [a + b for a, b in zip(rep, image)]
                 if cycles.pair(moved, line) != base:
                     return False
     return True

@@ -288,13 +288,13 @@ def test_verify_single_builtin(capsys):
 def test_verify_builds_each_d1_once(monkeypatch):
     weightss._e2_page.cache_clear()
     calls = []
-    build = weightss._d1_rows
+    build = weightss.d1
 
     def counting(fan, p, q, corrupt_sign):
         calls.append((p, q))
         return build(fan, p, q, corrupt_sign)
 
-    monkeypatch.setattr(weightss, "_d1_rows", counting)
+    monkeypatch.setattr(weightss, "d1", counting)
     report = cli._verify_fan("p2", fans.builtin("p2"))
     assert report["pass"]
     assert sorted(calls) == [(p, q) for p in range(3) for q in range(3)]

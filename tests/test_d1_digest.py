@@ -45,9 +45,12 @@ def _records():
         for corrupt in (False, True):
             for p in range(n + 1):
                 for q in range(n + 1):
-                    m = weightss.d1(fan, p, q, corrupt_sign=corrupt)
-                    entries = tuple(tuple(Fraction(x) for x in row) for row in m.entries)
-                    yield (name, corrupt, p, q, m.rows, m.cols, entries)
+                    rows, ncols = weightss.d1(fan, p, q, corrupt_sign=corrupt)
+                    entries = tuple(
+                        tuple(Fraction(row.get(j, 0)) for j in range(ncols))
+                        for row in rows
+                    )
+                    yield (name, corrupt, p, q, len(rows), ncols, entries)
 
 
 def d1_digest():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trophodge.exactla import (
-    QMatrix,
-    ZMatrix,
-    _minor,
+    QSubspace,
+    _bareiss,
+    _rref,
     homology_quotient,
     lex_subsets,
     sparse_rank,
@@ -63,20 +63,28 @@ def to_fraction(x):
     return Fraction(int(x.p), int(x.q))
 
 
+def sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def apply(rows, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in rows]
+
+
 def check_rank_rref_and_kernel(rows):
-    m = QMatrix.from_rows(rows, len(rows[0]))
-    ref, ref_pivots = to_sympy(rows, m.cols).rref()
-    assert m.rank() == len(ref_pivots)
-    pivots, red = m.rref()
+    cols = len(rows[0])
+    ref, ref_pivots = to_sympy(rows, cols).rref()
+    assert sparse_rank(sparse(rows)) == len(ref_pivots)
+    pivots, red = _rref(sparse(rows), cols)
     assert pivots == list(ref_pivots)
     assert red == [
-        tuple(to_fraction(ref[i, j]) for j in range(m.cols))
+        tuple(to_fraction(ref[i, j]) for j in range(cols))
         for i in range(len(ref_pivots))
     ]
-    ker = m.kernel_basis()
-    assert ker.dim == m.cols - len(ref_pivots)
+    ker = QSubspace.kernel(sparse(rows), cols)
+    assert ker.dim == cols - len(ref_pivots)
     for v in ker.basis:
-        assert not any(m.apply(list(v)))
+        assert not any(apply(rows, v))
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,6 +99,23 @@ def test_rank_rref_and_kernel_of_large_entries_match_sympy(rows):
     check_rank_rref_and_kernel(rows)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_matrices(), rational_matrices(6, large_entries)))
+def test_kernel_matches_sympy_nullspace(rows):
+    # the basis is the RREF of sympy's null vectors: the same subspace,
+    # with the same canonical basis
+    cols = len(rows[0])
+    null = to_sympy(rows, cols).nullspace()
+    expected = ()
+    if null:
+        ref, pivots = sympy.Matrix.hstack(*null).T.rref()
+        expected = tuple(
+            tuple(to_fraction(ref[i, j]) for j in range(cols))
+            for i in range(len(pivots))
+        )
+    assert QSubspace.kernel(sparse(rows), cols).basis == expected
+
+
 @pytest.mark.parametrize("rows", [
     [[0, 0, 0]],
     [[0, 0, 0], [1, 2, 0], [0, 0, 0]],
@@ -103,22 +128,27 @@ def test_rank_rref_and_kernel_with_zero_rows_match_sympy(rows):
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), st.lists(st.lists(entries, min_size=7, max_size=7), max_size=3))
 def test_solve_many_consistency_matches_sympy(rows, rhs):
-    m = QMatrix.from_rows(rows, len(rows[0]))
-    bs = [b[:m.rows] for b in rhs]
-    a = to_sympy(rows, m.cols)
+    # a solve is the RREF of [A | b]: consistent iff b's column is no pivot,
+    # and then x is that column at the pivots of A
+    cols = len(rows[0])
+    bs = [b[:len(rows)] for b in rhs]
+    a = to_sympy(rows, cols)
     for b in bs:
-        x = m.solve(b)
+        pivots, red = _rref(sparse([list(r) + [y] for r, y in zip(rows, b)]), cols + 1)
+        consistent = not pivots or pivots[-1] != cols
         aug = a.row_join(to_sympy([[y] for y in b], 1))
-        assert (x is not None) == (aug.rank() == a.rank())
-        if x is not None:
-            assert list(m.apply(list(x))) == b
+        assert consistent == (aug.rank() == a.rank())
+        if consistent:
+            x = [Fraction(0)] * cols
+            for c, r in zip(pivots, red):
+                x[c] = r[cols]
+            assert apply(rows, x) == b
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(rational_matrices(), rational_matrices(6, large_entries)))
 def test_sparse_rank_matches_sympy(rows):
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    assert sparse_rank(sparse) == to_sympy(rows, len(rows[0])).rank()
+    assert sparse_rank(sparse(rows)) == to_sympy(rows, len(rows[0])).rank()
 
 
 def sympy_homology_quotient(out_rows, in_rows, n):
@@ -159,7 +189,7 @@ def test_homology_quotient_matches_sympy(out_rows, k, data):
 @given(square_matrices())
 def test_minor_matches_sympy_determinant(rows):
     n = len(rows)
-    det = _minor(rows, range(n), range(n))
+    (det,) = wedge_vector(rows, n, n)
     assert type(det) is Fraction
     assert det == (to_fraction(to_sympy(rows, n).det()) if n else 1)
 
@@ -170,7 +200,7 @@ def test_minor_matches_sympy_determinant(rows):
 ))
 def test_integer_determinant_matches_sympy(rows):
     n = len(rows)
-    det = ZMatrix(n, n, rows).determinant()
+    det = _bareiss([list(r) for r in rows])
     assert det == (int(sympy.Matrix(rows).det()) if n else 1)
 
 
@@ -180,7 +210,7 @@ def test_rref_is_independent_of_row_order(rows, rnd):
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     cols = len(rows[0])
-    assert QMatrix.from_rows(shuffled, cols).rref() == QMatrix.from_rows(rows, cols).rref()
+    assert _rref(sparse(shuffled), cols) == _rref(sparse(rows), cols)
 
 
 def zero_led_integer_matrices(rows, cols):
@@ -199,7 +229,7 @@ def zero_led_integer_matrices(rows, cols):
 @given(st.integers(1, 6).flatmap(lambda n: zero_led_integer_matrices(n, n)))
 def test_minor_of_large_integer_matrices_matches_sympy(rows):
     n = len(rows)
-    det = _minor(rows, range(n), range(n))
+    (det,) = wedge_vector(rows, n, n)
     assert type(det) is Fraction
     assert det == int(sympy.Matrix(rows).det())
 

@@ -28,7 +28,7 @@ def _records():
         for cid, cell in enumerate(cx.cells):
             for p in range(n + 1):
                 yield ("f_p", name, cid, p, _normalised(cx.f_lower(cell, p).basis))
-        for fid, cid, _case, _sign in cx.face_poset():
+        for fid, cid, _sign in cx.face_poset():
             face, coface = cx.cells[fid], cx.cells[cid]
             for p in range(n + 1):
                 cols = cx.face_map_columns(face, coface, p)

@@ -94,7 +94,8 @@ def test_f_lower_is_the_sum_of_wedge_powers_of_stratum_cofaces():
                 wedges = [
                     wedge_vector(sub, n, p)
                     for coface in cx.stratum_cofaces(cell)
-                    for sub in itertools.combinations(coface.span().basis, p)
+                    for sub in itertools.combinations(
+                        oracles.cell_span(coface).basis, p)
                 ]
                 expected = QSubspace.span(wedges, math.comb(n, p))
                 assert cx.f_lower(cell, p).basis == expected.basis
@@ -123,7 +124,7 @@ def test_tropical_line_vertex_takes_the_wedge_span():
         wedges = [
             wedge_vector(sub, 2, p)
             for ray in cx.stratum_cofaces(vertex)
-            for sub in itertools.combinations(ray.span().basis, p)
+            for sub in itertools.combinations(oracles.cell_span(ray).basis, p)
         ]
         assert cx.f_lower(vertex, p) == QSubspace.span(wedges, math.comb(2, p))
 
@@ -155,7 +156,6 @@ def test_incidence_index_matches_face_scan():
                 if face.dim == coface.dim - 1:
                     poset.append((
                         cx.cell_id(face), cx.cell_id(coface),
-                        tropspace._case_tag(face, coface),
                         cx._incidence_sign(face, coface),
                     ))
         assert cx.face_poset() == tuple(poset)
@@ -180,9 +180,11 @@ def test_face_map_functoriality_all_chains():
                     if c0 == c1 or not c0.is_face_of(c1):
                         continue
                     for p in range(n + 1):
-                        via = cx.face_map(c0, c1, p) @ cx.face_map(c1, c2, p)
-                        direct = cx.face_map(c0, c2, p)
-                        assert via.entries == direct.entries
+                        assert oracles.composes_to(
+                            cx.face_map_columns(c1, c2, p),
+                            cx.face_map_columns(c0, c1, p),
+                            cx.face_map_columns(c0, c2, p),
+                        )
 
 
 def test_case3_composite_matches_factorization():
@@ -195,9 +197,11 @@ def test_case3_composite_matches_factorization():
     coface = Cell(zero, top)
     mid = Cell(zero, ray)
     for p in range(3):
-        composite = cx.face_map(face, coface, p)
-        two_step = cx.face_map(face, mid, p) @ cx.face_map(mid, coface, p)
-        assert composite.entries == two_step.entries
+        assert oracles.composes_to(
+            cx.face_map_columns(mid, coface, p),
+            cx.face_map_columns(face, mid, p),
+            cx.face_map_columns(face, coface, p),
+        )
 
 
 def test_face_map_requires_face_pair():
@@ -205,12 +209,12 @@ def test_face_map_requires_face_pair():
     a = Cell(Cone(2, []), Cone(2, [(1, 0)]))
     b = Cell(Cone(2, []), Cone(2, [(0, 1)]))
     with pytest.raises(ValueError):
-        cx.face_map(a, b, 1)
+        cx.face_map_columns(a, b, 1)
 
 
 def test_incidence_signs_nonzero():
     for cx in complexes_for_functoriality():
-        for _, _, _, sign in cx.face_poset():
+        for _, _, sign in cx.face_poset():
             assert sign in (1, -1)
 
 
@@ -244,10 +248,10 @@ def test_incidence_signs_make_no_fraction():
     with fractions_made() as made:
         poset = cx.face_poset()
     assert made == []
-    pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _, _ in poset]
+    pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _ in poset]
     assert any(
         face.sedentarity != coface.sedentarity
-        and coface.span().dim < coface.stratum_rank
+        and oracles.cell_span(coface).dim < coface.stratum_rank
         for face, coface in pairs
     )
     with fractions_made() as made:
@@ -301,14 +305,14 @@ def test_integer_geometry_matches_the_fraction_oracle():
                   tropspace.tropical_line(), tropspace.tautological_complex(skew)]
     assert any(
         x.denominator > 1 for cell in complexes[-1].cells
-        for v in cell.span().basis for x in v
+        for v in oracles.cell_span(cell).basis for x in v
     )
     for cx in complexes:
-        for fid, cid, _case, sign in cx.face_poset():
+        for fid, cid, sign in cx.face_poset():
             face, coface = cx.cells[fid], cx.cells[cid]
             assert sign == oracles.fraction_incidence_sign(face, coface)
         for coface in cx.cells:
             for face in cx.faces_of(coface):
                 for p in range(coface.stratum_rank + 1):
-                    assert cx.face_map(face, coface, p) == (
+                    assert cx.face_map_columns(face, coface, p) == (
                         oracles.fraction_face_map(cx, face, coface, p))

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from trophodge import exactla, fans, weightss
+from oracles import composes_to
+from trophodge import fans, weightss
 from trophodge.weightss import (
     betti_from_h_vector,
     compare_with_trop,
@@ -56,8 +57,22 @@ def test_d1_squared_is_zero():
         n = fan.ambient_rank
         for p in range(n):
             for q in range(n + 1):
-                comp = d1(fan, p + 1, q) @ d1(fan, p, q)
-                assert comp.is_zero(), (name, p, q)
+                after, _ = d1(fan, p + 1, q)
+                before, _ = d1(fan, p, q)
+                assert composes_to(after, before), (name, p, q)
+
+
+def test_corrupt_sign_gives_a_nonzero_d1_square():
+    """The square check sees the flipped block of ``corrupt_sign`` on P^2."""
+    fan = fans.builtin("p2")
+    squares = [
+        composes_to(
+            d1(fan, p + 1, q, corrupt_sign=True)[0], d1(fan, p, q, corrupt_sign=True)[0]
+        )
+        for p in range(2)
+        for q in range(3)
+    ]
+    assert not all(squares)
 
 
 def test_d1_rejects_nonsmooth():
@@ -135,35 +150,13 @@ def test_e2_page_builds_each_d1_once(monkeypatch):
     """The rows of each d1(p, q) serve as the outgoing and then the incoming map."""
     weightss._e2_page.cache_clear()
     calls = []
-    build = weightss._d1_rows
+    build = weightss.d1
 
     def counting(fan, p, q, corrupt_sign):
         calls.append((p, q))
         return build(fan, p, q, corrupt_sign)
 
-    monkeypatch.setattr(weightss, "_d1_rows", counting)
+    monkeypatch.setattr(weightss, "d1", counting)
     page = e2_page(fans.builtin("p2"))
     assert page.table() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert sorted(calls) == [(p, q) for p in range(3) for q in range(3)]
-
-
-def test_e2_page_does_no_rational_solve(monkeypatch):
-    """d_1 is written from integer lattice data: no Fraction minor, no solve."""
-    weightss._e2_page.cache_clear()
-    calls = []
-    minor = exactla._minor
-    solve = exactla.QMatrix.solve
-
-    def counting_minor(*args):
-        calls.append("minor")
-        return minor(*args)
-
-    def counting_solve(self, b):
-        calls.append("solve")
-        return solve(self, b)
-
-    monkeypatch.setattr(exactla, "_minor", counting_minor)
-    monkeypatch.setattr(exactla.QMatrix, "solve", counting_solve)
-    page = e2_page(fans.builtin("p3"))
-    assert page.table() == [[int(p == q) for q in range(4)] for p in range(4)]
-    assert calls == []
