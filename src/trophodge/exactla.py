@@ -12,7 +12,8 @@ primitive integer row; a row is cleared at a pivot row P as
 a * row - b * P with the smallest integers a and b that cancel the
 entry, then divided by its content.  Fractions are made only where a reduced row is
 divided by its pivot entry, for unit pivots (:func:`_rref`, so an RREF
-or a kernel, :meth:`QSubspace.kernel`); a rank makes none.  The
+or a kernel, :meth:`QSubspace.kernel`); a rank makes none, and neither
+does :func:`integer_rref`, the same RREF as primitive integer rows.  The
 differentials of the package, delta of the cochain complex and d_1 of
 the weight spectral sequence, are written as such integer rows and
 reach :func:`sparse_rank` and :func:`homology_quotient` directly.
@@ -143,6 +144,21 @@ def _rref(rows, ncols):
         dense[c] = one
         red.append(tuple(dense))
     return cols, red
+
+
+def integer_rref(rows, ncols):
+    """The reduced row echelon form of sparse rows, as integer rows.
+
+    Each dense tuple is the unit-pivot row of :func:`_rref` times the
+    positive lcm of its denominators: the primitive row of
+    :func:`_gauss_jordan` with its pivot entry made positive.  No Fraction
+    is made.
+    """
+    out = []
+    for c, row in sorted(_gauss_jordan(rows, reduce=True).items()):
+        s = 1 if row[c] > 0 else -1
+        out.append(tuple(s * row.get(j, 0) for j in range(ncols)))
+    return out
 
 
 def null_rows(rows, ncols):

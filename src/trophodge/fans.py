@@ -1,10 +1,28 @@
 """Rational strongly convex cones and fans in N = Z^n.
 
-Cones are stored by their primitive extremal ray generators; the
-H-description (facet normals) is derived on demand by brute-force
-supporting-hyperplane enumeration, which is exact and cheap at desk
-scale.  Emptiness of polyhedral systems is decided by exact
-Fourier-Motzkin elimination.
+Cones are stored by their primitive extremal ray generators.  All fan
+geometry runs on integer rows through the elimination core of
+:mod:`trophodge.exactla`, and no Fraction is made on the way from rays to
+a checked fan:
+
+* ``Cone.dim`` is the :func:`~trophodge.exactla.sparse_rank` of the rays.
+  Rays that are linearly independent span a simplicial cone, which is
+  pointed and has every ray extremal, so only dependent rays are checked
+  by elimination.
+* Facet normals come from the (d-1)-subsets of the rays: the first RREF
+  row of a subset's null space (:func:`~trophodge.exactla.integer_rref`,
+  primitive with a positive pivot) that has one sign on the cone.  The
+  same rows cut out the span in :func:`_cone_system`, and
+  ``Cone.contains`` is a rank test plus integer normal evaluations.
+* :func:`feasible` decides emptiness of a polyhedral system by
+  substitution and Fourier-Motzkin elimination on primitive integer
+  rows, with positive multipliers and each new row divided by its
+  content.
+* Two maximal cones meet in their largest common face F when the sum of
+  one cone's facet normals through F, which is >= 0 on that cone and
+  zero there exactly on F, is <= 0 on every ray of the other
+  (:func:`_certified`).  Only pairs without this certificate go to
+  :func:`feasible`.
 """
 
 from __future__ import annotations
@@ -16,7 +34,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from trophodge.exactla import QSubspace, ZMatrix, smith_normal_form
+from trophodge.exactla import (
+    ZMatrix,
+    _cleared,
+    integer_rref,
+    null_rows,
+    smith_normal_form,
+    sparse_rank,
+)
 
 
 def _integer(x):
@@ -49,67 +74,101 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
+def _primitive_row(row):
+    """An int or Fraction row times the positive factor that makes it a
+    primitive integer tuple; the zero row stays zero."""
+    ints, _ = _cleared(row)
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _cancel(row, var, pivot_row):
+    """|p| * row - f * sign(p) * pivot_row, made primitive.
+
+    p and f are the entries of pivot_row and row at var, so the result is
+    zero at var and takes row with a positive multiplier.  When p and f
+    have opposite signs, pivot_row's multiplier is positive too.
+    """
+    p, f = pivot_row[var], row[var]
+    if p < 0:
+        p, f = -p, -f
+    return _primitive_row([p * x - f * y for x, y in zip(row, pivot_row)])
+
+
 def feasible(nvars, eqs, ineqs):
     """Exact feasibility of {x : E (x,1) = 0, A (x,1) >= 0}.
 
     Each constraint is a sequence of nvars coefficients plus a constant
-    term.  Equalities are removed by substitution, the rest by
-    Fourier-Motzkin elimination.
+    term, int or Fraction, cleared once to a primitive integer row.  Each
+    equality is substituted into the other rows at a variable where it is
+    nonzero (:func:`_cancel`); the inequalities left are Fourier-Motzkin
+    eliminated (Schrijver, Theory of Linear and Integer Programming,
+    12.2), each pair combined with positive integer multipliers.  Every
+    new row is divided by its content, so equal constraints coincide and
+    are kept once.
     """
-    eqs = [[Fraction(c) for c in row] for row in eqs]
-    ineqs = [[Fraction(c) for c in row] for row in ineqs]
+    eqs = [_primitive_row(row) for row in eqs]
+    ineqs = {_primitive_row(row) for row in ineqs}
     live = list(range(nvars))
 
     # substitution pass for equalities
     while eqs:
         eq = eqs.pop()
-        var = next((v for v in live if eq[v] != 0), None)
+        var = next((v for v in live if eq[v]), None)
         if var is None:
-            if eq[nvars] != 0:
+            if eq[nvars]:
                 return False
             continue
-        pivval = eq[var]
-        expr = [-c / pivval for c in eq]
-        expr[var] = Fraction(0)
-        for rows in (eqs, ineqs):
-            for row in rows:
-                f = row[var]
-                if f:
-                    for k in range(nvars + 1):
-                        row[k] += f * expr[k]
-                    row[var] = Fraction(0)
+        eqs = [_cancel(row, var, eq) if row[var] else row for row in eqs]
+        ineqs = {_cancel(row, var, eq) if row[var] else row for row in ineqs}
         live.remove(var)
 
-    for var in list(live):
+    for var in live:
         pos = [r for r in ineqs if r[var] > 0]
         neg = [r for r in ineqs if r[var] < 0]
-        rest = [r for r in ineqs if r[var] == 0]
-        new = rest
-        for rp in pos:
-            for rn in neg:
-                combo = [rp[k] * (-rn[var]) + rn[k] * rp[var] for k in range(nvars + 1)]
-                combo[var] = Fraction(0)
-                new.append(combo)
-        ineqs = new
+        ineqs = {r for r in ineqs if not r[var]}
+        ineqs.update(_cancel(rp, var, rn) for rp in pos for rn in neg)
     return all(r[nvars] >= 0 for r in ineqs)
+
+
+def _sparse(vectors):
+    return [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+
+def _rank(vectors) -> int:
+    return sparse_rank(_sparse(vectors))
+
+
+def _perp_rows(vectors, n):
+    """The RREF basis of the null space of the vectors, as primitive
+    integer rows: the lcm-scaled basis of ``QSubspace.kernel``."""
+    return integer_rref(null_rows(_sparse(vectors), n), n)
+
+
+def _dot(u, v):
+    return sum(a * x for a, x in zip(u, v))
 
 
 class Cone:
     """Strongly convex rational polyhedral cone, canonical ray form."""
 
-    __slots__ = ("ambient_rank", "rays", "_hash")
+    __slots__ = ("ambient_rank", "rays", "dim", "_hash")
 
     def __init__(self, ambient_rank, rays, skip_checks=False):
         rays = [primitive(r) for r in rays]
         if any(len(r) != ambient_rank for r in rays):
             raise ValueError("ray length does not match ambient rank")
         rays = sorted(set(rays))
-        if not skip_checks and rays:
+        dim = _rank(rays)
+        # linearly independent rays span a simplicial cone: pointed, with
+        # every ray extremal
+        if not skip_checks and dim < len(rays):
             if not _pointed(ambient_rank, rays):
                 raise ValueError("cone is not strongly convex")
             rays = _extremal(ambient_rank, rays)
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "rays", tuple(rays))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_hash", hash((ambient_rank, self.rays)))
 
     def __setattr__(self, *a):
@@ -129,15 +188,8 @@ class Cone:
         return f"Cone(rank={self.ambient_rank}, rays={list(self.rays)})"
 
     @property
-    def dim(self):
-        return self.span().dim
-
-    @property
     def is_zero(self):
         return not self.rays
-
-    def span(self):
-        return _cone_span(self)
 
     def facet_normals(self):
         return _facet_normals(self)
@@ -149,15 +201,10 @@ class Cone:
         )
 
     def contains(self, vec):
-        vec = tuple(Fraction(x) for x in vec)
-        if self.is_zero:
-            return all(x == 0 for x in vec)
-        if not self.span().contains(vec):
+        """vec in the cone: in its span, and on the inner side of each facet."""
+        if _rank(self.rays + (vec,)) != self.dim:
             return False
-        return all(
-            sum(Fraction(u) * x for u, x in zip(normal, vec)) >= 0
-            for normal, _ in self.facet_normals()
-        )
+        return all(_dot(normal, vec) >= 0 for normal, _ in self.facet_normals())
 
 
 def _pointed(n, rays):
@@ -192,41 +239,37 @@ def _extremal(n, rays):
 
 
 @functools.lru_cache(maxsize=None)
-def _cone_span(cone):
-    return QSubspace.span(cone.rays, cone.ambient_rank)
-
-
-@functools.lru_cache(maxsize=None)
 def _facet_normals(cone):
-    """((normal, facet_rays), ...): primitive inward normals with their facets."""
+    """((normal, facet_rays), ...): primitive inward normals with their facets.
+
+    Each (d-1)-subset of independent rays has a null space; its first RREF
+    line that does not vanish on the cone is, if it has one sign on the
+    rays, a supporting hyperplane, and its zero rays a facet when they
+    span d-1 dimensions.  The rays of a simplicial cone are independent,
+    so each subset is already the facet its normal cuts out.
+    """
     d = cone.dim
     n = cone.ambient_rank
     if d == 0:
         return ()
+    simplicial = d == len(cone.rays)
     found = {}
     for sub in itertools.combinations(cone.rays, d - 1):
-        if QSubspace.span(sub, n).dim != d - 1:
+        if not simplicial and _rank(sub) != d - 1:
             continue
-        kern = QSubspace.kernel([dict(enumerate(r)) for r in sub], n)
-        for cand in kern.basis:
-            evals = [sum(c * r for c, r in zip(cand, ray)) for ray in cone.rays]
-            if all(e == 0 for e in evals):
+        for cand in _perp_rows(sub, n):
+            evals = [_dot(cand, ray) for ray in cone.rays]
+            if not any(evals):
                 continue
             if all(e >= 0 for e in evals):
                 normal = cand
             elif all(e <= 0 for e in evals):
                 normal = tuple(-c for c in cand)
-                evals = [-e for e in evals]
             else:
                 break
-            facet_rays = tuple(
-                ray for ray, e in zip(cone.rays, evals) if e == 0
-            )
-            if QSubspace.span(facet_rays, n).dim == d - 1:
-                lcm = 1
-                for c in normal:
-                    lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-                found[facet_rays] = primitive([int(c * lcm) for c in normal])
+            facet_rays = tuple(ray for ray, e in zip(cone.rays, evals) if not e)
+            if simplicial or _rank(facet_rays) == d - 1:
+                found[facet_rays] = normal
             break
     return tuple((v, k) for k, v in sorted(found.items()))
 
@@ -407,27 +450,46 @@ def check_face_intersections(cones):
 
 
 def _cone_system(cone):
-    """(eqs, ineqs) rows of length n+1 cutting out the cone."""
-    n = cone.ambient_rank
-    eqs = []
-    if cone.dim < n:
-        ker = QSubspace.kernel([dict(enumerate(r)) for r in cone.rays], n)
-        eqs = [list(u) + [0] for u in ker.basis]
-    ineqs = [list(normal) + [0] for normal, _ in cone.facet_normals()]
+    """(eqs, ineqs) integer rows of length n+1 cutting out the cone."""
+    eqs = [row + (0,) for row in _perp_rows(cone.rays, cone.ambient_rank)]
+    ineqs = [normal + (0,) for normal, _ in cone.facet_normals()]
     return eqs, ineqs
 
 
-def _intersection_inside_face(n, c1, c2, face):
-    # w is a supporting functional of c1 whose zero set on c1 is exactly `face`;
-    # a point of (c1 cap c2) with w > 0 witnesses a bad intersection
-    w = [Fraction(0)] * n
-    for normal, facet_rays in c1.facet_normals():
+def _face_functional(cone, face):
+    """The sum of the cone's facet normals through the face.
+
+    It is >= 0 on the cone and vanishes there exactly on the face, the
+    intersection of the facets through it.
+    """
+    w = (0,) * cone.ambient_rank
+    for normal, facet_rays in cone.facet_normals():
         if all(r in facet_rays for r in face.rays):
-            for i in range(n):
-                w[i] += normal[i]
+            w = tuple(a + b for a, b in zip(w, normal))
+    return w
+
+
+def _certified(c1, c2, face):
+    """True if one cone's face functional is <= 0 on every ray of the other.
+
+    Then c1 cap c2 lies in the zero set of that functional on its cone,
+    which is the common face: a certificate that needs no elimination.
+    """
+    w1, w2 = _face_functional(c1, face), _face_functional(c2, face)
+    return all(_dot(w1, r) <= 0 for r in c2.rays) or all(
+        _dot(w2, r) <= 0 for r in c1.rays
+    )
+
+
+def _intersection_inside_face(n, c1, c2, face):
+    # c1 cap c2 is the common face iff no point of it has w > 0, for w the
+    # face functional of c1; short of a certificate, a feasible point of
+    # c1 cap c2 with w >= 1 witnesses a bad intersection
+    if _certified(c1, c2, face):
+        return True
     eqs1, ineqs1 = _cone_system(c1)
     eqs2, ineqs2 = _cone_system(c2)
-    strict = [list(w) + [-1]]
+    strict = [_face_functional(c1, face) + (-1,)]
     return not feasible(n, eqs1 + eqs2, ineqs1 + ineqs2 + strict)
 
 

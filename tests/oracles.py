@@ -16,6 +16,9 @@ as :func:`fraction_face_map` and :func:`fraction_incidence_sign`: the
 stratum map solved over Q, its wedge power as Plucker coordinates of its
 columns, and each face vector lifted into the coface span by a solve.
 
+The Fraction Fourier-Motzkin elimination that the integer ``fans.feasible``
+replaced is kept as :func:`fraction_feasible`.
+
 :func:`composes_to` multiplies matrices given as rows, for the checks
 that delta and d_1 square to zero and that face maps compose.
 """
@@ -344,3 +347,45 @@ def fraction_incidence_sign(face, coface):
     if det == 0:
         raise ValueError("degenerate incidence orientation")
     return 1 if det > 0 else -1
+
+
+def fraction_feasible(nvars, eqs, ineqs):
+    """Feasibility of {x : E (x,1) = 0, A (x,1) >= 0} in Fractions.
+
+    Equalities are removed by substitution of a solved variable, the rest
+    by Fourier-Motzkin elimination, every row kept as it comes.
+    """
+    eqs = [[Fraction(c) for c in row] for row in eqs]
+    ineqs = [[Fraction(c) for c in row] for row in ineqs]
+    live = list(range(nvars))
+
+    while eqs:
+        eq = eqs.pop()
+        var = next((v for v in live if eq[v] != 0), None)
+        if var is None:
+            if eq[nvars] != 0:
+                return False
+            continue
+        pivval = eq[var]
+        expr = [-c / pivval for c in eq]
+        expr[var] = Fraction(0)
+        for rows in (eqs, ineqs):
+            for row in rows:
+                f = row[var]
+                if f:
+                    for k in range(nvars + 1):
+                        row[k] += f * expr[k]
+                    row[var] = Fraction(0)
+        live.remove(var)
+
+    for var in list(live):
+        pos = [r for r in ineqs if r[var] > 0]
+        neg = [r for r in ineqs if r[var] < 0]
+        new = [r for r in ineqs if r[var] == 0]
+        for rp in pos:
+            for rn in neg:
+                combo = [rp[k] * (-rn[var]) + rn[k] * rp[var] for k in range(nvars + 1)]
+                combo[var] = Fraction(0)
+                new.append(combo)
+        ineqs = new
+    return all(r[nvars] >= 0 for r in ineqs)

@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, subspaces, SNF, wedges."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from trophodge.exactla import (
     _bareiss,
     _rref,
     homology_quotient,
+    integer_rref,
     lex_subsets,
     smith_normal_form,
     sparse_rank,
@@ -82,6 +84,19 @@ def test_sparse_rank_matches_dense(rows):
         for row in rows
     ]
     assert sparse_rank(fractions) == sparse_rank([dict(enumerate(r)) for r in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_integer_rref_is_the_lcm_scaled_rref(rows):
+    _, red = _rref(sparse(rows), len(rows[0]))
+    scaled = []
+    for row in red:
+        m = 1
+        for x in row:
+            m = m * x.denominator // math.gcd(m, x.denominator)
+        scaled.append(tuple(int(x * m) for x in row))
+    assert integer_rref(sparse(rows), len(rows[0])) == scaled
 
 
 def test_rank_nullity():

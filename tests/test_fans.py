@@ -1,10 +1,15 @@
 """Cones, fans, orbit lattices, subdivision, and the built-in zoo."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from trophodge import fans
+import oracles
+from test_fan_digest import moved_zoo
+from trophodge import exactla, fans
 from trophodge.fans import Cone, Fan, faces, orbit_lattice
 
 
@@ -111,6 +116,128 @@ def test_fan_checks_intersections_of_maximal_pairs_only(monkeypatch):
     orthants = fans.orthant_fan(4).maximal_cones
     Fan(4, [c.rays for c in orthants])
     assert 0 < len(calls) <= 16 * 15 // 2
+
+
+def test_smooth_fans_build_without_elimination(monkeypatch):
+    """Simplicial cones skip the pointedness and extremality eliminations,
+    and the face functional certifies every maximal pair of orthant(4) and
+    P^4, so building them runs no Fourier-Motzkin at all."""
+    given = [
+        [c.rays for c in fan.maximal_cones]
+        for fan in (fans.orthant_fan(4), fans.projective_space(4))
+    ]
+    calls = {"feasible": 0, "pairs": 0}
+    feasible = fans.feasible
+    check = fans._intersection_inside_face
+
+    def counting_feasible(*args):
+        calls["feasible"] += 1
+        return feasible(*args)
+
+    def counting_check(*args):
+        calls["pairs"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(fans, "feasible", counting_feasible)
+    monkeypatch.setattr(fans, "_intersection_inside_face", counting_check)
+    for cones in given:
+        Fan(4, cones)
+    assert calls == {"feasible": 0, "pairs": 16 * 15 // 2 + 5 * 4 // 2}
+
+
+def _pair_system(c1, c2, face):
+    eqs1, ineqs1 = fans._cone_system(c1)
+    eqs2, ineqs2 = fans._cone_system(c2)
+    strict = [fans._face_functional(c1, face) + (-1,)]
+    return eqs1 + eqs2, ineqs1 + ineqs2 + strict
+
+
+def _common_face(c1, c2):
+    return max(fans.face_set(c1) & fans.face_set(c2), key=lambda c: c.dim)
+
+
+def test_certificate_settles_only_pairs_elimination_confirms():
+    named = [(name, fans.builtin(name)) for name in fans.BUILTIN_ZOO]
+    named.append(("orthant(4)", fans.orthant_fan(4)))
+    named.append(("projective_space(4)", fans.projective_space(4)))
+    named += [(name, Fan(n, cones)) for name, n, cones in moved_zoo()]
+    for name, fan in named:
+        for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
+            face = _common_face(c1, c2)
+            assert fans._certified(c1, c2, face), (name, c1, c2)
+            eqs, ineqs = _pair_system(c1, c2, face)
+            assert not oracles.fraction_feasible(fan.ambient_rank, eqs, ineqs), (
+                name, c1, c2,
+            )
+    # the crossing pairs of test_fan_rejects_crossing_maximal_cones
+    crossing = [
+        (Cone(3, [E1, E2, E3]), Cone(3, [E3, (2, -1, 0), (-1, 2, 0)])),
+        (Cone(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+         Cone(3, [(1, 0, 1), (-1, 0, 1), (0, 1, -1)])),
+    ]
+    for c1, c2 in crossing:
+        face = _common_face(c1, c2)
+        assert not fans._certified(c1, c2, face)
+        assert oracles.fraction_feasible(3, *_pair_system(c1, c2, face))
+
+
+def test_fan_geometry_makes_no_fraction(monkeypatch):
+    """Facet normals, cone tests and intersection checks run on integers.
+
+    The fan caches are emptied, then orthant(4), P^4, the blow-up of P^2
+    (through star_subdivision and Cone.contains) and the complete zoo fans
+    in seeded coordinates are built with ``Fraction`` unusable in both
+    ``fans`` and ``exactla``.
+    """
+    def no_fraction(*args):
+        raise AssertionError("the fan geometry made a Fraction")
+
+    moved = moved_zoo()
+    for cache in (fans.faces, fans.face_set, fans._facet_normals, fans.orthant_fan):
+        cache.cache_clear()
+    monkeypatch.setattr(fans, "Fraction", no_fraction)
+    monkeypatch.setattr(exactla, "Fraction", no_fraction)
+    with pytest.raises(AssertionError):
+        exactla.QSubspace.span([(1, 2)], 2)
+    built = [fans.orthant_fan(4), fans.projective_space(4), fans.blowup_p2()]
+    built += [Fan(n, cones) for _, n, cones in moved]
+    for fan in built:
+        assert fan.is_smooth() and fans.is_complete(fan)
+    assert fans.blowup_p2().f_vector() == (1, 4, 4)
+
+
+_COEFF = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _systems(draw):
+    """(nvars, eqs, ineqs, kind): systems with a few inequalities to
+    eliminate, systems of equalities only, and equalities with a pair
+    that no point satisfies."""
+    kind = draw(st.sampled_from(("mixed", "equalities", "inconsistent")))
+    nvars = draw(st.integers(kind != "equalities", 3))
+    row = st.lists(_COEFF, min_size=nvars + 1, max_size=nvars + 1)
+    eqs = draw(st.lists(row, max_size=2 if kind == "mixed" else 4))
+    ineqs = draw(st.lists(row, min_size=2, max_size=7)) if kind == "mixed" else []
+    if kind == "inconsistent":
+        base = draw(row)
+        k, shift = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        eqs += [base, [k * x for x in base[:-1]] + [k * base[-1] + shift]]
+    return nvars, eqs, ineqs, kind
+
+
+@seed(1986)
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_integer_feasible_matches_the_fraction_oracle(system):
+    nvars, eqs, ineqs, kind = system
+    decision = fans.feasible(nvars, eqs, ineqs)
+    assert decision == oracles.fraction_feasible(nvars, eqs, ineqs)
+    if kind == "inconsistent":
+        assert not decision
 
 
 def test_fan_face_closure_and_intersections():
