@@ -475,10 +475,11 @@ def _certified(c1, c2, face):
     Then c1 cap c2 lies in the zero set of that functional on its cone,
     which is the common face: a certificate that needs no elimination.
     """
-    w1, w2 = _face_functional(c1, face), _face_functional(c2, face)
-    return all(_dot(w1, r) <= 0 for r in c2.rays) or all(
-        _dot(w2, r) <= 0 for r in c1.rays
-    )
+    for cone, other in ((c1, c2), (c2, c1)):
+        w = _face_functional(cone, face)
+        if all(_dot(w, r) <= 0 for r in other.rays):
+            return True
+    return False
 
 
 def _intersection_inside_face(n, c1, c2, face):

@@ -218,7 +218,7 @@ def _systems(draw):
     eliminate, systems of equalities only, and equalities with a pair
     that no point satisfies."""
     kind = draw(st.sampled_from(("mixed", "equalities", "inconsistent")))
-    nvars = draw(st.integers(kind != "equalities", 3))
+    nvars = draw(st.integers(0 if kind == "equalities" else 1, 3))
     row = st.lists(_COEFF, min_size=nvars + 1, max_size=nvars + 1)
     eqs = draw(st.lists(row, max_size=2 if kind == "mixed" else 4))
     ineqs = draw(st.lists(row, min_size=2, max_size=7)) if kind == "mixed" else []
