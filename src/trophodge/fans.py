@@ -12,8 +12,9 @@ a checked fan:
 * Facet normals come from the (d-1)-subsets of the rays: the first RREF
   row of a subset's null space (:func:`~trophodge.exactla.integer_rref`,
   primitive with a positive pivot) that has one sign on the cone.  The
-  same rows cut out the span in :func:`_cone_system`, and
-  ``Cone.contains`` is a rank test plus integer normal evaluations.
+  same rows for the null space of all the rays cut out the span of the
+  cone in :func:`_cone_system`, and ``Cone.contains`` is a rank test
+  plus integer normal evaluations.
 * :func:`feasible` decides emptiness of a polyhedral system by
   substitution and Fourier-Motzkin elimination on primitive integer
   rows, with positive multipliers and each new row divided by its
@@ -220,8 +221,6 @@ def _pointed(n, rays):
 def _in_cone_of(n, rays, vec):
     """vec in cone(rays), decided in generator coordinates."""
     k = len(rays)
-    if k == 0:
-        return all(x == 0 for x in vec)
     eqs = [
         [rays[i][c] for i in range(k)] + [-vec[c]] for c in range(n)
     ]
