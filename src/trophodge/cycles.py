@@ -2,15 +2,15 @@
 
 A Minkowski weight of codimension p assigns rational weights to the
 codimension-p cones of a fan; balancing at every codimension-(p+1) cone
-makes it a Chow cocycle.  Balanced weights give cellular cycles in the
-compactified fan space whose classes pair exactly with cohomology.
+makes it a Chow cocycle.  Balanced weights and boundary divisors give
+cellular cycles, sums of volume elements, in the compactified fan space
+whose classes pair exactly with cohomology.  The intersection numbers of
+a surface come from its 2-cones, which pair each ray with its neighbours.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 import re
 from fractions import Fraction
 
@@ -103,36 +103,14 @@ def _weight_value(w):
     raise ValueError(f"weight {w!r} is not an integer or a 'num/den' string")
 
 
-def balancing_check(mw: MinkowskiWeight):
-    """Balancing defects: (sigma, defect in N_sigma coordinates), defects only."""
-    fan = mw.fan
-    n = fan.ambient_rank
-    out = []
-    for sigma in fan.cones_of_dim(n - mw.codim - 1):
-        defect = [Fraction(0)] * orbit_lattice(sigma).n_sigma_rank
-        for tau in fan.cones_of_dim(n - mw.codim):
-            if sigma not in fans.face_set(tau):
-                continue
-            w = mw.weight(tau)
-            if not w:
-                continue
-            img = fans.project(sigma, fans.new_ray(sigma, tau))
-            defect = [d + w * x for d, x in zip(defect, img)]
-        if any(defect):
-            out.append((sigma, tuple(defect)))
-    return out
-
-
-def is_balanced(mw: MinkowskiWeight) -> bool:
-    return not balancing_check(mw)
-
-
-def _balancing_matrix(fan: Fan, codim: int):
-    """(rows, cols): the balancing equations as sparse {column: entry} rows,
-    and the codim-``codim`` cones that index their columns, in fan order."""
+def _balancing_blocks(fan: Fan, codim: int):
+    """(blocks, cols): (sigma, its balancing equations as sparse
+    {column: entry} rows, one per coordinate of N_sigma) for each cone
+    sigma of dimension n - codim - 1, and the codim-``codim`` cones that
+    index the columns, both in fan order."""
     n = fan.ambient_rank
     cols = fan.cones_of_dim(n - codim)
-    rows = []
+    blocks = []
     for sigma in fan.cones_of_dim(n - codim - 1):
         block = [{} for _ in range(orbit_lattice(sigma).n_sigma_rank)]
         for j, tau in enumerate(cols):
@@ -142,8 +120,27 @@ def _balancing_matrix(fan: Fan, codim: int):
             for row, x in zip(block, img):
                 if x:
                     row[j] = x
-        rows.extend(block)
-    return rows, cols
+        blocks.append((sigma, block))
+    return blocks, cols
+
+
+def balancing_check(mw: MinkowskiWeight):
+    """Balancing defects: (sigma, defect in N_sigma coordinates), defects only."""
+    blocks, cols = _balancing_blocks(mw.fan, mw.codim)
+    weights = [mw.weight(tau) for tau in cols]
+    out = []
+    for sigma, block in blocks:
+        defect = tuple(
+            sum((weights[j] * x for j, x in row.items()), Fraction(0))
+            for row in block
+        )
+        if any(defect):
+            out.append((sigma, defect))
+    return out
+
+
+def is_balanced(mw: MinkowskiWeight) -> bool:
+    return not balancing_check(mw)
 
 
 def chow_space(fan: Fan, codim: int) -> QSubspace:
@@ -152,8 +149,8 @@ def chow_space(fan: Fan, codim: int) -> QSubspace:
         raise ValueError("Chow groups via weights need a smooth fan")
     if not fans.is_complete(fan):
         raise ValueError("Chow groups via weights need a complete fan")
-    rows, cols = _balancing_matrix(fan, codim)
-    return QSubspace.kernel(rows, len(cols))
+    blocks, cols = _balancing_blocks(fan, codim)
+    return QSubspace.kernel([row for _, block in blocks for row in block], len(cols))
 
 
 def chow_dim(fan: Fan, codim: int) -> int:
@@ -214,20 +211,28 @@ class TropCycle:
         return all(x == 0 for x in self.boundary())
 
 
-def _primitive(vec):
-    """Integer coprime rescaling of a rational vector, same orientation."""
-    den = math.lcm(*(x.denominator for x in vec))
-    return [Fraction(x) for x in fans.primitive([x * den for x in vec])]
-
-
 def _volume_element(cell: Cell):
     """Primitive generator of wedge^dim of the cell span, oriented by the
     echelon basis of the span (the same orientation the incidence signs use).
 
-    The rows of ``tropspace._integer_basis`` are positive multiples of that
-    basis, so their wedge is a positive multiple of its wedge."""
+    The rows of ``tropspace._integer_basis`` are positive integer multiples
+    of that basis, so their wedge is an integral positive multiple of its
+    wedge."""
     _, basis = _integer_basis(cell)
-    return _primitive(list(wedge_vector(basis, cell.stratum_rank, len(basis))))
+    return fans.primitive(wedge_vector(basis, cell.stratum_rank, len(basis)))
+
+
+def _volume_cycle(cx: TropComplex, d: int, weighted_cells) -> TropCycle:
+    """The d-cycle of w times the signed volume element of each (cell, w)."""
+    sign = (-1) ** (d * (d - 1) // 2)
+    chain = {}
+    for cell, w in weighted_cells:
+        vol = _volume_element(cell)
+        coords = cx.f_lower(cell, d).coordinates([w * sign * x for x in vol])
+        if coords is None:
+            raise ValueError("volume element outside the multi-tangent space")
+        chain[cx.cell_id(cell)] = coords
+    return TropCycle(cx, d, chain)
 
 
 def cycle_class(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
@@ -235,45 +240,24 @@ def cycle_class(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
     if mw.fan != cx.base_fan:
         raise ValueError("weight and complex live on different fans")
     n = mw.fan.ambient_rank
-    d = n - mw.codim
-    sign = (-1) ** (d * (d - 1) // 2)
     zero = Cone(n, [])
-    chain = {}
-    for cone, w in mw.weights.items():
-        if not w:
-            continue
-        cell = Cell(zero, cone)
-        cid = cx.cell_id(cell)
-        vol = _volume_element(cell)
-        coords = cx.f_lower(cell, d).coordinates([w * sign * x for x in vol])
-        if coords is None:
-            raise ValueError("volume element outside the multi-tangent space")
-        chain[cid] = coords
-    return TropCycle(cx, d, chain)
+    return _volume_cycle(
+        cx, n - mw.codim, [(Cell(zero, c), w) for c, w in mw.weights.items() if w]
+    )
 
 
 def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
     """The boundary divisor of a ray as a weight-one sedentary cycle."""
     fan = cx.base_fan
     n = fan.ambient_rank
-    ray = fans.primitive(ray)
-    rho = Cone(n, [ray])
+    rho = Cone(n, [fans.primitive(ray)])
     if rho not in fan.cones:
         raise ValueError("not a ray of the fan")
-    d = n - 1
-    sign = (-1) ** (d * (d - 1) // 2)
-    chain = {}
-    for tau in fan.cones_of_dim(n):
-        if rho not in fans.face_set(tau):
-            continue
-        cell = Cell(rho, tau)
-        cid = cx.cell_id(cell)
-        vol = _volume_element(cell)
-        coords = cx.f_lower(cell, d).coordinates([sign * x for x in vol])
-        if coords is None:
-            raise ValueError("volume element outside the multi-tangent space")
-        chain[cid] = coords
-    return TropCycle(cx, d, chain)
+    return _volume_cycle(
+        cx,
+        n - 1,
+        [(Cell(rho, tau), 1) for tau in fan.cones_of_dim(n) if rho in fans.face_set(tau)],
+    )
 
 
 def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
@@ -348,78 +332,51 @@ def divisor_combination(cx: TropComplex, ray_weights) -> TropCycle:
         if not w:
             continue
         for cid, block in divisor_cycle(cx, r).chain.items():
-            cur = total.get(cid)
-            if cur is None:
-                total[cid] = tuple(w * x for x in block)
-            else:
-                total[cid] = tuple(a + w * x for a, x in zip(cur, block))
+            cur = total.get(cid, (0,) * len(block))
+            total[cid] = tuple(a + w * x for a, x in zip(cur, block))
     return TropCycle(cx, fan.ambient_rank - 1, total)
 
 
 def weight_cycle(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
     """The cycle of a weight: mobile fan cycle, or boundary divisor sum."""
     if mw.divisor:
-        table = {Cone(mw.fan.ambient_rank, [r]): Fraction(0) for r in mw.fan.rays}
-        table.update(mw.weights)
-        return divisor_combination(
-            cx, [table[Cone(mw.fan.ambient_rank, [r])] for r in mw.fan.rays]
-        )
+        n = mw.fan.ambient_rank
+        return divisor_combination(cx, [mw.weight(Cone(n, [r])) for r in mw.fan.rays])
     return cycle_class(cx, mw)
-
-
-def _cyclic_rays(fan: Fan):
-    """Rays of a complete rank-2 fan in counterclockwise order."""
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(a, b):
-        if half(a) != half(b):
-            return half(a) - half(b)
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return sorted(fan.rays, key=functools.cmp_to_key(cmp))
 
 
 def surface_intersection_matrix(fan: Fan) -> tuple:
     """Divisor intersection numbers of a smooth complete toric surface.
 
     A tuple of row tuples, indexed by the fan's rays in their canonical
-    order: adjacent rays meet with multiplicity one and the
-    self-intersection of the ray v_i is -b_i where v_{i-1} + v_{i+1} =
-    b_i v_i in cyclic order.
+    order.  The neighbours of a ray v are the other rays of its two
+    2-cones: v meets each with multiplicity one, and its
+    self-intersection is -b where the neighbours sum to b v.
     """
     if fan.ambient_rank != 2:
         raise ValueError("intersection matrix is for surfaces")
     if not fan.is_smooth() or not fans.is_complete(fan):
         raise ValueError("needs a smooth complete surface fan")
     rays = fan.rays
-    cyc = _cyclic_rays(fan)
-    k = len(cyc)
-    b = {}
-    for i, v in enumerate(cyc):
-        s = [a + c for a, c in zip(cyc[(i - 1) % k], cyc[(i + 1) % k])]
+    neighbours = {v: [] for v in rays}
+    for u, v in (c.rays for c in fan.cones_of_dim(2)):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    self_int = {}
+    for v in rays:
+        s = [a + c for a, c in zip(*neighbours[v])]
         j = 0 if v[0] else 1
-        bi = Fraction(s[j], v[j])
-        if any(Fraction(x) != bi * y for x, y in zip(s, v)):
+        b = Fraction(s[j], v[j])
+        if any(x != b * y for x, y in zip(s, v)):
             raise ValueError("neighbor sum is not a multiple of the ray")
-        b[v] = bi
-    adj = set()
-    for i in range(k):
-        adj.add(frozenset((cyc[i], cyc[(i + 1) % k])))
-    ent = []
-    for u in rays:
-        row = []
-        for v in rays:
-            if u == v:
-                row.append(-b[u])
-            elif frozenset((u, v)) in adj:
-                row.append(Fraction(1))
-            else:
-                row.append(Fraction(0))
-        ent.append(tuple(row))
-    return tuple(ent)
+        self_int[v] = -b
+    return tuple(
+        tuple(
+            self_int[u] if u == v else Fraction(1 if v in neighbours[u] else 0)
+            for v in rays
+        )
+        for u in rays
+    )
 
 
 def numerical_kernel_check(fan: Fan):

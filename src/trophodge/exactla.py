@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and the integers.
 
 Every cohomology dimension computed by this package is the rank of a
-matrix over Q, and every lattice question (smoothness, saturation,
-quotient coordinates) is a Smith normal form.  No floating point anywhere.
+matrix over Q, and every lattice question (saturation, quotient
+coordinates) is a Smith normal form or, for smoothness, a gcd of minors.
+No floating point anywhere.
 
 Every rank, reduced row echelon form and kernel comes out of one sparse
 fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan`, on rows
@@ -273,8 +274,7 @@ class QSubspace:
         vectors = _as_fraction_rows(vectors)
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length mismatch")
-        rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
-        return cls(ambient_dim, _rref(rows, ambient_dim)[1])
+        return cls(ambient_dim, _rref(sparse_rows(vectors), ambient_dim)[1])
 
     @classmethod
     def kernel(cls, rows, ncols):
@@ -331,6 +331,11 @@ class QSubspace:
 
     def contains(self, vec):
         return self.coordinates(vec) is not None
+
+
+def sparse_rows(vectors):
+    """Dense vectors as {column: entry} rows, their zero entries dropped."""
+    return [{j: x for j, x in enumerate(v) if x} for v in vectors]
 
 
 def sparse_rank(rows) -> int:
@@ -412,7 +417,9 @@ class ZMatrix:
         return cls(len(rows), cols, rows)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def identity(cls, n):
+        """The n x n identity; one shared copy per n."""
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):

@@ -42,6 +42,8 @@ from trophodge.exactla import (
     null_rows,
     smith_normal_form,
     sparse_rank,
+    sparse_rows,
+    wedge_columns,
 )
 
 
@@ -132,18 +134,14 @@ def feasible(nvars, eqs, ineqs):
     return all(r[nvars] >= 0 for r in ineqs)
 
 
-def _sparse(vectors):
-    return [{j: x for j, x in enumerate(v) if x} for v in vectors]
-
-
 def _rank(vectors) -> int:
-    return sparse_rank(_sparse(vectors))
+    return sparse_rank(sparse_rows(vectors))
 
 
 def _perp_rows(vectors, n):
     """The RREF basis of the null space of the vectors, as primitive
     integer rows: the lcm-scaled basis of ``QSubspace.kernel``."""
-    return integer_rref(null_rows(_sparse(vectors), n), n)
+    return integer_rref(null_rows(sparse_rows(vectors), n), n)
 
 
 def _dot(u, v):
@@ -155,7 +153,7 @@ class Cone:
 
     __slots__ = ("ambient_rank", "rays", "dim", "_hash")
 
-    def __init__(self, ambient_rank, rays, skip_checks=False):
+    def __init__(self, ambient_rank, rays):
         rays = [primitive(r) for r in rays]
         if any(len(r) != ambient_rank for r in rays):
             raise ValueError("ray length does not match ambient rank")
@@ -163,14 +161,23 @@ class Cone:
         dim = _rank(rays)
         # linearly independent rays span a simplicial cone: pointed, with
         # every ray extremal
-        if not skip_checks and dim < len(rays):
+        if dim < len(rays):
             if not _pointed(ambient_rank, rays):
                 raise ValueError("cone is not strongly convex")
             rays = _extremal(ambient_rank, rays)
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "rays", tuple(rays))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_hash", hash((ambient_rank, self.rays)))
+        self._set(ambient_rank, tuple(rays), dim)
+
+    def _set(self, ambient_rank, rays, dim):
+        values = (ambient_rank, rays, dim, hash((ambient_rank, rays)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _canonical(cls, ambient_rank, rays, dim):
+        """The cone of canonical rays (primitive, sorted, extremal) of that dim."""
+        cone = object.__new__(cls)
+        cone._set(ambient_rank, rays, dim)
+        return cone
 
     def __setattr__(self, *a):
         raise AttributeError("Cone is immutable")
@@ -196,26 +203,26 @@ class Cone:
         return _facet_normals(self)
 
     def facets(self):
+        # the rays of a facet are the cone's rays on it, in the cone's order
         return tuple(
-            Cone(self.ambient_rank, face_rays, skip_checks=True)
+            Cone._canonical(self.ambient_rank, face_rays, self.dim - 1)
             for _, face_rays in self.facet_normals()
         )
 
     def contains(self, vec):
-        """vec in the cone: in its span, and on the inner side of each facet."""
+        """vec in the cone: in its span, and on the inner side of each facet.
+        A vector of another length than the ambient rank raises ValueError."""
+        if len(vec) != self.ambient_rank:
+            raise ValueError("ray length does not match ambient rank")
         if _rank(self.rays + (vec,)) != self.dim:
             return False
         return all(_dot(normal, vec) >= 0 for normal, _ in self.facet_normals())
 
 
 def _pointed(n, rays):
-    # pointed iff no nontrivial nonnegative combination of the rays is 0,
-    # i.e. 0 is not in the convex hull of the rays
-    k = len(rays)
-    eqs = [[rays[i][c] for i in range(k)] + [0] for c in range(n)]
-    eqs.append([1] * k + [-1])
-    ineqs = [[1 if i == j else 0 for i in range(k)] + [0] for j in range(k)]
-    return not feasible(k, eqs, ineqs)
+    # pointed iff 0 is not in the convex hull of the rays: no combination
+    # with multipliers >= 0 sends the rays (r, 1) to (0, 1)
+    return not _in_cone_of(n + 1, [r + (1,) for r in rays], (0,) * n + (1,))
 
 
 def _in_cone_of(n, rays, vec):
@@ -298,13 +305,14 @@ def new_ray(sigma: Cone, tau: Cone):
 
 @functools.lru_cache(maxsize=None)
 def is_smooth(cone: Cone) -> bool:
-    """True iff the rays extend to a Z-basis of N."""
-    if cone.is_zero:
-        return True
-    mat = ZMatrix.from_rows([list(r) for r in cone.rays], cone.ambient_rank)
-    _, d, _ = smith_normal_form(mat)
-    divisors = [d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0]
-    return len(divisors) == len(cone.rays) and all(x == 1 for x in divisors)
+    """True iff the rays extend to a Z-basis of N.
+
+    k rays do iff the gcd of their k x k minors is 1: the minors vanish
+    on dependent rays, and on independent ones their gcd is the product of
+    the invariant factors.  wedge^k of the k x n ray matrix has one row.
+    """
+    mat = ZMatrix.from_rows(cone.rays, cone.ambient_rank)
+    return math.gcd(*(m for (m,) in wedge_columns(mat, len(cone.rays)))) == 1
 
 
 @dataclass(frozen=True)
@@ -544,8 +552,7 @@ def product(f: Fan, g: Fan) -> Fan:
 def projective_space(n: int) -> Fan:
     if n < 1:
         raise ValueError("projective_space needs n >= 1")
-    e = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rays = e + [[-1] * n]
+    rays = [*ZMatrix.identity(n).entries, (-1,) * n]
     new_max = [
         [rays[j] for j in range(n + 1) if j != i] for i in range(n + 1)
     ]
@@ -555,8 +562,7 @@ def projective_space(n: int) -> Fan:
 def affine_space(n: int) -> Fan:
     if n < 1:
         raise ValueError("affine_space needs n >= 1")
-    e = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return Fan(n, [e])
+    return Fan(n, [ZMatrix.identity(n).entries])
 
 
 def torus(n: int) -> Fan:

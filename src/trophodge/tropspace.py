@@ -18,12 +18,13 @@ of those cofaces is full-dimensional in its stratum, as every cell of a
 complex with a complete structure fan has, F_p(P) is all of
 wedge^p N_sigma, and no wedge is computed.
 
-The incidence of the complex is indexed once, by lookup instead of a scan
-over all pairs of cells: the faces of (sigma, tau) are the cells
-(sigma', tau') with tau' a face of tau and sigma a face of sigma', a face
-of tau'.  The projected rays and span basis of a cell, and the stratum
-projections N_sigma1 -> N_sigma2 with their wedge powers, are cached like
-the cone data of :mod:`trophodge.fans`.
+The incidence of the complex is found by lookup in its (sigma, tau) -> id
+index, not by a scan over all pairs of cells: one scan of the candidate
+faces (sigma', tau') of (sigma, tau), tau' a face of tau and sigma a face
+of sigma', yields the faces present and those missing.  The projected
+rays and span basis of a cell, and the stratum projections N_sigma1 ->
+N_sigma2 with their wedge powers, are cached like the cone data of
+:mod:`trophodge.fans`.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays (``fans.project``), the stratum maps proj2 @ ``fans.proj_section``
@@ -48,7 +49,8 @@ from trophodge.exactla import (
     QSubspace,
     ZMatrix,
     _bareiss,
-    _gauss_jordan,
+    integer_rref,
+    sparse_rows,
     wedge_columns,
     wedge_vector,
 )
@@ -95,20 +97,15 @@ class TropComplex:
     """Finite stratified cell complex over a base fan."""
 
     def __init__(self, base_fan: Fan, cells, validate=True):
-        seen = {}
-        for cell in cells:
-            if not base_fan.contains_cone(cell.sedentarity):
-                raise ValueError("cell sedentarity is not a cone of the base fan")
-            seen[(cell.sedentarity, cell.tau)] = cell
-        ordered = tuple(sorted(seen.values(), key=Cell.sort_key))
+        ordered = tuple(sorted(set(cells), key=Cell.sort_key))
+        if not all(base_fan.contains_cone(c.sedentarity) for c in ordered):
+            raise ValueError("cell sedentarity is not a cone of the base fan")
         self.base_fan = base_fan
         self.cells = ordered
-        self._index = {cell: i for i, cell in enumerate(ordered)}
+        self._index = {(c.sedentarity, c.tau): i for i, c in enumerate(ordered)}
         self._f_cache = {}
-        self._map_cache = {}
         self._poset_cache = None
         self._incidence_cache = None
-        self._closed = None
         if validate:
             self._validate()
 
@@ -147,7 +144,7 @@ class TropComplex:
     # -- poset --------------------------------------------------------
 
     def cell_id(self, cell):
-        return self._index[cell]
+        return self._index[(cell.sedentarity, cell.tau)]
 
     def cells_of_dim(self, d):
         return tuple(c for c in self.cells if c.dim == d)
@@ -157,23 +154,28 @@ class TropComplex:
         return max((c.dim for c in self.cells), default=0)
 
     def _incidence(self):
-        """Id tuples per cell id: faces, cofaces, stratum cofaces, maximal ones.
+        """Per cell id: the ids of its faces, cofaces, stratum cofaces and
+        maximal ones, each with the cell itself, and its missing faces.
 
-        Each includes the cell itself.  A stratum coface has the cell's
-        sedentarity; it is maximal when it is its own only stratum
-        coface, a face of no other one.
+        One scan takes the candidate faces (s, t) of a cell, t a face of its
+        shape and its sedentarity a face of s, as ids or as missing pairs.
+        A stratum coface has the cell's sedentarity; it is maximal when it
+        is its own only stratum coface, a face of no other one.
         """
         if self._incidence_cache is None:
-            key = {(c.sedentarity, c.tau): i for i, c in enumerate(self.cells)}
-            down = tuple(
-                tuple(sorted({
-                    key[(s, t)]
-                    for t in faces(cell.tau)
-                    for s in faces(t)
-                    if (s, t) in key and cell.sedentarity in face_set(s)
-                }))
-                for cell in self.cells
-            )
+            down, missing = [], []
+            for cell in self.cells:
+                ids, lack = [], []
+                for t in faces(cell.tau):
+                    for s in faces(t):
+                        if cell.sedentarity in face_set(s):
+                            i = self._index.get((s, t))
+                            if i is None:
+                                lack.append((s, t))
+                            else:
+                                ids.append(i)
+                down.append(tuple(sorted(ids)))
+                missing.append(tuple(lack))
             up = [[] for _ in self.cells]
             for i, ids in enumerate(down):
                 for j in ids:
@@ -184,18 +186,20 @@ class TropComplex:
                 tuple(j for j in ids if sed[j] == sed[i]) for i, ids in enumerate(up)
             )
             top = tuple(tuple(j for j in ids if len(same[j]) == 1) for ids in same)
-            self._incidence_cache = (down, tuple(map(tuple, up)), same, top)
+            self._incidence_cache = (
+                tuple(down), tuple(map(tuple, up)), same, top, tuple(missing)
+            )
         return self._incidence_cache
 
     def faces_of(self, cell):
-        return tuple(self.cells[i] for i in self._incidence()[0][self._index[cell]])
+        return tuple(self.cells[i] for i in self._incidence()[0][self.cell_id(cell)])
 
     def cofaces_of(self, cell):
-        return tuple(self.cells[i] for i in self._incidence()[1][self._index[cell]])
+        return tuple(self.cells[i] for i in self._incidence()[1][self.cell_id(cell)])
 
     def stratum_cofaces(self, cell):
         """Cofaces in the same stratum, including the cell itself."""
-        return tuple(self.cells[i] for i in self._incidence()[2][self._index[cell]])
+        return tuple(self.cells[i] for i in self._incidence()[2][self.cell_id(cell)])
 
     def face_poset(self):
         """Codimension-1 face pairs: (face_id, coface_id, sign)."""
@@ -214,17 +218,14 @@ class TropComplex:
         """True iff every face at infinity of every cell is present.
 
         Exactly then is the support compact and the plain incidence
-        cochain complex computes sheaf cohomology.
+        cochain complex computes sheaf cohomology: no missing face (s, t)
+        of a cell keeps its shape t.
         """
-        if self._closed is None:
-            cell_set = set(self.cells)
-            self._closed = all(
-                Cell(sig, cell.tau) in cell_set
-                for cell in self.cells
-                for sig in faces(cell.tau)
-                if cell.sedentarity in face_set(sig)
-            )
-        return self._closed
+        return all(
+            t != cell.tau
+            for cell, lack in zip(self.cells, self._incidence()[4])
+            for _, t in lack
+        )
 
     # -- multi-tangent spaces -----------------------------------------
 
@@ -241,7 +242,7 @@ class TropComplex:
         key = (cell, p)
         if key not in self._f_cache:
             n = cell.stratum_rank
-            top = [self.cells[i] for i in self._incidence()[3][self._index[cell]]]
+            top = [self.cells[i] for i in self._incidence()[3][self.cell_id(cell)]]
             if any(c.dim == n for c in top):
                 f = QSubspace.full(math.comb(n, p))
             else:
@@ -257,7 +258,7 @@ class TropComplex:
     def face_map_columns(self, face, coface, p):
         """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the canonical bases, by columns.
 
-        The columns are cached.  Column j holds the coordinates, in the
+        Column j holds the coordinates, in the
         canonical basis of F_p(face), of the image of the j-th canonical
         basis vector of F_p(coface).  Across strata the image is the
         integer wedge of the stratum map applied to that vector.  Between
@@ -265,42 +266,35 @@ class TropComplex:
         integer maps themselves: the identity, or the wedge of the stratum
         map.
         """
-        key = (face, coface, p)
-        if key in self._map_cache:
-            return self._map_cache[key]
-        if self._index[face] not in self._incidence()[0][self._index[coface]]:
+        if self.cell_id(face) not in self._incidence()[0][self.cell_id(coface)]:
             raise ValueError("a face map requires a face pair")
         same = face.sedentarity == coface.sedentarity
-        if not same and face.tau != coface.tau:
-            mid = Cell(face.sedentarity, coface.tau)
-            if mid not in self._index:
-                raise ValueError(
-                    "composite face map needs the intermediate cell "
-                    f"({mid.label()}) in the complex"
-                )
+        mid = (face.sedentarity, coface.tau)
+        if not same and face.tau != coface.tau and mid not in self._index:
+            raise ValueError(
+                "composite face map needs the intermediate cell "
+                f"({Cell(*mid).label()}) in the complex"
+            )
         src = self.f_lower(coface, p)
         dst = self.f_lower(face, p)
         int_cols = (
-            _identity_columns(src.ambient_dim) if same
+            ZMatrix.identity(src.ambient_dim).entries if same
             else _stratum_wedge(coface.sedentarity, face.sedentarity, p)
         )
         if src.dim == src.ambient_dim and dst.dim == dst.ambient_dim:
-            cols = int_cols
-        else:
-            cols = []
-            for v in src.basis:
-                img = [0] * dst.ambient_dim
-                for x, col in zip(v, int_cols):
-                    if x:
-                        for i, m in enumerate(col):
-                            img[i] += m * x
-                coords = dst.coordinates(img)
-                if coords is None:
-                    raise ValueError("face map image leaves the target F_p")
-                cols.append(coords)
-            cols = tuple(cols)
-        self._map_cache[key] = cols
-        return cols
+            return int_cols
+        cols = []
+        for v in src.basis:
+            img = [0] * dst.ambient_dim
+            for x, col in zip(v, int_cols):
+                if x:
+                    for i, m in enumerate(col):
+                        img[i] += m * x
+            coords = dst.coordinates(img)
+            if coords is None:
+                raise ValueError("face map image leaves the target F_p")
+            cols.append(coords)
+        return tuple(cols)
 
     # -- orientation and signs ----------------------------------------
 
@@ -348,15 +342,16 @@ class TropComplex:
     # -- validation ---------------------------------------------------
 
     def _validate(self):
-        cell_set = set(self.cells)
+        # a face in the stratum keeps the sedentarity
+        if any(
+            s == cell.sedentarity
+            for cell, lack in zip(self.cells, self._incidence()[4])
+            for s, _ in lack
+        ):
+            raise ValueError("complex is not closed under faces")
         by_sed = {}
         for cell in self.cells:
             by_sed.setdefault(cell.sedentarity, []).append(cell.tau)
-        for cell in self.cells:
-            for sub in faces(cell.tau):
-                if cell.sedentarity in face_set(sub):
-                    if Cell(cell.sedentarity, sub) not in cell_set:
-                        raise ValueError("complex is not closed under faces")
         for shapes in by_sed.values():
             proper = {f for s in shapes for f in faces(s) if f != s}
             fans.check_face_intersections([s for s in shapes if s not in proper])
@@ -393,22 +388,10 @@ def _projected_rays(cell: Cell) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _integer_basis(cell: Cell) -> tuple:
-    """(pivots, basis) of the cell span, the RREF basis in ints.
-
-    Each vector of the RREF basis of the span of the projected rays is
-    taken times the positive lcm of its denominators, which is then its
-    entry at its pivot; on a full span the basis is the identity.  That is
-    the primitive integer row the reduced elimination of the projected
-    rays holds at the pivot, with its sign made positive there, so no
-    Fraction is made.
-    """
-    rows = _gauss_jordan([dict(enumerate(r)) for r in _projected_rays(cell)], True)
-    pivots = tuple(sorted(rows))
-    basis = []
-    for c in pivots:
-        sign = 1 if rows[c][c] > 0 else -1
-        basis.append(tuple(sign * rows[c].get(j, 0) for j in range(cell.stratum_rank)))
-    return pivots, tuple(basis)
+    """(pivots, basis) of the cell span: the ``integer_rref`` rows of the
+    projected rays (the identity on a full span) and their pivot columns."""
+    basis = tuple(integer_rref(sparse_rows(_projected_rays(cell)), cell.stratum_rank))
+    return tuple(next(j for j, x in enumerate(v) if x) for v in basis), basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,12 +413,6 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
 def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
     """wedge^p of the stratum projection, as its integer columns."""
     return wedge_columns(_stratum_projection(sed_small, sed_big), p)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity_columns(n: int) -> tuple:
-    """The integer columns of the n x n identity."""
-    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 def tautological_complex(fan: Fan, structure: Fan | None = None) -> TropComplex:

@@ -17,7 +17,9 @@ stratum map solved over Q, its wedge power as Plucker coordinates of its
 columns, and each face vector lifted into the coface span by a solve.
 
 The Fraction Fourier-Motzkin elimination that the integer ``fans.feasible``
-replaced is kept as :func:`fraction_feasible`.
+replaced is kept as :func:`fraction_feasible`, and the Smith normal form
+test of smoothness that the minors of ``fans.is_smooth`` replaced as
+:func:`smith_is_smooth`.
 
 :func:`composes_to` multiplies matrices given as rows, for the checks
 that delta and d_1 square to zero and that face maps compose.
@@ -33,7 +35,9 @@ from trophodge.exactla import (
     QSubspace,
     _rref,
     block_offsets,
+    ZMatrix,
     lex_subsets,
+    smith_normal_form,
     sparse_rank,
     wedge_vector,
 )
@@ -389,3 +393,14 @@ def fraction_feasible(nvars, eqs, ineqs):
                 new.append(combo)
         ineqs = new
     return all(r[nvars] >= 0 for r in ineqs)
+
+
+def smith_is_smooth(cone) -> bool:
+    """Whether the rays of a cone extend to a Z-basis of N, by the Smith
+    normal form of the ray matrix: one invariant factor per ray, all 1."""
+    if cone.is_zero:
+        return True
+    mat = ZMatrix.from_rows([list(r) for r in cone.rays], cone.ambient_rank)
+    d = smith_normal_form(mat)[1].entries
+    divisors = [d[i][i] for i in range(min(len(d), cone.ambient_rank)) if d[i][i]]
+    return len(divisors) == len(cone.rays) and all(x == 1 for x in divisors)

@@ -279,6 +279,14 @@ def test_subdivide_outside_support_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("ray", ["1,1,1", "1,1,0", "1"])
+def test_subdivide_ray_of_another_length_exits_3(capsys, ray):
+    # a ray of the wrong length is not read through its first entries
+    code, out, err = run(capsys, "subdivide", "--builtin", "p2", "--ray", ray)
+    assert (code, out) == (3, "")
+    assert err == "error: ray length does not match ambient rank\n"
+
+
 def test_verify_single_builtin(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "torus(3)")
     assert code == 0

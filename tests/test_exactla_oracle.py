@@ -3,20 +3,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from trophodge.exactla import (
     QSubspace,
+    ZMatrix,
     _bareiss,
     _rref,
     homology_quotient,
     lex_subsets,
+    smith_normal_form,
     sparse_rank,
     wedge_vector,
 )
 
 sympy = pytest.importorskip("sympy")
+normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
 # a third of the entries are zero, so pivots get skipped and rows vanish
 entries = st.one_of(
@@ -245,3 +248,24 @@ def test_wedge_vector_of_large_integer_vectors_matches_sympy(case):
         int(ref.extract(list(range(p)), list(cols)).det())
         for cols in lex_subsets(n, p)
     )
+
+
+# entries of mixed size and many zeros: invariant factors other than 1,
+# and zero rows, columns and ranks
+smith_entries = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-10**6, 10**6))
+
+
+@seed(1968)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+    lambda c: st.lists(
+        st.lists(smith_entries, min_size=c, max_size=c), min_size=r, max_size=r
+    ))))
+def test_smith_normal_form_diagonal_matches_sympy_invariant_factors(rows):
+    m = ZMatrix.from_rows(rows)
+    u, d, v = smith_normal_form(m)
+    assert u @ m @ v == d
+    assert not any(x for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
+    diagonal = tuple(d.entries[i][i] for i in range(min(m.rows, m.cols)))
+    factors = normalforms.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert diagonal == tuple(int(x) for x in factors)

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -46,10 +46,55 @@ def test_cone_contains():
     assert not c.contains((-1, 0))
 
 
+def test_contains_rejects_a_vector_of_another_length():
+    c = Cone(2, [(1, 0), (0, 1)])
+    for vec in [(1, 1, 0), (1,), ()]:
+        with pytest.raises(ValueError, match="length"):
+            c.contains(vec)
+    with pytest.raises(ValueError, match="length"):
+        Cone(2, []).contains((0, 0, 1))
+    with pytest.raises(ValueError, match="length"):
+        fans.projective_space(2).supports((1, 1, 0))
+
+
 def test_is_smooth():
     assert fans.is_smooth(Cone(2, [(1, 0), (0, 1)]))
     assert not fans.is_smooth(Cone(2, [(1, 0), (1, 2)]))
     assert fans.is_smooth(Cone(2, []))
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _ray_sets(draw):
+    """(kind, rank, rays): no rays; independent rays; more rays than the
+    rank, all with a positive first entry, so the cone is pointed and its
+    extremal rays may be dependent; independent rays times factors 1-4."""
+    kind = draw(st.sampled_from(("empty", "independent", "dependent", "non-primitive")))
+    n = draw(st.integers(3 if kind == "dependent" else 1, 4))
+    if kind == "empty":
+        return kind, n, []
+    first = st.integers(1, 3) if kind == "dependent" else _SMALL
+    k = draw(st.integers(n + 1, n + 3) if kind == "dependent" else st.integers(1, n))
+    rays = draw(st.lists(st.tuples(first, *[_SMALL] * (n - 1)), min_size=k, max_size=k))
+    if kind != "dependent":
+        assume(exactla.sparse_rank(exactla.sparse_rows(rays)) == k)
+    if kind == "non-primitive":
+        factors = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        rays = [tuple(m * x for x in r) for m, r in zip(factors, rays)]
+    return kind, n, rays
+
+
+@seed(1304)
+@settings(max_examples=200, deadline=None)
+@given(_ray_sets())
+def test_is_smooth_matches_the_smith_form_oracle(ray_set):
+    kind, n, rays = ray_set
+    cone = Cone(n, rays)
+    assert fans.is_smooth(cone) == oracles.smith_is_smooth(cone)
+    if kind == "empty":
+        assert fans.is_smooth(cone)
 
 
 def test_orbit_lattice_examples():
