@@ -1,11 +1,15 @@
 """Command-line surface for the tropical cohomology pipeline.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including
-an invalid weight file, an input file that cannot be read and an
-``--output`` that cannot be written), 3 invalid fan (or an incomplete one
-where a complete fan is needed, as by ``chow`` and ``pair``), 4 cohomology
-error, 5 non-smooth input (for ``pair``, a fan on which the weight cycle
+conflicting flags, an invalid weight file, an input file that cannot be
+read and an ``--output`` that cannot be written), 3 invalid fan (or an
+incomplete one where a complete fan is needed, as by ``chow`` and
+``pair``), 4 cohomology error (for ``verify``, a fan whose checks cannot
+run), 5 non-smooth input (for ``pair``, a fan on which the weight cycle
 cannot be built), 6 unbalanced weights.
+
+Each subcommand declares the code of its library failures as
+``failure``; :func:`main` turns a ``ValueError`` into that code.
 """
 
 from __future__ import annotations
@@ -30,13 +34,17 @@ class CliError(Exception):
         self.code = code
 
 
+def _builtin(name):
+    try:
+        return fans.builtin(name)
+    except (KeyError, ValueError) as exc:
+        raise CliError(EXIT_PARSE, f"unknown builtin: {exc}")
+
+
 def _load_fan(args):
-    if getattr(args, "builtin", None):
-        try:
-            return fans.builtin(args.builtin)
-        except (KeyError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"unknown builtin: {exc}")
-    if getattr(args, "input", None):
+    if args.builtin:
+        return _builtin(args.builtin)
+    if args.input:
         data = _load_json(args.input)
         try:
             return fans.from_json_dict(data)
@@ -79,63 +87,51 @@ def cmd_fan_validate(args):
 
 
 def cmd_cohomology(args):
+    if args.all and (args.p is not None or args.q is not None):
+        raise CliError(EXIT_PARSE, "--all takes no --p or --q")
     fan = _load_fan(args)
     n = fan.ambient_rank
-    try:
-        cx = weightss.trop_complex_for(fan)
-        if args.all:
-            table = cohomology.betti_table(cx)
-            if args.output and args.output.endswith(".json"):
-                _emit(cohomology.betti_to_json(table) + "\n", args.output)
-            else:
-                _emit(cohomology.betti_to_tsv(table), args.output)
-            return 0
-        if args.p is None or args.q is None:
-            raise CliError(EXIT_PARSE, "need --p and --q, or --all")
-        if not (0 <= args.p <= n and 0 <= args.q <= n):
-            raise CliError(EXIT_PARSE, "p and q must lie in 0..n")
-        res = cohomology.cohomology(cx, args.p, args.q)
-        _emit(f"{res.dim}\n", args.output)
+    cx = weightss.trop_complex_for(fan)
+    if args.all:
+        table = cohomology.betti_table(cx)
+        if args.output and args.output.endswith(".json"):
+            _emit(cohomology.betti_to_json(table) + "\n", args.output)
+        else:
+            _emit(cohomology.betti_to_tsv(table), args.output)
         return 0
-    except CliError:
-        raise
-    except ValueError as exc:
-        raise CliError(EXIT_COHOMOLOGY, f"cohomology failed: {exc}")
+    if args.p is None or args.q is None:
+        raise CliError(EXIT_PARSE, "need --p and --q, or --all")
+    if not (0 <= args.p <= n and 0 <= args.q <= n):
+        raise CliError(EXIT_PARSE, "p and q must lie in 0..n")
+    res = cohomology.cohomology(cx, args.p, args.q)
+    _emit(f"{res.dim}\n", args.output)
+    return 0
 
 
 def cmd_weightss(args):
     fan = _load_fan(args)
-    try:
-        if args.level == 1:
-            page = weightss.e1_page(fan)
-        else:
-            page = weightss.e2_page(fan)
-    except ValueError as exc:
-        raise CliError(EXIT_NONSMOOTH, str(exc))
+    page = weightss.e1_page(fan) if args.level == 1 else weightss.e2_page(fan)
     _emit(page.to_json() + "\n", args.output)
     return 0
 
 
 def cmd_chow(args):
+    if args.all and args.codim is not None:
+        raise CliError(EXIT_PARSE, "--all takes no --codim")
     fan = _load_fan(args)
     n = fan.ambient_rank
     if fan.is_smooth() and not fans.is_complete(fan):
         raise CliError(EXIT_INVALID_FAN, "Chow groups via weights need a complete fan")
-    try:
-        if args.all:
-            dims = [cycles.chow_dim(fan, p) for p in range(n + 1)]
-            _emit(json.dumps({"dims": dims}, sort_keys=True) + "\n", args.output)
-            return 0
-        if args.codim is None:
-            raise CliError(EXIT_PARSE, "need --codim or --all")
-        if not 0 <= args.codim <= n:
-            raise CliError(EXIT_PARSE, "codim must lie in 0..n")
-        _emit(f"{cycles.chow_dim(fan, args.codim)}\n", args.output)
+    if args.all:
+        dims = [cycles.chow_dim(fan, p) for p in range(n + 1)]
+        _emit(json.dumps({"dims": dims}, sort_keys=True) + "\n", args.output)
         return 0
-    except CliError:
-        raise
-    except ValueError as exc:
-        raise CliError(EXIT_NONSMOOTH, str(exc))
+    if args.codim is None:
+        raise CliError(EXIT_PARSE, "need --codim or --all")
+    if not 0 <= args.codim <= n:
+        raise CliError(EXIT_PARSE, "codim must lie in 0..n")
+    _emit(f"{cycles.chow_dim(fan, args.codim)}\n", args.output)
+    return 0
 
 
 def cmd_pair(args):
@@ -148,21 +144,18 @@ def cmd_pair(args):
         raise CliError(EXIT_PARSE, f"invalid weight file: {exc}")
     if not fans.is_complete(mw.fan):
         raise CliError(EXIT_INVALID_FAN, "pairing needs a complete fan")
-    try:
-        if not mw.divisor:
-            violations = cycles.balancing_check(mw)
-            if violations:
-                for sigma, defect in violations:
-                    print(
-                        f"unbalanced at cone {list(sigma.rays)}: "
-                        f"defect {[str(x) for x in defect]}",
-                        file=sys.stderr,
-                    )
-                raise CliError(EXIT_UNBALANCED, "weights are not balanced")
-        cx = weightss.trop_complex_for(mw.fan)
-        cycle = cycles.weight_cycle(cx, mw)
-    except ValueError as exc:
-        raise CliError(EXIT_NONSMOOTH, f"cannot build the weight cycle: {exc}")
+    if not mw.divisor:
+        violations = cycles.balancing_check(mw)
+        if violations:
+            for sigma, defect in violations:
+                print(
+                    f"unbalanced at cone {list(sigma.rays)}: "
+                    f"defect {[str(x) for x in defect]}",
+                    file=sys.stderr,
+                )
+            raise CliError(EXIT_UNBALANCED, "weights are not balanced")
+    cx = weightss.trop_complex_for(mw.fan)
+    cycle = cycles.weight_cycle(cx, mw)
     d = cycle.p
     res = cohomology.cohomology(cx, d, d)
     lines = [
@@ -180,22 +173,19 @@ def cmd_subdivide(args):
         ray = tuple(int(x) for x in args.ray.split(","))
     except ValueError:
         raise CliError(EXIT_PARSE, "ray must be a comma-separated integer vector")
-    try:
-        out = fans.star_subdivision(fan, ray)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID_FAN, str(exc))
+    out = fans.star_subdivision(fan, ray)
     _emit(json.dumps(fans.to_json_dict(out), sort_keys=True) + "\n", args.output)
     return 0
 
 
-def _verify_fan(name, fan, corrupt=False):
+def _verify_fan(name, fan):
     n = fan.ambient_rank
     checks = []
 
     def record(label, ok):
         checks.append({"name": label, "pass": bool(ok)})
 
-    comparison = weightss.compare_with_trop(fan, corrupt_sign=corrupt)
+    comparison = weightss.compare_with_trop(fan)
     record("e2_matches_tropical", comparison["pass"])
     if not comparison["pass"]:
         checks[-1]["mismatches"] = [
@@ -237,13 +227,7 @@ def cmd_verify(args):
         names = [args.builtin]
     else:
         raise CliError(EXIT_PARSE, "need --builtin or --all-builtins")
-    reports = []
-    for name in names:
-        try:
-            fan = fans.builtin(name)
-        except (KeyError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"unknown builtin: {exc}")
-        reports.append(_verify_fan(name, fan, corrupt=args.corrupt_d1_sign))
+    reports = [_verify_fan(name, _builtin(name)) for name in names]
     ok = all(r["pass"] for r in reports)
     _emit(
         json.dumps({"reports": reports, "pass": ok}, sort_keys=True) + "\n",
@@ -265,50 +249,49 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def fan_flags(p):
-        p.add_argument("--builtin", help="built-in fan name")
-        p.add_argument("--input", help="fan JSON file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--builtin", help="built-in fan name")
+        source.add_argument("--input", help="fan JSON file")
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("fan-validate", help="validate a fan and print a summary")
     fan_flags(p)
-    p.set_defaults(func=cmd_fan_validate)
+    p.set_defaults(func=cmd_fan_validate, failure=EXIT_INVALID_FAN)
 
     p = sub.add_parser("cohomology", help="tropical Hodge numbers h^{p,q}")
     fan_flags(p)
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--all", action="store_true", help="full Betti table")
-    p.set_defaults(func=cmd_cohomology)
+    p.set_defaults(func=cmd_cohomology, failure=EXIT_COHOMOLOGY)
 
     p = sub.add_parser("weightss", help="weight spectral sequence page dims")
     fan_flags(p)
     p.add_argument("--level", type=int, choices=(1, 2), default=2)
-    p.set_defaults(func=cmd_weightss)
+    p.set_defaults(func=cmd_weightss, failure=EXIT_NONSMOOTH)
 
     p = sub.add_parser("chow", help="Minkowski-weight Chow group dimensions")
     fan_flags(p)
     p.add_argument("--codim", type=int)
     p.add_argument("--all", action="store_true")
-    p.set_defaults(func=cmd_chow)
+    p.set_defaults(func=cmd_chow, failure=EXIT_NONSMOOTH)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--builtin", help="verify one built-in fan")
-    p.add_argument("--all-builtins", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--builtin", help="verify one built-in fan")
+    which.add_argument("--all-builtins", action="store_true")
     p.add_argument("--output")
-    p.add_argument(
-        "--corrupt-d1-sign", action="store_true", help=argparse.SUPPRESS
-    )
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, failure=EXIT_COHOMOLOGY)
 
     p = sub.add_parser("pair", help="pair a weight cycle with cohomology")
     p.add_argument("--input", help="Minkowski weight JSON file", required=False)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_pair)
+    p.set_defaults(func=cmd_pair, failure=EXIT_NONSMOOTH)
 
     p = sub.add_parser("subdivide", help="star subdivision along a ray")
     fan_flags(p)
     p.add_argument("--ray", help="comma-separated integer ray, e.g. 1,1")
-    p.set_defaults(func=cmd_subdivide)
+    p.set_defaults(func=cmd_subdivide, failure=EXIT_INVALID_FAN)
 
     return parser
 
@@ -319,8 +302,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, exc
+    except ValueError as exc:
+        code, message = args.failure, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class MinkowskiWeight:
         for cone, w in dict(weights).items():
             if not isinstance(cone, Cone):
                 cone = Cone(n, cone)
-            if cone not in fan.cones or cone.dim != wanted:
+            if not fan.contains_cone(cone) or cone.dim != wanted:
                 raise ValueError("weight on a cone of the wrong dimension")
             table[cone] = Fraction(w)
         self.fan = fan
@@ -251,7 +251,7 @@ def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
     fan = cx.base_fan
     n = fan.ambient_rank
     rho = Cone(n, [fans.primitive(ray)])
-    if rho not in fan.cones:
+    if not fan.contains_cone(rho):
         raise ValueError("not a ray of the fan")
     return _volume_cycle(
         cx,

@@ -373,7 +373,7 @@ class Fan:
     cone; :func:`check_face_intersections` runs on them only.
     """
 
-    __slots__ = ("ambient_rank", "cones", "maximal_cones", "_hash")
+    __slots__ = ("ambient_rank", "cones", "maximal_cones", "_cone_set", "_hash")
 
     def __init__(self, ambient_rank, maximal_cones):
         given = []
@@ -394,6 +394,7 @@ class Fan:
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "maximal_cones", maximal)
+        object.__setattr__(self, "_cone_set", frozenset(all_cones))
         object.__setattr__(self, "_hash", hash((ambient_rank, cones)))
 
     def __setattr__(self, *a):
@@ -425,7 +426,7 @@ class Fan:
         return tuple(len(self.cones_of_dim(d)) for d in range(top + 1))
 
     def contains_cone(self, cone):
-        return cone in self.cones
+        return cone in self._cone_set
 
     def is_subfan_of(self, other):
         return all(other.contains_cone(c) for c in self.cones)

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from trophodge import fans
+from trophodge import cohomology, fans, tropspace
 from trophodge.exactla import (
     ZMatrix,
     block_offsets,
@@ -78,7 +78,7 @@ def e1_page(fan: Fan) -> SSPage:
     return SSPage(1, n, dims)
 
 
-def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> tuple:
+def d1(fan: Fan, p: int, q: int) -> tuple:
     """The residue differential E_1^{p,q} -> E_1^{p+1,q} as a block matrix.
 
     Returns (rows, ncols): its sparse integer rows {col: entry}, one per
@@ -88,12 +88,6 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> tuple:
     rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a} (see the module docstring);
     its integer rows are written at the ``block_offsets`` of the two
     layouts.
-
-    ``corrupt_sign`` flips one block sign; it exists as a negative
-    control for the verification suite.  The control cannot fire on
-    p1, torus(n) and affine_space(1), affine_space(2): a torus has no
-    d_1 blocks, and on the others the flip is a change of basis, so
-    d_1 still squares to zero and no rank changes.
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
@@ -107,9 +101,7 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> tuple:
     # The blocks already anticommute around every square
     # sigma < tau_1, tau_2 < upsilon (interior products with distinct rays
     # anticommute), so the combinatorial sign is trivial; a position-based
-    # sign would double instead of cancel.  Only ``corrupt_sign`` flips
-    # one, on the first block.
-    eps = -1 if corrupt_sign else 1
+    # sign would double instead of cancel.
     for sigma, _ in src:
         for tau, _ in dst:
             if sigma not in face_set(tau):
@@ -121,29 +113,24 @@ def d1(fan: Fan, p: int, q: int, corrupt_sign: bool = False) -> tuple:
             r0, c0 = roff[tau], coff[sigma]
             for j, s in enumerate(lex_subsets(m, k)):
                 for a, e in enumerate(s):
-                    c = eps * (-1) ** a * rho_bar[e]
+                    c = (-1) ** a * rho_bar[e]
                     for i, x in enumerate(wedge[faces[s[:a] + s[a + 1:]]]):
                         if c * x:
                             row = rows[r0 + i]
                             row[c0 + j] = row.get(c0 + j, 0) + c * x
-            eps = 1
     return rows, ncols
 
 
-def e2_page(fan: Fan, corrupt_sign: bool = False) -> SSPage:
-    return _e2_page(fan, corrupt_sign)
-
-
 @functools.lru_cache(maxsize=None)
-def _e2_page(fan, corrupt_sign):
-    """E_2 page, cached per fan under one key however ``e2_page`` is called."""
+def e2_page(fan: Fan) -> SSPage:
+    """E_2 page, cached per fan."""
     _require_smooth(fan)
     n = fan.ambient_rank
     dims = {}
     for q in range(n + 1):
         inc = None
         for p in range(n + 1):
-            out, ncols = d1(fan, p, q, corrupt_sign)
+            out, ncols = d1(fan, p, q)
             dims[(p, q)] = len(homology_quotient(out, ncols, inc))
             inc = out
     return SSPage(2, n, dims)
@@ -156,20 +143,16 @@ def trop_complex_for(fan: Fan):
     Complete fans carry their tautological structure; non-complete fans
     are given the orthant structure of a built-in completion.
     """
-    from trophodge import tropspace
-
     if fans.is_complete(fan):
         return tropspace.tautological_complex(fan)
     return tropspace.tautological_complex(fan, fans.completion(fan))
 
 
-def compare_with_trop(fan: Fan, corrupt_sign: bool = False):
+def compare_with_trop(fan: Fan):
     """Entries (p, q, dim E_2^{p,q}, h^{q,p}_Trop, ok) plus overall pass."""
-    from trophodge import cohomology
-
     _require_smooth(fan)
     n = fan.ambient_rank
-    e2 = e2_page(fan, corrupt_sign=corrupt_sign)
+    e2 = e2_page(fan)
     cx = trop_complex_for(fan)
     betti = cohomology.betti_table(cx)
     entries = []

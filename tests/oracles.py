@@ -23,13 +23,20 @@ test of smoothness that the minors of ``fans.is_smooth`` replaced as
 
 :func:`composes_to` multiplies matrices given as rows, for the checks
 that delta and d_1 square to zero and that face maps compose.
+
+The negative control of the E_2 = tropical check is a d_1 with one block
+sign flipped: :func:`flip_first_d1_block` wraps a d_1, and
+:func:`corrupted_d1` puts the wrapped one in place of ``weightss.d1``
+for the length of a ``with`` block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from fractions import Fraction
 
+from trophodge import weightss
 from trophodge.cohomology import CohomologyResult, _cache
 from trophodge.exactla import (
     QSubspace,
@@ -41,7 +48,7 @@ from trophodge.exactla import (
     sparse_rank,
     wedge_vector,
 )
-from trophodge.fans import orbit_lattice
+from trophodge.fans import face_set, orbit_lattice
 from trophodge.tropspace import TropComplex, _projected_rays
 
 
@@ -66,6 +73,53 @@ def composes_to(after, before, product=None):
         if {k: x for k, x in acc.items() if x} != {k: x for k, x in want.items() if x}:
             return False
     return True
+
+
+def flip_first_d1_block(d1):
+    """The d_1 that negates the first block sigma < tau of ``d1``.
+
+    The first block is the first face pair in ``_e1_layout`` order, sigma
+    in the source layout and tau in the target layout.  The flip cannot
+    show on p1, torus(n), affine_space(1) and affine_space(2): a torus has
+    no d_1 blocks, and on the others the flip is a change of basis, so
+    d_1 still squares to zero and no rank changes.
+    """
+    def flipped(fan, p, q):
+        rows, ncols = d1(fan, p, q)
+        src = weightss._e1_layout(fan, p, q)
+        dst = weightss._e1_layout(fan, p + 1, q)
+        roff, _ = block_offsets(dst)
+        coff, _ = block_offsets(src)
+        for sigma, width in src:
+            for tau, height in dst:
+                if sigma in face_set(tau):
+                    r0, c0 = roff[tau], coff[sigma]
+                    cols = range(c0, c0 + width)
+                    for r in range(r0, r0 + height):
+                        rows[r] = {
+                            c: -x if c in cols else x for c, x in rows[r].items()
+                        }
+                    return rows, ncols
+        return rows, ncols
+
+    return flipped
+
+
+@contextlib.contextmanager
+def corrupted_d1():
+    """``weightss.d1`` with its first block flipped, inside the block only.
+
+    The cached E_2 pages are dropped on entry and on exit, so no page
+    built with one d_1 is read under the other.
+    """
+    build = weightss.d1
+    weightss.e2_page.cache_clear()
+    weightss.d1 = flip_first_d1_block(build)
+    try:
+        yield
+    finally:
+        weightss.d1 = build
+        weightss.e2_page.cache_clear()
 
 
 def cell_span(cell) -> QSubspace:

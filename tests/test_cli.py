@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import corrupted_d1
 from trophodge import cli, cycles, fans, weightss
 
 
@@ -293,14 +294,41 @@ def test_verify_single_builtin(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_verify_a_fan_it_cannot_check_exits_4(capsys):
+    # a non-complete fan with no built-in completion to give its cells
+    code, out, err = run(capsys, "verify", "--builtin", "product(p2,torus(1))")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fan-validate", "--builtin", "p2", "--input", "FILE"],
+    ["cohomology", "--builtin", "p2", "--all", "--p", "0", "--q", "0"],
+    ["chow", "--builtin", "p2", "--all", "--codim", "1"],
+    ["verify", "--builtin", "p99", "--all-builtins"],
+])
+def test_conflicting_flags_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fans.to_json_dict(fans.builtin("p1"))))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects mutually exclusive flags
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "error: " in captured.err
+
+
 def test_verify_builds_each_d1_once(monkeypatch):
-    weightss._e2_page.cache_clear()
+    weightss.e2_page.cache_clear()
     calls = []
     build = weightss.d1
 
-    def counting(fan, p, q, corrupt_sign):
+    def counting(fan, p, q):
         calls.append((p, q))
-        return build(fan, p, q, corrupt_sign)
+        return build(fan, p, q)
 
     monkeypatch.setattr(weightss, "d1", counting)
     report = cli._verify_fan("p2", fans.builtin("p2"))
@@ -309,9 +337,8 @@ def test_verify_builds_each_d1_once(monkeypatch):
 
 
 def test_verify_corrupt_sign_exits_1(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--builtin", "p1xp1", "--corrupt-d1-sign"
-    )
+    with corrupted_d1():
+        code, out, _ = run(capsys, "verify", "--builtin", "p1xp1")
     assert code == 1
     report = json.loads(out)["reports"][0]
     failed = {c["name"]: c for c in report["checks"] if not c["pass"]}
@@ -322,7 +349,8 @@ def test_verify_corrupt_sign_exits_1(capsys):
 
 
 def test_verify_corrupt_sign_fails_where_the_flip_matters(capsys):
-    code, out, _ = run(capsys, "verify", "--all-builtins", "--corrupt-d1-sign")
+    with corrupted_d1():
+        code, out, _ = run(capsys, "verify", "--all-builtins")
     assert code == 1
     failed = {r["fan"] for r in json.loads(out)["reports"] if not r["pass"]}
     blind = {"p1", "torus(1)", "torus(2)", "torus(3)",

@@ -318,7 +318,7 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
             cx.f_lower(cell, p)
     weight = cycles.MinkowskiWeight(fan, 2, dict.fromkeys(fan.cones_of_dim(1), 1))
     line = cycles.cycle_class(cx, weight)
-    weightss._e2_page.cache_clear()
+    weightss.e2_page.cache_clear()
 
     def forbidden(*args):
         raise AssertionError("a differential was densified")

@@ -4,13 +4,15 @@ It covers the 16 built-in zoo fans, P^4, and P^2 and P^3 sheared by a
 unimodular matrix.  On the sheared fans the perp lattices of some face
 pairs are not in a position where a row-reduced splitting of the new ray
 is integral, so the digest also pins that each d_1 block does not depend
-on a choice of splitting.  Every (p, q) is covered, with and without
-``corrupt_sign``; each entry is normalised through ``Fraction``.
+on a choice of splitting.  Every (p, q) is covered, as built and with
+the first block flipped by ``oracles.flip_first_d1_block``; each entry
+is normalised through ``Fraction``.
 """
 
 import hashlib
 from fractions import Fraction
 
+from oracles import flip_first_d1_block
 from trophodge import fans, weightss
 
 GOLDEN_D1 = "f7aea7e7ac4b8c36c5e448be75b89a6b5dce4836c9982f7315abad81abe6dc30"
@@ -42,10 +44,11 @@ def _named_fans():
 def _records():
     for name, fan in _named_fans():
         n = fan.ambient_rank
-        for corrupt in (False, True):
+        flipped = flip_first_d1_block(weightss.d1)
+        for corrupt, d1 in ((False, weightss.d1), (True, flipped)):
             for p in range(n + 1):
                 for q in range(n + 1):
-                    rows, ncols = weightss.d1(fan, p, q, corrupt_sign=corrupt)
+                    rows, ncols = d1(fan, p, q)
                     entries = tuple(
                         tuple(Fraction(row.get(j, 0)) for j in range(ncols))
                         for row in rows

@@ -283,6 +283,22 @@ def test_refined_complex_reproduces_tautological():
     )
 
 
+def test_fan_membership_is_hashed(monkeypatch):
+    """Building the complex of P^4 compares cones at most once per cell."""
+    fan = fans.projective_space(4)
+    calls = []
+    eq = Cone.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(Cone, "__eq__", counting)
+    cx = TropComplex.tautological(fan)
+    assert len(cx.cells) == 211
+    assert len(calls) <= len(cx.cells)
+
+
 def test_refined_complex_rejects_subdivided_base():
     p2 = fans.builtin("p2")
     sub = fans.star_subdivision(p2, (1, 1))

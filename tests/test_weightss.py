@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from oracles import composes_to
+from oracles import composes_to, corrupted_d1, flip_first_d1_block
 from trophodge import fans, weightss
 from trophodge.weightss import (
     betti_from_h_vector,
@@ -63,12 +63,11 @@ def test_d1_squared_is_zero():
 
 
 def test_corrupt_sign_gives_a_nonzero_d1_square():
-    """The square check sees the flipped block of ``corrupt_sign`` on P^2."""
+    """The square check sees the flipped block of the negative control on P^2."""
     fan = fans.builtin("p2")
+    flipped = flip_first_d1_block(d1)
     squares = [
-        composes_to(
-            d1(fan, p + 1, q, corrupt_sign=True)[0], d1(fan, p, q, corrupt_sign=True)[0]
-        )
+        composes_to(flipped(fan, p + 1, q)[0], flipped(fan, p, q)[0])
         for p in range(2)
         for q in range(3)
     ]
@@ -119,8 +118,10 @@ def test_compare_with_trop_zoo():
 
 
 def test_corrupt_sign_is_detected():
-    report = compare_with_trop(fans.builtin("p1xp1"), corrupt_sign=True)
+    with corrupted_d1():
+        report = compare_with_trop(fans.builtin("p1xp1"))
     assert not report["pass"]
+    assert compare_with_trop(fans.builtin("p1xp1"))["pass"]
 
 
 def test_betti_from_h_vector():
@@ -148,13 +149,13 @@ def test_page_json_format():
 
 def test_e2_page_builds_each_d1_once(monkeypatch):
     """The rows of each d1(p, q) serve as the outgoing and then the incoming map."""
-    weightss._e2_page.cache_clear()
+    weightss.e2_page.cache_clear()
     calls = []
     build = weightss.d1
 
-    def counting(fan, p, q, corrupt_sign):
+    def counting(fan, p, q):
         calls.append((p, q))
-        return build(fan, p, q, corrupt_sign)
+        return build(fan, p, q)
 
     monkeypatch.setattr(weightss, "d1", counting)
     page = e2_page(fans.builtin("p2"))
