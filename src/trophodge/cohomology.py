@@ -11,12 +11,15 @@ dimension d, H^{p,q} = (H_c^{d-p,d-q})^dual (Jell-Shaw-Smacka,
 "Superforms, tropical cohomology and Poincare duality",
 arXiv:1512.07409), turns them into h^{p,q}.
 
-Each delta_q is written once per (p, q), as sparse integer rows at the
-``block_offsets`` of the layout, and cached on the complex.  Dimensions
-come from ranks alone: dim H^q = dim C^q - rk delta_q - rk delta_{q-1},
-with the ranks cached beside the rows, which is all :func:`betti_table`
-computes.  Representatives (a basis of ker modulo im) come only from
-:func:`cohomology`, on boundary-closed complexes, from the same rows.  No
+For each p the complex has one :class:`CochainComplex`, which
+:func:`cochains` returns.  It owns the block layout of the C^q, writes
+each delta_q once, as sparse integer rows at the ``block_offsets`` of
+that layout, and ranks it once; it holds rows and ranks for the life of
+the complex.  Dimensions come from ranks alone: dim H^q = dim C^q -
+rk delta_q - rk delta_{q-1}, which is all :func:`betti_table` computes.
+Representatives (a basis of ker modulo im) come only from
+:func:`cohomology`, on boundary-closed complexes, from the same rows;
+the cycles of :mod:`trophodge.cycles` read the same layout and rows.  No
 dense differential is built on either path; the one dense view,
 ``CochainComplex.deltas``, is for the benchmark's counts.
 
@@ -33,23 +36,75 @@ from trophodge.exactla import QMatrix, block_offsets, homology_quotient, sparse_
 from trophodge.tropspace import TropComplex
 
 
-@dataclass(frozen=True)
 class CochainComplex:
-    """Incidence cochain complex for a fixed p, as sparse integer rows.
+    """Incidence cochain complex of a complex for a fixed p, as sparse rows.
 
-    ``layout[q]`` lists (cell_id, block_dim) in block order; ``rows[q]``
-    holds the {column: entry} rows of delta_q: C^q -> C^{q+1}, the same
-    rows the complex caches for its ranks and representatives.
-    :attr:`deltas` is a dense ``QMatrix`` view of them, built on request,
-    for the benchmark's counts.
+    ``layout[q]`` lists (cell_id, block_dim) in block order.  :meth:`delta`
+    writes the {column: entry} rows of delta_q: C^q -> C^{q+1} once and
+    holds them; :meth:`rank` ranks them once.  ``rows`` and the dense
+    ``QMatrix`` :attr:`deltas`, built on request for the benchmark's
+    counts, are views of every delta_q.  Get one with :func:`cochains`.
     """
 
-    p: int
-    layout: tuple
-    rows: tuple
+    def __init__(self, cx: TropComplex, p: int):
+        self.cx = cx
+        self.p = p
+        self.layout = tuple(
+            tuple((cx.cell_id(c), cx.f_lower(c, p).dim) for c in cx.cells_of_dim(q))
+            for q in range(cx.top_dim + 1)
+        )
+        self._rows = {}
+        self._ranks = {}
+
+    def offsets(self, q):
+        """{cell_id: first coordinate of its block} in C^q."""
+        return block_offsets(self.layout[q])[0]
 
     def space_dim(self, q):
-        return _space_dim(self.layout, q)
+        return sum(d for _, d in self.layout[q]) if 0 <= q < len(self.layout) else 0
+
+    def delta(self, q):
+        """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1}, held.
+
+        Each delta_q is written once, by :meth:`_write`; the callers must
+        not modify the rows.  Outside 0 <= q < top_dim, delta_q is the
+        zero map, with one empty row per coordinate of C^{q+1}.
+        """
+        if not 0 <= q < self.cx.top_dim:
+            return [{} for _ in range(self.space_dim(q + 1))]
+        if q not in self._rows:
+            self._rows[q] = self._write(q)
+        return self._rows[q]
+
+    def _write(self, q):
+        """The rows of delta_q, written at the ``block_offsets`` of the layout.
+
+        Row j of the block of a coface holds column j of each of its face
+        maps, with the incidence sign folded in, in the columns of the face.
+        """
+        cx, roff, coff = self.cx, self.offsets(q + 1), self.offsets(q)
+        rows = [{} for _ in range(self.space_dim(q + 1))]
+        for fid, cid, sign in cx.face_poset():
+            face = cx.cells[fid]
+            if face.dim != q:
+                continue
+            r0, c0 = roff[cid], coff[fid]
+            for j, col in enumerate(cx.face_map_columns(face, cx.cells[cid], self.p)):
+                row = rows[r0 + j]
+                for i, x in enumerate(col):
+                    if x:
+                        row[c0 + i] = x if sign > 0 else -x
+        return rows
+
+    def rank(self, q):
+        """rk delta_q, ranked sparse once; no dense differential is built."""
+        if q not in self._ranks:
+            self._ranks[q] = sparse_rank(self.delta(q))
+        return self._ranks[q]
+
+    @property
+    def rows(self):
+        return tuple(self.delta(q) for q in range(self.cx.top_dim))
 
     @property
     def deltas(self):
@@ -67,68 +122,19 @@ class CohomologyResult:
     representatives: tuple
 
 
-def _cache(cx):
-    return cx.__dict__.setdefault("_coh_cache", {})
-
-
-def _layout(cx, p):
-    """layout[q] of the incidence complex for p, cached on the complex."""
-    cache = _cache(cx)
-    if ("layout", p) not in cache:
-        cache[("layout", p)] = tuple(
-            tuple((cx.cell_id(c), cx.f_lower(c, p).dim) for c in cx.cells_of_dim(q))
-            for q in range(cx.top_dim + 1)
-        )
-    return cache[("layout", p)]
-
-
-def _space_dim(layout, q):
-    return sum(d for _, d in layout[q]) if 0 <= q < len(layout) else 0
-
-
-def _delta_rows(cx, p, q):
-    """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1}, cached.
-
-    Each delta_q is written once per (p, q), by :func:`_write_delta_rows`,
-    and cached on the complex; the callers must not modify the rows.
-    Outside 0 <= q < top_dim, delta_q is the zero map, with one empty row
-    per coordinate of C^{q+1}.
-    """
-    layout = _layout(cx, p)
-    if not 0 <= q < cx.top_dim:
-        return [{} for _ in range(_space_dim(layout, q + 1))]
-    cache = _cache(cx)
-    if ("delta", p, q) not in cache:
-        cache[("delta", p, q)] = _write_delta_rows(cx, layout, p, q)
-    return cache[("delta", p, q)]
-
-
-def _write_delta_rows(cx, layout, p, q):
-    """The rows of delta_q, written at the ``block_offsets`` of the layout.
-
-    Row j of the block of a coface holds column j of each of its face
-    maps, with the incidence sign folded in, in the columns of the face.
-    """
-    roff, nrows = block_offsets(layout[q + 1])
-    coff, _ = block_offsets(layout[q])
-    rows = [{} for _ in range(nrows)]
-    for fid, cid, sign in cx.face_poset():
-        face = cx.cells[fid]
-        if face.dim != q:
-            continue
-        r0, c0 = roff[cid], coff[fid]
-        for j, col in enumerate(cx.face_map_columns(face, cx.cells[cid], p)):
-            row = rows[r0 + j]
-            for i, x in enumerate(col):
-                if x:
-                    row[c0 + i] = x if sign > 0 else -x
-    return rows
+def cochains(cx: TropComplex, p: int) -> CochainComplex:
+    """The incidence cochain complex of ``cx`` for p, one per (complex, p)."""
+    if p not in cx.cochains:
+        cx.cochains[p] = CochainComplex(cx, p)
+    return cx.cochains[p]
 
 
 def build_cochain_complex(cx: TropComplex, p: int) -> CochainComplex:
-    """The incidence complex for p, with every delta_q written (and cached)."""
-    rows = tuple(_delta_rows(cx, p, q) for q in range(cx.top_dim))
-    return CochainComplex(p, _layout(cx, p), rows)
+    """The incidence complex for p, with every delta_q written (and held)."""
+    cc = cochains(cx, p)
+    for q in range(cx.top_dim):
+        cc.delta(q)
+    return cc
 
 
 def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
@@ -136,7 +142,7 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
 
     A boundary-closed complex gets the dimension and representatives from
     its incidence cochain complex: ker delta_q modulo im delta_{q-1}, on
-    the cached sparse rows of those two maps only.  Any other complex must
+    the held sparse rows of those two maps only.  Any other complex must
     be a tropical manifold: a complex over a smooth base fan
     (``weightss.trop_complex_for`` builds one for every non-complete fan
     it accepts) or a smooth tropical curve such as the tropical line.  Its
@@ -147,23 +153,10 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     d = _duality_dim(cx)
     if d is not None:
         return CohomologyResult(p, q, _dim(cx, p, q, d), ())
-    incoming = _delta_rows(cx, p, q - 1) if q >= 1 else None
-    reps = homology_quotient(
-        _delta_rows(cx, p, q), _space_dim(_layout(cx, p), q), incoming
-    )
+    cc = cochains(cx, p)
+    incoming = cc.delta(q - 1) if q >= 1 else None
+    reps = homology_quotient(cc.delta(q), cc.space_dim(q), incoming)
     return CohomologyResult(p, q, len(reps), tuple(reps))
-
-
-def _delta_rank(cx, p, q):
-    """rk delta_q of the incidence complex for p, cached on the complex.
-
-    The rows are the cached rows of :func:`_delta_rows`, ranked sparse;
-    no dense differential is built for a rank.
-    """
-    cache = _cache(cx)
-    if ("rank", p, q) not in cache:
-        cache[("rank", p, q)] = sparse_rank(_delta_rows(cx, p, q))
-    return cache[("rank", p, q)]
 
 
 def _duality_dim(cx):
@@ -178,16 +171,13 @@ def _duality_dim(cx):
 
 
 def _dim(cx, p, q, d):
-    """dim H^{p,q} from cached ranks, as dim H_c^{d-p,d-q} unless d is None."""
+    """dim H^{p,q} from held ranks, as dim H_c^{d-p,d-q} unless d is None."""
     if d is not None:
         if not (0 <= p <= d and 0 <= q <= d):
             return 0
         p, q = d - p, d - q
-    return (
-        _space_dim(_layout(cx, p), q)
-        - _delta_rank(cx, p, q)
-        - _delta_rank(cx, p, q - 1)
-    )
+    cc = cochains(cx, p)
+    return cc.space_dim(q) - cc.rank(q) - cc.rank(q - 1)
 
 
 def betti_table(cx: TropComplex):

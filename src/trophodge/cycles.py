@@ -15,9 +15,9 @@ import re
 from fractions import Fraction
 
 from trophodge import cohomology, fans, weightss
-from trophodge.exactla import QSubspace, block_offsets, null_rows, wedge_vector
+from trophodge.exactla import QSubspace, null_rows
 from trophodge.fans import Cone, Fan, orbit_lattice
-from trophodge.tropspace import Cell, TropComplex, _integer_basis
+from trophodge.tropspace import Cell, TropComplex, volume_element
 
 
 class MinkowskiWeight:
@@ -182,7 +182,7 @@ class TropCycle:
     def vector(self):
         """Chain coordinates in the degree-p block layout of the complex."""
         out = []
-        for cid, d in cohomology._layout(self.cx, self.p)[self.p]:
+        for cid, d in cohomology.cochains(self.cx, self.p).layout[self.p]:
             out.extend(self.chain.get(cid, (Fraction(0),) * d))
         return out
 
@@ -194,11 +194,9 @@ class TropCycle:
         """
         if self.p == 0:
             return []
-        cx, p = self.cx, self.p
-        layout = cohomology._layout(cx, p)
-        offs, _ = block_offsets(layout[p])
-        rows = cohomology._delta_rows(cx, p, p - 1)
-        out = [Fraction(0)] * cohomology._space_dim(layout, p - 1)
+        cc = cohomology.cochains(self.cx, self.p)
+        offs, rows = cc.offsets(self.p), cc.delta(self.p - 1)
+        out = [Fraction(0)] * cc.space_dim(self.p - 1)
         for cid, block in self.chain.items():
             off = offs[cid]
             for i, x in enumerate(block):
@@ -211,23 +209,12 @@ class TropCycle:
         return all(x == 0 for x in self.boundary())
 
 
-def _volume_element(cell: Cell):
-    """Primitive generator of wedge^dim of the cell span, oriented by the
-    echelon basis of the span (the same orientation the incidence signs use).
-
-    The rows of ``tropspace._integer_basis`` are positive integer multiples
-    of that basis, so their wedge is an integral positive multiple of its
-    wedge."""
-    _, basis = _integer_basis(cell)
-    return fans.primitive(wedge_vector(basis, cell.stratum_rank, len(basis)))
-
-
 def _volume_cycle(cx: TropComplex, d: int, weighted_cells) -> TropCycle:
     """The d-cycle of w times the signed volume element of each (cell, w)."""
     sign = (-1) ** (d * (d - 1) // 2)
     chain = {}
     for cell, w in weighted_cells:
-        vol = _volume_element(cell)
+        vol = volume_element(cell)
         coords = cx.f_lower(cell, d).coordinates([w * sign * x for x in vol])
         if coords is None:
             raise ValueError("volume element outside the multi-tangent space")
@@ -268,11 +255,10 @@ def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
     summed over the nonzero coordinates of the chain at the
     ``block_offsets`` of its blocks.
     """
-    layout = cohomology._layout(cycle.cx, cycle.p)[cycle.p]
-    offs, total = block_offsets(layout)
-    if len(cocycle_coords) != total:
+    cc = cohomology.cochains(cycle.cx, cycle.p)
+    offs, dims = cc.offsets(cycle.p), dict(cc.layout[cycle.p])
+    if len(cocycle_coords) != cc.space_dim(cycle.p):
         raise ValueError("cocycle and cycle live in dual spaces of equal size")
-    dims = dict(layout)
     out = Fraction(0)
     for cid, block in cycle.chain.items():
         if len(block) != dims[cid]:
@@ -286,6 +272,10 @@ def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
 
 def principal_divisor_weights(fan: Fan, m):
     """Ray weights of the principal divisor of the character m."""
+    if len(m) != fan.ambient_rank:
+        raise ValueError(
+            f"character of length {len(m)} on a fan of rank {fan.ambient_rank}"
+        )
     return [
         sum(Fraction(a) * b for a, b in zip(m, r)) for r in fan.rays
     ]
@@ -303,14 +293,15 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
     n = fan.ambient_rank
     d = n - 1
     rays = fan.rays
-    offs, dim_c = block_offsets(cohomology._layout(cx, d)[d])
-    ext = [{} for _ in range(dim_c)]
+    cc = cohomology.cochains(cx, d)
+    offs = cc.offsets(d)
+    ext = [{} for _ in range(cc.space_dim(d))]
     for r, ray in enumerate(rays):
         for cid, block in divisor_cycle(cx, ray).chain.items():
             for i, x in enumerate(block):
                 if x:
                     ext[offs[cid] + i][r] = x
-    bnd = cohomology._delta_rows(cx, d, d)
+    bnd = cc.delta(d)
     for j, row in enumerate(bnd):
         for i, x in row.items():
             ext[i][len(rays) + j] = x

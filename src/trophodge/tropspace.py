@@ -21,10 +21,11 @@ wedge^p N_sigma, and no wedge is computed.
 The incidence of the complex is found by lookup in its (sigma, tau) -> id
 index, not by a scan over all pairs of cells: one scan of the candidate
 faces (sigma', tau') of (sigma, tau), tau' a face of tau and sigma a face
-of sigma', yields the faces present and those missing.  The projected
-rays and span basis of a cell, and the stratum projections N_sigma1 ->
-N_sigma2 with their wedge powers, are cached like the cone data of
-:mod:`trophodge.fans`.
+of sigma', yields the faces present and those missing.  The span basis
+of a cell, and the stratum projections N_sigma1 -> N_sigma2 with their
+wedge powers, are cached like the cone data of :mod:`trophodge.fans`.
+The projected rays are not: their two readers, the span basis and an
+F_p that is not the full space, are cached themselves.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays (``fans.project``), the stratum maps proj2 @ ``fans.proj_section``
@@ -106,6 +107,7 @@ class TropComplex:
         self._f_cache = {}
         self._poset_cache = None
         self._incidence_cache = None
+        self.cochains = {}  # p -> cohomology.CochainComplex, by cohomology.cochains
         if validate:
             self._validate()
 
@@ -357,6 +359,17 @@ class TropComplex:
             fans.check_face_intersections([s for s in shapes if s not in proper])
 
 
+def volume_element(cell: Cell):
+    """Primitive generator of wedge^dim of the cell span, oriented by the
+    echelon basis of the span, as :meth:`TropComplex._incidence_sign` is.
+
+    The rows of :func:`_integer_basis` are positive integer multiples of
+    that basis, so their wedge is an integral positive multiple of its
+    wedge."""
+    _, basis = _integer_basis(cell)
+    return fans.primitive(wedge_vector(basis, cell.stratum_rank, len(basis)))
+
+
 def _in_span(vec, basis, pivots):
     """Whether an integer vector lies in the span of a scaled RREF basis.
 
@@ -379,7 +392,6 @@ def _ray_sum(rays):
     return tuple(map(sum, zip(*rays)))
 
 
-@functools.lru_cache(maxsize=None)
 def _projected_rays(cell: Cell) -> tuple:
     """The nonzero images of the lifted rays of a cell in N_sigma, in ints."""
     sed = cell.sedentarity

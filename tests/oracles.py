@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import weakref
 from fractions import Fraction
 
 from trophodge import weightss
-from trophodge.cohomology import CohomologyResult, _cache
+from trophodge.cohomology import CohomologyResult
 from trophodge.exactla import (
     QSubspace,
     _rref,
@@ -50,6 +51,17 @@ from trophodge.exactla import (
 )
 from trophodge.fans import face_set, orbit_lattice
 from trophodge.tropspace import TropComplex, _projected_rays
+
+
+_held = {}
+
+
+def _cache(cx):
+    """The oracles' own dict for a complex, dropped with the complex."""
+    if id(cx) not in _held:
+        _held[id(cx)] = {}
+        weakref.finalize(cx, _held.pop, id(cx))
+    return _held[id(cx)]
 
 
 def composes_to(after, before, product=None):

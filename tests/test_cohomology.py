@@ -332,20 +332,20 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
 
 
 def test_each_delta_is_written_once(monkeypatch):
-    """Ranks and representatives read one cache of the rows of delta_q.
+    """Ranks and representatives read the rows one CochainComplex holds.
 
     A P^4 Betti table writes every delta_q once; representatives of
     H^{2,2} afterwards write none.  On a fresh complex, ``cohomology``
     writes delta_{q-1} and delta_q only.
     """
     writes = []
-    write = cohomology._write_delta_rows
+    write = cohomology.CochainComplex._write
 
-    def counting(cx, layout, p, q):
-        writes.append((p, q))
-        return write(cx, layout, p, q)
+    def counting(cc, q):
+        writes.append((cc.p, q))
+        return write(cc, q)
 
-    monkeypatch.setattr(cohomology, "_write_delta_rows", counting)
+    monkeypatch.setattr(cohomology.CochainComplex, "_write", counting)
     cx = tropspace.tautological_complex(fans.projective_space(4))
     betti_table(cx)
     assert sorted(writes) == [(p, q) for p in range(5) for q in range(4)]

@@ -129,6 +129,13 @@ def test_principal_weights_example():
     assert principal_divisor_weights(p1xp1, (1, 0)) == [-1, 0, 0, 1]
 
 
+@pytest.mark.parametrize("m", [(1,), (1, 0, 5)])
+def test_principal_weights_reject_a_character_of_another_length(m):
+    """A character is never truncated or padded to the rank of the fan."""
+    with pytest.raises(ValueError, match="character of length"):
+        principal_divisor_weights(fans.builtin("p2"), m)
+
+
 def test_p2_intersection_matrix():
     mat = surface_intersection_matrix(fans.builtin("p2"))
     assert all(x == 1 for row in mat for x in row)

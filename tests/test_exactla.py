@@ -342,3 +342,40 @@ def test_only_exactla_and_cohomology_bind_qmatrix():
     ]
     assert sorted(bound) == ["cohomology", "exactla"]
     assert not hasattr(trophodge, "QMatrix")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Each decision is kept in one module: no trophodge module imports or
+    reads an ``_``-prefixed name of another, except the exact kernels
+    ``exactla._bareiss`` and ``exactla._cleared``."""
+    import ast
+    import pathlib
+
+    import trophodge
+
+    allowed = {("exactla", "_bareiss"), ("exactla", "_cleared")}
+    found = []
+    for path in sorted(pathlib.Path(trophodge.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "trophodge":
+                aliases.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "trophodge."
+            ):
+                owner = node.module.split(".")[1]
+                found += [
+                    (path.stem, owner, a.name) for a in node.names
+                    if a.name.startswith("_") and (owner, a.name) not in allowed
+                ]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr.startswith("_")
+                and (aliases[node.value.id], node.attr) not in allowed
+            ):
+                found.append((path.stem, aliases[node.value.id], node.attr))
+    assert [f for f in found if f[0] != f[1]] == []
