@@ -14,7 +14,8 @@ arXiv:1512.07409), turns them into h^{p,q}.
 For each p the complex has one :class:`CochainComplex`, which
 :func:`cochains` returns.  It owns the block layout of the C^q, writes
 each delta_q once, as sparse integer rows at the ``block_offsets`` of
-that layout, and ranks it once; it holds rows and ranks for the life of
+that layout (between two full F_p, from one block per pair of
+sedentarities), and ranks it once; it holds rows and ranks for the life of
 the complex.  Dimensions come from ranks alone: dim H^q = dim C^q -
 rk delta_q - rk delta_{q-1}, which is all :func:`betti_table` computes.
 Representatives (a basis of ker modulo im) come only from
@@ -30,10 +31,11 @@ oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from trophodge.exactla import QMatrix, block_offsets, homology_quotient, sparse_rank
-from trophodge.tropspace import TropComplex
+from trophodge.tropspace import TropComplex, stratum_wedge
 
 
 class CochainComplex:
@@ -49,10 +51,11 @@ class CochainComplex:
     def __init__(self, cx: TropComplex, p: int):
         self.cx = cx
         self.p = p
-        self.layout = tuple(
-            tuple((cx.cell_id(c), cx.f_lower(c, p).dim) for c in cx.cells_of_dim(q))
-            for q in range(cx.top_dim + 1)
-        )
+        layout = [[] for _ in range(cx.top_dim + 1)]
+        for i, c in enumerate(cx.cells):
+            layout[c.dim].append((i, cx.f_lower(c, p).dim))
+        self.layout = tuple(map(tuple, layout))
+        self._blocks = {}  # (coface sedentarity, face sedentarity) -> columns
         self._rows = {}
         self._ranks = {}
 
@@ -81,19 +84,38 @@ class CochainComplex:
 
         Row j of the block of a coface holds column j of each of its face
         maps, with the incidence sign folded in, in the columns of the face.
+        The pairs are those of ``face_pairs(q)``.  Between two full F_p,
+        whose block dimension is C(n, p) for the stratum rank n, the face
+        map depends only on the two sedentarities: the identity inside a
+        stratum, ``stratum_wedge`` across strata.  That block is made once
+        per sedentarity pair, as sparse columns, and kept; a pair with an
+        F_p that is not full takes ``face_map_columns``.
         """
-        cx, roff, coff = self.cx, self.offsets(q + 1), self.offsets(q)
+        cx, p = self.cx, self.p
+        roff, coff = self.offsets(q + 1), self.offsets(q)
+        full = {
+            i: d == math.comb(cx.cells[i].stratum_rank, p)
+            for i, d in self.layout[q] + self.layout[q + 1]
+        }
         rows = [{} for _ in range(self.space_dim(q + 1))]
-        for fid, cid, sign in cx.face_poset():
-            face = cx.cells[fid]
-            if face.dim != q:
-                continue
+        for fid, cid, sign in cx.face_pairs(q):
+            face, coface = cx.cells[fid], cx.cells[cid]
+            if full[fid] and full[cid]:
+                key = (coface.sedentarity, face.sedentarity)
+                cols = self._blocks.get(key)
+                if cols is None:
+                    cols = self._blocks[key] = (
+                        tuple(((j, 1),) for j in range(math.comb(face.stratum_rank, p)))
+                        if key[0] == key[1]
+                        else _sparse_columns(stratum_wedge(*key, p))
+                    )
+            else:
+                cols = _sparse_columns(cx.face_map_columns(face, coface, p))
             r0, c0 = roff[cid], coff[fid]
-            for j, col in enumerate(cx.face_map_columns(face, cx.cells[cid], self.p)):
+            for j, col in enumerate(cols):
                 row = rows[r0 + j]
-                for i, x in enumerate(col):
-                    if x:
-                        row[c0 + i] = x if sign > 0 else -x
+                for i, x in col:
+                    row[c0 + i] = sign * x
         return rows
 
     def rank(self, q):
@@ -112,6 +134,10 @@ class CochainComplex:
             QMatrix.from_sparse(rows, self.space_dim(q))
             for q, rows in enumerate(self.rows)
         )
+
+
+def _sparse_columns(cols):
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in cols)
 
 
 @dataclass(frozen=True)

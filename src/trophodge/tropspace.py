@@ -22,20 +22,31 @@ The incidence of the complex is found by lookup in its (sigma, tau) -> id
 index, not by a scan over all pairs of cells: one scan of the candidate
 faces (sigma', tau') of (sigma, tau), tau' a face of tau and sigma a face
 of sigma', yields the faces present and those missing.  The span basis
-of a cell, and the stratum projections N_sigma1 -> N_sigma2 with their
-wedge powers, are cached like the cone data of :mod:`trophodge.fans`.
-The projected rays are not: their two readers, the span basis and an
-F_p that is not the full space, are cached themselves.
+of a cell, the image of each ray in each N_sigma, and the stratum
+projections N_sigma1 -> N_sigma2 with their wedge powers are cached like
+the cone data of :mod:`trophodge.fans`; the F_p of a complex are cached
+by cell id.
+
+Each cell is oriented by the RREF basis of its span.  When the projected
+rays R of a cell c are independent, as for every cell of a simplicial
+fan, its orientation o(c) = sign det(R at the pivot columns of that
+basis) is taken once, +1 for a point.  A codim-1 face f of c drops one
+ray r of R, at position k, and keeps the rest in order; its sign is
+-(-1)^k o(f) o(c) inside a stratum, f = (sigma, tau minus r), and
+(-1)^k o(f) o(c) across strata, f = (sigma + r, tau).  Only a pair with a
+cell of dependent projected rays takes the determinant of
+:meth:`TropComplex._incidence_sign`.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays (``fans.project``), the stratum maps proj2 @ ``fans.proj_section``
 (integral because each projection N -> N_sigma is onto) and their wedge
 powers (``exactla.wedge_columns``, shared with d_1 in
-:mod:`trophodge.weightss`) are computed in ints, and every Plucker coordinate and incidence sign is an integer
-determinant.  A full F_p has the identity basis, and a face map between
-two full ones is integral: the identity inside a stratum, the wedge of
-the stratum map across strata.  Fractions enter only through the RREF
-bases of the other spans and the coordinates in them.
+:mod:`trophodge.weightss`) are computed in ints, and every Plucker
+coordinate and orientation is an integer determinant.  A full F_p has
+the identity basis, and a face map between two full ones is integral:
+the identity inside a stratum, :func:`stratum_wedge` across strata.
+Fractions enter only through the RREF bases of the other spans and the
+coordinates in them.
 """
 
 from __future__ import annotations
@@ -106,6 +117,7 @@ class TropComplex:
         self._index = {(c.sedentarity, c.tau): i for i, c in enumerate(ordered)}
         self._f_cache = {}
         self._poset_cache = None
+        self._pairs_by_dim = None
         self._incidence_cache = None
         self.cochains = {}  # p -> cohomology.CochainComplex, by cohomology.cochains
         if validate:
@@ -153,7 +165,7 @@ class TropComplex:
 
     @property
     def top_dim(self):
-        return max((c.dim for c in self.cells), default=0)
+        return self.cells[-1].dim if self.cells else 0  # cells are sorted by dim
 
     def _incidence(self):
         """Per cell id: the ids of its faces, cofaces, stratum cofaces and
@@ -204,17 +216,36 @@ class TropComplex:
         return tuple(self.cells[i] for i in self._incidence()[2][self.cell_id(cell)])
 
     def face_poset(self):
-        """Codimension-1 face pairs: (face_id, coface_id, sign)."""
+        """Codimension-1 face pairs: (face_id, coface_id, sign).
+
+        The sign is read off one orientation per cell (:func:`_pair_sign`),
+        or taken by :meth:`_incidence_sign` for a pair with a cell of
+        dependent projected rays.  The pairs are also kept grouped by the
+        dimension of the face, for :meth:`face_pairs`.
+        """
         if self._poset_cache is None:
-            out = []
+            frames = [_orientation(c) for c in self.cells]
+            down = self._incidence()[0]
+            out, by_dim = [], {}
             for cid, coface in enumerate(self.cells):
-                for fid in self._incidence()[0][cid]:
+                for fid in down[cid]:
                     face = self.cells[fid]
                     if face.dim != coface.dim - 1:
                         continue
-                    out.append((fid, cid, self._incidence_sign(face, coface)))
+                    same = face.sedentarity == coface.sedentarity
+                    sign = _pair_sign(frames[fid], frames[cid], same)
+                    if sign is None:
+                        sign = self._incidence_sign(face, coface)
+                    out.append((fid, cid, sign))
+                    by_dim.setdefault(face.dim, []).append(out[-1])
             self._poset_cache = tuple(out)
+            self._pairs_by_dim = {q: tuple(v) for q, v in by_dim.items()}
         return self._poset_cache
+
+    def face_pairs(self, q):
+        """The pairs of :meth:`face_poset` whose face has dimension q, in order."""
+        self.face_poset()
+        return self._pairs_by_dim.get(q, ())
 
     def is_boundary_closed(self):
         """True iff every face at infinity of every cell is present.
@@ -241,10 +272,10 @@ class TropComplex:
         space, since wedge^p T(c) <= F_p <= wedge^p N_sigma, and its basis
         is the identity.
         """
-        key = (cell, p)
+        key = (self.cell_id(cell), p)
         if key not in self._f_cache:
             n = cell.stratum_rank
-            top = [self.cells[i] for i in self._incidence()[3][self.cell_id(cell)]]
+            top = [self.cells[i] for i in self._incidence()[3][key[0]]]
             if any(c.dim == n for c in top):
                 f = QSubspace.full(math.comb(n, p))
             else:
@@ -281,7 +312,7 @@ class TropComplex:
         dst = self.f_lower(face, p)
         int_cols = (
             ZMatrix.identity(src.ambient_dim).entries if same
-            else _stratum_wedge(coface.sedentarity, face.sedentarity, p)
+            else stratum_wedge(coface.sedentarity, face.sedentarity, p)
         )
         if src.dim == src.ambient_dim and dst.dim == dst.ambient_dim:
             return int_cols
@@ -302,6 +333,10 @@ class TropComplex:
 
     def _incidence_sign(self, face, coface):
         """Sign of the coface orientation against (outward vector, face).
+
+        :meth:`face_poset` takes this determinant only for a pair with a
+        cell of dependent projected rays; on any other pair it equals the
+        sign :func:`_pair_sign` reads off the two cell orientations.
 
         Each cell is oriented by the RREF basis of its span.  Within a
         stratum the rows are the coordinates, in the coface basis, of the
@@ -370,6 +405,41 @@ def volume_element(cell: Cell):
     return fans.primitive(wedge_vector(basis, cell.stratum_rank, len(basis)))
 
 
+def _orientation(cell: Cell):
+    """(free, o): the rays of the shape off the sedentarity, in order, and
+    the orientation o of their images R in N_sigma against the echelon
+    basis of the span, o = sign det(R at the pivots of
+    :func:`_integer_basis`), +1 for a point.  The images are nonzero, and
+    o is None when they are dependent (more of them than dim)."""
+    free = tuple(r for r in cell.tau.rays if r not in cell.sedentarity.rays)
+    if len(free) != cell.dim:
+        return free, None
+    pivots, _ = _integer_basis(cell)
+    det = _bareiss([[v[j] for j in pivots] for v in _projected_rays(cell)])
+    return free, 1 if det > 0 else -1
+
+
+def _pair_sign(face_frame, coface_frame, same):
+    """The sign of :meth:`TropComplex._incidence_sign` for a codim-1 pair of
+    cells with independent projected rays, from their orientations; None
+    if either frame has none.
+
+    The face drops one free ray r of the coface, at position k, and keeps
+    the others in order: inside one stratum r leaves the shape, across
+    strata it joins the sedentarity and the shape stays.  Inside a stratum
+    the frame (-r, face rays) is -(-1)^k times the coface frame; across
+    strata the face rays lift to the coface rays other than r, and
+    (r, lifts) is (-1)^k times the coface frame.  The orientations turn
+    both frames into echelon bases.
+    """
+    (free_f, o_f), (free_c, o_c) = face_frame, coface_frame
+    if o_f is None or o_c is None:
+        return None
+    k = next((i for i, (a, b) in enumerate(zip(free_f, free_c)) if a != b), len(free_f))
+    sign = o_f * o_c * (-1) ** k
+    return -sign if same else sign
+
+
 def _in_span(vec, basis, pivots):
     """Whether an integer vector lies in the span of a scaled RREF basis.
 
@@ -395,14 +465,21 @@ def _ray_sum(rays):
 def _projected_rays(cell: Cell) -> tuple:
     """The nonzero images of the lifted rays of a cell in N_sigma, in ints."""
     sed = cell.sedentarity
-    return tuple(v for v in (fans.project(sed, r) for r in cell.tau.rays) if any(v))
+    return tuple(v for v in (_project(sed, r) for r in cell.tau.rays) if any(v))
+
+
+# a ray lies in many cells of one sedentarity; each image is computed once
+_project = functools.lru_cache(maxsize=None)(fans.project)
 
 
 @functools.lru_cache(maxsize=None)
 def _integer_basis(cell: Cell) -> tuple:
     """(pivots, basis) of the cell span: the ``integer_rref`` rows of the
     projected rays (the identity on a full span) and their pivot columns."""
-    basis = tuple(integer_rref(sparse_rows(_projected_rays(cell)), cell.stratum_rank))
+    n = cell.stratum_rank
+    if cell.dim == n:
+        return tuple(range(n)), ZMatrix.identity(n).entries
+    basis = tuple(integer_rref(sparse_rows(_projected_rays(cell)), n))
     return tuple(next(j for j, x in enumerate(v) if x) for v in basis), basis
 
 
@@ -422,8 +499,9 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
-    """wedge^p of the stratum projection, as its integer columns."""
+def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
+    """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as its
+    integer columns: the face map between two full F_p across strata."""
     return wedge_columns(_stratum_projection(sed_small, sed_big), p)
 
 

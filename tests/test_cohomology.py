@@ -331,6 +331,20 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
     assert cycles.pair(rep, line) in (-1, 1)
 
 
+def test_p4_delta_is_written_from_blocks_without_face_maps(monkeypatch):
+    """Every F_p of P^4 is full, so each face map is the identity or a
+    stratum wedge, written from one block per sedentarity pair: building
+    the complex for every p calls no ``face_map_columns``."""
+    def forbidden(*args):
+        raise AssertionError("face_map_columns was called")
+
+    cx = tropspace.tautological_complex(fans.projective_space(4))
+    monkeypatch.setattr(tropspace.TropComplex, "face_map_columns", forbidden)
+    for p in range(5):
+        build_cochain_complex(cx, p)
+    assert betti_table(cx) == diag_table(4, [1, 1, 1, 1, 1])
+
+
 def test_each_delta_is_written_once(monkeypatch):
     """Ranks and representatives read the rows one CochainComplex holds.
 

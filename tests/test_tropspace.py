@@ -9,6 +9,8 @@ import sys
 import pytest
 
 import oracles
+from test_cycles_digest import CUBE_FAN
+from test_fan_digest import moved_zoo
 from trophodge import fans, tropspace, weightss
 from trophodge.exactla import QSubspace, wedge_vector
 from trophodge.fans import Cone
@@ -204,6 +206,20 @@ def test_case3_composite_matches_factorization():
         )
 
 
+def test_composite_face_map_needs_the_intermediate_cell():
+    """Across strata with a smaller shape, the face map factors through
+    (face sedentarity, coface shape); without that cell it raises."""
+    p2 = fans.builtin("p2")
+    zero = Cone(2, [])
+    ray = p2.cones_of_dim(1)[0]
+    top = [t for t in p2.cones_of_dim(2) if ray in fans.faces(t)][0]
+    full = tropspace.tautological_complex(p2)
+    cx = TropComplex(p2, [c for c in full.cells if c != Cell(ray, top)])
+    assert len(cx.cells) == 18 and not cx.is_boundary_closed()
+    with pytest.raises(ValueError, match="intermediate cell"):
+        cx.face_map_columns(Cell(ray, ray), Cell(zero, top), 1)
+
+
 def test_face_map_requires_face_pair():
     cx = tropspace.tropical_line()
     a = Cell(Cone(2, []), Cone(2, [(1, 0)]))
@@ -234,6 +250,42 @@ def fractions_made():
         yield made
     finally:
         sys.setprofile(None)
+
+
+def test_face_poset_takes_one_determinant_per_cell(monkeypatch):
+    """Signs come from one orientation per cell.
+
+    P^4 has 211 cells and 650 face pairs; its face poset takes at most
+    one determinant per cell and no pair determinant.  On the fan over
+    the faces of a cube, exactly the pairs with a cell of dependent
+    projected rays take the pair determinant.
+    """
+    calls = {"det": 0, "pair": []}
+    bareiss = tropspace._bareiss
+    pair_sign = TropComplex._incidence_sign
+
+    def counting_det(a):
+        calls["det"] += 1
+        return bareiss(a)
+
+    def counting_pair(cx, face, coface):
+        calls["pair"].append((face, coface))
+        return pair_sign(cx, face, coface)
+
+    monkeypatch.setattr(tropspace, "_bareiss", counting_det)
+    monkeypatch.setattr(TropComplex, "_incidence_sign", counting_pair)
+    cx = tropspace.tautological_complex(fans.projective_space(4))
+    assert (len(cx.cells), len(cx.face_poset())) == (211, 650)
+    assert calls["det"] <= 211 and calls["pair"] == []
+    cube = tropspace.tautological_complex(CUBE_FAN)
+
+    def dependent(cell):
+        return len(tropspace._projected_rays(cell)) > cell.dim
+
+    assert calls["pair"] == [
+        (cube.cells[fid], cube.cells[cid]) for fid, cid, _ in cube.face_poset()
+        if dependent(cube.cells[fid]) or dependent(cube.cells[cid])
+    ] != []
 
 
 def test_incidence_signs_make_no_fraction():
@@ -309,20 +361,28 @@ def test_refined_complex_rejects_subdivided_base():
 def test_integer_geometry_matches_the_fraction_oracle():
     """Integer stratum maps and signs agree with the rational computation.
 
-    Every face pair, every p: the zoo, P^4, the tropical line, and a
-    complete fan with the non-unimodular ray (2, 3), whose cell spans have
-    RREF bases with denominators.
+    Every face pair, every p: the zoo, P^4, the tropical line, a complete
+    fan with the non-unimodular ray (2, 3), whose cell spans have RREF
+    bases with denominators, the complete zoo fans moved by a seeded
+    unimodular change of coordinates, and the fan over the faces of a
+    cube, whose cells with dependent projected rays take the pair
+    determinant.
     """
     skew = fans.Fan(2, [[(1, 0), (2, 3)], [(2, 3), (-1, 0)],
                         [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
+    moved = [weightss.trop_complex_for(fans.Fan(n, cones))
+             for _, n, cones in moved_zoo()]
+    cube = weightss.trop_complex_for(CUBE_FAN)
     complexes = [weightss.trop_complex_for(fans.builtin(name))
                  for name in fans.BUILTIN_ZOO]
     complexes += [weightss.trop_complex_for(fans.projective_space(4)),
-                  tropspace.tropical_line(), tropspace.tautological_complex(skew)]
+                  tropspace.tropical_line(), *moved, cube,
+                  tropspace.tautological_complex(skew)]
     assert any(
         x.denominator > 1 for cell in complexes[-1].cells
         for v in oracles.cell_span(cell).basis for x in v
     )
+    assert any(len(tropspace._projected_rays(c)) > c.dim for c in cube.cells)
     for cx in complexes:
         for fid, cid, sign in cx.face_poset():
             face, coface = cx.cells[fid], cx.cells[cid]
