@@ -48,7 +48,7 @@ def _load_fan(args):
         data = _load_json(args.input)
         try:
             return fans.from_json_dict(data)
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except ValueError as exc:
             raise CliError(EXIT_INVALID_FAN, f"invalid fan: {exc}")
     raise CliError(EXIT_PARSE, "need --builtin or --input")
 
@@ -140,7 +140,7 @@ def cmd_pair(args):
     data = _load_json(args.input)
     try:
         mw = cycles.MinkowskiWeight.from_json_dict(data)
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except ValueError as exc:
         raise CliError(EXIT_PARSE, f"invalid weight file: {exc}")
     if not fans.is_complete(mw.fan):
         raise CliError(EXIT_INVALID_FAN, "pairing needs a complete fan")

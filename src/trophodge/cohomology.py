@@ -14,9 +14,9 @@ arXiv:1512.07409), turns them into h^{p,q}.
 For each p the complex has one :class:`CochainComplex`, which
 :func:`cochains` returns.  It owns the block layout of the C^q, writes
 each delta_q once, as sparse integer rows at the ``block_offsets`` of
-that layout (between two full F_p, from one block per pair of
-sedentarities), and ranks it once; it holds rows and ranks for the life of
-the complex.  Dimensions come from ranks alone: dim H^q = dim C^q -
+that layout (from one block per pair of sedentarities, since every F_p
+is all of wedge^p N_sigma), and ranks it once; it holds rows and ranks
+for the life of the complex.  Dimensions come from ranks alone: dim H^q = dim C^q -
 rk delta_q - rk delta_{q-1}, which is all :func:`betti_table` computes.
 Representatives (a basis of ker modulo im) come only from
 :func:`cohomology`, on boundary-closed complexes, from the same rows;
@@ -31,7 +31,6 @@ oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from trophodge.exactla import QMatrix, block_offsets, homology_quotient, sparse_rank
@@ -84,33 +83,19 @@ class CochainComplex:
 
         Row j of the block of a coface holds column j of each of its face
         maps, with the incidence sign folded in, in the columns of the face.
-        The pairs are those of ``face_pairs(q)``.  Between two full F_p,
-        whose block dimension is C(n, p) for the stratum rank n, the face
-        map depends only on the two sedentarities: the identity inside a
-        stratum, ``stratum_wedge`` across strata.  That block is made once
-        per sedentarity pair, as sparse columns, and kept; a pair with an
-        F_p that is not full takes ``face_map_columns``.
+        The pairs are those of ``face_pairs(q)``.  Every F_p is all of
+        wedge^p N_sigma, so a face map depends only on the two
+        sedentarities: it is their ``stratum_wedge``, made once per
+        sedentarity pair as sparse columns and kept.
         """
         cx, p = self.cx, self.p
         roff, coff = self.offsets(q + 1), self.offsets(q)
-        full = {
-            i: d == math.comb(cx.cells[i].stratum_rank, p)
-            for i, d in self.layout[q] + self.layout[q + 1]
-        }
         rows = [{} for _ in range(self.space_dim(q + 1))]
         for fid, cid, sign in cx.face_pairs(q):
-            face, coface = cx.cells[fid], cx.cells[cid]
-            if full[fid] and full[cid]:
-                key = (coface.sedentarity, face.sedentarity)
-                cols = self._blocks.get(key)
-                if cols is None:
-                    cols = self._blocks[key] = (
-                        tuple(((j, 1),) for j in range(math.comb(face.stratum_rank, p)))
-                        if key[0] == key[1]
-                        else _sparse_columns(stratum_wedge(*key, p))
-                    )
-            else:
-                cols = _sparse_columns(cx.face_map_columns(face, coface, p))
+            key = (cx.cells[cid].sedentarity, cx.cells[fid].sedentarity)
+            cols = self._blocks.get(key)
+            if cols is None:
+                cols = self._blocks[key] = _sparse_columns(stratum_wedge(*key, p))
             r0, c0 = roff[cid], coff[fid]
             for j, col in enumerate(cols):
                 row = rows[r0 + j]
@@ -171,8 +156,7 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     the held sparse rows of those two maps only.  Any other complex must
     be a tropical manifold: a complex over a smooth base fan
     (``weightss.trop_complex_for`` builds one for every non-complete fan
-    it accepts) or a smooth tropical curve such as the tropical line.  Its
-    dimension comes by Poincare duality from the compactly supported
+    it accepts).  Its dimension comes by Poincare duality from the compactly supported
     groups the incidence complex computes, with ``representatives=()``; a
     base fan that is not smooth raises ValueError.
     """

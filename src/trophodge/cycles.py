@@ -66,9 +66,20 @@ class MinkowskiWeight:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The weight of ``{"fan": ..., "codim": c, "weights": [{"cone":
+        [ray indices], "w": w}, ...]}``, with an optional ``"divisor"``.
+
+        The fan is a builtin name or a fan object.  A missing or unknown
+        field, at the top or in a weight record, raises ValueError that
+        names it, as does a field of the wrong type.
+        """
+        fans.json_fields(data, "weight file", ("fan", "codim", "weights"), ("divisor",))
         ref = data["fan"]
         if isinstance(ref, str):
-            fan = fans.builtin(ref)
+            try:
+                fan = fans.builtin(ref)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
             rays = fan.rays
         else:
             fan = fans.from_json_dict(ref)
@@ -80,8 +91,10 @@ class MinkowskiWeight:
         if type(divisor) is not bool:
             raise ValueError(f"divisor {divisor!r} is not true or false")
         weights = {}
-        for rec in data["weights"]:
-            cone_rays = [fans.ray_at(rays, i) for i in rec["cone"]]
+        for k, rec in enumerate(fans.json_list(data["weights"], "weights")):
+            fans.json_fields(rec, f"weight {k}", ("cone", "w"))
+            indices = fans.json_list(rec["cone"], f"cone of weight {k}")
+            cone_rays = [fans.ray_at(rays, i) for i in indices]
             if len(set(cone_rays)) != len(cone_rays):
                 raise ValueError(f"cone {rec['cone']} lists a ray twice")
             cone = Cone(fan.ambient_rank, cone_rays)

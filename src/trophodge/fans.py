@@ -688,15 +688,65 @@ def to_json_dict(fan: Fan) -> dict:
     }
 
 
-def from_json_dict(data: dict) -> Fan:
-    n = _integer(data["rank"])
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", bool: "true or false",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def json_fields(data, what, required, optional=()):
+    """A JSON object with every ``required`` key and no key outside
+    ``required`` and ``optional``; anything else raises ValueError that
+    names ``what`` and the field."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object, not {_json_type(data)}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r} field")
+    extra = sorted(str(k) for k in data if k not in required and k not in optional)
+    if extra:
+        raise ValueError(f"{what} has an unknown field {extra[0]!r}")
+    return data
+
+
+def json_list(value, what):
+    """A JSON list, or ValueError that names ``what``."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON list, not {_json_type(value)}")
+    return value
+
+
+def _json_type(value):
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def from_json_dict(data) -> Fan:
+    """The fan of ``{"rank": n, "rays": [[...], ...], "cones": [[ray
+    indices], ...]}``: exactly these three fields, ``rays`` a list of
+    integer vectors of length n and ``cones`` a list of index lists.
+    Every other document raises ValueError naming the field at fault."""
+    json_fields(data, "fan", ("rank", "rays", "cones"))
+    try:
+        n = _integer(data["rank"])
+    except ValueError as exc:
+        raise ValueError(f"rank: {exc}") from None
     if n < 0:
         raise ValueError(f"rank {n} is negative")
-    rays = [primitive(r) for r in data["rays"]]
+    rays = []
+    for i, r in enumerate(json_list(data["rays"], "rays")):
+        if len(json_list(r, f"ray {i}")) != n:
+            raise ValueError(f"ray {i} has {len(r)} entries, not rank {n}")
+        try:
+            rays.append(primitive(r))
+        except ValueError as exc:
+            raise ValueError(f"ray {i}: {exc}") from None
     for i, r in enumerate(rays):
         if r in rays[:i]:
             raise ValueError(f"ray {i} lies on ray {rays.index(r)}")
-    maximal = [[ray_at(rays, i) for i in cone] for cone in data["cones"]]
+    maximal = [
+        [ray_at(rays, i) for i in json_list(cone, f"cone {k}")]
+        for k, cone in enumerate(json_list(data["cones"], "cones"))
+    ]
     if any(len(set(c)) != len(c) for c in maximal):
         raise ValueError("a cone lists a ray twice")
     return Fan(n, maximal)

@@ -9,14 +9,11 @@ face, so the face relation is uniform:
 
 Multi-tangent spaces F_p(P) = sum over the stratum cofaces tau of P of
 wedge^p T(tau) live in lex wedge coordinates of the stratum lattice
-N_sigma.  Since wedge^p T(tau') lies in wedge^p T(tau) when tau' is a
-face of tau, and the wedges of the p-subsets of a spanning set span
-wedge^p, F_p(P) is one span: of the wedges of the p-subsets of the
-projected rays of each stratum coface that is not a face of another;
-:meth:`TropComplex.f_lower` returns it as a :class:`QSubspace`.  When one
-of those cofaces is full-dimensional in its stratum, as every cell of a
-complex with a complete structure fan has, F_p(P) is all of
-wedge^p N_sigma, and no wedge is computed.
+N_sigma.  Over a complete structure fan, as every complex that
+``weightss.trop_complex_for`` builds has, each cell has a stratum coface
+that is full-dimensional in its stratum, so F_p(P) is all of
+wedge^p N_sigma: :meth:`TropComplex.f_lower` returns it with the
+identity basis, and raises ValueError on a cell with no such coface.
 
 The incidence of the complex is found by lookup in its (sigma, tau) -> id
 index, not by a scan over all pairs of cells: one scan of the candidate
@@ -24,8 +21,7 @@ faces (sigma', tau') of (sigma, tau), tau' a face of tau and sigma a face
 of sigma', yields the faces present and those missing.  The span basis
 of a cell, the image of each ray in each N_sigma, and the stratum
 projections N_sigma1 -> N_sigma2 with their wedge powers are cached like
-the cone data of :mod:`trophodge.fans`; the F_p of a complex are cached
-by cell id.
+the cone data of :mod:`trophodge.fans`.
 
 Each cell is oriented by the RREF basis of its span.  When the projected
 rays R of a cell c are independent, as for every cell of a simplicial
@@ -42,17 +38,14 @@ rays (``fans.project``), the stratum maps proj2 @ ``fans.proj_section``
 (integral because each projection N -> N_sigma is onto) and their wedge
 powers (``exactla.wedge_columns``, shared with d_1 in
 :mod:`trophodge.weightss`) are computed in ints, and every Plucker
-coordinate and orientation is an integer determinant.  A full F_p has
-the identity basis, and a face map between two full ones is integral:
-the identity inside a stratum, :func:`stratum_wedge` across strata.
-Fractions enter only through the RREF bases of the other spans and the
-coordinates in them.
+coordinate and orientation is an integer determinant.  Since every F_p
+has the identity basis, every face map is integral: :func:`stratum_wedge`
+of the two sedentarities, the identity inside a stratum.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,12 +85,6 @@ class Cell:
     def stratum_rank(self):
         return self.sedentarity.ambient_rank - self.sedentarity.dim
 
-    def is_face_of(self, other):
-        return (
-            other.sedentarity in face_set(self.sedentarity)
-            and self.tau in face_set(other.tau)
-        )
-
     def sort_key(self):
         return (self.dim, self.sedentarity.dim, self.sedentarity.rays, self.tau.rays)
 
@@ -115,7 +102,6 @@ class TropComplex:
         self.base_fan = base_fan
         self.cells = ordered
         self._index = {(c.sedentarity, c.tau): i for i, c in enumerate(ordered)}
-        self._f_cache = {}
         self._poset_cache = None
         self._pairs_by_dim = None
         self._incidence_cache = None
@@ -160,26 +146,25 @@ class TropComplex:
     def cell_id(self, cell):
         return self._index[(cell.sedentarity, cell.tau)]
 
-    def cells_of_dim(self, d):
-        return tuple(c for c in self.cells if c.dim == d)
-
     @property
     def top_dim(self):
         return self.cells[-1].dim if self.cells else 0  # cells are sorted by dim
 
     def _incidence(self):
-        """Per cell id: the ids of its faces, cofaces, stratum cofaces and
-        maximal ones, each with the cell itself, and its missing faces.
+        """Per cell id: the ids of its faces, with the cell itself, whether
+        it has a stratum coface full-dimensional in its stratum, and its
+        missing faces.
 
         One scan takes the candidate faces (s, t) of a cell, t a face of its
         shape and its sedentarity a face of s, as ids or as missing pairs.
-        A stratum coface has the cell's sedentarity; it is maximal when it
-        is its own only stratum coface, a face of no other one.
+        A full-dimensional cell marks the faces that keep its sedentarity.
         """
         if self._incidence_cache is None:
             down, missing = [], []
+            full = [False] * len(self.cells)
             for cell in self.cells:
                 ids, lack = [], []
+                top = cell.dim == cell.stratum_rank
                 for t in faces(cell.tau):
                     for s in faces(t):
                         if cell.sedentarity in face_set(s):
@@ -188,32 +173,12 @@ class TropComplex:
                                 lack.append((s, t))
                             else:
                                 ids.append(i)
+                                if top and s == cell.sedentarity:
+                                    full[i] = True
                 down.append(tuple(sorted(ids)))
                 missing.append(tuple(lack))
-            up = [[] for _ in self.cells]
-            for i, ids in enumerate(down):
-                for j in ids:
-                    up[j].append(i)
-            seds = {}
-            sed = [seds.setdefault(c.sedentarity, len(seds)) for c in self.cells]
-            same = tuple(
-                tuple(j for j in ids if sed[j] == sed[i]) for i, ids in enumerate(up)
-            )
-            top = tuple(tuple(j for j in ids if len(same[j]) == 1) for ids in same)
-            self._incidence_cache = (
-                tuple(down), tuple(map(tuple, up)), same, top, tuple(missing)
-            )
+            self._incidence_cache = (tuple(down), tuple(full), tuple(missing))
         return self._incidence_cache
-
-    def faces_of(self, cell):
-        return tuple(self.cells[i] for i in self._incidence()[0][self.cell_id(cell)])
-
-    def cofaces_of(self, cell):
-        return tuple(self.cells[i] for i in self._incidence()[1][self.cell_id(cell)])
-
-    def stratum_cofaces(self, cell):
-        """Cofaces in the same stratum, including the cell itself."""
-        return tuple(self.cells[i] for i in self._incidence()[2][self.cell_id(cell)])
 
     def face_poset(self):
         """Codimension-1 face pairs: (face_id, coface_id, sign).
@@ -256,48 +221,31 @@ class TropComplex:
         """
         return all(
             t != cell.tau
-            for cell, lack in zip(self.cells, self._incidence()[4])
+            for cell, lack in zip(self.cells, self._incidence()[2])
             for _, t in lack
         )
 
     # -- multi-tangent spaces -----------------------------------------
 
     def f_lower(self, cell, p) -> QSubspace:
-        """F_p(cell): the span of p-fold wedges of projected coface rays.
+        """F_p(cell): all of wedge^p N_sigma, with the identity basis.
 
-        A subspace of wedge^p N_{sigma,Q} in lex coordinates.  F^p is
-        presented as the dual: a covector's coordinates are its pairings
-        with the canonical echelon basis of F_p.  If a maximal stratum
-        coface is full-dimensional in the stratum, F_p is the whole
-        space, since wedge^p T(c) <= F_p <= wedge^p N_sigma, and its basis
-        is the identity.
+        F_p is the sum of wedge^p T(c) over the stratum cofaces c of the
+        cell, so one of them full-dimensional in the stratum makes it the
+        whole space.  F^p is presented as the dual: a covector's
+        coordinates are its pairings with that basis.  A cell with no such
+        coface raises ValueError.
         """
-        key = (self.cell_id(cell), p)
-        if key not in self._f_cache:
-            n = cell.stratum_rank
-            top = [self.cells[i] for i in self._incidence()[3][key[0]]]
-            if any(c.dim == n for c in top):
-                f = QSubspace.full(math.comb(n, p))
-            else:
-                wedges = [
-                    wedge_vector(sub, n, p)
-                    for c in top
-                    for sub in itertools.combinations(_projected_rays(c), p)
-                ]
-                f = QSubspace.span(wedges, math.comb(n, p))
-            self._f_cache[key] = f
-        return self._f_cache[key]
+        self._require_full(cell)
+        return QSubspace.full(math.comb(cell.stratum_rank, p))
 
     def face_map_columns(self, face, coface, p):
-        """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the canonical bases, by columns.
+        """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the identity bases, by columns.
 
-        Column j holds the coordinates, in the
-        canonical basis of F_p(face), of the image of the j-th canonical
-        basis vector of F_p(coface).  Across strata the image is the
-        integer wedge of the stratum map applied to that vector.  Between
-        two full F_p, whose bases are the identity, the columns are those
-        integer maps themselves: the identity, or the wedge of the stratum
-        map.
+        It is wedge^p of the stratum map N_sigma1 -> N_sigma2,
+        :func:`stratum_wedge` of the two sedentarities: the identity inside
+        a stratum.  A pair across strata with a smaller face shape needs
+        the cell it factors through, (face sedentarity, coface shape).
         """
         if self.cell_id(face) not in self._incidence()[0][self.cell_id(coface)]:
             raise ValueError("a face map requires a face pair")
@@ -308,26 +256,17 @@ class TropComplex:
                 "composite face map needs the intermediate cell "
                 f"({Cell(*mid).label()}) in the complex"
             )
-        src = self.f_lower(coface, p)
-        dst = self.f_lower(face, p)
-        int_cols = (
-            ZMatrix.identity(src.ambient_dim).entries if same
-            else stratum_wedge(coface.sedentarity, face.sedentarity, p)
-        )
-        if src.dim == src.ambient_dim and dst.dim == dst.ambient_dim:
-            return int_cols
-        cols = []
-        for v in src.basis:
-            img = [0] * dst.ambient_dim
-            for x, col in zip(v, int_cols):
-                if x:
-                    for i, m in enumerate(col):
-                        img[i] += m * x
-            coords = dst.coordinates(img)
-            if coords is None:
-                raise ValueError("face map image leaves the target F_p")
-            cols.append(coords)
-        return tuple(cols)
+        self._require_full(face)
+        self._require_full(coface)
+        return stratum_wedge(coface.sedentarity, face.sedentarity, p)
+
+    def _require_full(self, cell):
+        """ValueError unless a stratum coface of the cell is full-dimensional."""
+        if not self._incidence()[1][self.cell_id(cell)]:
+            raise ValueError(
+                f"cell ({cell.label()}) has no full-dimensional stratum "
+                "coface, so its F_p is not all of wedge^p N_sigma"
+            )
 
     # -- orientation and signs ----------------------------------------
 
@@ -382,7 +321,7 @@ class TropComplex:
         # a face in the stratum keeps the sedentarity
         if any(
             s == cell.sedentarity
-            for cell, lack in zip(self.cells, self._incidence()[4])
+            for cell, lack in zip(self.cells, self._incidence()[2])
             for s, _ in lack
         ):
             raise ValueError("complex is not closed under faces")
@@ -501,67 +440,10 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
 @functools.lru_cache(maxsize=None)
 def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
     """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as its
-    integer columns: the face map between two full F_p across strata."""
+    integer columns: the face map of a face pair of cells with these
+    sedentarities, the identity when they are equal."""
     return wedge_columns(_stratum_projection(sed_small, sed_big), p)
 
 
 def tautological_complex(fan: Fan, structure: Fan | None = None) -> TropComplex:
     return TropComplex.tautological(fan, structure)
-
-
-def _minimal_containing_cone(fan: Fan, eta: Cone):
-    best = None
-    for sigma in fan.cones:
-        if all(sigma.contains(r) for r in eta.rays):
-            if best is None or sigma.dim < best.dim:
-                best = sigma
-    return best
-
-
-def refined_complex(fan: Fan, refinement: Fan) -> TropComplex:
-    """Cell structure on Trop(T_fan) whose shapes come from a refinement.
-
-    The refinement must contain every cone of the fan and may subdivide
-    the rest of its (possibly larger) support, as when refining a
-    completion of a non-complete fan.  A cone tau' of the refinement
-    reaches the stratum of sigma exactly when some face of tau' has sigma
-    as its minimal containing cone, and the lifted shape of that cell is
-    sigma + tau'.  With the fan itself as the refinement this reproduces
-    the tautological complex.  Subdividing a base cone is rejected: the
-    corner cell of its stratum could no longer name its cofaces through
-    lifted cone faces.
-    """
-    n = fan.ambient_rank
-    for sigma in fan.cones:
-        if not refinement.contains_cone(sigma):
-            raise ValueError("refinement must keep every base cone intact")
-    cells = set()
-    for taup in refinement.cones:
-        for eta in faces(taup):
-            sigma = _minimal_containing_cone(fan, eta)
-            if sigma is None:
-                continue
-            lift = Cone(n, list(sigma.rays) + list(taup.rays))
-            cells.add(Cell(sigma, lift))
-    return TropComplex(fan, cells)
-
-
-def torus_complex(n: int) -> TropComplex:
-    """R^n with the orthant cell structure (the fan {0} has one cell only)."""
-    return TropComplex.tautological(fans.torus(n), fans.orthant_fan(n))
-
-
-def affine_complex(n: int) -> TropComplex:
-    """Trop(A^n) with the orthant cell structure."""
-    return TropComplex.tautological(fans.affine_space(n), fans.orthant_fan(n))
-
-
-def tropical_line() -> TropComplex:
-    """The tropical line in R^2: a vertex and rays e1, e2, -e1-e2."""
-    t2 = fans.torus(2)
-    zero = Cone(2, [])
-    cells = [Cell(zero, zero)]
-    for ray in [(1, 0), (0, 1), (-1, -1)]:
-        cells.append(Cell(zero, Cone(2, [ray])))
-    return TropComplex(t2, cells)
-

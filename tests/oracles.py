@@ -8,7 +8,18 @@
 * a Cech complex on the open cover by open stars.
 
 Both build their own matrices and share only the exact linear algebra
-with the production path.
+and the face index of a complex with the production path.  They read
+F_p as the span :func:`f_lower` computes, of the p-fold wedges of the
+projected rays of the stratum cofaces of a cell, and each face map as
+:func:`fraction_face_map` computes it, so they also run on a complex
+whose F_p are not all of wedge^p N_sigma, such as :func:`tropical_line`,
+which ``TropComplex.f_lower`` rejects.
+
+The complexes that only tests build are here too: :func:`refined_complex`
+(a cell structure from a refinement of the fan), :func:`torus_complex`,
+:func:`affine_complex` and :func:`tropical_line`, with the face relation
+:func:`is_face_of` and the incidence lookups :func:`faces_of`,
+:func:`cofaces_of` and :func:`stratum_cofaces`.
 
 The rational lattice geometry that the integer stratum maps and
 incidence signs of ``trophodge.tropspace`` replaced is kept here too,
@@ -34,10 +45,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
+import math
 import weakref
 from fractions import Fraction
 
-from trophodge import weightss
+from trophodge import fans, weightss
 from trophodge.cohomology import CohomologyResult
 from trophodge.exactla import (
     QSubspace,
@@ -49,8 +62,8 @@ from trophodge.exactla import (
     sparse_rank,
     wedge_vector,
 )
-from trophodge.fans import face_set, orbit_lattice
-from trophodge.tropspace import TropComplex, _projected_rays
+from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
+from trophodge.tropspace import Cell, TropComplex, _projected_rays
 
 
 _held = {}
@@ -134,6 +147,125 @@ def corrupted_d1():
         weightss.e2_page.cache_clear()
 
 
+def _minimal_containing_cone(fan: Fan, eta: Cone):
+    best = None
+    for sigma in fan.cones:
+        if all(sigma.contains(r) for r in eta.rays):
+            if best is None or sigma.dim < best.dim:
+                best = sigma
+    return best
+
+
+def refined_complex(fan: Fan, refinement: Fan) -> TropComplex:
+    """Cell structure on Trop(T_fan) whose shapes come from a refinement.
+
+    The refinement must contain every cone of the fan and may subdivide
+    the rest of its (possibly larger) support, as when refining a
+    completion of a non-complete fan.  A cone tau' of the refinement
+    reaches the stratum of sigma exactly when some face of tau' has sigma
+    as its minimal containing cone, and the lifted shape of that cell is
+    sigma + tau'.  With the fan itself as the refinement this reproduces
+    the tautological complex.  Subdividing a base cone is rejected: the
+    corner cell of its stratum could no longer name its cofaces through
+    lifted cone faces.
+    """
+    n = fan.ambient_rank
+    for sigma in fan.cones:
+        if not refinement.contains_cone(sigma):
+            raise ValueError("refinement must keep every base cone intact")
+    cells = set()
+    for taup in refinement.cones:
+        for eta in faces(taup):
+            sigma = _minimal_containing_cone(fan, eta)
+            if sigma is None:
+                continue
+            lift = Cone(n, list(sigma.rays) + list(taup.rays))
+            cells.add(Cell(sigma, lift))
+    return TropComplex(fan, cells)
+
+
+def torus_complex(n: int) -> TropComplex:
+    """R^n with the orthant cell structure (the fan {0} has one cell only)."""
+    return TropComplex.tautological(fans.torus(n), fans.orthant_fan(n))
+
+
+def affine_complex(n: int) -> TropComplex:
+    """Trop(A^n) with the orthant cell structure."""
+    return TropComplex.tautological(fans.affine_space(n), fans.orthant_fan(n))
+
+
+def tropical_line() -> TropComplex:
+    """The tropical line in R^2: a vertex and rays e1, e2, -e1-e2.
+
+    No cell has a full-dimensional stratum coface, so its F_p are the
+    proper spans of :func:`f_lower`.
+    """
+    t2 = fans.torus(2)
+    zero = Cone(2, [])
+    cells = [Cell(zero, zero)]
+    for ray in [(1, 0), (0, 1), (-1, -1)]:
+        cells.append(Cell(zero, Cone(2, [ray])))
+    return TropComplex(t2, cells)
+
+
+def is_face_of(face, cell) -> bool:
+    """The face relation of cells: sigma <= sigma' and tau' <= tau."""
+    return (
+        cell.sedentarity in face_set(face.sedentarity)
+        and face.tau in face_set(cell.tau)
+    )
+
+
+def cells_of_dim(cx: TropComplex, d):
+    return tuple(c for c in cx.cells if c.dim == d)
+
+
+def faces_of(cx: TropComplex, cell):
+    """The faces of a cell, itself included, from the face index of the complex."""
+    return tuple(cx.cells[i] for i in cx._incidence()[0][cx.cell_id(cell)])
+
+
+def cofaces_of(cx: TropComplex, cell):
+    """The cofaces of a cell, itself included, in cell order."""
+    cache = _cache(cx)
+    if "up" not in cache:
+        up = [[] for _ in cx.cells]
+        for i, ids in enumerate(cx._incidence()[0]):
+            for j in ids:
+                up[j].append(i)
+        cache["up"] = up
+    return tuple(cx.cells[i] for i in cache["up"][cx.cell_id(cell)])
+
+
+def stratum_cofaces(cx: TropComplex, cell):
+    """The cofaces of a cell in its stratum, itself included."""
+    return tuple(
+        c for c in cofaces_of(cx, cell) if c.sedentarity == cell.sedentarity
+    )
+
+
+def f_lower(cx: TropComplex, cell, p) -> QSubspace:
+    """F_p(cell) as a span, in lex coordinates of wedge^p N_sigma.
+
+    F_p(P) is the sum of wedge^p T(c) over the stratum cofaces c of P,
+    and wedge^p T(c) is spanned by the wedges of the p-subsets of the
+    projected rays of c; so F_p(P) is the span of all those wedges.  On a
+    cell with a full-dimensional stratum coface it is the whole space,
+    as ``TropComplex.f_lower`` returns it.
+    """
+    cache = _cache(cx)
+    key = ("f_p", cx.cell_id(cell), p)
+    if key not in cache:
+        n = cell.stratum_rank
+        wedges = {
+            wedge_vector(sub, n, p)
+            for c in stratum_cofaces(cx, cell)
+            for sub in itertools.combinations(_projected_rays(c), p)
+        }
+        cache[key] = QSubspace.span(sorted(wedges), math.comb(n, p))
+    return cache[key]
+
+
 def cell_span(cell) -> QSubspace:
     """The Q-span of a cell in N_sigma, by the RREF of its projected rays."""
     return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
@@ -161,7 +293,7 @@ def _poset_chains(cx):
     if "chains" not in cache:
         n = len(cx.cells)
         strict = [
-            [cx.cell_id(c) for c in cx.cofaces_of(cell) if c != cell]
+            [cx.cell_id(c) for c in cofaces_of(cx, cell) if c != cell]
             for cell in cx.cells
         ]
         levels = [[(i,) for i in range(n)]]
@@ -183,7 +315,7 @@ def _poset_data(cx, p):
     if ("poset", p) in cache:
         return cache[("poset", p)]
     levels = _poset_chains(cx)
-    dims = [cx.f_lower(c, p).dim for c in cx.cells]
+    dims = [f_lower(cx, c, p).dim for c in cx.cells]
     layouts = [
         tuple(
             (chain, dims[chain[-1]]) for chain in level if dims[chain[-1]]
@@ -210,7 +342,7 @@ def _poset_data(cx, p):
                 else:
                     # the dual face map, rows indexed by the coface basis
                     face, coface = cx.cells[source[-1]], cx.cells[target[-1]]
-                    block = cx.face_map_columns(face, coface, p)
+                    block = fraction_face_map(cx, face, coface, p)
                 _put(rows, roff[target], coff[source], block, sign)
         if k == 0:
             ker0 = QSubspace.kernel(rows, ncols)
@@ -242,7 +374,7 @@ def _cech_data(cx, p):
         return cache[("cech", p)]
     n = len(cx.cells)
     face_sets = [
-        frozenset(cx.cell_id(f) for f in cx.faces_of(c)) for c in cx.cells
+        frozenset(cx.cell_id(f) for f in faces_of(cx, c)) for c in cx.cells
     ]
     subsets = set()
     for i in range(n):
@@ -254,7 +386,7 @@ def _cech_data(cx, p):
     ub = {
         s: tuple(j for j in range(n) if s <= face_sets[j]) for s in subsets
     }
-    dims = [cx.f_lower(c, p).dim for c in cx.cells]
+    dims = [f_lower(cx, c, p).dim for c in cx.cells]
     sections = {}
 
     def gamma(s):
@@ -267,7 +399,7 @@ def _cech_data(cx, p):
                 for b in cover:
                     if a == b or a not in face_sets[b]:
                         continue
-                    rho = cx.face_map_columns(cx.cells[a], cx.cells[b], p)
+                    rho = fraction_face_map(cx, cx.cells[a], cx.cells[b], p)
                     for r in range(dims[b]):
                         row = {offs[a] + cidx: x for cidx, x in enumerate(rho[r]) if x}
                         row[offs[b] + r] = -1
@@ -371,21 +503,28 @@ def _fraction_stratum_wedge(sed_small, sed_big, p) -> tuple:
 
 
 def fraction_face_map(cx: TropComplex, face, coface, p) -> tuple:
-    """The columns of i_{P2 < P1}, through the rational wedge of the stratum map."""
-    src = cx.f_lower(coface, p)
-    dst = cx.f_lower(face, p)
-    if face.sedentarity == coface.sedentarity:
-        images = list(src.basis)
-    else:
-        wedge = _fraction_stratum_wedge(coface.sedentarity, face.sedentarity, p)
-        images = [_apply(zip(*wedge), v) for v in src.basis]
-    cols = []
-    for img in images:
-        coords = dst.coordinates(img)
-        if coords is None:
-            raise ValueError("face map image leaves the target F_p")
-        cols.append(coords)
-    return tuple(cols)
+    """The columns of i_{P2 < P1} between the spans of :func:`f_lower`:
+    column j holds the coordinates, in the canonical basis of F_p(face), of
+    the image of the j-th basis vector of F_p(coface) under the rational
+    wedge of the stratum map."""
+    cache = _cache(cx)
+    key = ("map", cx.cell_id(face), cx.cell_id(coface), p)
+    if key not in cache:
+        src = f_lower(cx, coface, p)
+        dst = f_lower(cx, face, p)
+        if face.sedentarity == coface.sedentarity:
+            images = list(src.basis)
+        else:
+            wedge = _fraction_stratum_wedge(coface.sedentarity, face.sedentarity, p)
+            images = [_apply(zip(*wedge), v) for v in src.basis]
+        cols = []
+        for img in images:
+            coords = dst.coordinates(img)
+            if coords is None:
+                raise ValueError("face map image leaves the target F_p")
+            cols.append(coords)
+        cache[key] = tuple(cols)
+    return cache[key]
 
 
 def fraction_incidence_sign(face, coface):

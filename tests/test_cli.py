@@ -1,8 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from oracles import corrupted_d1
 from trophodge import cli, cycles, fans, weightss
@@ -76,6 +82,26 @@ def test_fan_file_is_not_reinterpreted(tmp_path, capsys, rays, cones):
     code, out, _ = run(capsys, "fan-validate", "--input", str(path))
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"rank": 2, "rays": [[1, 0]]}, "'cones'"),
+    ({"rank": 2, "rays": [[1, 0]], "cones": [0]}, "cone 0"),
+    ({"rank": 2, "rays": [[1, 0]], "cones": None}, "cones"),
+    ({"rank": 2, "rays": [[1, 0]], "cones": [[0]], "extra": 1}, "'extra'"),
+    ({"rank": 2, "rays": [[1, 0, 0]], "cones": [[0]]}, "ray 0"),
+    ({"rank": 2, "rays": [1], "cones": [[0]]}, "ray 0"),
+    ([{"rank": 2}], "JSON object"),
+    ("p2", "JSON object"),
+], ids=["no-cones", "cone-int", "cones-null", "extra-key", "ray-length",
+        "ray-int", "list", "string"])
+def test_fan_file_shape_is_checked(tmp_path, capsys, doc, field):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fan-validate", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid fan: ") and err.count("\n") == 1
+    assert field in err
 
 
 def test_fan_file_rank_is_not_reinterpreted(tmp_path, capsys):
@@ -248,13 +274,29 @@ def test_weight_file_cone_indices_follow_the_file_rays(
         assert run(capsys, "pair", "--input", str(path)) == (0, out, "")
 
 
-@pytest.mark.parametrize("edit", [
-    lambda data: data.update(codim=1.0),
-    lambda data: data.update(codim=True),
-    lambda data: data.update(divisor="false"),
-    lambda data: data["weights"].append(dict(data["weights"][0], w="2")),
-], ids=["codim-float", "codim-bool", "divisor-string", "duplicate-cone"])
-def test_weight_file_header_is_strict(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, field", [
+    (lambda data: data.update(codim=1.0), "codim"),
+    (lambda data: data.update(codim=True), "codim"),
+    (lambda data: data.update(divisor="false"), "divisor"),
+    (lambda data: data["weights"].append(dict(data["weights"][0], w="2")), "cone"),
+    (lambda data: data.pop("fan"), "'fan'"),
+    (lambda data: data.pop("codim"), "'codim'"),
+    (lambda data: data.pop("weights"), "'weights'"),
+    (lambda data: data["weights"][0].pop("cone"), "'cone'"),
+    (lambda data: data["weights"][0].pop("w"), "'w'"),
+    (lambda data: data.update(extra=1), "'extra'"),
+    (lambda data: data["weights"][0].update(extra=1), "'extra'"),
+    (lambda data: data.update(weights={}), "weights"),
+    (lambda data: data["weights"][0].update(cone=0), "cone of weight 0"),
+    (lambda data: data.update(fan="p99"), "p99"),
+    (lambda data: data.update(fan={"rank": 2, "rays": [[1, 0]]}), "'cones'"),
+], ids=["codim-float", "codim-bool", "divisor-string", "duplicate-cone",
+        "no-fan", "no-codim", "no-weights", "no-cone", "no-w", "extra-key",
+        "extra-record-key", "weights-object", "cone-int", "unknown-builtin",
+        "fan-no-cones"])
+def test_weight_file_header_is_strict(tmp_path, capsys, edit, field):
+    """A field of the wrong type, a missing or unknown field, at the top or
+    in a weight record, exits 2 with one error line that names it."""
     fan = fans.builtin("p2")
     mw = cycles.MinkowskiWeight(fan, 1, {c: 1 for c in fan.cones_of_dim(1)})
     data = json.loads(cycles.weight_to_json(mw))
@@ -264,7 +306,8 @@ def test_weight_file_header_is_strict(tmp_path, capsys, edit):
     code, out, err = run(capsys, "pair", "--input", str(path))
     assert code == 2
     assert out == ""
-    assert "invalid weight file" in err
+    assert err.startswith("error: invalid weight file: ") and err.count("\n") == 1
+    assert field in err
 
 
 def test_subdivide_p2(capsys):
@@ -378,3 +421,71 @@ def test_output_files_are_deterministic(tmp_path, capsys):
 def test_pair_requires_input(capsys):
     code, _, _ = run(capsys, "pair")
     assert code == 2
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9),
+    st.floats(-4, 4, allow_nan=False), st.text("01,/ab", max_size=3),
+    st.lists(st.integers(-2, 5), max_size=3), st.just({}),
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three edits: a key or entry dropped, a value of
+    another JSON type, an extra key, an entry more or an index moved."""
+    doc = {"root": copy.deepcopy(base)}
+    for _ in range(draw(st.integers(1, 3))):
+        path = ("root",) + draw(st.sampled_from(list(_paths(doc["root"]))))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        key, target = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(["drop", "swap", "extra", "grow", "index"]))
+        if op == "drop" and len(path) > 1:
+            del parent[key]
+        elif op == "extra" and isinstance(target, dict):
+            target[draw(st.sampled_from(["extra", "rank", "cone", "divisor"]))] = (
+                draw(JSON_VALUES))
+        elif op == "grow" and isinstance(target, list):
+            target.append(draw(st.one_of(st.integers(-2, 9), JSON_VALUES)))
+        elif op == "index" and type(target) is int:
+            parent[key] = draw(st.integers(-3, 12))
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc["root"]
+
+
+FAN_DOC = fans.to_json_dict(fans.builtin("p2"))
+WEIGHT_DOC = {"fan": FAN_DOC, "codim": 1,
+              "weights": [{"cone": [i], "w": 1} for i in range(3)]}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(2009046900)
+@given(command=st.sampled_from(["fan-validate", "pair"]), data=st.data())
+def test_mutated_input_documents_fail_with_one_error_line(
+        tmp_path_factory, command, data):
+    """A mutated fan or weight document exits 0 or with its documented code
+    (3 for a fan file; 2, 3, 5 or 6 for a weight file), and a failure prints
+    nothing to stdout and exactly one ``error: `` line, the last one."""
+    base = FAN_DOC if command == "fan-validate" else WEIGHT_DOC
+    doc = data.draw(mutated(base))
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", str(path)])
+    allowed = {0, 3} if command == "fan-validate" else {0, 2, 3, 5, 6}
+    assert code in allowed, (doc, err.getvalue())
+    if code:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        assert [line.startswith("error: ") for line in lines] == (
+            [False] * (len(lines) - 1) + [True]), lines

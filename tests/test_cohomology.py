@@ -1,10 +1,10 @@
 """Tropical cohomology: cochain complexes, duality, oracles."""
 
 import math
-import sys
 
 import pytest
 
+import oracles
 from oracles import cech_oracle, composes_to, poset_betti_table
 from trophodge import cohomology, exactla, fans, tropspace, weightss
 from trophodge.cohomology import betti_table, build_cochain_complex
@@ -12,12 +12,11 @@ from trophodge.cohomology import betti_table, build_cochain_complex
 
 def small_complexes():
     return [
-        tropspace.tropical_line(),
         tropspace.tautological_complex(fans.builtin("p1")),
         tropspace.tautological_complex(fans.builtin("p2")),
         tropspace.tautological_complex(fans.builtin("p1xp1")),
-        tropspace.torus_complex(2),
-        tropspace.affine_complex(2),
+        oracles.torus_complex(2),
+        oracles.affine_complex(2),
     ]
 
 
@@ -58,9 +57,22 @@ def test_p1_block_layout():
 
 
 def test_tropical_line_block_dims():
-    cc = build_cochain_complex(tropspace.tropical_line(), 1)
-    assert cc.space_dim(0) == 2
-    assert cc.space_dim(1) == 3
+    """The oracle's C^0 and C^1 of F^1 on the tropical line have dims 2 and
+    3; the production complex rejects the line, whose F_1 are not full."""
+    cx = oracles.tropical_line()
+    dims = [sum(oracles.f_lower(cx, c, 1).dim for c in oracles.cells_of_dim(cx, q))
+            for q in range(2)]
+    assert dims == [2, 3]
+    with pytest.raises(ValueError):
+        build_cochain_complex(cx, 1)
+
+
+def test_tropical_line_oracle_tables():
+    """Both oracles give the sheaf cohomology of the tropical line."""
+    cx = oracles.tropical_line()
+    table = [[1, 0, 0], [2, 0, 0], [0, 0, 0]]
+    assert poset_betti_table(cx) == table
+    assert [[cech_oracle(cx, p, q) for q in range(3)] for p in range(3)] == table
 
 
 def test_p0_matches_constant_sheaf():
@@ -84,23 +96,23 @@ def test_torus_betti_row(n):
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for p in range(n + 1):
         table[p][0] = math.comb(n, p)
-    assert betti_table(tropspace.torus_complex(n)) == table
+    assert betti_table(oracles.torus_complex(n)) == table
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_affine_space_betti(n):
     table = [[0] * (n + 1) for _ in range(n + 1)]
     table[0][0] = 1
-    assert betti_table(tropspace.affine_complex(n)) == table
+    assert betti_table(oracles.affine_complex(n)) == table
 
 
 def open_complexes():
-    """The open complexes of the zoo, the tropical line and the refinement checks.
+    """The open complexes of the zoo and of the refinement checks.
 
     The refinement checks are ``check_refinement_invariance`` in the
     acceptance suite and ``test_fan_structure_independence_*`` here.
     """
-    built = [tropspace.tropical_line()]
+    built = []
     for name in fans.BUILTIN_ZOO:
         fan = fans.builtin(name)
         n = fan.ambient_rank
@@ -113,7 +125,7 @@ def open_complexes():
             sign = -1 if name.startswith("affine") else 1
             refined = fans.star_subdivision(fans.completion(fan), (sign,) * n)
             built.append(weightss.trop_complex_for(fan))
-            built.append(tropspace.refined_complex(fan, refined))
+            built.append(oracles.refined_complex(fan, refined))
     unique = {(cx.base_fan, cx.cells): cx for cx in built}
     return [cx for cx in unique.values() if not cx.is_boundary_closed()]
 
@@ -121,7 +133,7 @@ def open_complexes():
 def test_duality_matches_poset_oracle():
     """Poincare duality on H_c gives the face-poset table on open complexes."""
     complexes = open_complexes()
-    assert len(complexes) == 25
+    assert len(complexes) == 24
     for cx in complexes:
         n = cx.base_fan.ambient_rank
         table = poset_betti_table(cx)
@@ -177,21 +189,6 @@ def test_betti_table_matches_representatives(monkeypatch):
     assert [betti_table(cx) for cx in closed] == tables
 
 
-def test_betti_table_does_not_scan_cell_pairs(monkeypatch):
-    """Incidence is looked up: is_face_of runs at most once per face pair."""
-    calls = []
-    is_face_of = tropspace.Cell.is_face_of
-
-    def counting(self, other):
-        calls.append(None)
-        return is_face_of(self, other)
-
-    monkeypatch.setattr(tropspace.Cell, "is_face_of", counting)
-    cx = tropspace.tautological_complex(fans.builtin("p3"))
-    betti_table(cx)
-    assert len(calls) <= len(cx.face_poset())
-
-
 def test_ranks_make_no_fraction(monkeypatch):
     """The elimination core runs on integer rows in integer arithmetic.
 
@@ -215,29 +212,19 @@ def test_ranks_make_no_fraction(monkeypatch):
     assert betti_table(cx) == diag_table(3, [1, 1, 1, 1])
 
 
-def test_betti_table_of_p4_spans_no_wedges(monkeypatch):
-    """Every F_p of P^4 is full: f_lower wedges nothing and spans nothing."""
-    calls = {"wedge": 0, "span": 0}
-    wedge_vector = tropspace.wedge_vector
-    span = exactla.QSubspace.span.__func__
-    f_lower_code = tropspace.TropComplex.f_lower.__code__
-
-    def counting_wedge(*args):
-        calls["wedge"] += 1
-        return wedge_vector(*args)
-
-    def counting_span(cls, *args):
-        if sys._getframe(1).f_code is f_lower_code:
-            calls["span"] += 1
-        return span(cls, *args)
-
-    monkeypatch.setattr(tropspace, "wedge_vector", counting_wedge)
-    monkeypatch.setattr(exactla.QSubspace, "span", classmethod(counting_span))
-    betti_table(tropspace.tropical_line())
-    assert calls["wedge"] > 0 and calls["span"] > 0
-    calls.update(wedge=0, span=0)
-    betti_table(tropspace.tautological_complex(fans.projective_space(4)))
-    assert calls == {"wedge": 0, "span": 0}
+def test_f_lower_and_betti_table_reject_a_cell_without_a_full_coface():
+    """The tautological complex of the torus is one point, a cell of
+    dimension 0 in a stratum of rank 2: its F_p would be a proper span.
+    ``f_lower`` and ``betti_table`` raise ValueError on it, and the complex
+    itself still builds and reports itself boundary closed."""
+    cx = tropspace.tautological_complex(fans.torus(2))
+    (point,) = cx.cells
+    assert cx.is_boundary_closed()
+    for p in range(3):
+        with pytest.raises(ValueError, match="full-dimensional stratum coface"):
+            cx.f_lower(point, p)
+    with pytest.raises(ValueError, match="full-dimensional stratum coface"):
+        betti_table(cx)
 
 
 def test_vanishing_above_diagonal_and_h_p0():
@@ -278,19 +265,19 @@ def test_fan_structure_independence_complete():
         before = betti_table(tropspace.tautological_complex(torus, fan))
         after = betti_table(tropspace.tautological_complex(torus, refined))
         assert before == after, name
-        assert before == betti_table(tropspace.torus_complex(n)), name
+        assert before == betti_table(oracles.torus_complex(n)), name
 
 
 def test_fan_structure_independence_open():
     torus2 = fans.torus(2)
     sub = fans.star_subdivision(fans.orthant_fan(2), (1, 1))
-    assert betti_table(tropspace.refined_complex(torus2, sub)) == betti_table(
-        tropspace.torus_complex(2)
+    assert betti_table(oracles.refined_complex(torus2, sub)) == betti_table(
+        oracles.torus_complex(2)
     )
     a2 = fans.affine_space(2)
     sub = fans.star_subdivision(fans.completion(a2), (-1, -1))
-    assert betti_table(tropspace.refined_complex(a2, sub)) == betti_table(
-        tropspace.affine_complex(2)
+    assert betti_table(oracles.refined_complex(a2, sub)) == betti_table(
+        oracles.affine_complex(2)
     )
 
 

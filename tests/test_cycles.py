@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cells_of_dim
 from trophodge import cohomology, cycles, fans
 from trophodge.cycles import (
     MinkowskiWeight,
@@ -220,10 +221,10 @@ def test_trop_cycle_rejects_blocks_off_its_cells(case):
     """A chain block on a cell that is not a p-cell, or of the wrong length,
     is an error, not a block the vector silently drops."""
     cx = trop_complex_for(fans.builtin("p2"))
-    edge = cx.cells_of_dim(1)[0]
+    edge = cells_of_dim(cx, 1)[0]
     size = cx.f_lower(edge, 1).dim
     chain = {
-        "vertex": {cx.cell_id(cx.cells_of_dim(0)[0]): (1,)},
+        "vertex": {cx.cell_id(cells_of_dim(cx, 0)[0]): (1,)},
         "unknown-id": {10**6: (1,)},
         "negative-id": {-1: (1,) * size},
         "long-block": {cx.cell_id(edge): (1,) * (size + 1)},

@@ -2,6 +2,7 @@
 
 import contextlib
 import fractions
+import functools
 import itertools
 import math
 import sys
@@ -12,7 +13,7 @@ import oracles
 from test_cycles_digest import CUBE_FAN
 from test_fan_digest import moved_zoo
 from trophodge import fans, tropspace, weightss
-from trophodge.exactla import QSubspace, wedge_vector
+from trophodge.exactla import QSubspace, ZMatrix, wedge_vector
 from trophodge.fans import Cone
 from trophodge.tropspace import Cell, TropComplex
 
@@ -20,9 +21,8 @@ from trophodge.tropspace import Cell, TropComplex
 def complexes_for_functoriality():
     return [
         tropspace.tautological_complex(fans.builtin("p2")),
-        tropspace.torus_complex(2),
-        tropspace.affine_complex(2),
-        tropspace.tropical_line(),
+        oracles.torus_complex(2),
+        oracles.affine_complex(2),
     ]
 
 
@@ -33,7 +33,7 @@ def test_p1_cell_count_and_closure():
 
 
 def test_torus_complex_not_closed():
-    cx = tropspace.torus_complex(2)
+    cx = oracles.torus_complex(2)
     assert len(cx.cells) == 9
     assert not cx.is_boundary_closed()
 
@@ -70,37 +70,42 @@ def test_fp_of_maximal_mobile_cell_is_full():
 
 def complexes_for_f_lower():
     out = [weightss.trop_complex_for(fans.builtin(name)) for name in fans.BUILTIN_ZOO]
-    out.append(tropspace.tropical_line())
     for name in ["p2", "hirzebruch(1)"]:
         fan = fans.builtin(name)
         top = fan.cones_of_dim(2)[0]
         refined = fans.star_subdivision(fan, tuple(map(sum, zip(*top.rays))))
         out.append(tropspace.tautological_complex(fans.torus(2), fan))
         out.append(tropspace.tautological_complex(fans.torus(2), refined))
-    out.append(tropspace.refined_complex(
+    out.append(oracles.refined_complex(
         fans.torus(2), fans.star_subdivision(fans.orthant_fan(2), (1, 1))
     ))
     a2 = fans.affine_space(2)
-    out.append(tropspace.refined_complex(
+    out.append(oracles.refined_complex(
         a2, fans.star_subdivision(fans.completion(a2), (-1, -1))
     ))
     return out
 
 
 def test_f_lower_is_the_sum_of_wedge_powers_of_stratum_cofaces():
-    """F_p(P) = sum of wedge^p span(tau) over the stratum cofaces tau of P."""
+    """F_p(P) = sum of wedge^p span(tau) over the stratum cofaces tau of P.
+
+    Over a complete structure fan, the whole wedge^p N_sigma that
+    ``f_lower`` returns is that span, computed from the RREF bases of the
+    coface spans.
+    """
     for cx in complexes_for_f_lower():
         for cell in cx.cells:
             n = cell.stratum_rank
             for p in range(n + 1):
                 wedges = [
                     wedge_vector(sub, n, p)
-                    for coface in cx.stratum_cofaces(cell)
+                    for coface in oracles.stratum_cofaces(cx, cell)
                     for sub in itertools.combinations(
                         oracles.cell_span(coface).basis, p)
                 ]
                 expected = QSubspace.span(wedges, math.comb(n, p))
                 assert cx.f_lower(cell, p).basis == expected.basis
+                assert oracles.f_lower(cx, cell, p) == expected
 
 
 def test_f_p_is_full_on_every_toric_complex():
@@ -111,49 +116,69 @@ def test_f_p_is_full_on_every_toric_complex():
     for fan in named:
         cx = weightss.trop_complex_for(fan)
         for cell in cx.cells:
-            assert any(c.dim == cell.stratum_rank for c in cx.stratum_cofaces(cell))
+            assert any(
+                c.dim == cell.stratum_rank for c in oracles.stratum_cofaces(cx, cell)
+            )
             for p in range(fan.ambient_rank + 1):
                 f = cx.f_lower(cell, p)
                 assert f == QSubspace.full(math.comb(cell.stratum_rank, p))
 
 
 def test_tropical_line_vertex_takes_the_wedge_span():
-    cx = tropspace.tropical_line()
+    """No cell of the tropical line has a full-dimensional stratum coface:
+    ``f_lower`` rejects each, and the oracle spans the wedges."""
+    cx = oracles.tropical_line()
     vertex = Cell(Cone(2, []), Cone(2, []))
-    assert all(c.dim < vertex.stratum_rank for c in cx.stratum_cofaces(vertex))
-    assert cx.f_lower(vertex, 2).dim == 0
+    assert all(c.dim < vertex.stratum_rank for c in oracles.stratum_cofaces(cx, vertex))
+    assert oracles.f_lower(cx, vertex, 2).dim == 0
     for p in range(3):
         wedges = [
             wedge_vector(sub, 2, p)
-            for ray in cx.stratum_cofaces(vertex)
+            for ray in oracles.stratum_cofaces(cx, vertex)
             for sub in itertools.combinations(oracles.cell_span(ray).basis, p)
         ]
-        assert cx.f_lower(vertex, p) == QSubspace.span(wedges, math.comb(2, p))
+        assert oracles.f_lower(cx, vertex, p) == QSubspace.span(wedges, math.comb(2, p))
+        for cell in cx.cells:
+            with pytest.raises(ValueError, match="full-dimensional stratum coface"):
+                cx.f_lower(cell, p)
 
 
 def test_face_maps_between_full_f_p_are_integral():
     cx = tropspace.tautological_complex(fans.projective_space(4))
     for coface in cx.cells:
-        for face in cx.faces_of(coface):
+        for face in oracles.faces_of(cx, coface):
             for p in range(coface.stratum_rank + 1):
                 cols = cx.face_map_columns(face, coface, p)
                 assert all(type(x) is int for col in cols for x in col)
 
 
 def test_incidence_index_matches_face_scan():
-    """The indexed incidence equals a scan of all pairs with is_face_of."""
+    """The indexed incidence equals a scan of all pairs with is_face_of.
+
+    ``f_lower`` rejects exactly the cells that the scan finds without a
+    full-dimensional stratum coface: every cell of the tropical line and
+    none of the other complexes.
+    """
     complexes = complexes_for_f_lower()
     complexes.append(weightss.trop_complex_for(fans.projective_space(4)))
+    complexes.append(oracles.tropical_line())
     for cx in complexes:
         poset = []
         for coface in cx.cells:
-            faces = tuple(c for c in cx.cells if c.is_face_of(coface))
-            cofaces = tuple(c for c in cx.cells if coface.is_face_of(c))
-            assert cx.faces_of(coface) == faces
-            assert cx.cofaces_of(coface) == cofaces
-            assert cx.stratum_cofaces(coface) == tuple(
-                c for c in cofaces if c.sedentarity == coface.sedentarity
+            faces = tuple(c for c in cx.cells if oracles.is_face_of(c, coface))
+            cofaces = tuple(c for c in cx.cells if oracles.is_face_of(coface, c))
+            assert oracles.faces_of(cx, coface) == faces
+            assert oracles.cofaces_of(cx, coface) == cofaces
+            full = any(
+                c.sedentarity == coface.sedentarity and c.dim == c.stratum_rank
+                for c in cofaces
             )
+            assert full == (cx is not complexes[-1])
+            if full:
+                cx.f_lower(coface, 0)
+            else:
+                with pytest.raises(ValueError):
+                    cx.f_lower(coface, 0)
             for face in faces:
                 if face.dim == coface.dim - 1:
                     poset.append((
@@ -164,28 +189,33 @@ def test_incidence_index_matches_face_scan():
 
 
 def test_tropical_line_vertex_f1():
-    cx = tropspace.tropical_line()
+    cx = oracles.tropical_line()
     vertex = Cell(Cone(2, []), Cone(2, []))
-    assert cx.f_lower(vertex, 1).dim == 2
+    assert oracles.f_lower(cx, vertex, 1).dim == 2
     ray = Cell(Cone(2, []), Cone(2, [(1, 0)]))
-    assert cx.f_lower(ray, 1).dim == 1
+    assert oracles.f_lower(cx, ray, 1).dim == 1
 
 
 def test_face_map_functoriality_all_chains():
-    for cx in complexes_for_functoriality():
+    """Face maps compose along every chain of faces: those of the complexes
+    over complete structure fans, and the oracle's on the tropical line."""
+    cases = [(cx, cx.face_map_columns) for cx in complexes_for_functoriality()]
+    line = oracles.tropical_line()
+    cases.append((line, functools.partial(oracles.fraction_face_map, line)))
+    for cx, face_map in cases:
         n = cx.base_fan.ambient_rank
         for c2 in cx.cells:
             for c1 in cx.cells:
-                if c1 == c2 or not c1.is_face_of(c2):
+                if c1 == c2 or not oracles.is_face_of(c1, c2):
                     continue
                 for c0 in cx.cells:
-                    if c0 == c1 or not c0.is_face_of(c1):
+                    if c0 == c1 or not oracles.is_face_of(c0, c1):
                         continue
                     for p in range(n + 1):
                         assert oracles.composes_to(
-                            cx.face_map_columns(c1, c2, p),
-                            cx.face_map_columns(c0, c1, p),
-                            cx.face_map_columns(c0, c2, p),
+                            face_map(c1, c2, p),
+                            face_map(c0, c1, p),
+                            face_map(c0, c2, p),
                         )
 
 
@@ -221,15 +251,15 @@ def test_composite_face_map_needs_the_intermediate_cell():
 
 
 def test_face_map_requires_face_pair():
-    cx = tropspace.tropical_line()
+    cx = tropspace.tautological_complex(fans.builtin("p2"))
     a = Cell(Cone(2, []), Cone(2, [(1, 0)]))
     b = Cell(Cone(2, []), Cone(2, [(0, 1)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="face pair"):
         cx.face_map_columns(a, b, 1)
 
 
 def test_incidence_signs_nonzero():
-    for cx in complexes_for_functoriality():
+    for cx in [*complexes_for_functoriality(), oracles.tropical_line()]:
         for _, _, sign in cx.face_poset():
             assert sign in (1, -1)
 
@@ -330,7 +360,7 @@ def test_validation_rejects_bad_intersections():
 def test_refined_complex_reproduces_tautological():
     p2 = fans.builtin("p2")
     assert (
-        tropspace.refined_complex(p2, p2).cells
+        oracles.refined_complex(p2, p2).cells
         == tropspace.tautological_complex(p2).cells
     )
 
@@ -355,18 +385,18 @@ def test_refined_complex_rejects_subdivided_base():
     p2 = fans.builtin("p2")
     sub = fans.star_subdivision(p2, (1, 1))
     with pytest.raises(ValueError):
-        tropspace.refined_complex(p2, sub)
+        oracles.refined_complex(p2, sub)
 
 
 def test_integer_geometry_matches_the_fraction_oracle():
     """Integer stratum maps and signs agree with the rational computation.
 
-    Every face pair, every p: the zoo, P^4, the tropical line, a complete
+    Every face pair, every p: the zoo, P^4, a complete
     fan with the non-unimodular ray (2, 3), whose cell spans have RREF
     bases with denominators, the complete zoo fans moved by a seeded
     unimodular change of coordinates, and the fan over the faces of a
     cube, whose cells with dependent projected rays take the pair
-    determinant.
+    determinant.  The signs of the tropical line agree too.
     """
     skew = fans.Fan(2, [[(1, 0), (2, 3)], [(2, 3), (-1, 0)],
                         [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
@@ -376,8 +406,7 @@ def test_integer_geometry_matches_the_fraction_oracle():
     complexes = [weightss.trop_complex_for(fans.builtin(name))
                  for name in fans.BUILTIN_ZOO]
     complexes += [weightss.trop_complex_for(fans.projective_space(4)),
-                  tropspace.tropical_line(), *moved, cube,
-                  tropspace.tautological_complex(skew)]
+                  *moved, cube, tropspace.tautological_complex(skew)]
     assert any(
         x.denominator > 1 for cell in complexes[-1].cells
         for v in oracles.cell_span(cell).basis for x in v
@@ -388,7 +417,26 @@ def test_integer_geometry_matches_the_fraction_oracle():
             face, coface = cx.cells[fid], cx.cells[cid]
             assert sign == oracles.fraction_incidence_sign(face, coface)
         for coface in cx.cells:
-            for face in cx.faces_of(coface):
+            for face in oracles.faces_of(cx, coface):
                 for p in range(coface.stratum_rank + 1):
                     assert cx.face_map_columns(face, coface, p) == (
                         oracles.fraction_face_map(cx, face, coface, p))
+    line = oracles.tropical_line()
+    for fid, cid, sign in line.face_poset():
+        assert sign == oracles.fraction_incidence_sign(line.cells[fid], line.cells[cid])
+
+
+def test_stratum_wedge_of_one_sedentarity_is_the_identity():
+    """Inside a stratum the face map is the identity: stratum_wedge(s, s, p)
+    for every sedentarity s and every p of the zoo, P^4 and (P^1)^4."""
+    named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
+    named += [fans.projective_space(4), fans.orthant_fan(4)]
+    count = 0
+    for fan in named:
+        for sigma in fan.cones:
+            n = fan.ambient_rank - sigma.dim
+            for p in range(n + 1):
+                identity = ZMatrix.identity(math.comb(n, p)).entries
+                assert tropspace.stratum_wedge(sigma, sigma, p) == identity
+                count += 1
+    assert count == 501
