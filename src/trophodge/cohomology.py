@@ -11,29 +11,43 @@ dimension d, H^{p,q} = (H_c^{d-p,d-q})^dual (Jell-Shaw-Smacka,
 "Superforms, tropical cohomology and Poincare duality",
 arXiv:1512.07409), turns them into h^{p,q}.
 
-For each p the complex has one :class:`CochainComplex`, which
-:func:`cochains` returns.  It owns the block layout of the C^q, writes
-each delta_q once, as sparse integer rows at the ``block_offsets`` of
-that layout (from one block per pair of sedentarities, since every F_p
-is all of wedge^p N_sigma), and ranks it once; it holds rows and ranks
-for the life of the complex.  Dimensions come from ranks alone: dim H^q = dim C^q -
-rk delta_q - rk delta_{q-1}, which is all :func:`betti_table` computes.
-Representatives (a basis of ker modulo im) come only from
-:func:`cohomology`, on boundary-closed complexes, from the same rows;
-the cycles of :mod:`trophodge.cycles` read the same layout and rows.  No
-dense differential is built on either path; the one dense view,
-``CochainComplex.deltas``, is for the benchmark's counts.
+Betti tables come from the stratum Morse complex of a complex, its
+:class:`MorseComplex`, which :func:`morse` returns.  Every F_p is all of
+wedge^p N_sigma, so inside a stratum each face map is the identity and
+across strata it is :func:`~trophodge.tropspace.stratum_wedge` of the two
+sedentarities.  Cells are matched inside each stratum by lexicographic
+element matchings on ray ids, and the p = 0 complex, whose blocks are
+the incidence signs, is reduced once along the matching: each matched
+pair is a unit pivot, eliminated as in Kaczynski-Mrozek-Slusarek
+("Homology computation by reduction of chain complexes", 1998).  Since
+the face maps compose, the reduced block between two critical cells is
+the same scalar epsilon times ``stratum_wedge`` for every p (algebraic
+discrete Morse theory: Skoldberg, "Morse theory from an algebraic
+viewpoint", Trans. AMS 2006).  So a Betti table ranks only these blocks,
+as many coordinates as the E_1 page on a complete smooth fan, and writes
+no unreduced delta.
 
-The face-poset and Cech models that cross-check this path are test
-oracles in ``tests/oracles.py``.
+Representatives (a basis of ker modulo im) come from :func:`cohomology`,
+on boundary-closed complexes, from the unreduced rows: for each p the
+complex has one :class:`CochainComplex`, which :func:`cochains` returns.
+It owns the block layout of the C^q and writes each delta_q once, as
+sparse integer rows at the ``block_offsets`` of that layout, from one
+block per pair of sedentarities, and holds the rows for the life of the
+complex.  The cycles of :mod:`trophodge.cycles` read the same layout and
+rows.  No dense differential is built on either path; the one dense
+view, ``CochainComplex.deltas``, is for the benchmark's counts.
+
+The unreduced ranks, and the face-poset and Cech models, that
+cross-check these paths are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 
 from trophodge.exactla import QMatrix, block_offsets, homology_quotient, sparse_rank
+from trophodge.record import Record
 from trophodge.tropspace import TropComplex, stratum_wedge
 
 
@@ -42,9 +56,9 @@ class CochainComplex:
 
     ``layout[q]`` lists (cell_id, block_dim) in block order.  :meth:`delta`
     writes the {column: entry} rows of delta_q: C^q -> C^{q+1} once and
-    holds them; :meth:`rank` ranks them once.  ``rows`` and the dense
-    ``QMatrix`` :attr:`deltas`, built on request for the benchmark's
-    counts, are views of every delta_q.  Get one with :func:`cochains`.
+    holds them.  ``rows`` and the dense ``QMatrix`` :attr:`deltas`, built
+    on request for the benchmark's counts, are views of every delta_q.
+    Get one with :func:`cochains`.
     """
 
     def __init__(self, cx: TropComplex, p: int):
@@ -54,9 +68,8 @@ class CochainComplex:
         for i, c in enumerate(cx.cells):
             layout[c.dim].append((i, cx.f_lower(c, p).dim))
         self.layout = tuple(map(tuple, layout))
-        self._blocks = {}  # (coface sedentarity, face sedentarity) -> columns
+        self._blocks = {}  # (coface, face) sedentarity masks -> columns
         self._rows = {}
-        self._ranks = {}
 
     def offsets(self, q):
         """{cell_id: first coordinate of its block} in C^q."""
@@ -79,35 +92,12 @@ class CochainComplex:
         return self._rows[q]
 
     def _write(self, q):
-        """The rows of delta_q, written at the ``block_offsets`` of the layout.
-
-        Row j of the block of a coface holds column j of each of its face
-        maps, with the incidence sign folded in, in the columns of the face.
-        The pairs are those of ``face_pairs(q)``.  Every F_p is all of
-        wedge^p N_sigma, so a face map depends only on the two
-        sedentarities: it is their ``stratum_wedge``, made once per
-        sedentarity pair as sparse columns and kept.
-        """
-        cx, p = self.cx, self.p
-        roff, coff = self.offsets(q + 1), self.offsets(q)
-        rows = [{} for _ in range(self.space_dim(q + 1))]
-        for fid, cid, sign in cx.face_pairs(q):
-            key = (cx.cells[cid].sedentarity, cx.cells[fid].sedentarity)
-            cols = self._blocks.get(key)
-            if cols is None:
-                cols = self._blocks[key] = _sparse_columns(stratum_wedge(*key, p))
-            r0, c0 = roff[cid], coff[fid]
-            for j, col in enumerate(cols):
-                row = rows[r0 + j]
-                for i, x in col:
-                    row[c0 + i] = sign * x
-        return rows
-
-    def rank(self, q):
-        """rk delta_q, ranked sparse once; no dense differential is built."""
-        if q not in self._ranks:
-            self._ranks[q] = sparse_rank(self.delta(q))
-        return self._ranks[q]
+        """The rows of delta_q, written at the ``block_offsets`` of the
+        layout from the pairs of ``face_pairs(q)`` and their signs."""
+        return _block_rows(
+            self.cx, self.cx.face_pairs(q), self.p, self._blocks,
+            self.offsets(q + 1), self.offsets(q), self.space_dim(q + 1),
+        )
 
     @property
     def rows(self):
@@ -121,16 +111,155 @@ class CochainComplex:
         )
 
 
+def _block_rows(cx, pairs, p, blocks, roff, coff, nrows):
+    """Rows of a coboundary from (face id, coface id, scalar) triples.
+
+    Row j of the block of a coface holds column j of each of its face
+    maps, times the scalar, in the columns of the face.  Every F_p is all
+    of wedge^p N_sigma, so a face map depends only on the two
+    sedentarities: it is their ``stratum_wedge``, made once per pair of
+    sedentarity masks as sparse columns and kept in ``blocks``.
+    """
+    cells, keys = cx.cells, cx.cell_keys
+    rows = [{} for _ in range(nrows)]
+    for fid, cid, scalar in pairs:
+        key = (keys[cid][0], keys[fid][0])
+        cols = blocks.get(key)
+        if cols is None:
+            wedge = stratum_wedge(cells[cid].sedentarity, cells[fid].sedentarity, p)
+            cols = blocks[key] = _sparse_columns(wedge)
+        r0, c0 = roff[cid], coff[fid]
+        for j, col in enumerate(cols):
+            row = rows[r0 + j]
+            for i, x in col:
+                row[c0 + i] = scalar * x
+    return rows
+
+
 def _sparse_columns(cols):
     return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in cols)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    p: int
-    q: int
-    dim: int
-    representatives: tuple
+class MorseComplex:
+    """The incidence complexes of a complex, for every p, reduced along one
+    acyclic matching inside the strata.
+
+    ``matching`` lists the eliminated pairs (face id, coface id), in the
+    order of elimination; ``critical[q]`` the ids of the critical q-cells,
+    in cell order; ``reduced[q]`` the triples (face id, coface id,
+    epsilon) of the reduced p = 0 differential from critical q-cells to
+    critical (q+1)-cells.  For each p the reduced delta_q has the block
+    epsilon times ``stratum_wedge`` at each such pair; :meth:`rank` ranks
+    it once.  Get one with :func:`morse`.
+    """
+
+    def __init__(self, cx: TropComplex):
+        for cell in cx.cells:
+            cx.f_lower(cell, 0)  # ValueError unless every F_p is all of wedge^p N_sigma
+        self.cx = cx
+        self.matching, self.critical, self.reduced = _reduce(cx)
+        self._blocks = {}  # p -> {(coface, face) sedentarity masks: columns}
+        self._ranks = {}
+
+    def layout(self, p, q):
+        """(cell_id, block_dim) of the critical q-cells, in block order."""
+        cells = self.cx.cells
+        return tuple(
+            (i, math.comb(cells[i].stratum_rank, p)) for i in self.critical.get(q, ())
+        )
+
+    def space_dim(self, p, q):
+        return sum(d for _, d in self.layout(p, q))
+
+    def rank(self, p, q):
+        """rk of the reduced delta_q for p, ranked sparse once."""
+        if (p, q) not in self._ranks:
+            rank = 0
+            if q in self.reduced:
+                roff, nrows = block_offsets(self.layout(p, q + 1))
+                coff, _ = block_offsets(self.layout(p, q))
+                rows = _block_rows(
+                    self.cx, self.reduced[q], p, self._blocks.setdefault(p, {}),
+                    roff, coff, nrows,
+                )
+                rank = sparse_rank(rows)
+            self._ranks[p, q] = rank
+        return self._ranks[p, q]
+
+    def dim(self, p, q):
+        """dim H^q of the incidence complex for p, from the reduced ranks."""
+        return self.space_dim(p, q) - self.rank(p, q) - self.rank(p, q - 1)
+
+
+def _reduce(cx):
+    """(matching, critical, reduced) of :class:`MorseComplex`.
+
+    Inside each stratum, a cell (sigma, tau) is matched with (sigma, tau +
+    r) for the rays r in id order, when both are still unmatched: the
+    lexicographic element matchings on ray ids (Kozlov, *Combinatorial
+    Algebraic Topology*, ch. 11).  Each pair is eliminated from the p = 0
+    complex as it is matched, by the Schur complement of its entry:
+    entries (x, y) with x a face of the coface and y a coface of the face
+    take -e(x, coface) e(face, coface) e(face, y), and both cells leave
+    the complex.  A pair whose entry is no longer a unit by then stays
+    critical, so every step is an exact reduction whatever the order.
+    """
+    cells, keys = cx.cells, cx.cell_keys
+    pairs = cx.face_poset()
+    up = [{} for _ in cells]  # face id -> {coface id: entry}
+    down = [{} for _ in cells]  # coface id -> {face id: entry}
+    for f, c, sign in pairs:
+        up[f][c] = down[c][f] = sign
+    moves = []  # (bit of r, face id, coface id) for (sigma, tau) < (sigma, tau + r)
+    for f, c, _ in pairs:
+        bit = keys[c][1] ^ keys[f][1]
+        if keys[f][0] == keys[c][0] and not bit & (bit - 1):
+            moves.append((bit, f, c))
+    moves.sort()
+    matched, matching = [False] * len(cells), []
+    for _, a, b in moves:
+        if matched[a] or matched[b] or up[a].get(b) not in (1, -1):
+            continue
+        e = up[a][b]
+        faces_b = [(x, v * e) for x, v in down[b].items() if x != a]
+        cofaces_a = [(y, w) for y, w in up[a].items() if y != b]
+        for x, v in faces_b:
+            row = up[x]
+            for y, w in cofaces_a:
+                entry = row.get(y, 0) - v * w
+                if entry:
+                    row[y] = down[y][x] = entry
+                else:
+                    del row[y], down[y][x]
+        for cell in (a, b):
+            for y in up[cell]:
+                del down[y][cell]
+            for x in down[cell]:
+                del up[x][cell]
+            up[cell], down[cell] = {}, {}
+        matched[a] = matched[b] = True
+        matching.append((a, b))
+    critical, reduced = {}, {}
+    for i, cell in enumerate(cells):
+        if not matched[i]:
+            critical.setdefault(cell.dim, []).append(i)
+            reduced.setdefault(cell.dim, []).extend((i, y, e) for y, e in up[i].items())
+    return (
+        tuple(matching),
+        {q: tuple(ids) for q, ids in critical.items()},
+        {q: tuple(trips) for q, trips in reduced.items() if trips},
+    )
+
+
+class CohomologyResult(Record):
+    fields = ("p", "q", "dim", "representatives")
+
+
+def morse(cx: TropComplex) -> MorseComplex:
+    """The stratum Morse complex of ``cx``, one per complex."""
+    if cx.morse is None:
+        cx.morse = MorseComplex(cx)
+    return cx.morse
 
 
 def cochains(cx: TropComplex, p: int) -> CochainComplex:
@@ -181,22 +310,22 @@ def _duality_dim(cx):
 
 
 def _dim(cx, p, q, d):
-    """dim H^{p,q} from held ranks, as dim H_c^{d-p,d-q} unless d is None."""
+    """dim H^{p,q} from the Morse complex, as dim H_c^{d-p,d-q} unless d is None."""
     if d is not None:
         if not (0 <= p <= d and 0 <= q <= d):
             return 0
         p, q = d - p, d - q
-    cc = cochains(cx, p)
-    return cc.space_dim(q) - cc.rank(q) - cc.rank(q - 1)
+    return morse(cx).dim(p, q)
 
 
 def betti_table(cx: TropComplex):
-    """Matrix h[p][q] for 0 <= p,q <= n, from ranks alone.
+    """Matrix h[p][q] for 0 <= p,q <= n, from reduced ranks alone.
 
     The dimensions are those :func:`cohomology` gives, with the same
-    contract, but no representative is computed: dim C^q - rk delta_q -
-    rk delta_{q-1} of the incidence complex, taken at (d-p, d-q) by
-    Poincare duality where the complex is not boundary closed.
+    contract, but no representative is computed and no unreduced delta is
+    written: dim C^q - rk delta_q - rk delta_{q-1} of the stratum Morse
+    complex, taken at (d-p, d-q) by Poincare duality where the complex is
+    not boundary closed.
     """
     n = cx.base_fan.ambient_rank
     d = _duality_dim(cx)

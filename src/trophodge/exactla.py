@@ -162,6 +162,12 @@ def integer_rref(rows, ncols):
     return out
 
 
+def pivot_columns(rows):
+    """The pivot columns of the reduced row echelon form of sparse rows, in
+    order, from the forward pass of :func:`_gauss_jordan` alone."""
+    return sorted(_gauss_jordan(rows, reduce=False))
+
+
 def null_rows(rows, ncols):
     """The canonical basis of the right null space of sparse rows.
 

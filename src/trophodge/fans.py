@@ -32,7 +32,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from trophodge.exactla import (
@@ -45,6 +44,7 @@ from trophodge.exactla import (
     sparse_rows,
     wedge_columns,
 )
+from trophodge.record import Record
 
 
 def _integer(x):
@@ -315,8 +315,7 @@ def is_smooth(cone: Cone) -> bool:
     return math.gcd(*(m for (m,) in wedge_columns(mat, len(cone.rays)))) == 1
 
 
-@dataclass(frozen=True)
-class OrbitLattice:
+class OrbitLattice(Record):
     """Lattice data of the torus orbit of a cone.
 
     ``proj`` maps N onto N_sigma = N / (span(sigma) cap N) in a fixed
@@ -324,10 +323,7 @@ class OrbitLattice:
     the pairing between the two bases is the identity.
     """
 
-    cone: Cone
-    proj: ZMatrix
-    m_perp_basis: tuple
-    n_sigma_rank: int
+    fields = ("cone", "proj", "m_perp_basis", "n_sigma_rank")
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,13 +15,21 @@ that is full-dimensional in its stratum, so F_p(P) is all of
 wedge^p N_sigma: :meth:`TropComplex.f_lower` returns it with the
 identity basis, and raises ValueError on a cell with no such coface.
 
-The incidence of the complex is found by lookup in its (sigma, tau) -> id
-index, not by a scan over all pairs of cells: one scan of the candidate
-faces (sigma', tau') of (sigma, tau), tau' a face of tau and sigma a face
-of sigma', yields the faces present and those missing.  The span basis
-of a cell, the image of each ray in each N_sigma, and the stratum
-projections N_sigma1 -> N_sigma2 with their wedge powers are cached like
-the cone data of :mod:`trophodge.fans`.
+The incidence of the complex is its codimension-1 face relation, found by
+lookup in an index of the cells on ray ids.  The rays of the cell shapes,
+in sorted order, are numbered, and a cell is keyed by the bitmasks of the
+rays of its sedentarity and of its shape (``TropComplex.cell_keys``).  A
+codim-1 face of a cell either keeps its sedentarity and drops a free ray
+from the shape (a face in its stratum), or keeps the shape and moves a
+free ray into the sedentarity (a face at infinity): at most 2 dim
+lookups per cell of a simplicial shape.  A shape that is not simplicial
+takes its facets, and its faces one dimension above the sedentarity,
+from ``fans.faces``.  Closure under faces, full-dimensional stratum
+cofaces and boundary closedness all follow from the codim-1 faces, since
+the face poset of a cell is graded.  The span basis of a cell, the image
+of each ray in each N_sigma, and the stratum projections N_sigma1 ->
+N_sigma2 with their wedge powers are cached like the cone data of
+:mod:`trophodge.fans`.
 
 Each cell is oriented by the RREF basis of its span.  When the projected
 rays R of a cell c are independent, as for every cell of a simplicial
@@ -47,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from trophodge import fans
 from trophodge.exactla import (
@@ -55,24 +62,26 @@ from trophodge.exactla import (
     ZMatrix,
     _bareiss,
     integer_rref,
+    pivot_columns,
     sparse_rows,
     wedge_columns,
     wedge_vector,
 )
 from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
+from trophodge.record import Record
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """Cell of a stratified complex: sedentarity cone plus lifted shape cone."""
 
-    sedentarity: Cone
-    tau: Cone
+    fields = ("sedentarity", "tau")
 
-    def __post_init__(self):
-        if self.sedentarity not in face_set(self.tau):
+    def __init__(self, sedentarity: Cone, tau: Cone):
+        if sedentarity not in face_set(tau):
             raise ValueError("sedentarity must be a face of the lifted shape")
-        object.__setattr__(self, "_hash", hash((self.sedentarity, self.tau)))
+        object.__setattr__(self, "sedentarity", sedentarity)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "_hash", hash((sedentarity, tau)))
 
     def __hash__(self):
         return self._hash
@@ -101,11 +110,19 @@ class TropComplex:
             raise ValueError("cell sedentarity is not a cone of the base fan")
         self.base_fan = base_fan
         self.cells = ordered
-        self._index = {(c.sedentarity, c.tau): i for i, c in enumerate(ordered)}
+        rays = sorted({r for c in ordered for r in c.tau.rays})
+        self._ray_bit = {r: 1 << i for i, r in enumerate(rays)}
+        # (sedentarity mask, shape mask) of each cell, over the ray ids
+        self.cell_keys = tuple(
+            (self._mask(c.sedentarity), self._mask(c.tau)) for c in ordered
+        )
+        self._index = {k: i for i, k in enumerate(self.cell_keys)}
+        self._ids = {c: i for i, c in enumerate(ordered)}
         self._poset_cache = None
         self._pairs_by_dim = None
         self._incidence_cache = None
         self.cochains = {}  # p -> cohomology.CochainComplex, by cohomology.cochains
+        self.morse = None  # cohomology.MorseComplex, by cohomology.morse
         if validate:
             self._validate()
 
@@ -143,42 +160,68 @@ class TropComplex:
 
     # -- poset --------------------------------------------------------
 
+    def _mask(self, cone):
+        return sum(map(self._ray_bit.__getitem__, cone.rays))
+
     def cell_id(self, cell):
-        return self._index[(cell.sedentarity, cell.tau)]
+        return self._ids[cell]
 
     @property
     def top_dim(self):
         return self.cells[-1].dim if self.cells else 0  # cells are sorted by dim
 
     def _incidence(self):
-        """Per cell id: the ids of its faces, with the cell itself, whether
-        it has a stratum coface full-dimensional in its stratum, and its
-        missing faces.
+        """(faces, full, missing): per cell id the sorted ids of its codim-1
+        faces, and whether it has a stratum coface full-dimensional in its
+        stratum; then whether some codim-1 face in a stratum, and some at
+        infinity, is missing.
 
-        One scan takes the candidate faces (s, t) of a cell, t a face of its
-        shape and its sedentarity a face of s, as ids or as missing pairs.
-        A full-dimensional cell marks the faces that keep its sedentarity.
+        A face in the stratum drops a free ray from the shape, a face at
+        infinity moves it into the sedentarity.  A full-dimensional cell
+        marks its faces in the stratum, and they mark theirs.
         """
         if self._incidence_cache is None:
-            down, missing = [], []
-            full = [False] * len(self.cells)
-            for cell in self.cells:
-                ids, lack = [], []
-                top = cell.dim == cell.stratum_rank
-                for t in faces(cell.tau):
-                    for s in faces(t):
-                        if cell.sedentarity in face_set(s):
-                            i = self._index.get((s, t))
-                            if i is None:
-                                lack.append((s, t))
-                            else:
-                                ids.append(i)
-                                if top and s == cell.sedentarity:
-                                    full[i] = True
+            index, down, lack = self._index, [], [False, False]
+            stratum_faces = []
+            for cell, (s, t) in zip(self.cells, self.cell_keys):
+                ids, same = [], []
+                for at_infinity, key in self._codim1_keys(cell, s, t):
+                    i = index.get(key)
+                    if i is None:
+                        lack[at_infinity] = True
+                    else:
+                        ids.append(i)
+                        if not at_infinity:
+                            same.append(i)
                 down.append(tuple(sorted(ids)))
-                missing.append(tuple(lack))
-            self._incidence_cache = (tuple(down), tuple(full), tuple(missing))
+                stratum_faces.append(same)
+            full = [c.dim == c.stratum_rank for c in self.cells]
+            for i in reversed(range(len(self.cells))):  # cells are sorted by dim
+                if full[i]:
+                    for j in stratum_faces[i]:
+                        full[j] = True
+            self._incidence_cache = (tuple(down), tuple(full), tuple(lack))
         return self._incidence_cache
+
+    def _codim1_keys(self, cell, s, t):
+        """(at infinity, key) of each codim-1 face of a cell with key (s, t)."""
+        sed, tau = cell.sedentarity, cell.tau
+        if len(tau.rays) == tau.dim:
+            free = t & ~s
+            while free:
+                bit = free & -free
+                free ^= bit
+                yield False, (s, t ^ bit)
+                yield True, (s | bit, t)
+            return
+        for face in faces(tau):
+            m = self._mask(face)
+            if s & ~m:
+                continue
+            if face.dim == tau.dim - 1:
+                yield False, (s, m)
+            if face.dim == sed.dim + 1:
+                yield True, (m, t)
 
     def face_poset(self):
         """Codimension-1 face pairs: (face_id, coface_id, sign).
@@ -189,20 +232,17 @@ class TropComplex:
         dimension of the face, for :meth:`face_pairs`.
         """
         if self._poset_cache is None:
-            frames = [_orientation(c) for c in self.cells]
-            down = self._incidence()[0]
+            orient = [_orientation(c) for c in self.cells]
+            keys = self.cell_keys
             out, by_dim = [], {}
-            for cid, coface in enumerate(self.cells):
-                for fid in down[cid]:
-                    face = self.cells[fid]
-                    if face.dim != coface.dim - 1:
-                        continue
-                    same = face.sedentarity == coface.sedentarity
-                    sign = _pair_sign(frames[fid], frames[cid], same)
+            for cid, faces_of in enumerate(self._incidence()[0]):
+                coface = self.cells[cid]
+                for fid in faces_of:
+                    sign = _pair_sign(orient[fid], orient[cid], keys[fid], keys[cid])
                     if sign is None:
-                        sign = self._incidence_sign(face, coface)
+                        sign = self._incidence_sign(self.cells[fid], coface)
                     out.append((fid, cid, sign))
-                    by_dim.setdefault(face.dim, []).append(out[-1])
+                    by_dim.setdefault(coface.dim - 1, []).append(out[-1])
             self._poset_cache = tuple(out)
             self._pairs_by_dim = {q: tuple(v) for q, v in by_dim.items()}
         return self._poset_cache
@@ -216,14 +256,10 @@ class TropComplex:
         """True iff every face at infinity of every cell is present.
 
         Exactly then is the support compact and the plain incidence
-        cochain complex computes sheaf cohomology: no missing face (s, t)
-        of a cell keeps its shape t.
+        cochain complex computes sheaf cohomology: no codim-1 face at
+        infinity of a cell is missing.
         """
-        return all(
-            t != cell.tau
-            for cell, lack in zip(self.cells, self._incidence()[2])
-            for _, t in lack
-        )
+        return not self._incidence()[2][1]
 
     # -- multi-tangent spaces -----------------------------------------
 
@@ -247,15 +283,18 @@ class TropComplex:
         a stratum.  A pair across strata with a smaller face shape needs
         the cell it factors through, (face sedentarity, coface shape).
         """
-        if self.cell_id(face) not in self._incidence()[0][self.cell_id(coface)]:
+        if not (
+            coface.sedentarity in face_set(face.sedentarity)
+            and face.tau in face_set(coface.tau)
+        ):
             raise ValueError("a face map requires a face pair")
-        same = face.sedentarity == coface.sedentarity
-        mid = (face.sedentarity, coface.tau)
-        if not same and face.tau != coface.tau and mid not in self._index:
-            raise ValueError(
-                "composite face map needs the intermediate cell "
-                f"({Cell(*mid).label()}) in the complex"
-            )
+        if face.sedentarity != coface.sedentarity and face.tau != coface.tau:
+            mid = Cell(face.sedentarity, coface.tau)
+            if mid not in self._ids:
+                raise ValueError(
+                    "composite face map needs the intermediate cell "
+                    f"({mid.label()}) in the complex"
+                )
         self._require_full(face)
         self._require_full(coface)
         return stratum_wedge(coface.sedentarity, face.sedentarity, p)
@@ -319,11 +358,7 @@ class TropComplex:
 
     def _validate(self):
         # a face in the stratum keeps the sedentarity
-        if any(
-            s == cell.sedentarity
-            for cell, lack in zip(self.cells, self._incidence()[2])
-            for s, _ in lack
-        ):
+        if self._incidence()[2][0]:
             raise ValueError("complex is not closed under faces")
         by_sed = {}
         for cell in self.cells:
@@ -345,37 +380,39 @@ def volume_element(cell: Cell):
 
 
 def _orientation(cell: Cell):
-    """(free, o): the rays of the shape off the sedentarity, in order, and
-    the orientation o of their images R in N_sigma against the echelon
-    basis of the span, o = sign det(R at the pivots of
-    :func:`_integer_basis`), +1 for a point.  The images are nonzero, and
-    o is None when they are dependent (more of them than dim)."""
-    free = tuple(r for r in cell.tau.rays if r not in cell.sedentarity.rays)
-    if len(free) != cell.dim:
-        return free, None
-    pivots, _ = _integer_basis(cell)
-    det = _bareiss([[v[j] for j in pivots] for v in _projected_rays(cell)])
-    return free, 1 if det > 0 else -1
+    """The orientation o of the images R in N_sigma of the free rays of a
+    cell (those of the shape off the sedentarity, in order) against the
+    echelon basis of the span: o = sign det(R at the pivot columns of that
+    basis, which are those of R), +1 for a point.  The images are nonzero,
+    and o is None when they are dependent (more of them than dim)."""
+    rays = _projected_rays(cell)
+    if len(rays) != cell.dim:
+        return None
+    n = cell.stratum_rank
+    pivots = range(n) if cell.dim == n else pivot_columns(sparse_rows(rays))
+    det = _bareiss([[v[j] for j in pivots] for v in rays])
+    return 1 if det > 0 else -1
 
 
-def _pair_sign(face_frame, coface_frame, same):
+def _pair_sign(o_f, o_c, face_key, coface_key):
     """The sign of :meth:`TropComplex._incidence_sign` for a codim-1 pair of
-    cells with independent projected rays, from their orientations; None
-    if either frame has none.
+    cells with independent projected rays, from their orientations and
+    their ``cell_keys``; None if either orientation is None.
 
-    The face drops one free ray r of the coface, at position k, and keeps
-    the others in order: inside one stratum r leaves the shape, across
-    strata it joins the sedentarity and the shape stays.  Inside a stratum
-    the frame (-r, face rays) is -(-1)^k times the coface frame; across
-    strata the face rays lift to the coface rays other than r, and
-    (r, lifts) is (-1)^k times the coface frame.  The orientations turn
-    both frames into echelon bases.
+    The face drops one free ray r of the coface, at position k among its
+    free rays in id order, and keeps the others in order: inside one
+    stratum r leaves the shape, across strata it joins the sedentarity
+    and the shape stays.  Inside a stratum the frame (-r, face rays) is
+    -(-1)^k times the coface frame; across strata the face rays lift to
+    the coface rays other than r, and (r, lifts) is (-1)^k times the
+    coface frame.  The orientations turn both frames into echelon bases.
     """
-    (free_f, o_f), (free_c, o_c) = face_frame, coface_frame
     if o_f is None or o_c is None:
         return None
-    k = next((i for i, (a, b) in enumerate(zip(free_f, free_c)) if a != b), len(free_f))
-    sign = o_f * o_c * (-1) ** k
+    (s_f, t_f), (s_c, t_c) = face_key, coface_key
+    same = s_f == s_c
+    bit = t_c ^ t_f if same else s_f ^ s_c
+    sign = o_f * o_c * (-1) ** (t_c & ~s_c & (bit - 1)).bit_count()
     return -sign if same else sign
 
 
@@ -442,6 +479,9 @@ def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
     """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as its
     integer columns: the face map of a face pair of cells with these
     sedentarities, the identity when they are equal."""
+    if sed_small == sed_big:
+        n = sed_small.ambient_rank - sed_small.dim
+        return ZMatrix.identity(math.comb(n, p)).entries
     return wedge_columns(_stratum_projection(sed_small, sed_big), p)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 
 from trophodge import cohomology, fans, tropspace
 from trophodge.exactla import (
@@ -27,16 +26,14 @@ from trophodge.exactla import (
     wedge_columns,
 )
 from trophodge.fans import Fan, face_set
+from trophodge.record import Record
 
 
-@dataclass(frozen=True)
-class SSPage:
+class SSPage(Record):
     """One page of the spectral sequence: ``dims[(p, q)]`` is the dimension
     of the (p, q) entry."""
 
-    level: int
-    rank: int
-    dims: dict
+    fields = ("level", "rank", "dims")
 
     def dim(self, p, q):
         return self.dims.get((p, q), 0)

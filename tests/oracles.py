@@ -5,10 +5,13 @@
   compactness assumption, so it checks the Poincare-duality path that
   ``trophodge.cohomology`` takes on complexes that are not boundary
   closed;
-* a Cech complex on the open cover by open stars.
+* a Cech complex on the open cover by open stars;
+* the unreduced ranks of the incidence complex itself
+  (:func:`unreduced_betti_table`), which the Betti tables of the stratum
+  Morse complex replaced.
 
-Both build their own matrices and share only the exact linear algebra
-and the face index of a complex with the production path.  They read
+The first two build their own matrices and share only the exact linear
+algebra and the face index of a complex with the production path.  They read
 F_p as the span :func:`f_lower` computes, of the p-fold wedges of the
 projected rays of the stratum cofaces of a cell, and each face map as
 :func:`fraction_face_map` computes it, so they also run on a complex
@@ -18,8 +21,10 @@ which ``TropComplex.f_lower`` rejects.
 The complexes that only tests build are here too: :func:`refined_complex`
 (a cell structure from a refinement of the fan), :func:`torus_complex`,
 :func:`affine_complex` and :func:`tropical_line`, with the face relation
-:func:`is_face_of` and the incidence lookups :func:`faces_of`,
-:func:`cofaces_of` and :func:`stratum_cofaces`.
+:func:`is_face_of`, the scan of all candidate faces of each cell that
+the codim-1 incidence of ``TropComplex`` replaced (:func:`face_scan`),
+and the incidence lookups on it :func:`faces_of`, :func:`cofaces_of` and
+:func:`stratum_cofaces`.
 
 The rational lattice geometry that the integer stratum maps and
 incidence signs of ``trophodge.tropspace`` replaced is kept here too,
@@ -51,7 +56,7 @@ import weakref
 from fractions import Fraction
 
 from trophodge import fans, weightss
-from trophodge.cohomology import CohomologyResult
+from trophodge.cohomology import CohomologyResult, cochains
 from trophodge.exactla import (
     QSubspace,
     _rref,
@@ -220,9 +225,42 @@ def cells_of_dim(cx: TropComplex, d):
     return tuple(c for c in cx.cells if c.dim == d)
 
 
+def face_scan(cx: TropComplex):
+    """(faces, full, missing) per cell id, by a scan of all candidate faces.
+
+    The candidates of a cell (sigma, tau) are the (s, t) with t a face of
+    tau and sigma a face of s, 3^dim of them on a simplicial shape: the
+    ids of those present, the cell included, in order; whether a cell of
+    its sedentarity that is full-dimensional in its stratum has it as a
+    face; and the (s, t) missing from the complex.
+    """
+    cache = _cache(cx)
+    if "scan" not in cache:
+        index = {(c.sedentarity, c.tau): i for i, c in enumerate(cx.cells)}
+        down, missing = [], []
+        full = [False] * len(cx.cells)
+        for cell in cx.cells:
+            ids, lack = [], []
+            top = cell.dim == cell.stratum_rank
+            for t in faces(cell.tau):
+                for s in faces(t):
+                    if cell.sedentarity in face_set(s):
+                        i = index.get((s, t))
+                        if i is None:
+                            lack.append((s, t))
+                        else:
+                            ids.append(i)
+                            if top and s == cell.sedentarity:
+                                full[i] = True
+            down.append(tuple(sorted(ids)))
+            missing.append(tuple(lack))
+        cache["scan"] = (tuple(down), tuple(full), tuple(missing))
+    return cache["scan"]
+
+
 def faces_of(cx: TropComplex, cell):
-    """The faces of a cell, itself included, from the face index of the complex."""
-    return tuple(cx.cells[i] for i in cx._incidence()[0][cx.cell_id(cell)])
+    """The faces of a cell, itself included, from :func:`face_scan`."""
+    return tuple(cx.cells[i] for i in face_scan(cx)[0][cx.cell_id(cell)])
 
 
 def cofaces_of(cx: TropComplex, cell):
@@ -230,7 +268,7 @@ def cofaces_of(cx: TropComplex, cell):
     cache = _cache(cx)
     if "up" not in cache:
         up = [[] for _ in cx.cells]
-        for i, ids in enumerate(cx._incidence()[0]):
+        for i, ids in enumerate(face_scan(cx)[0]):
             for j in ids:
                 up[j].append(i)
         cache["up"] = up
@@ -277,6 +315,30 @@ def _put(rows, r0, c0, block, sign):
         for c, x in enumerate(row):
             if x:
                 rows[r0 + r][c0 + c] = sign * x
+
+
+def unreduced_dim(cx: TropComplex, p, q):
+    """dim H^q of the incidence complex for p from its unreduced ranks:
+    dim C^q - rk delta_q - rk delta_{q-1} of the rows ``CochainComplex``
+    writes, the Betti table path that the Morse complex replaced."""
+    cc = cochains(cx, p)
+    return cc.space_dim(q) - sparse_rank(cc.delta(q)) - sparse_rank(cc.delta(q - 1))
+
+
+def unreduced_betti_table(cx: TropComplex):
+    """h[p][q] from :func:`unreduced_dim`, taken at (d-p, d-q) with d the
+    top dimension where the complex is not boundary closed."""
+    n = cx.base_fan.ambient_rank
+    d = None if cx.is_boundary_closed() else cx.top_dim
+
+    def h(p, q):
+        if d is None:
+            return unreduced_dim(cx, p, q)
+        if not (0 <= p <= d and 0 <= q <= d):
+            return 0
+        return unreduced_dim(cx, d - p, d - q)
+
+    return [[h(p, q) for q in range(n + 1)] for p in range(n + 1)]
 
 
 def poset_betti_table(cx: TropComplex):

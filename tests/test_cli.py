@@ -5,6 +5,10 @@ import copy
 import functools
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
@@ -489,3 +493,24 @@ def test_mutated_input_documents_fail_with_one_error_line(
         assert out.getvalue() == ""
         assert [line.startswith("error: ") for line in lines] == (
             [False] * (len(lines) - 1) + [True]), lines
+
+
+def test_loading_the_package_loads_no_dataclasses_or_inspect():
+    """A fresh interpreter that has made the benchmark worker's stdlib
+    imports loads neither ``dataclasses`` nor ``inspect`` (nor, through
+    them, ``ast`` and ``dis``) when it imports the CLI."""
+    code = (
+        "import argparse, contextlib, fractions, json, os, pathlib, platform\n"
+        "import resource, sys, time, traceback\n"
+        "before = set(sys.modules)\n"
+        "import trophodge.cli\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'}))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -13,7 +13,7 @@ import oracles
 from test_cycles_digest import CUBE_FAN
 from test_fan_digest import moved_zoo
 from trophodge import fans, tropspace, weightss
-from trophodge.exactla import QSubspace, ZMatrix, wedge_vector
+from trophodge.exactla import QSubspace, ZMatrix, wedge_columns, wedge_vector
 from trophodge.fans import Cone
 from trophodge.tropspace import Cell, TropComplex
 
@@ -153,16 +153,29 @@ def test_face_maps_between_full_f_p_are_integral():
 
 
 def test_incidence_index_matches_face_scan():
-    """The indexed incidence equals a scan of all pairs with is_face_of.
+    """The codim-1 incidence on ray ids equals the faces of codimension 1
+    that ``oracles.face_scan`` finds among all 3^dim candidates of a cell,
+    and that scan equals a scan of all pairs with is_face_of.
 
     ``f_lower`` rejects exactly the cells that the scan finds without a
     full-dimensional stratum coface: every cell of the tropical line and
-    none of the other complexes.
+    none of the other complexes.  Boundary closedness from the missing
+    codim-1 faces at infinity agrees with the scan's missing faces.
     """
     complexes = complexes_for_f_lower()
     complexes.append(weightss.trop_complex_for(fans.projective_space(4)))
+    complexes.append(tropspace.tautological_complex(CUBE_FAN))
     complexes.append(oracles.tropical_line())
     for cx in complexes:
+        down, full, missing = oracles.face_scan(cx)
+        assert cx._incidence()[0] == tuple(
+            tuple(i for i in ids if cx.cells[i].dim == cell.dim - 1)
+            for cell, ids in zip(cx.cells, down)
+        )
+        assert cx._incidence()[1] == full
+        assert cx.is_boundary_closed() == all(
+            t != cell.tau for cell, lack in zip(cx.cells, missing) for _, t in lack
+        )
         poset = []
         for coface in cx.cells:
             faces = tuple(c for c in cx.cells if oracles.is_face_of(c, coface))
@@ -427,8 +440,10 @@ def test_integer_geometry_matches_the_fraction_oracle():
 
 
 def test_stratum_wedge_of_one_sedentarity_is_the_identity():
-    """Inside a stratum the face map is the identity: stratum_wedge(s, s, p)
-    for every sedentarity s and every p of the zoo, P^4 and (P^1)^4."""
+    """Inside a stratum the face map is the identity: stratum_wedge(s, s, p),
+    which returns it without a stratum projection, equals the wedge of
+    that projection for every sedentarity s and every p of the zoo, P^4
+    and (P^1)^4."""
     named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
     named += [fans.projective_space(4), fans.orthant_fan(4)]
     count = 0
@@ -438,5 +453,7 @@ def test_stratum_wedge_of_one_sedentarity_is_the_identity():
             for p in range(n + 1):
                 identity = ZMatrix.identity(math.comb(n, p)).entries
                 assert tropspace.stratum_wedge(sigma, sigma, p) == identity
+                projection = tropspace._stratum_projection(sigma, sigma)
+                assert wedge_columns(projection, p) == identity
                 count += 1
     assert count == 501
