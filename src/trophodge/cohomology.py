@@ -54,29 +54,40 @@ from trophodge.tropspace import TropComplex, stratum_wedge
 class CochainComplex:
     """Incidence cochain complex of a complex for a fixed p, as sparse rows.
 
-    ``layout[q]`` lists (cell_id, block_dim) in block order.  :meth:`delta`
-    writes the {column: entry} rows of delta_q: C^q -> C^{q+1} once and
-    holds them.  ``rows`` and the dense ``QMatrix`` :attr:`deltas`, built
-    on request for the benchmark's counts, are views of every delta_q.
-    Get one with :func:`cochains`.
+    ``layout[q]`` lists (cell_id, block_dim) in block order; every F_p is
+    all of wedge^p N_sigma, so a block has C(stratum rank, p) coordinates.
+    The offsets, block sizes and dimension of each C^q are made once with
+    the layout.  :meth:`delta` writes the {column: entry} rows of
+    delta_q: C^q -> C^{q+1} once and holds them.  ``rows`` and the dense
+    ``QMatrix`` :attr:`deltas`, built on request for the benchmark's
+    counts, are views of every delta_q.  Get one with :func:`cochains`.
     """
 
     def __init__(self, cx: TropComplex, p: int):
+        cx.require_full_cofaces()
         self.cx = cx
         self.p = p
         layout = [[] for _ in range(cx.top_dim + 1)]
         for i, c in enumerate(cx.cells):
-            layout[c.dim].append((i, cx.f_lower(c, p).dim))
+            layout[c.dim].append((i, math.comb(c.stratum_rank, p)))
         self.layout = tuple(map(tuple, layout))
+        self._offsets = tuple(block_offsets(blocks) for blocks in self.layout)
+        self._dims = tuple(dict(blocks) for blocks in self.layout)
         self._blocks = {}  # (coface, face) sedentarity masks -> columns
         self._rows = {}
 
     def offsets(self, q):
-        """{cell_id: first coordinate of its block} in C^q."""
-        return block_offsets(self.layout[q])[0]
+        """{cell_id: first coordinate of its block} in C^q; callers must not
+        modify it."""
+        return self._offsets[q][0]
+
+    def block_dims(self, q):
+        """{cell_id: dimension of its block} in C^q; callers must not
+        modify it."""
+        return self._dims[q]
 
     def space_dim(self, q):
-        return sum(d for _, d in self.layout[q]) if 0 <= q < len(self.layout) else 0
+        return self._offsets[q][1] if 0 <= q < len(self.layout) else 0
 
     def delta(self, q):
         """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1}, held.
@@ -154,8 +165,7 @@ class MorseComplex:
     """
 
     def __init__(self, cx: TropComplex):
-        for cell in cx.cells:
-            cx.f_lower(cell, 0)  # ValueError unless every F_p is all of wedge^p N_sigma
+        cx.require_full_cofaces()
         self.cx = cx
         self.matching, self.critical, self.reduced = _reduce(cx)
         self._blocks = {}  # p -> {(coface, face) sedentarity masks: columns}
@@ -282,7 +292,12 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
 
     A boundary-closed complex gets the dimension and representatives from
     its incidence cochain complex: ker delta_q modulo im delta_{q-1}, on
-    the held sparse rows of those two maps only.  Any other complex must
+    the held sparse rows of those two maps only.  The representatives are
+    the rows of the RREF of ker delta_q + im delta_{q-1} at the pivots
+    that are not pivots of the image.  Since delta_q delta_{q-1} = 0,
+    ``exactla.homology_quotient`` reads them off one forward elimination
+    of delta_q with rightmost pivots and back-solves only those rows; the
+    block sizes come from the stratum ranks.  Any other complex must
     be a tropical manifold: a complex over a smooth base fan
     (``weightss.trop_complex_for`` builds one for every non-complete fan
     it accepts).  Its dimension comes by Poincare duality from the compactly supported

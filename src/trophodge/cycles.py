@@ -10,7 +10,9 @@ a surface come from its 2-cones, which pair each ray with its neighbours.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -116,25 +118,31 @@ def _weight_value(w):
     raise ValueError(f"weight {w!r} is not an integer or a 'num/den' string")
 
 
+@functools.lru_cache(maxsize=None)
 def _balancing_blocks(fan: Fan, codim: int):
     """(blocks, cols): (sigma, its balancing equations as sparse
     {column: entry} rows, one per coordinate of N_sigma) for each cone
     sigma of dimension n - codim - 1, and the codim-``codim`` cones that
-    index the columns, both in fan order."""
+    index the columns, both in fan order.
+
+    Column j enters the block of each facet of its cone.  Built once per
+    (fan, codim); the callers must not modify the rows.
+    """
     n = fan.ambient_rank
     cols = fan.cones_of_dim(n - codim)
-    blocks = []
-    for sigma in fan.cones_of_dim(n - codim - 1):
-        block = [{} for _ in range(orbit_lattice(sigma).n_sigma_rank)]
-        for j, tau in enumerate(cols):
-            if sigma not in fans.face_set(tau):
+    blocks = {
+        sigma: tuple({} for _ in range(orbit_lattice(sigma).n_sigma_rank))
+        for sigma in fan.cones_of_dim(n - codim - 1)
+    }
+    for j, tau in enumerate(cols):
+        for sigma in fans.faces(tau):
+            if sigma.dim != tau.dim - 1:
                 continue
             img = fans.project(sigma, fans.new_ray(sigma, tau))
-            for row, x in zip(block, img):
+            for row, x in zip(blocks[sigma], img):
                 if x:
                     row[j] = x
-        blocks.append((sigma, block))
-    return blocks, cols
+    return tuple(blocks.items()), cols
 
 
 def balancing_check(mw: MinkowskiWeight):
@@ -144,7 +152,7 @@ def balancing_check(mw: MinkowskiWeight):
     out = []
     for sigma, block in blocks:
         defect = tuple(
-            sum((weights[j] * x for j, x in row.items()), Fraction(0))
+            sum((weights[j] * x for j, x in row.items() if weights[j]), Fraction(0))
             for row in block
         )
         if any(defect):
@@ -174,11 +182,14 @@ class TropCycle:
     """Cellular p-cycle: block coordinates of an F_p chain per p-cell.
 
     ``chain`` maps the id of a p-cell to its coordinates in the canonical
-    basis of F_p of that cell; an id that is not a p-cell of the complex,
-    or a block of the wrong length, raises ValueError.
+    basis of F_p of that cell, all of wedge^p N_sigma; an id that is not a
+    p-cell of the complex, or a block of the wrong length, raises
+    ValueError, as does a complex with a cell whose F_p is not all of
+    wedge^p N_sigma (``TropComplex.require_full_cofaces``).
     """
 
     def __init__(self, cx: TropComplex, p: int, chain):
+        cx.require_full_cofaces()
         chain = {cid: tuple(v) for cid, v in chain.items()}
         for cid, block in chain.items():
             if not (type(cid) is int and 0 <= cid < len(cx.cells)):
@@ -186,7 +197,7 @@ class TropCycle:
             cell = cx.cells[cid]
             if cell.dim != p:
                 raise ValueError(f"chain block on a {cell.dim}-cell, not a {p}-cell")
-            if len(block) != cx.f_lower(cell, p).dim:
+            if len(block) != math.comb(cell.stratum_rank, p):
                 raise ValueError("chain block dimension mismatch")
         self.cx = cx
         self.p = p
@@ -223,15 +234,16 @@ class TropCycle:
 
 
 def _volume_cycle(cx: TropComplex, d: int, weighted_cells) -> TropCycle:
-    """The d-cycle of w times the signed volume element of each (cell, w)."""
+    """The d-cycle of w times the signed volume element of each (cell, w).
+
+    F_d of a d-cell is all of wedge^d N_sigma with the identity basis, so
+    the volume element, in lex wedge coordinates, is its own block.
+    """
     sign = (-1) ** (d * (d - 1) // 2)
     chain = {}
     for cell, w in weighted_cells:
-        vol = volume_element(cell)
-        coords = cx.f_lower(cell, d).coordinates([w * sign * x for x in vol])
-        if coords is None:
-            raise ValueError("volume element outside the multi-tangent space")
-        chain[cx.cell_id(cell)] = coords
+        w = Fraction(w) * sign
+        chain[cx.cell_id(cell)] = tuple(w * x for x in volume_element(cell))
     return TropCycle(cx, d, chain)
 
 
@@ -247,17 +259,24 @@ def cycle_class(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
 
 
 def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
-    """The boundary divisor of a ray as a weight-one sedentary cycle."""
-    fan = cx.base_fan
-    n = fan.ambient_rank
-    rho = Cone(n, [fans.primitive(ray)])
-    if not fan.contains_cone(rho):
-        raise ValueError("not a ray of the fan")
-    return _volume_cycle(
-        cx,
-        n - 1,
-        [(Cell(rho, tau), 1) for tau in fan.cones_of_dim(n) if rho in fans.face_set(tau)],
-    )
+    """The boundary divisor of a ray as a weight-one sedentary cycle.
+
+    Built once per complex and ray and held in ``cx.divisors``; the
+    callers must not modify its chain.
+    """
+    key = fans.primitive(ray)
+    if key not in cx.divisors:
+        fan = cx.base_fan
+        n = fan.ambient_rank
+        rho = Cone(n, [key])
+        if not fan.contains_cone(rho):
+            raise ValueError("not a ray of the fan")
+        cx.divisors[key] = _volume_cycle(
+            cx,
+            n - 1,
+            [(Cell(rho, tau), 1) for tau in fan.cones_of_dim(n) if rho in fans.face_set(tau)],
+        )
+    return cx.divisors[key]
 
 
 def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
@@ -265,11 +284,11 @@ def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
 
     The cocycle is given in the block coordinates of the incidence
     cochain space C^p; blocks are mutually dual, so this is a dot product,
-    summed over the nonzero coordinates of the chain at the
-    ``block_offsets`` of its blocks.
+    summed over the coordinates where both the chain and the cocycle are
+    nonzero, at the ``block_offsets`` of the chain's blocks.
     """
     cc = cohomology.cochains(cycle.cx, cycle.p)
-    offs, dims = cc.offsets(cycle.p), dict(cc.layout[cycle.p])
+    offs, dims = cc.offsets(cycle.p), cc.block_dims(cycle.p)
     if len(cocycle_coords) != cc.space_dim(cycle.p):
         raise ValueError("cocycle and cycle live in dual spaces of equal size")
     out = Fraction(0)
@@ -279,7 +298,9 @@ def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
         off = offs[cid]
         for i, x in enumerate(block):
             if x:
-                out += Fraction(cocycle_coords[off + i]) * x
+                a = cocycle_coords[off + i]
+                if a:
+                    out += Fraction(a) * x
     return out
 
 

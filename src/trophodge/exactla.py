@@ -11,13 +11,18 @@ stored as {column: entry} dicts, the one matrix form of the package.
 Each input row, with int or Fraction entries, is scaled once to a
 primitive integer row; a row is cleared at a pivot row P as
 a * row - b * P with the smallest integers a and b that cancel the
-entry, then divided by its content.  Fractions are made only where a reduced row is
-divided by its pivot entry, for unit pivots (:func:`_rref`, so an RREF
-or a kernel, :meth:`QSubspace.kernel`); a rank makes none, and neither
-does :func:`integer_rref`, the same RREF as primitive integer rows.  The
-differentials of the package, delta of the cochain complex and d_1 of
-the weight spectral sequence, are written as such integer rows and
-reach :func:`sparse_rank` and :func:`homology_quotient` directly.
+entry, then divided by its content.  Fractions are made only where an
+integer row is divided by one of its entries: a reduced row by its
+pivot, for unit pivots (:func:`_rref`, so an RREF or a kernel,
+:meth:`QSubspace.kernel`), and a cohomology representative by its entry
+at its free column (:func:`_solve_free`).  A rank makes none, and
+neither does :func:`integer_rref`, the same RREF as primitive integer
+rows.  :func:`homology_quotient` reads the RREF of ker + im off one
+forward elimination with rightmost pivots and back-solves only the rows
+it returns.  The differentials of the package, delta of the cochain
+complex and d_1 of the weight spectral sequence, are written as such
+integer rows and reach :func:`sparse_rank` and, for delta,
+:func:`homology_quotient` directly.
 :class:`QMatrix` is only a dense view of such rows, for the benchmark's
 counts.  Every determinant (a Plucker coordinate, an entry of a wedge
 power, an orientation sign) comes out of :func:`_bareiss`: fraction-free
@@ -363,26 +368,110 @@ def homology_quotient(out_rows, ncols, in_rows):
     into that source (one row per coordinate), or None for no incoming
     map.  The image is read off ``in_rows`` by a sparse transpose; empty
     rows and zero entries are skipped.  ``d_out @ d_in`` need not vanish.
-    The result is the reduced basis of the vectors of ker + im that vanish
-    at the pivot columns of im: the rows of the RREF of ker + im at the
+    The result is the reduced basis of the vectors of W = ker + im that
+    vanish at the pivot columns of im: the rows of the RREF of W at the
     other pivots, as dense tuples of Fraction, one per dimension of the
     homology at the middle space when ``d_out @ d_in`` does vanish.
 
-    The kernel enters that RREF as the canonical null vectors of
-    ``out_rows`` (:func:`null_rows`), not as a reduced basis of their
-    own: the RREF of ker + im does not depend on which spanning rows it
-    starts from.
+    Those rows come from one forward elimination of a matrix M with
+    kernel W (:func:`_annihilator`: d_out itself when the composite
+    vanishes), with its columns reversed, so that its pivots are the
+    rightmost ones.  A column f is free there iff column f of M is a
+    combination of the columns right of it, that is iff some vector of W
+    has its first nonzero entry at f: the free columns are exactly the
+    pivots of the RREF of W.  The RREF row at a free column f is the one
+    vector of W that is 1 at f and 0 at the other free columns; it is
+    back-solved from the echelon rows (:func:`_solve_free`) only for the
+    f that are not pivots of im.  The image pivots come from the forward
+    pass over the columns of d_in alone.
     """
-    kernel = null_rows(out_rows, ncols)
     columns = {}
     for i, row in enumerate(in_rows or ()):
         for j, x in row.items():
             if x:
                 columns.setdefault(j, {})[i] = x
-    image = [columns[j] for j in sorted(columns)]
-    image_pivots = _gauss_jordan(image, reduce=False)
-    pivots, red = _rref(image + kernel, ncols)
-    return tuple(r for c, r in zip(pivots, red) if c not in image_pivots)
+    image_pivots = _gauss_jordan([columns[j] for j in sorted(columns)], reduce=False)
+    last = ncols - 1
+    echelon = _gauss_jordan(
+        [{last - j: x for j, x in row.items()} for row in _annihilator(out_rows, in_rows)],
+        reduce=False,
+    )
+    order = sorted(echelon, reverse=True)
+    return tuple(
+        _solve_free(echelon, order, last - f, ncols)
+        for f in range(ncols)
+        if last - f not in echelon and f not in image_pivots
+    )
+
+
+def _annihilator(out_rows, in_rows):
+    """Rows of a matrix M with ker M = ker d_out + im d_in.
+
+    That is d_out when d_out @ d_in vanishes.  Otherwise M = L @ d_out,
+    for L the rows of a basis of the left null space of A = d_out @ d_in:
+    ker L is the column space of A, so d_out v lies in it iff v lies in
+    ker d_out + im d_in.
+    """
+    if not in_rows:
+        return out_rows
+    composite = []
+    for row in out_rows:
+        acc = {}
+        for i, x in row.items():
+            if x:
+                for j, y in in_rows[i].items():
+                    acc[j] = acc.get(j, 0) + x * y
+        composite.append({j: v for j, v in acc.items() if v})
+    if not any(composite):
+        return out_rows
+    columns = {}
+    for r, row in enumerate(composite):
+        for j, x in row.items():
+            columns.setdefault(j, {})[r] = x
+    out = []
+    for left in null_rows(list(columns.values()), len(out_rows)):
+        acc = {}
+        for r, c in left.items():
+            for j, x in out_rows[r].items():
+                acc[j] = acc.get(j, 0) + c * x
+        out.append(acc)
+    return out
+
+
+def _solve_free(echelon, order, f, ncols):
+    """The vector of ker M that is 1 at the free column f and 0 at the
+    other free columns, as a dense tuple of Fraction over the original
+    columns.
+
+    ``echelon`` is the forward pass of :func:`_gauss_jordan` on the rows
+    of M with columns reversed, ``order`` its pivot columns in decreasing
+    order, and f a free column in the same reversed order.  The pivots
+    right of f stay 0; each pivot c < f, from the right, is solved from
+    its row, whose other entries lie right of c.  The solution is kept as
+    an integer vector y over the positive denominator y[f], which grows
+    only where a pivot entry does not divide; the Fractions of the result
+    are made here, where y is divided by y[f].
+    """
+    y = {f: 1}
+    for c in order:
+        if c >= f:
+            continue
+        row = echelon[c]
+        s = sum(x * y[j] for j, x in row.items() if j in y)
+        if not s:
+            continue
+        v = row[c]
+        g = math.gcd(s, v)
+        a = abs(v) // g
+        if a != 1:
+            for j in y:
+                y[j] *= a
+        y[c] = -(a * s) // v
+    last, denom = ncols - 1, y[f]
+    dense = [Fraction(0)] * ncols
+    for j, x in y.items():
+        dense[last - j] = Fraction(x, denom)
+    return tuple(dense)
 
 
 def block_offsets(layout):

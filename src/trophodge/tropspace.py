@@ -12,8 +12,11 @@ wedge^p T(tau) live in lex wedge coordinates of the stratum lattice
 N_sigma.  Over a complete structure fan, as every complex that
 ``weightss.trop_complex_for`` builds has, each cell has a stratum coface
 that is full-dimensional in its stratum, so F_p(P) is all of
-wedge^p N_sigma: :meth:`TropComplex.f_lower` returns it with the
-identity basis, and raises ValueError on a cell with no such coface.
+wedge^p N_sigma, with the identity basis.  The cochain, Morse and cycle
+layers read its block size C(stratum rank, p) off the cell, after one
+check per complex, :meth:`TropComplex.require_full_cofaces`;
+:meth:`TropComplex.f_lower` is the view of one F_p as a subspace.  Both
+raise ValueError on a cell with no such coface.
 
 The incidence of the complex is its codimension-1 face relation, found by
 lookup in an index of the cells on ray ids.  The rays of the cell shapes,
@@ -123,6 +126,7 @@ class TropComplex:
         self._incidence_cache = None
         self.cochains = {}  # p -> cohomology.CochainComplex, by cohomology.cochains
         self.morse = None  # cohomology.MorseComplex, by cohomology.morse
+        self.divisors = {}  # primitive ray -> cycles.TropCycle, by cycles.divisor_cycle
         if validate:
             self._validate()
 
@@ -171,10 +175,11 @@ class TropComplex:
         return self.cells[-1].dim if self.cells else 0  # cells are sorted by dim
 
     def _incidence(self):
-        """(faces, full, missing): per cell id the sorted ids of its codim-1
-        faces, and whether it has a stratum coface full-dimensional in its
-        stratum; then whether some codim-1 face in a stratum, and some at
-        infinity, is missing.
+        """(faces, full, missing, lacking): per cell id the sorted ids of its
+        codim-1 faces, and whether it has a stratum coface full-dimensional
+        in its stratum; then whether some codim-1 face in a stratum, and
+        some at infinity, is missing; and the id of the first cell with no
+        full-dimensional stratum coface, or None.
 
         A face in the stratum drops a free ray from the shape, a face at
         infinity moves it into the sedentarity.  A full-dimensional cell
@@ -200,7 +205,8 @@ class TropComplex:
                 if full[i]:
                     for j in stratum_faces[i]:
                         full[j] = True
-            self._incidence_cache = (tuple(down), tuple(full), tuple(lack))
+            lacking = next((i for i, f in enumerate(full) if not f), None)
+            self._incidence_cache = (tuple(down), tuple(full), tuple(lack), lacking)
         return self._incidence_cache
 
     def _codim1_keys(self, cell, s, t):
@@ -299,6 +305,19 @@ class TropComplex:
         self._require_full(coface)
         return stratum_wedge(coface.sedentarity, face.sedentarity, p)
 
+    def require_full_cofaces(self):
+        """ValueError unless every cell has a stratum coface that is
+        full-dimensional in its stratum, so that every F_p(cell) is all of
+        wedge^p N_sigma, of dimension C(stratum rank, p).
+
+        The cochain, Morse and cycle layers read their block sizes off the
+        stratum ranks after this one check per complex; the error names
+        the first cell without such a coface, as :meth:`f_lower` does.
+        """
+        lacking = self._incidence()[3]
+        if lacking is not None:
+            self._require_full(self.cells[lacking])
+
     def _require_full(self, cell):
         """ValueError unless a stratum coface of the cell is full-dimensional."""
         if not self._incidence()[1][self.cell_id(cell)]:
@@ -368,13 +387,14 @@ class TropComplex:
             fans.check_face_intersections([s for s in shapes if s not in proper])
 
 
+@functools.lru_cache(maxsize=None)
 def volume_element(cell: Cell):
     """Primitive generator of wedge^dim of the cell span, oriented by the
     echelon basis of the span, as :meth:`TropComplex._incidence_sign` is.
 
     The rows of :func:`_integer_basis` are positive integer multiples of
     that basis, so their wedge is an integral positive multiple of its
-    wedge."""
+    wedge.  It is computed once per cell."""
     _, basis = _integer_basis(cell)
     return fans.primitive(wedge_vector(basis, cell.stratum_rank, len(basis)))
 

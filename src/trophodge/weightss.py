@@ -21,11 +21,11 @@ from trophodge import cohomology, fans, tropspace
 from trophodge.exactla import (
     ZMatrix,
     block_offsets,
-    homology_quotient,
     lex_subsets,
+    sparse_rank,
     wedge_columns,
 )
-from trophodge.fans import Fan, face_set
+from trophodge.fans import Cone, Fan, faces
 from trophodge.record import Record
 
 
@@ -84,7 +84,8 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
     tau = sigma + rho sends the lex k-subset s to sum_a (-1)^a
     rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a} (see the module docstring);
     its integer rows are written at the ``block_offsets`` of the two
-    layouts.
+    layouts.  The pairs are the facets sigma of each (p+1)-cone tau, and
+    rho-bar and r^T are made once per pair (:func:`_residue`).
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
@@ -94,24 +95,22 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
     rows = [{} for _ in range(nrows)]
     k, m = q - p, fan.ambient_rank - p
     # a block needs 1 <= k, so dst is empty below that
-    faces = {t: i for i, t in enumerate(lex_subsets(m, k - 1))} if dst else {}
+    subsets = {t: i for i, t in enumerate(lex_subsets(m, k - 1))} if dst else {}
     # The blocks already anticommute around every square
     # sigma < tau_1, tau_2 < upsilon (interior products with distinct rays
     # anticommute), so the combinatorial sign is trivial; a position-based
     # sign would double instead of cancel.
-    for sigma, _ in src:
-        for tau, _ in dst:
-            if sigma not in face_set(tau):
+    for tau, _ in dst:
+        for sigma in faces(tau):
+            if sigma.dim != p:
                 continue
-            rho_bar = fans.project(sigma, fans.new_ray(sigma, tau))
-            section = fans.proj_section(tau)
-            r_t = [fans.project(sigma, v) for v in zip(*section.entries)]
-            wedge = wedge_columns(ZMatrix(section.cols, m, r_t), k - 1)
+            rho_bar, r_t = _residue(sigma, tau)
+            wedge = wedge_columns(r_t, k - 1)
             r0, c0 = roff[tau], coff[sigma]
             for j, s in enumerate(lex_subsets(m, k)):
                 for a, e in enumerate(s):
                     c = (-1) ** a * rho_bar[e]
-                    for i, x in enumerate(wedge[faces[s[:a] + s[a + 1:]]]):
+                    for i, x in enumerate(wedge[subsets[s[:a] + s[a + 1:]]]):
                         if c * x:
                             row = rows[r0 + i]
                             row[c0 + j] = row.get(c0 + j, 0) + c * x
@@ -119,17 +118,35 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
+def _residue(sigma: Cone, tau: Cone):
+    """(rho-bar, r^T) of a face pair sigma < tau = sigma + rho: the image
+    of rho in N_sigma, and r^T for r = proj_sigma @ proj_section(tau), as
+    a ZMatrix with a row per coordinate of N_tau and a column per
+    coordinate of N_sigma."""
+    rho_bar = fans.project(sigma, fans.new_ray(sigma, tau))
+    section = fans.proj_section(tau)
+    r_t = [fans.project(sigma, v) for v in zip(*section.entries)]
+    return rho_bar, ZMatrix(section.cols, len(rho_bar), r_t)
+
+
+@functools.lru_cache(maxsize=None)
 def e2_page(fan: Fan) -> SSPage:
-    """E_2 page, cached per fan."""
+    """E_2 page, cached per fan.
+
+    dim E_2^{p,q} = dim E_1^{p,q} - rk d_1^{p,q} - rk d_1^{p-1,q}: two
+    ranks of the integer rows of :func:`d1`, one of them the outgoing
+    rank of the step before, and no basis of ker modulo im.
+    """
     _require_smooth(fan)
     n = fan.ambient_rank
     dims = {}
     for q in range(n + 1):
-        inc = None
+        rank_in = 0
         for p in range(n + 1):
             out, ncols = d1(fan, p, q)
-            dims[(p, q)] = len(homology_quotient(out, ncols, inc))
-            inc = out
+            rank_out = sparse_rank(out)
+            dims[(p, q)] = ncols - rank_out - rank_in
+            rank_in = rank_out
     return SSPage(2, n, dims)
 
 

@@ -40,6 +40,12 @@ test of smoothness that the minors of ``fans.is_smooth`` replaced as
 :func:`composes_to` multiplies matrices given as rows, for the checks
 that delta and d_1 square to zero and that face maps compose.
 
+:func:`homology_quotient` is the reference for
+``exactla.homology_quotient``: the RREF of ker d_out + im d_in from the
+canonical null vectors of d_out and the columns of d_in, by a second
+full reduced elimination, which the one forward elimination of the
+production path replaced.
+
 The negative control of the E_2 = tropical check is a d_1 with one block
 sign flipped: :func:`flip_first_d1_block` wraps a d_1, and
 :func:`corrupted_d1` puts the wrapped one in place of ``weightss.d1``
@@ -59,10 +65,12 @@ from trophodge import fans, weightss
 from trophodge.cohomology import CohomologyResult, cochains
 from trophodge.exactla import (
     QSubspace,
+    _gauss_jordan,
     _rref,
     block_offsets,
     ZMatrix,
     lex_subsets,
+    null_rows,
     smith_normal_form,
     sparse_rank,
     wedge_vector,
@@ -103,6 +111,27 @@ def composes_to(after, before, product=None):
         if {k: x for k, x in acc.items() if x} != {k: x for k, x in want.items() if x}:
             return False
     return True
+
+
+def homology_quotient(out_rows, ncols, in_rows):
+    """The rows of the RREF of ker d_out + im d_in at the pivots that are
+    not pivots of im, as dense tuples of Fraction; arguments as for
+    ``exactla.homology_quotient``.
+
+    The kernel enters the RREF as the canonical null vectors of
+    ``out_rows``, the image as the columns of ``in_rows``; the RREF of the
+    sum does not depend on which spanning rows it starts from.
+    """
+    kernel = null_rows(out_rows, ncols)
+    columns = {}
+    for i, row in enumerate(in_rows or ()):
+        for j, x in row.items():
+            if x:
+                columns.setdefault(j, {})[i] = x
+    image = [columns[j] for j in sorted(columns)]
+    image_pivots = _gauss_jordan(image, reduce=False)
+    pivots, red = _rref(image + kernel, ncols)
+    return tuple(r for c, r in zip(pivots, red) if c not in image_pivots)
 
 
 def flip_first_d1_block(d1):

@@ -216,7 +216,12 @@ def test_f_lower_and_betti_table_reject_a_cell_without_a_full_coface():
     """The tautological complex of the torus is one point, a cell of
     dimension 0 in a stratum of rank 2: its F_p would be a proper span.
     ``f_lower`` and ``betti_table`` raise ValueError on it, and the complex
-    itself still builds and reports itself boundary closed."""
+    itself still builds and reports itself boundary closed.  So do the
+    layers that read block sizes off the stratum rank instead of
+    ``f_lower``: the cochain complexes, the Morse complex and a cycle, on
+    the torus of every rank up to 3."""
+    from trophodge import cycles
+
     cx = tropspace.tautological_complex(fans.torus(2))
     (point,) = cx.cells
     assert cx.is_boundary_closed()
@@ -225,6 +230,55 @@ def test_f_lower_and_betti_table_reject_a_cell_without_a_full_coface():
             cx.f_lower(point, p)
     with pytest.raises(ValueError, match="full-dimensional stratum coface"):
         betti_table(cx)
+    for n in (1, 2, 3):
+        cx = tropspace.tautological_complex(fans.torus(n))
+        for p in range(n + 1):
+            with pytest.raises(ValueError, match="full-dimensional stratum coface"):
+                cohomology.cochains(cx, p)
+        with pytest.raises(ValueError, match="full-dimensional stratum coface"):
+            cohomology.morse(cx)
+        with pytest.raises(ValueError, match="full-dimensional stratum coface"):
+            cycles.TropCycle(cx, 0, {0: (1,)})
+        assert cx.cochains == {} and cx.morse is None
+
+
+def test_p4_representatives_make_no_rref(monkeypatch):
+    """The H^{2,2} representatives of a fresh P^4 complex come from one
+    forward elimination: ``exactla._rref``, the unit-pivot RREF with dense
+    Fraction rows, is never called."""
+    cx = tropspace.tautological_complex(fans.projective_space(4))
+
+    def forbidden(*args):
+        raise AssertionError("the representatives called _rref")
+
+    monkeypatch.setattr(exactla, "_rref", forbidden)
+    res = cohomology.cohomology(cx, 2, 2)
+    assert res.dim == len(res.representatives) == 1
+
+
+def test_pairing_path_reads_no_f_lower(monkeypatch):
+    """On a fresh P^3 complex, ``cohomology``, ``cycle_class``,
+    ``divisor_combination`` and ``pair`` read every block size off the
+    stratum rank and never call ``TropComplex.f_lower``."""
+    from trophodge import cycles
+
+    fan = fans.builtin("p3")
+    cx = tropspace.tautological_complex(fan)
+
+    def forbidden(*args):
+        raise AssertionError("the pairing path called f_lower")
+
+    monkeypatch.setattr(tropspace.TropComplex, "f_lower", forbidden)
+    (rep1,) = cohomology.cohomology(cx, 1, 1).representatives
+    (rep2,) = cohomology.cohomology(cx, 2, 2).representatives
+    line = cycles.cycle_class(
+        cx, cycles.MinkowskiWeight(fan, 2, dict.fromkeys(fan.cones_of_dim(1), 1))
+    )
+    assert cycles.pair(rep1, line) in (-1, 1)
+    plane = cycles.divisor_combination(cx, [1] + [0] * (len(fan.rays) - 1))
+    assert cycles.pair(rep2, plane) in (-1, 1)
+    principal = cycles.principal_divisor_weights(fan, (1, -2, 3))
+    assert cycles.pair(rep2, cycles.divisor_combination(cx, principal)) == 0
 
 
 def test_vanishing_above_diagonal_and_h_p0():

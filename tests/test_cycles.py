@@ -216,6 +216,22 @@ def test_divisor_weight_cycle_dispatch():
         assert pair(rep, cyc) == 0
 
 
+def test_balancing_blocks_are_built_once_per_fan_and_codim(monkeypatch):
+    """A second ``balancing_check`` on the same (fan, codim) reuses the
+    balancing equations of the first: it projects no new ray."""
+    fan = fans.builtin("p1xp1xp1")
+    values = ([1] * 6, [1, 2, 0, 0, 0, 0])
+    first = [balancing_check(ray_weight(fan, v)) for v in values]
+
+    def forbidden(*args):
+        raise AssertionError("the balancing blocks were built again")
+
+    monkeypatch.setattr(fans, "project", forbidden)
+    monkeypatch.setattr(fans, "new_ray", forbidden)
+    assert [balancing_check(ray_weight(fan, v)) for v in values] == first
+    assert first[0] == [] and first[1] != []
+
+
 @pytest.mark.parametrize("case", ["vertex", "unknown-id", "negative-id", "long-block"])
 def test_trop_cycle_rejects_blocks_off_its_cells(case):
     """A chain block on a cell that is not a p-cell, or of the wrong length,

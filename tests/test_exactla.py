@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import composes_to
 from trophodge.exactla import (
     QSubspace,
@@ -234,8 +235,51 @@ def test_sparse_rank_skips_empty_rows_and_zero_entries(rows, rank):
     assert sparse_rank(rows) == rank
 
 
+@seed(20250)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([small_int, st.integers(-10**15, 10**15)]),
+    st.sampled_from(["none", "empty", "vanishing", "arbitrary"]),
+    st.data(),
+)
+def test_homology_quotient_matches_the_ker_plus_im_oracle(ints, kind, data):
+    """The one forward elimination gives the rows of the oracle's second
+    full elimination of ker + im: with no d_in, a d_in of no columns, a
+    d_in whose composite with d_out vanishes and an arbitrary d_in, whose
+    composite need not vanish, over small and large entries."""
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(0, 5))
+    out_rows = data.draw(st.lists(
+        st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m,
+    ))
+    k = data.draw(st.integers(1, 4))
+    if kind == "none":
+        d_in = None
+    elif kind == "empty":
+        d_in = [{} for _ in range(n)]
+    elif kind == "vanishing":
+        ker = QSubspace.kernel(sparse(out_rows), n).basis
+        coeffs = data.draw(st.lists(
+            st.lists(ints, min_size=k, max_size=k),
+            min_size=len(ker), max_size=len(ker),
+        ))
+        dense = [
+            [sum(v[i] * c[j] for v, c in zip(ker, coeffs)) for j in range(k)]
+            for i in range(n)
+        ]
+        assert composes_to(out_rows, dense)
+        d_in = sparse(dense)
+    else:
+        d_in = sparse(data.draw(st.lists(
+            st.lists(ints, min_size=k, max_size=k), min_size=n, max_size=n,
+        )))
+    d_out = sparse(out_rows)
+    assert homology_quotient(d_out, n, d_in) == oracles.homology_quotient(d_out, n, d_in)
+
+
 def test_homology_quotient_reads_the_kernel_off_one_elimination(monkeypatch):
-    """The null vectors of d_out go straight into the RREF of ker + im."""
+    """The RREF rows of ker + im come from the one forward elimination of
+    d_out: no kernel or span is reduced on its own."""
     d_out = [{0: 1, 1: 1}, {2: 2, 3: 2}]
     d_in = [{0: 3}, {0: -3}, {}, {}]
     f = Fraction

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from oracles import composes_to, corrupted_d1, flip_first_d1_block
-from trophodge import fans, weightss
+from trophodge import exactla, fans, weightss
 from trophodge.weightss import (
     betti_from_h_vector,
     compare_with_trop,
@@ -20,6 +20,20 @@ SMALL_ZOO = [
     "p1", "p2", "p1xp1", "hirzebruch(0)", "hirzebruch(2)",
     "blowup_p2", "torus(2)", "affine_space(2)",
 ]
+
+
+def test_e2_page_takes_dimensions_from_two_ranks(monkeypatch):
+    """dim E_2^{p,q} = dim E_1^{p,q} - rk d_1 out - rk d_1 in: the page of a
+    fresh fan needs no basis of ker modulo im, so it does not call
+    ``homology_quotient``, and ``weightss`` does not import it."""
+    def forbidden(*args):
+        raise AssertionError("e2_page built a quotient basis")
+
+    monkeypatch.setattr(exactla, "homology_quotient", forbidden)
+    assert not hasattr(weightss, "homology_quotient")
+    weightss.e2_page.cache_clear()
+    table = e2_page(fans.builtin("p1xp1xp1")).table()
+    assert table == [[int(p == q) * math.comb(3, p) for q in range(4)] for p in range(4)]
 
 
 def test_e1_block_dims_p1():
