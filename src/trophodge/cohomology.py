@@ -1,52 +1,69 @@
 """Tropical cohomology H^{p,q} of a stratified cell complex.
 
-One model computes it: the incidence cochain complex C^q = direct sum of
-F^p over q-cells, with the signed dual face maps as differential.
+Two cochain complexes compute it, both with F^p = (wedge^p N_sigma)^dual
+on the cells of sedentarity sigma, and with the signed duals of the
+stratum maps as differential.
 
-On a boundary-closed complex (every face at infinity present, so all
-cells have compact closure) this complex computes sheaf cohomology.  On
-a support with unbounded cells it computes the compactly supported
-groups instead, and Poincare duality on a tropical manifold of
-dimension d, H^{p,q} = (H_c^{d-p,d-q})^dual (Jell-Shaw-Smacka,
-"Superforms, tropical cohomology and Poincare duality",
-arXiv:1512.07409), turns them into h^{p,q}.
+Betti tables come from the orbit complex of the base fan, its
+:class:`OrbitComplex`, which :func:`orbit_complex` returns.  Its open
+cells are the strata N_sigma,R of the tropical toric variety, one per
+cone, of dimension n - dim sigma, whose closures are the unions of the
+strata of the cones over sigma (Kajiwara, "Tropical toric geometry",
+Contemp. Math. 460, 2008; Payne, "Analytification is the limit of all
+tropicalizations", Math. Res. Lett. 2009).  So C^q is the direct sum of
+wedge^p N_sigma over the cones sigma of dimension n - q, and the block of
+delta_q from sigma to a facet sigma' is epsilon(sigma', sigma) times
+:func:`~trophodge.tropspace.stratum_wedge`, the wedge of the stratum map
+N_sigma' -> N_sigma.  The sign epsilon is that of det[rho-bar | L] in
+N_sigma' coordinates, for rho-bar the image of a ray of sigma off sigma'
+and L the lifts of a basis of N_sigma: the orientation N_sigma,R takes
+as a face at infinity of N_sigma',R.  The complex has as many
+coordinates as the E_1 page of the weight spectral sequence (121 on P^4,
+whose cells carry 1,441).
 
-Betti tables come from the stratum Morse complex of a complex, its
-:class:`MorseComplex`, which :func:`morse` returns.  Every F_p is all of
-wedge^p N_sigma, so inside a stratum each face map is the identity and
-across strata it is :func:`~trophodge.tropspace.stratum_wedge` of the two
-sedentarities.  Cells are matched inside each stratum by lexicographic
-element matchings on ray ids, and the p = 0 complex, whose blocks are
-the incidence signs, is reduced once along the matching: each matched
-pair is a unit pivot, eliminated as in Kaczynski-Mrozek-Slusarek
-("Homology computation by reduction of chain complexes", 1998).  Since
-the face maps compose, the reduced block between two critical cells is
-the same scalar epsilon times ``stratum_wedge`` for every p (algebraic
-discrete Morse theory: Skoldberg, "Morse theory from an algebraic
-viewpoint", Trans. AMS 2006).  So a Betti table ranks only these blocks,
-as many coordinates as the E_1 page on a complete smooth fan, and writes
-no unreduced delta.
+Any cell complex whose cells cover every stratum of its base fan is a
+cell structure on the same space, so its cohomology is that of the orbit
+complex (``TropComplex.require_covered_strata`` decides the cover from
+the cells).  On a complete fan that space is compact and the complex
+computes sheaf cohomology.  On a fan that is not complete it is open, the
+orbit complex over the cones of the fan computes the compactly supported
+groups, and Poincare duality on a tropical manifold of dimension d,
+H^{p,q} = (H_c^{d-p,d-q})^dual (Jell-Shaw-Smacka, "Superforms, tropical
+cohomology and Poincare duality", arXiv:1512.07409), turns them into
+h^{p,q}.
 
 Representatives (a basis of ker modulo im) come from :func:`cohomology`,
-on boundary-closed complexes, from the unreduced rows: for each p the
+on boundary-closed complexes, from the incidence complex of the cells:
+C^q is the direct sum of F^p over the q-cells, and for each p the
 complex has one :class:`CochainComplex`, which :func:`cochains` returns.
 It owns the block layout of the C^q and writes each delta_q once, as
-sparse integer rows at the ``block_offsets`` of that layout, from one
-block per pair of sedentarities, and holds the rows for the life of the
-complex.  The cycles of :mod:`trophodge.cycles` read the same layout and
-rows.  No dense differential is built on either path; the one dense
-view, ``CochainComplex.deltas``, is for the benchmark's counts.
+sparse integer rows at the ``block_offsets`` of that layout, from the
+signed codim-1 face pairs and one block per pair of sedentarities, and
+holds the rows for the life of the complex.  The cycles of
+:mod:`trophodge.cycles` read the same layout and rows.  Both complexes
+write their blocks with one writer, and no dense differential is built
+on any path; the one dense view, ``CochainComplex.deltas``, is for the
+benchmark's counts.
 
-The unreduced ranks, and the face-poset and Cech models, that
-cross-check these paths are test oracles in ``tests/oracles.py``.
+The unreduced ranks of the incidence complex, and the face-poset and Cech
+models, that cross-check these paths are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
-from trophodge.exactla import QMatrix, block_offsets, homology_quotient, sparse_rank
+from trophodge import fans
+from trophodge.exactla import (
+    QMatrix,
+    _bareiss,
+    block_offsets,
+    homology_quotient,
+    sparse_rank,
+)
 from trophodge.record import Record
 from trophodge.tropspace import TropComplex, stratum_wedge
 
@@ -73,6 +90,9 @@ class CochainComplex:
         self.layout = tuple(map(tuple, layout))
         self._offsets = tuple(block_offsets(blocks) for blocks in self.layout)
         self._dims = tuple(dict(blocks) for blocks in self.layout)
+        self._seds = tuple(
+            (s, c.sedentarity) for c, (s, _) in zip(cx.cells, cx.cell_keys)
+        )
         self._blocks = {}  # (coface, face) sedentarity masks -> columns
         self._rows = {}
 
@@ -106,7 +126,7 @@ class CochainComplex:
         """The rows of delta_q, written at the ``block_offsets`` of the
         layout from the pairs of ``face_pairs(q)`` and their signs."""
         return _block_rows(
-            self.cx, self.cx.face_pairs(q), self.p, self._blocks,
+            self.cx.face_pairs(q), self._seds, self.p, self._blocks,
             self.offsets(q + 1), self.offsets(q), self.space_dim(q + 1),
         )
 
@@ -122,23 +142,25 @@ class CochainComplex:
         )
 
 
-def _block_rows(cx, pairs, p, blocks, roff, coff, nrows):
+def _block_rows(pairs, seds, p, blocks, roff, coff, nrows):
     """Rows of a coboundary from (face id, coface id, scalar) triples.
 
-    Row j of the block of a coface holds column j of each of its face
-    maps, times the scalar, in the columns of the face.  Every F_p is all
-    of wedge^p N_sigma, so a face map depends only on the two
-    sedentarities: it is their ``stratum_wedge``, made once per pair of
-    sedentarity masks as sparse columns and kept in ``blocks``.
+    The ids are cell ids of a complex or cone ids of an orbit complex, and
+    ``seds[i]`` is (key, cone) of the sedentarity of id i, its key an int:
+    the sedentarity mask of a cell, or the id of a cone.  Row j of the
+    block of a coface holds column j of each of its face maps, times the
+    scalar, in the columns of the face.  Every F_p is all of wedge^p
+    N_sigma, so a face map depends only on the two sedentarities: it is
+    their ``stratum_wedge``, made once per pair of keys as sparse columns
+    and kept in ``blocks``.
     """
-    cells, keys = cx.cells, cx.cell_keys
     rows = [{} for _ in range(nrows)]
     for fid, cid, scalar in pairs:
-        key = (keys[cid][0], keys[fid][0])
-        cols = blocks.get(key)
+        (c_key, c_sed), (f_key, f_sed) = seds[cid], seds[fid]
+        cols = blocks.get((c_key, f_key))
         if cols is None:
-            wedge = stratum_wedge(cells[cid].sedentarity, cells[fid].sedentarity, p)
-            cols = blocks[key] = _sparse_columns(wedge)
+            wedge = stratum_wedge(c_sed, f_sed, p)
+            cols = blocks[c_key, f_key] = _sparse_columns(wedge)
         r0, c0 = roff[cid], coff[fid]
         for j, col in enumerate(cols):
             row = rows[r0 + j]
@@ -151,125 +173,88 @@ def _sparse_columns(cols):
     return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in cols)
 
 
-class MorseComplex:
-    """The incidence complexes of a complex, for every p, reduced along one
-    acyclic matching inside the strata.
+class OrbitComplex:
+    """The cochain complexes of the orbit strata of a fan, for every p.
 
-    ``matching`` lists the eliminated pairs (face id, coface id), in the
-    order of elimination; ``critical[q]`` the ids of the critical q-cells,
-    in cell order; ``reduced[q]`` the triples (face id, coface id,
-    epsilon) of the reduced p = 0 differential from critical q-cells to
-    critical (q+1)-cells.  For each p the reduced delta_q has the block
-    epsilon times ``stratum_wedge`` at each such pair; :meth:`rank` ranks
-    it once.  Get one with :func:`morse`.
+    A cone sigma of the fan is one open cell, the stratum N_sigma,R of
+    dimension n - dim sigma, and a cone id is its position in
+    ``fan.cones``.  ``layout[q]`` lists the ids of the cones of dimension
+    n - q, in fan order: C^q has a block wedge^p N_sigma of C(q, p)
+    coordinates for each of them.  ``pairs[q]`` lists (id of sigma, id of
+    sigma', epsilon) for each cone sigma in ``layout[q]`` and each facet
+    sigma' of it, whose stratum has that of sigma as a face at infinity:
+    the block of delta_q from sigma to sigma' is epsilon(sigma', sigma)
+    times ``stratum_wedge(sigma', sigma, p)`` (:func:`_epsilon`).
+    :meth:`rank` ranks each delta_q once.  Get one with
+    :func:`orbit_complex`.
     """
 
-    def __init__(self, cx: TropComplex):
-        cx.require_full_cofaces()
-        self.cx = cx
-        self.matching, self.critical, self.reduced = _reduce(cx)
-        self._blocks = {}  # p -> {(coface, face) sedentarity masks: columns}
+    def __init__(self, fan):
+        n = fan.ambient_rank
+        ids = {c: i for i, c in enumerate(fan.cones)}
+        self.fan = fan
+        self._seds = tuple(enumerate(fan.cones))
+        self.layout = tuple(
+            tuple(ids[c] for c in fan.cones_of_dim(n - q)) for q in range(n + 1)
+        )
+        self.pairs = {
+            q: tuple(
+                (i, ids[face], _epsilon(face, fan.cones[i]))
+                for i in self.layout[q]
+                for face in fans.faces(fan.cones[i])
+                if face.dim == n - q - 1
+            )
+            for q in range(n)
+        }
         self._ranks = {}
 
-    def layout(self, p, q):
-        """(cell_id, block_dim) of the critical q-cells, in block order."""
-        cells = self.cx.cells
-        return tuple(
-            (i, math.comb(cells[i].stratum_rank, p)) for i in self.critical.get(q, ())
-        )
-
     def space_dim(self, p, q):
-        return sum(d for _, d in self.layout(p, q))
+        if not 0 <= q < len(self.layout):
+            return 0
+        return len(self.layout[q]) * math.comb(q, p)
+
+    def delta(self, p, q):
+        """Sparse rows {col: entry} of delta_q: C^q -> C^{q+1} for p.
+
+        Outside 0 <= q < n, delta_q is the zero map, with one empty row per
+        coordinate of C^{q+1}.
+        """
+        if not 0 <= q < len(self.layout) - 1:
+            return [{} for _ in range(self.space_dim(p, q + 1))]
+        roff, nrows = block_offsets((i, math.comb(q + 1, p)) for i in self.layout[q + 1])
+        coff, _ = block_offsets((i, math.comb(q, p)) for i in self.layout[q])
+        # each facet pair has its own block, so no block is written twice
+        return _block_rows(self.pairs[q], self._seds, p, {}, roff, coff, nrows)
 
     def rank(self, p, q):
-        """rk of the reduced delta_q for p, ranked sparse once."""
+        """rk delta_q for p, ranked sparse once."""
         if (p, q) not in self._ranks:
-            rank = 0
-            if q in self.reduced:
-                roff, nrows = block_offsets(self.layout(p, q + 1))
-                coff, _ = block_offsets(self.layout(p, q))
-                rows = _block_rows(
-                    self.cx, self.reduced[q], p, self._blocks.setdefault(p, {}),
-                    roff, coff, nrows,
-                )
-                rank = sparse_rank(rows)
-            self._ranks[p, q] = rank
+            self._ranks[p, q] = sparse_rank(self.delta(p, q))
         return self._ranks[p, q]
 
     def dim(self, p, q):
-        """dim H^q of the incidence complex for p, from the reduced ranks."""
+        """dim H^q of the orbit complex for p."""
         return self.space_dim(p, q) - self.rank(p, q) - self.rank(p, q - 1)
 
 
-def _reduce(cx):
-    """(matching, critical, reduced) of :class:`MorseComplex`.
+def _epsilon(face, cone):
+    """The sign of det[rho-bar | L] in N_face coordinates, for a facet of a
+    cone, with (rho-bar, L^T) = ``fans.facet_frame(face, cone)``: the
+    orientation N_cone,R takes as a face at infinity of N_face,R.  The
+    determinant is not zero, as rho-bar and L are a basis of N_face
+    tensor Q."""
+    rho_bar, lifts = fans.facet_frame(face, cone)
+    return 1 if _bareiss([list(rho_bar), *map(list, lifts.entries)]) > 0 else -1
 
-    Inside each stratum, a cell (sigma, tau) is matched with (sigma, tau +
-    r) for the rays r in id order, when both are still unmatched: the
-    lexicographic element matchings on ray ids (Kozlov, *Combinatorial
-    Algebraic Topology*, ch. 11).  Each pair is eliminated from the p = 0
-    complex as it is matched, by the Schur complement of its entry:
-    entries (x, y) with x a face of the coface and y a coface of the face
-    take -e(x, coface) e(face, coface) e(face, y), and both cells leave
-    the complex.  A pair whose entry is no longer a unit by then stays
-    critical, so every step is an exact reduction whatever the order.
-    """
-    cells, keys = cx.cells, cx.cell_keys
-    pairs = cx.face_poset()
-    up = [{} for _ in cells]  # face id -> {coface id: entry}
-    down = [{} for _ in cells]  # coface id -> {face id: entry}
-    for f, c, sign in pairs:
-        up[f][c] = down[c][f] = sign
-    moves = []  # (bit of r, face id, coface id) for (sigma, tau) < (sigma, tau + r)
-    for f, c, _ in pairs:
-        bit = keys[c][1] ^ keys[f][1]
-        if keys[f][0] == keys[c][0] and not bit & (bit - 1):
-            moves.append((bit, f, c))
-    moves.sort()
-    matched, matching = [False] * len(cells), []
-    for _, a, b in moves:
-        if matched[a] or matched[b] or up[a].get(b) not in (1, -1):
-            continue
-        e = up[a][b]
-        faces_b = [(x, v * e) for x, v in down[b].items() if x != a]
-        cofaces_a = [(y, w) for y, w in up[a].items() if y != b]
-        for x, v in faces_b:
-            row = up[x]
-            for y, w in cofaces_a:
-                entry = row.get(y, 0) - v * w
-                if entry:
-                    row[y] = down[y][x] = entry
-                else:
-                    del row[y], down[y][x]
-        for cell in (a, b):
-            for y in up[cell]:
-                del down[y][cell]
-            for x in down[cell]:
-                del up[x][cell]
-            up[cell], down[cell] = {}, {}
-        matched[a] = matched[b] = True
-        matching.append((a, b))
-    critical, reduced = {}, {}
-    for i, cell in enumerate(cells):
-        if not matched[i]:
-            critical.setdefault(cell.dim, []).append(i)
-            reduced.setdefault(cell.dim, []).extend((i, y, e) for y, e in up[i].items())
-    return (
-        tuple(matching),
-        {q: tuple(ids) for q, ids in critical.items()},
-        {q: tuple(trips) for q, trips in reduced.items() if trips},
-    )
+
+@functools.lru_cache(maxsize=None)
+def orbit_complex(fan) -> OrbitComplex:
+    """The orbit complex of a fan, one per fan."""
+    return OrbitComplex(fan)
 
 
 class CohomologyResult(Record):
     fields = ("p", "q", "dim", "representatives")
-
-
-def morse(cx: TropComplex) -> MorseComplex:
-    """The stratum Morse complex of ``cx``, one per complex."""
-    if cx.morse is None:
-        cx.morse = MorseComplex(cx)
-    return cx.morse
 
 
 def cochains(cx: TropComplex, p: int) -> CochainComplex:
@@ -297,16 +282,17 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     that are not pivots of the image.  Since delta_q delta_{q-1} = 0,
     ``exactla.homology_quotient`` reads them off one forward elimination
     of delta_q with rightmost pivots and back-solves only those rows; the
-    block sizes come from the stratum ranks.  Any other complex must
-    be a tropical manifold: a complex over a smooth base fan
-    (``weightss.trop_complex_for`` builds one for every non-complete fan
-    it accepts).  Its dimension comes by Poincare duality from the compactly supported
-    groups the incidence complex computes, with ``representatives=()``; a
-    base fan that is not smooth raises ValueError.
+    block sizes come from the stratum ranks.  Any other complex must be a
+    tropical manifold whose cells cover every stratum of its base fan, a
+    smooth one (``weightss.trop_complex_for`` builds one for every
+    non-complete fan it accepts).  Its dimension comes by Poincare
+    duality from the compactly supported groups of the orbit complex of
+    the base fan, with ``representatives=()``; a base fan that is not
+    smooth raises ValueError, as does a stratum the cells do not cover.
     """
     d = _duality_dim(cx)
     if d is not None:
-        return CohomologyResult(p, q, _dim(cx, p, q, d), ())
+        return CohomologyResult(p, q, _dim(_orbit(cx), p, q, d), ())
     cc = cochains(cx, p)
     incoming = cc.delta(q - 1) if q >= 1 else None
     reps = homology_quotient(cc.delta(q), cc.space_dim(q), incoming)
@@ -324,27 +310,36 @@ def _duality_dim(cx):
     return cx.top_dim
 
 
-def _dim(cx, p, q, d):
-    """dim H^{p,q} from the Morse complex, as dim H_c^{d-p,d-q} unless d is None."""
+def _orbit(cx):
+    """The orbit complex of the base fan, once the cells are known to
+    cover every stratum of it (``TropComplex.require_covered_strata``)."""
+    cx.require_covered_strata()
+    return orbit_complex(cx.base_fan)
+
+
+def _dim(orbit, p, q, d):
+    """dim H^{p,q} from the orbit complex, as dim H_c^{d-p,d-q} unless d is None."""
     if d is not None:
         if not (0 <= p <= d and 0 <= q <= d):
             return 0
         p, q = d - p, d - q
-    return morse(cx).dim(p, q)
+    return orbit.dim(p, q)
 
 
 def betti_table(cx: TropComplex):
-    """Matrix h[p][q] for 0 <= p,q <= n, from reduced ranks alone.
+    """Matrix h[p][q] for 0 <= p,q <= n, from the ranks of the orbit complex.
 
-    The dimensions are those :func:`cohomology` gives, with the same
-    contract, but no representative is computed and no unreduced delta is
-    written: dim C^q - rk delta_q - rk delta_{q-1} of the stratum Morse
-    complex, taken at (d-p, d-q) by Poincare duality where the complex is
-    not boundary closed.
+    The dimensions are those :func:`cohomology` gives, but no
+    representative is computed and no cell of the complex enters a
+    differential: dim C^q - rk delta_q - rk delta_{q-1} of the orbit
+    complex of the base fan, taken at (d-p, d-q) by Poincare duality where
+    the complex is not boundary closed.  The cells must cover every
+    stratum of the base fan; otherwise ValueError.
     """
     n = cx.base_fan.ambient_rank
     d = _duality_dim(cx)
-    return [[_dim(cx, p, q, d) for q in range(n + 1)] for p in range(n + 1)]
+    orbit = _orbit(cx)
+    return [[_dim(orbit, p, q, d) for q in range(n + 1)] for p in range(n + 1)]
 
 
 def betti_to_tsv(table):

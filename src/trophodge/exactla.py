@@ -320,29 +320,6 @@ class QSubspace:
     def __repr__(self):
         return f"QSubspace(dim {self.dim} in Q^{self.ambient_dim})"
 
-    def coordinates(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside.
-
-        They can only be vec's entries at the pivots; vec lies in the
-        subspace iff that combination of the basis also matches it at the
-        other columns.  On the whole space, with the identity basis, they
-        are vec itself.
-        """
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        if len(self.pivots) == self.ambient_dim:
-            return _as_fraction_rows([vec])[0]
-        (coords,) = _as_fraction_rows([[vec[c] for c in self.pivots]])
-        terms = [(a, v) for a, v in zip(coords, self.basis) if a]
-        pivot_set = set(self.pivots)
-        for j, x in enumerate(vec):
-            if j not in pivot_set and x != sum(a * v[j] for a, v in terms if v[j]):
-                return None
-        return coords
-
-    def contains(self, vec):
-        return self.coordinates(vec) is not None
-
 
 def sparse_rows(vectors):
     """Dense vectors as {column: entry} rows, their zero entries dropped."""

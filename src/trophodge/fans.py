@@ -362,6 +362,25 @@ def proj_section(cone: Cone) -> ZMatrix:
     return ZMatrix(v.rows, k, [row[:k] for row in v.entries]) @ u
 
 
+@functools.lru_cache(maxsize=None)
+def facet_frame(face: Cone, cone: Cone):
+    """(rho-bar, L^T) of a facet of a cone: the image in N_face of a ray
+    rho of the cone off the face, and a ZMatrix whose rows, one per
+    coordinate of N_cone, are the columns L of ``proj_section(cone)``
+    projected to N_face.
+
+    rho-bar spans the kernel of the stratum map N_face -> N_cone over Q,
+    and L lifts a basis of N_cone, so together they are a basis of
+    N_face tensor Q.  Every ray of the cone off the face lies on one
+    side of the face, so any of them gives rho-bar up to a positive factor.
+    """
+    rho = next(r for r in cone.rays if r not in face.rays)
+    section = proj_section(cone)
+    lifts = [project(face, v) for v in zip(*section.entries)]
+    rho_bar = project(face, rho)
+    return rho_bar, ZMatrix(section.cols, len(rho_bar), lifts)
+
+
 class Fan:
     """Finite fan: the given cones and all their faces.
 

@@ -12,11 +12,15 @@ wedge^p T(tau) live in lex wedge coordinates of the stratum lattice
 N_sigma.  Over a complete structure fan, as every complex that
 ``weightss.trop_complex_for`` builds has, each cell has a stratum coface
 that is full-dimensional in its stratum, so F_p(P) is all of
-wedge^p N_sigma, with the identity basis.  The cochain, Morse and cycle
-layers read its block size C(stratum rank, p) off the cell, after one
-check per complex, :meth:`TropComplex.require_full_cofaces`;
+wedge^p N_sigma, with the identity basis.  The cochain and cycle layers
+read its block size C(stratum rank, p) off the cell, after one check per
+complex, :meth:`TropComplex.require_full_cofaces`;
 :meth:`TropComplex.f_lower` is the view of one F_p as a subspace.  Both
-raise ValueError on a cell with no such coface.
+raise ValueError on a cell with no such coface.  The Betti tables of
+:mod:`trophodge.cohomology` read no cell: they come from the orbit
+complex of the base fan, one block per stratum N_sigma,R, once
+:meth:`TropComplex.require_covered_strata` finds that the cells cover
+every stratum of the base fan.
 
 The incidence of the complex is its codimension-1 face relation, found by
 lookup in an index of the cells on ray ids.  The rays of the cell shapes,
@@ -28,11 +32,11 @@ free ray into the sedentarity (a face at infinity): at most 2 dim
 lookups per cell of a simplicial shape.  A shape that is not simplicial
 takes its facets, and its faces one dimension above the sedentarity,
 from ``fans.faces``.  Closure under faces, full-dimensional stratum
-cofaces and boundary closedness all follow from the codim-1 faces, since
-the face poset of a cell is graded.  The span basis of a cell, the image
-of each ray in each N_sigma, and the stratum projections N_sigma1 ->
-N_sigma2 with their wedge powers are cached like the cone data of
-:mod:`trophodge.fans`.
+cofaces, the cover of each stratum and boundary closedness all follow
+from the codim-1 faces, since the face poset of a cell is graded.  The
+span basis of a cell, the image of each ray in each N_sigma, and the
+stratum projections N_sigma1 -> N_sigma2 with their wedge powers are
+cached like the cone data of :mod:`trophodge.fans`.
 
 Each cell is oriented by the RREF basis of its span.  When the projected
 rays R of a cell c are independent, as for every cell of a simplicial
@@ -125,7 +129,6 @@ class TropComplex:
         self._pairs_by_dim = None
         self._incidence_cache = None
         self.cochains = {}  # p -> cohomology.CochainComplex, by cohomology.cochains
-        self.morse = None  # cohomology.MorseComplex, by cohomology.morse
         self.divisors = {}  # primitive ray -> cycles.TropCycle, by cycles.divisor_cycle
         if validate:
             self._validate()
@@ -175,11 +178,13 @@ class TropComplex:
         return self.cells[-1].dim if self.cells else 0  # cells are sorted by dim
 
     def _incidence(self):
-        """(faces, full, missing, lacking): per cell id the sorted ids of its
-        codim-1 faces, and whether it has a stratum coface full-dimensional
-        in its stratum; then whether some codim-1 face in a stratum, and
-        some at infinity, is missing; and the id of the first cell with no
-        full-dimensional stratum coface, or None.
+        """(faces, full, missing, lacking, open_ridge): per cell id the
+        sorted ids of its codim-1 faces, and whether it has a stratum coface
+        full-dimensional in its stratum; then whether some codim-1 face in
+        a stratum, and some at infinity, is missing; the id of the first
+        cell with no full-dimensional stratum coface, or None; and the id of
+        the first cell of codimension 1 in its stratum that is a face of
+        other than two full-dimensional cells there, or None.
 
         A face in the stratum drops a free ray from the shape, a face at
         infinity moves it into the sedentarity.  A full-dimensional cell
@@ -201,12 +206,23 @@ class TropComplex:
                 down.append(tuple(sorted(ids)))
                 stratum_faces.append(same)
             full = [c.dim == c.stratum_rank for c in self.cells]
+            tops = [0] * len(self.cells)  # cofaces of full dimension
+            for i, same in enumerate(stratum_faces):
+                if full[i]:
+                    for j in same:
+                        tops[j] += 1
             for i in reversed(range(len(self.cells))):  # cells are sorted by dim
                 if full[i]:
                     for j in stratum_faces[i]:
                         full[j] = True
             lacking = next((i for i, f in enumerate(full) if not f), None)
-            self._incidence_cache = (tuple(down), tuple(full), tuple(lack), lacking)
+            open_ridge = next((
+                i for i, c in enumerate(self.cells)
+                if c.dim == c.stratum_rank - 1 and tops[i] != 2
+            ), None)
+            self._incidence_cache = (
+                tuple(down), tuple(full), tuple(lack), lacking, open_ridge,
+            )
         return self._incidence_cache
 
     def _codim1_keys(self, cell, s, t):
@@ -281,42 +297,44 @@ class TropComplex:
         self._require_full(cell)
         return QSubspace.full(math.comb(cell.stratum_rank, p))
 
-    def face_map_columns(self, face, coface, p):
-        """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the identity bases, by columns.
-
-        It is wedge^p of the stratum map N_sigma1 -> N_sigma2,
-        :func:`stratum_wedge` of the two sedentarities: the identity inside
-        a stratum.  A pair across strata with a smaller face shape needs
-        the cell it factors through, (face sedentarity, coface shape).
-        """
-        if not (
-            coface.sedentarity in face_set(face.sedentarity)
-            and face.tau in face_set(coface.tau)
-        ):
-            raise ValueError("a face map requires a face pair")
-        if face.sedentarity != coface.sedentarity and face.tau != coface.tau:
-            mid = Cell(face.sedentarity, coface.tau)
-            if mid not in self._ids:
-                raise ValueError(
-                    "composite face map needs the intermediate cell "
-                    f"({mid.label()}) in the complex"
-                )
-        self._require_full(face)
-        self._require_full(coface)
-        return stratum_wedge(coface.sedentarity, face.sedentarity, p)
-
     def require_full_cofaces(self):
         """ValueError unless every cell has a stratum coface that is
         full-dimensional in its stratum, so that every F_p(cell) is all of
         wedge^p N_sigma, of dimension C(stratum rank, p).
 
-        The cochain, Morse and cycle layers read their block sizes off the
+        The cochain and cycle layers read their block sizes off the
         stratum ranks after this one check per complex; the error names
         the first cell without such a coface, as :meth:`f_lower` does.
         """
         lacking = self._incidence()[3]
         if lacking is not None:
             self._require_full(self.cells[lacking])
+
+    def require_covered_strata(self):
+        """ValueError unless the cells cover every stratum N_sigma,R of the
+        base fan, as the orbit complex of ``cohomology`` needs.
+
+        The cells of one sedentarity sigma, each with a full-dimensional
+        stratum coface (:meth:`require_full_cofaces`), project to a pure
+        fan in N_sigma,R of full dimension.  Such a fan is complete iff each
+        of its cones of codimension 1 is a face of exactly two of full
+        dimension, which then lie on both sides of it: its support has no
+        boundary off the cones of codimension 2, which do not disconnect.
+        A stratum of rank 0 is covered iff it has its one cell.
+        """
+        self.require_full_cofaces()
+        seds = {s for s, _ in self.cell_keys}
+        if len(seds) < len(self.base_fan.cones):
+            present = {c.sedentarity for c in self.cells}
+            sigma = next(c for c in self.base_fan.cones if c not in present)
+        elif self._incidence()[4] is not None:
+            sigma = self.cells[self._incidence()[4]].sedentarity
+        else:
+            return
+        raise ValueError(
+            f"the cells do not cover the stratum of the cone {list(sigma.rays)}"
+            " of the base fan: the orbit complex needs every stratum covered"
+        )
 
     def _require_full(self, cell):
         """ValueError unless a stratum coface of the cell is full-dimensional."""

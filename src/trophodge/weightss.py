@@ -19,13 +19,12 @@ import math
 
 from trophodge import cohomology, fans, tropspace
 from trophodge.exactla import (
-    ZMatrix,
     block_offsets,
     lex_subsets,
     sparse_rank,
     wedge_columns,
 )
-from trophodge.fans import Cone, Fan, faces
+from trophodge.fans import Fan, faces
 from trophodge.record import Record
 
 
@@ -85,7 +84,8 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
     rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a} (see the module docstring);
     its integer rows are written at the ``block_offsets`` of the two
     layouts.  The pairs are the facets sigma of each (p+1)-cone tau, and
-    rho-bar and r^T are made once per pair (:func:`_residue`).
+    rho-bar and r^T are ``fans.facet_frame(sigma, tau)``, made once per
+    pair.
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
@@ -104,7 +104,7 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
         for sigma in faces(tau):
             if sigma.dim != p:
                 continue
-            rho_bar, r_t = _residue(sigma, tau)
+            rho_bar, r_t = fans.facet_frame(sigma, tau)
             wedge = wedge_columns(r_t, k - 1)
             r0, c0 = roff[tau], coff[sigma]
             for j, s in enumerate(lex_subsets(m, k)):
@@ -115,18 +115,6 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
                             row = rows[r0 + i]
                             row[c0 + j] = row.get(c0 + j, 0) + c * x
     return rows, ncols
-
-
-@functools.lru_cache(maxsize=None)
-def _residue(sigma: Cone, tau: Cone):
-    """(rho-bar, r^T) of a face pair sigma < tau = sigma + rho: the image
-    of rho in N_sigma, and r^T for r = proj_sigma @ proj_section(tau), as
-    a ZMatrix with a row per coordinate of N_tau and a column per
-    coordinate of N_sigma."""
-    rho_bar = fans.project(sigma, fans.new_ray(sigma, tau))
-    section = fans.proj_section(tau)
-    r_t = [fans.project(sigma, v) for v in zip(*section.entries)]
-    return rho_bar, ZMatrix(section.cols, len(rho_bar), r_t)
 
 
 @functools.lru_cache(maxsize=None)

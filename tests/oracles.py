@@ -6,9 +6,9 @@
   ``trophodge.cohomology`` takes on complexes that are not boundary
   closed;
 * a Cech complex on the open cover by open stars;
-* the unreduced ranks of the incidence complex itself
-  (:func:`unreduced_betti_table`), which the Betti tables of the stratum
-  Morse complex replaced.
+* the ranks of the incidence complex of the cells
+  (:func:`unreduced_betti_table`), which the Betti tables of the orbit
+  complex of the base fan replaced.
 
 The first two build their own matrices and share only the exact linear
 algebra and the face index of a complex with the production path.  They read
@@ -38,7 +38,10 @@ test of smoothness that the minors of ``fans.is_smooth`` replaced as
 :func:`smith_is_smooth`.
 
 :func:`composes_to` multiplies matrices given as rows, for the checks
-that delta and d_1 square to zero and that face maps compose.
+that delta and d_1 square to zero and that face maps compose.  The face
+maps between cells of full F_p are :func:`face_map_columns`, and
+:func:`coordinates` reads a vector in the echelon basis of a
+``QSubspace``; no production path needs either.
 
 :func:`homology_quotient` is the reference for
 ``exactla.homology_quotient``: the RREF of ker d_out + im d_in from the
@@ -65,6 +68,7 @@ from trophodge import fans, weightss
 from trophodge.cohomology import CohomologyResult, cochains
 from trophodge.exactla import (
     QSubspace,
+    _as_fraction_rows,
     _gauss_jordan,
     _rref,
     block_offsets,
@@ -76,7 +80,7 @@ from trophodge.exactla import (
     wedge_vector,
 )
 from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
-from trophodge.tropspace import Cell, TropComplex, _projected_rays
+from trophodge.tropspace import Cell, TropComplex, _projected_rays, stratum_wedge
 
 
 _held = {}
@@ -333,6 +337,54 @@ def f_lower(cx: TropComplex, cell, p) -> QSubspace:
     return cache[key]
 
 
+def coordinates(space: QSubspace, vec):
+    """Coordinates of vec in the canonical basis of a subspace, or None if
+    outside.
+
+    They can only be vec's entries at the pivots; vec lies in the
+    subspace iff that combination of the basis also matches it at the
+    other columns.  On the whole space, with the identity basis, they
+    are vec itself.
+    """
+    if len(vec) != space.ambient_dim:
+        raise ValueError("vector length mismatch")
+    if len(space.pivots) == space.ambient_dim:
+        return _as_fraction_rows([vec])[0]
+    (coords,) = _as_fraction_rows([[vec[c] for c in space.pivots]])
+    terms = [(a, v) for a, v in zip(coords, space.basis) if a]
+    pivot_set = set(space.pivots)
+    for j, x in enumerate(vec):
+        if j not in pivot_set and x != sum(a * v[j] for a, v in terms if v[j]):
+            return None
+    return coords
+
+
+def face_map_columns(cx: TropComplex, face, coface, p):
+    """i_{P2 < P1}: F_p(P1) -> F_p(P2) in the identity bases, by columns.
+
+    It is wedge^p of the stratum map N_sigma1 -> N_sigma2,
+    ``tropspace.stratum_wedge`` of the two sedentarities: the identity
+    inside a stratum.  A pair across strata with a smaller face shape needs
+    the cell it factors through, (face sedentarity, coface shape).  Both
+    cells must have a full-dimensional stratum coface (``cx.f_lower``
+    raises ValueError otherwise).
+    """
+    if not is_face_of(face, coface):
+        raise ValueError("a face map requires a face pair")
+    if face.sedentarity != coface.sedentarity and face.tau != coface.tau:
+        mid = Cell(face.sedentarity, coface.tau)
+        try:
+            cx.cell_id(mid)
+        except KeyError:
+            raise ValueError(
+                "composite face map needs the intermediate cell "
+                f"({mid.label()}) in the complex"
+            ) from None
+    cx.f_lower(face, p)
+    cx.f_lower(coface, p)
+    return stratum_wedge(coface.sedentarity, face.sedentarity, p)
+
+
 def cell_span(cell) -> QSubspace:
     """The Q-span of a cell in N_sigma, by the RREF of its projected rays."""
     return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
@@ -349,7 +401,7 @@ def _put(rows, r0, c0, block, sign):
 def unreduced_dim(cx: TropComplex, p, q):
     """dim H^q of the incidence complex for p from its unreduced ranks:
     dim C^q - rk delta_q - rk delta_{q-1} of the rows ``CochainComplex``
-    writes, the Betti table path that the Morse complex replaced."""
+    writes, the Betti table path that the orbit complex replaced."""
     cc = cochains(cx, p)
     return cc.space_dim(q) - sparse_rank(cc.delta(q)) - sparse_rank(cc.delta(q - 1))
 
@@ -531,7 +583,7 @@ def _cech_data(cx, p):
                             w[offs_t[j] + cidx] = v[offs_s[j] + cidx]
                     ws.append(w)
                 segments.append((i, s, gs.dim, start))
-            coords_all = [gt.coordinates(w) for w in ws]
+            coords_all = [coordinates(gt, w) for w in ws]
             for i, s, sdim, start in segments:
                 sign = -1 if i % 2 else 1
                 block = zip(*coords_all[start:start + sdim])
@@ -610,7 +662,7 @@ def fraction_face_map(cx: TropComplex, face, coface, p) -> tuple:
             images = [_apply(zip(*wedge), v) for v in src.basis]
         cols = []
         for img in images:
-            coords = dst.coordinates(img)
+            coords = coordinates(dst, img)
             if coords is None:
                 raise ValueError("face map image leaves the target F_p")
             cols.append(coords)
@@ -638,7 +690,7 @@ def fraction_incidence_sign(face, coface):
         ]
     rows = []
     for vec in [first] + lifted:
-        coords = bp.coordinates(vec)
+        coords = coordinates(bp, vec)
         if coords is None:
             raise ValueError("orientation vector leaves the coface span")
         rows.append(coords)

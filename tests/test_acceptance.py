@@ -7,7 +7,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import cech_oracle, composes_to, is_face_of, refined_complex
+from oracles import (
+    cech_oracle,
+    composes_to,
+    face_map_columns,
+    is_face_of,
+    refined_complex,
+)
 from trophodge import cohomology, cycles, fans, tropspace, weightss
 
 ZOO = [
@@ -144,9 +150,9 @@ def check_functoriality():
                         continue
                     for p in range(n + 1):
                         if not composes_to(
-                            cx.face_map_columns(c1, c2, p),
-                            cx.face_map_columns(c0, c1, p),
-                            cx.face_map_columns(c0, c2, p),
+                            face_map_columns(cx, c1, c2, p),
+                            face_map_columns(cx, c0, c1, p),
+                            face_map_columns(cx, c0, c2, p),
                         ):
                             return False
     return True

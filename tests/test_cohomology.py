@@ -218,7 +218,7 @@ def test_f_lower_and_betti_table_reject_a_cell_without_a_full_coface():
     ``f_lower`` and ``betti_table`` raise ValueError on it, and the complex
     itself still builds and reports itself boundary closed.  So do the
     layers that read block sizes off the stratum rank instead of
-    ``f_lower``: the cochain complexes, the Morse complex and a cycle, on
+    ``f_lower``: the cochain complexes, the Betti table and a cycle, on
     the torus of every rank up to 3."""
     from trophodge import cycles
 
@@ -236,10 +236,10 @@ def test_f_lower_and_betti_table_reject_a_cell_without_a_full_coface():
             with pytest.raises(ValueError, match="full-dimensional stratum coface"):
                 cohomology.cochains(cx, p)
         with pytest.raises(ValueError, match="full-dimensional stratum coface"):
-            cohomology.morse(cx)
+            betti_table(cx)
         with pytest.raises(ValueError, match="full-dimensional stratum coface"):
             cycles.TropCycle(cx, 0, {0: (1,)})
-        assert cx.cochains == {} and cx.morse is None
+        assert cx.cochains == {}
 
 
 def test_p4_representatives_make_no_rref(monkeypatch):
@@ -374,22 +374,33 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
 
 def test_p4_delta_is_written_from_blocks_without_face_maps(monkeypatch):
     """Every F_p of P^4 is full, so each face map is the identity or a
-    stratum wedge, written from one block per sedentarity pair: building
-    the complex for every p calls no ``face_map_columns``."""
-    def forbidden(*args):
-        raise AssertionError("face_map_columns was called")
+    stratum wedge, written from one block per pair of sedentarities:
+    building the complex for every p asks ``stratum_wedge`` once per such
+    pair and p, and never per pair of cells."""
+    calls = []
+    wedge = cohomology.stratum_wedge
+
+    def counting(coface, face, p):
+        calls.append((coface, face, p))
+        return wedge(coface, face, p)
 
     cx = tropspace.tautological_complex(fans.projective_space(4))
-    monkeypatch.setattr(tropspace.TropComplex, "face_map_columns", forbidden)
+    monkeypatch.setattr(cohomology, "stratum_wedge", counting)
+    seds = {
+        (cx.cells[c].sedentarity, cx.cells[f].sedentarity)
+        for f, c, _ in cx.face_poset()
+    }
     for p in range(5):
         build_cochain_complex(cx, p)
+    assert len(seds) < len(cx.face_poset())
+    assert len(calls) == len(set(calls)) == 5 * len(seds)
     assert betti_table(cx) == diag_table(4, [1, 1, 1, 1, 1])
 
 
 def test_each_delta_is_written_once(monkeypatch):
     """Representatives read the rows one CochainComplex holds.
 
-    A P^4 Betti table writes no unreduced delta_q: it ranks the Morse
+    A P^4 Betti table writes no delta_q of the cells: it ranks the orbit
     complex.  On P^4 afterwards, and on a fresh P^3 complex,
     ``cohomology`` writes delta_{q-1} and delta_q only, each once.
     """

@@ -330,7 +330,7 @@ def test_coordinates_match_solve(gens, data):
     coeffs = data.draw(st.lists(small_int, min_size=len(gens), max_size=len(gens)))
     inside = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
     other = data.draw(st.lists(small_int, min_size=n, max_size=n))
-    assert v.coordinates(inside) is not None
+    assert oracles.coordinates(v, inside) is not None
     a = sympy.Matrix(n, v.dim, lambda i, j: sympy.Rational(str(v.basis[j][i])))
     for vec in (inside, other):
         try:
@@ -339,7 +339,7 @@ def test_coordinates_match_solve(gens, data):
             x = None
         else:
             x = tuple(Fraction(str(y)) for y in x)
-        assert v.coordinates(vec) == x
+        assert oracles.coordinates(v, vec) == x
 
 
 @pytest.mark.parametrize("basis", [
@@ -358,11 +358,11 @@ def test_subspace_requires_rref_basis(basis):
 def test_subspace_reads_coordinates_at_pivots():
     v = QSubspace(3, [[1, 2, 0], [0, 0, 1]])
     assert v.pivots == (0, 2)
-    assert v.coordinates([3, 6, -1]) == (3, -1)
-    assert v.coordinates([3, 5, -1]) is None
-    assert QSubspace(2, ()).coordinates([0, 0]) == ()
+    assert oracles.coordinates(v, [3, 6, -1]) == (3, -1)
+    assert oracles.coordinates(v, [3, 5, -1]) is None
+    assert oracles.coordinates(QSubspace(2, ()), [0, 0]) == ()
     with pytest.raises(ValueError):
-        v.coordinates([1, 2])
+        oracles.coordinates(v, [1, 2])
 
 
 def test_subspace_equality_is_basis_free():

