@@ -103,8 +103,7 @@ def cmd_cohomology(args):
         raise CliError(EXIT_PARSE, "need --p and --q, or --all")
     if not (0 <= args.p <= n and 0 <= args.q <= n):
         raise CliError(EXIT_PARSE, "p and q must lie in 0..n")
-    res = cohomology.cohomology(cx, args.p, args.q)
-    _emit(f"{res.dim}\n", args.output)
+    _emit(f"{cohomology.betti_table(cx)[args.p][args.q]}\n", args.output)
     return 0
 
 

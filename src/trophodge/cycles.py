@@ -131,7 +131,7 @@ def _balancing_blocks(fan: Fan, codim: int):
     n = fan.ambient_rank
     cols = fan.cones_of_dim(n - codim)
     blocks = {
-        sigma: tuple({} for _ in range(orbit_lattice(sigma).n_sigma_rank))
+        sigma: tuple({} for _ in range(orbit_lattice(sigma).proj.rows))
         for sigma in fan.cones_of_dim(n - codim - 1)
     }
     for j, tau in enumerate(cols):
@@ -206,7 +206,7 @@ class TropCycle:
     def vector(self):
         """Chain coordinates in the degree-p block layout of the complex."""
         out = []
-        for cid, d in cohomology.cochains(self.cx, self.p).layout[self.p]:
+        for cid, d in cohomology.cochains(self.cx, self.p).block_dims(self.p).items():
             out.extend(self.chain.get(cid, (Fraction(0),) * d))
         return out
 

@@ -319,19 +319,18 @@ class OrbitLattice(Record):
     """Lattice data of the torus orbit of a cone.
 
     ``proj`` maps N onto N_sigma = N / (span(sigma) cap N) in a fixed
-    Z-basis; ``m_perp_basis`` is the dual Z-basis of M cap sigma-perp, so
-    the pairing between the two bases is the identity.
+    Z-basis, so it has rank N_sigma rows; they are also the dual Z-basis
+    of M cap sigma-perp, the pairing between the two bases the identity.
     """
 
-    fields = ("cone", "proj", "m_perp_basis", "n_sigma_rank")
+    fields = ("cone", "proj")
 
 
 @functools.lru_cache(maxsize=None)
 def orbit_lattice(cone: Cone) -> OrbitLattice:
     n = cone.ambient_rank
     if cone.is_zero:
-        ident = ZMatrix.identity(n)
-        return OrbitLattice(cone, ident, ident.entries, n)
+        return OrbitLattice(cone, ZMatrix.identity(n))
     cols = ZMatrix.from_rows(
         [[r[i] for r in cone.rays] for i in range(n)], len(cone.rays)
     )
@@ -339,13 +338,14 @@ def orbit_lattice(cone: Cone) -> OrbitLattice:
     r = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
     rows = u.entries[r:]
     proj = ZMatrix.from_rows([list(row) for row in rows], n) if rows else ZMatrix(0, n, [])
-    return OrbitLattice(cone, proj, proj.entries, n - r)
+    return OrbitLattice(cone, proj)
 
 
 def project(cone: Cone, vec) -> tuple:
-    """The image of a vector of N in N_sigma: its pairings with ``m_perp_basis``."""
+    """The image of a vector of N in N_sigma: its pairings with the rows of
+    ``proj``, the basis of M cap sigma-perp."""
     return tuple(
-        sum(a * x for a, x in zip(m, vec)) for m in orbit_lattice(cone).m_perp_basis
+        sum(a * x for a, x in zip(m, vec)) for m in orbit_lattice(cone).proj.entries
     )
 
 

@@ -2,13 +2,14 @@
 
 E_1^{p,q} is the direct sum over p-dimensional cones sigma of
 wedge^{q-p} M_sigma, M_sigma = M cap sigma-perp, in lex coordinates of
-``orbit_lattice(sigma).m_perp_basis``.  d_1 is the Gersten residue.  For
-tau = sigma + rho, the contraction with the image rho-bar of rho in
-N_sigma lands in wedge^{k-1} M_tau, since it squares to zero, and any
-left inverse of the inclusion M_tau -> M_sigma reads off its coordinates
-there.  r^T with r = proj_sigma @ proj_section(tau) is one: b @ r = I for
-the stratum map b.  So each block is wedge^{k-1}(r^T) . i_{rho-bar}, in
-integers, with no splitting m0 with <m0, rho> = 1 to choose.
+the rows of ``orbit_lattice(sigma).proj``, a basis of M_sigma.  d_1 is
+the Gersten residue.  For tau = sigma + rho, the contraction with the
+image rho-bar of rho in N_sigma lands in wedge^{k-1} M_tau, since it
+squares to zero, and any left inverse of the inclusion M_tau -> M_sigma
+reads off its coordinates there.  r^T with r = proj_sigma @
+proj_section(tau) is one: b @ r = I for the stratum map b.  So each
+block is wedge^{k-1}(r^T) . i_{rho-bar}, in integers, with no splitting
+m0 with <m0, rho> = 1 to choose.
 """
 
 from __future__ import annotations

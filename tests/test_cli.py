@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import corrupted_d1
-from trophodge import cli, cycles, fans, weightss
+from trophodge import cli, cohomology, cycles, fans, weightss
 
 
 def run(capsys, *argv):
@@ -125,10 +125,23 @@ def test_cohomology_table_p1(capsys):
 
 
 def test_cohomology_single_entry(capsys):
+    """``cohomology --p P --q Q`` prints the dimension that ``cohomology``
+    gives, for every (p, q), on complete fans and on open ones."""
     code, out, _ = run(capsys, "cohomology", "--builtin", "p2", "--p", "1", "--q", "2")
     assert code == 0 and out == "0\n"
     code, out, _ = run(capsys, "cohomology", "--builtin", "p2", "--p", "2", "--q", "2")
     assert code == 0 and out == "1\n"
+    for name in ("p2", "blowup_p2", "p1xp1xp1", "torus(2)", "affine_space(2)"):
+        fan = fans.builtin(name)
+        cx = weightss.trop_complex_for(fan)
+        n = fan.ambient_rank
+        for p in range(n + 1):
+            for q in range(n + 1):
+                code, out, _ = run(
+                    capsys, "cohomology", "--builtin", name, "--p", str(p), "--q", str(q)
+                )
+                want = cohomology.cohomology(cx, p, q).dim
+                assert code == 0 and out == f"{want}\n", (name, p, q)
 
 
 def test_cohomology_out_of_range_exits_2(capsys):

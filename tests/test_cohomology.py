@@ -401,27 +401,31 @@ def test_each_delta_is_written_once(monkeypatch):
     """Representatives read the rows one CochainComplex holds.
 
     A P^4 Betti table writes no delta_q of the cells: it ranks the orbit
-    complex.  On P^4 afterwards, and on a fresh P^3 complex,
-    ``cohomology`` writes delta_{q-1} and delta_q only, each once.
+    complex, whose writes (made here from an empty cache) are not counted.
+    On P^4 afterwards, and on a fresh P^3 complex, ``cohomology`` writes
+    delta_{q-1} and delta_q of the cells only, each once.
     """
     writes = []
     write = cohomology.CochainComplex._write
 
     def counting(cc, q):
-        writes.append((cc.p, q))
+        writes.append((cc, q))
         return write(cc, q)
 
+    def cell_writes(cx):
+        return sorted((cc.p, q) for cc, q in writes if cc in cx.cochains.values())
+
+    cohomology.orbit_cochains.cache_clear()
     monkeypatch.setattr(cohomology.CochainComplex, "_write", counting)
     cx = tropspace.tautological_complex(fans.projective_space(4))
     assert betti_table(cx) == diag_table(4, [1, 1, 1, 1, 1])
-    assert writes == []
+    assert writes and cell_writes(cx) == []
     assert cohomology.cohomology(cx, 2, 2).dim == 1
     assert cohomology.cohomology(cx, 2, 2).dim == 1
-    assert sorted(writes) == [(2, 1), (2, 2)]
-    writes.clear()
+    assert cell_writes(cx) == [(2, 1), (2, 2)]
     cx = tropspace.tautological_complex(fans.builtin("p3"))
     assert cohomology.cohomology(cx, 2, 2).dim == 1
-    assert sorted(writes) == [(2, 1), (2, 2)]
+    assert cell_writes(cx) == [(2, 1), (2, 2)]
 
 
 def test_value_records_compare_hash_and_show_their_fields():
@@ -455,4 +459,4 @@ def test_value_records_compare_hash_and_show_their_fields():
     assert lattice == fans.orbit_lattice(fans.Cone(2, [(1, 0)]))
     assert repr(lattice).startswith(f"OrbitLattice(cone={ray!r}, proj=")
     with pytest.raises(AttributeError):
-        lattice.n_sigma_rank = 2
+        lattice.proj = None

@@ -99,19 +99,19 @@ def test_is_smooth_matches_the_smith_form_oracle(ray_set):
 
 def test_orbit_lattice_examples():
     zero = orbit_lattice(Cone(2, []))
-    assert zero.n_sigma_rank == 2
+    assert zero.proj.rows == 2
     ray = orbit_lattice(Cone(2, [(1, 0)]))
-    assert ray.n_sigma_rank == 1
-    assert [list(v) for v in ray.m_perp_basis] in ([[0, 1]], [[0, -1]])
+    assert ray.proj.rows == 1
+    assert [list(v) for v in ray.proj.entries] in ([[0, 1]], [[0, -1]])
     diag = orbit_lattice(Cone(2, [(1, 1)]))
-    m = diag.m_perp_basis[0]
+    m = diag.proj.entries[0]
     assert m[0] + m[1] == 0 and abs(m[0]) == 1
 
 
 def test_orbit_lattice_rank_identity():
     fan = fans.builtin("p3")
     for c in fan.cones:
-        assert orbit_lattice(c).n_sigma_rank + c.dim == fan.ambient_rank
+        assert orbit_lattice(c).proj.rows + c.dim == fan.ambient_rank
 
 
 def test_fan_rejects_overlapping_cones():

@@ -37,11 +37,11 @@ def test_orbit_betti_table_matches_both_oracles():
     assert len(complexes) == 16 + 10 + 3 + 24
     assert sum(not cx.is_boundary_closed() for cx in complexes) > 24
     for cx in complexes:
-        orbit = cohomology.orbit_complex(cx.base_fan)
         n = cx.base_fan.ambient_rank
         for p in range(n + 1):
+            orbit = cohomology.orbit_cochains(cx.base_fan, p)
             for q in range(cx.top_dim + 1):
-                assert orbit.dim(p, q) == oracles.unreduced_dim(cx, p, q), (cx, p, q)
+                assert orbit.dim(q) == oracles.unreduced_dim(cx, p, q), (cx, p, q)
         table = cohomology.betti_table(cx)
         assert table == oracles.unreduced_betti_table(cx), cx
         if len(cx.cells) < 200:
@@ -53,11 +53,11 @@ def test_delta_squares_to_zero_on_the_orbit_complexes():
     complexes: every facet square sigma'' < sigma', tau' < sigma has
     epsilons of opposite products."""
     for fan in {cx.base_fan: None for cx in oracle_complexes()}:
-        orbit = cohomology.orbit_complex(fan)
         n = fan.ambient_rank
         for p in range(n + 1):
+            orbit = cohomology.orbit_cochains(fan, p)
             for q in range(n - 1):
-                assert oracles.composes_to(orbit.delta(p, q + 1), orbit.delta(p, q))
+                assert oracles.composes_to(orbit.delta(q + 1), orbit.delta(q))
 
 
 def test_orbit_coordinates_equal_the_e1_dimensions():
@@ -66,10 +66,11 @@ def test_orbit_coordinates_equal_the_e1_dimensions():
     complex has 1,441."""
     coordinates = []
     for fan in (fans.projective_space(4), fans.orthant_fan(4)):
-        orbit = cohomology.orbit_complex(fan)
-        assert sorted(i for ids in orbit.layout for i in ids) == list(range(len(fan.cones)))
+        layout = cohomology.orbit_cochains(fan, 0).layout
+        assert sorted(i for ids in layout for i in ids) == list(range(len(fan.cones)))
         coordinates.append(sum(
-            orbit.space_dim(p, q) for p in range(5) for q in range(5)
+            cohomology.orbit_cochains(fan, p).space_dim(q)
+            for p in range(5) for q in range(5)
         ))
         assert coordinates[-1] == sum(weightss.e1_page(fan).dims.values())
     assert coordinates[0] == 121
@@ -78,24 +79,33 @@ def test_orbit_coordinates_equal_the_e1_dimensions():
 def test_one_flipped_epsilon_changes_the_betti_table():
     """Negating any one epsilon of delta_0 of the orbit complex of P^2
     changes its table: the ranks read every epsilon.  Negating any one
-    epsilon of delta_0 or delta_1 leaves some delta_1 delta_0 nonzero."""
+    epsilon of delta_0 or delta_1 leaves some delta_1 delta_0 nonzero.
+    Each complex is a ``CochainComplex`` built from the seds and layout of
+    the orbit complex and the pairs, one of them flipped."""
     fan = fans.builtin("p2")
     table = diag_table(2, [1, 1, 1])
-    pairs = cohomology.OrbitComplex(fan).pairs
+    orbit = cohomology.orbit_cochains(fan, 0)
+    pairs = [orbit.pairs(q) for q in range(2)]
     assert [len(pairs[q]) for q in range(2)] == [6, 3]
+
+    def complexes(pairs):
+        return [
+            cohomology.CochainComplex(orbit.seds, orbit.layout, pairs.__getitem__, p)
+            for p in range(3)
+        ]
+
     for q in range(2):
         for k, (f, c, eps) in enumerate(pairs[q]):
-            flipped = cohomology.OrbitComplex(fan)
-            flipped.pairs[q] = pairs[q][:k] + ((f, c, -eps),) + pairs[q][k + 1:]
+            changed = list(pairs)
+            changed[q] = pairs[q][:k] + ((f, c, -eps),) + pairs[q][k + 1:]
+            flipped = complexes(changed)
             assert not all(
-                oracles.composes_to(flipped.delta(p, 1), flipped.delta(p, 0))
-                for p in range(3)
+                oracles.composes_to(cc.delta(1), cc.delta(0)) for cc in flipped
             ), (q, k)
             if q == 0:
-                got = [[flipped.dim(p, r) for r in range(3)] for p in range(3)]
+                got = [[cc.dim(r) for r in range(3)] for cc in flipped]
                 assert got != table, k
-    same = cohomology.OrbitComplex(fan)
-    assert [[same.dim(p, q) for q in range(3)] for p in range(3)] == table
+    assert [[cc.dim(q) for q in range(3)] for cc in complexes(pairs)] == table
 
 
 def test_kernel_at_p_equal_to_d_is_the_chow_space():
@@ -109,10 +119,10 @@ def test_kernel_at_p_equal_to_d_is_the_chow_space():
     named += [fans.projective_space(4), fans.orthant_fan(4)]
     assert len(named) == 12
     for fan in named:
-        orbit = cohomology.orbit_complex(fan)
         for d in range(fan.ambient_rank + 1):
-            assert orbit.space_dim(d, d) == len(orbit.layout[d])
-            kernel = QSubspace.kernel(orbit.delta(d, d), orbit.space_dim(d, d))
+            orbit = cohomology.orbit_cochains(fan, d)
+            assert orbit.space_dim(d) == len(orbit.layout[d])
+            kernel = QSubspace.kernel(orbit.delta(d), orbit.space_dim(d))
             assert kernel == cycles.chow_space(fan, d), (fan, d)
 
 
@@ -159,7 +169,7 @@ def test_cohomology_all_builds_no_face_poset(monkeypatch, capsys, name):
         raise AssertionError("the Betti table built a face poset")
 
     monkeypatch.setattr(TropComplex, "face_poset", forbidden)
-    cohomology.orbit_complex.cache_clear()
+    cohomology.orbit_cochains.cache_clear()
     weightss.trop_complex_for.cache_clear()
     assert cli.main(["cohomology", "--builtin", name, "--all"]) == 0
     want = diag_table(3, [1, 1, 1, 1]) if name == "p3" else diag_table(3, [1])
@@ -176,7 +186,8 @@ def test_p4_betti_table_hashes_few_cones(monkeypatch):
     other tests have filled them, compare equal cones where they would
     hash."""
     cx = tropspace.tautological_complex(fans.projective_space(4))
-    cohomology.orbit_complex.cache_clear()
+    cohomology.orbit_cochains.cache_clear()
+    cohomology._orbit_data.cache_clear()
     calls = {"hash": 0, "eq": 0}
     cone_hash, cone_eq = Cone.__hash__, Cone.__eq__
 
