@@ -5,10 +5,12 @@ module: a block complex for one p, with a block F^p = (wedge^p
 N_sigma)^dual for each open cell of sedentarity sigma, and the signed
 duals of the stratum maps as differential.  It owns the block layout,
 writes each delta_q once as sparse integer rows at the
-``block_offsets`` of that layout, one face map per pair of
-sedentarities, holds the rows, and ranks them once.  Two builders feed
-it, and they differ only in the cells, their degrees and their signed
-face pairs.
+``block_offsets`` of that layout, holds the rows, and ranks them once.
+Each face map is read as sparse columns from the cache of
+:func:`~trophodge.tropspace.stratum_wedge`, keyed by the two
+sedentarity cones, the one store of face maps.  Two builders feed it,
+and they differ only in the cells, their sedentarity cones, their
+degrees and their signed face pairs.
 
 Betti tables come from :func:`orbit_cochains`, the orbit complex of the
 base fan.  Its open cells are the strata N_sigma,R of the tropical toric
@@ -71,14 +73,14 @@ from trophodge.tropspace import TropComplex, stratum_wedge
 class CochainComplex:
     """Block cochain complex for a fixed p, as sparse integer rows.
 
-    ``seds[i]`` is (key, cone) of the sedentarity sigma of id i, its key
-    an int; ``layout[q]`` lists the ids of degree q in block order; and
-    ``pairs(q)`` gives the (face id, coface id, scalar) triples of
-    delta_q.  Every F_p is all of wedge^p N_sigma, so id i has a block of
-    C(rank N_sigma, p) coordinates, and the block of delta_q from a face
-    to a coface is the scalar times the ``stratum_wedge`` of their
-    sedentarities.  The offsets and block sizes of each C^q are made with
-    the complex; :meth:`delta` writes each delta_q once and holds it, and
+    ``seds[i]`` is the sedentarity cone sigma of id i; ``layout[q]``
+    lists the ids of degree q in block order; and ``pairs(q)`` gives the
+    (face id, coface id, scalar) triples of delta_q.  Every F_p is all of
+    wedge^p N_sigma, so id i has a block of C(rank N_sigma, p)
+    coordinates, and the block of delta_q from a face to a coface is the
+    scalar times the ``stratum_wedge`` of their sedentarities.  The
+    offsets and block sizes of each C^q are made with the complex;
+    :meth:`delta` writes each delta_q once and holds it, and
     :meth:`rank` ranks it once.  ``rows`` and the dense ``QMatrix``
     :attr:`deltas`, built on request for the benchmark's counts, are
     views of every delta_q.  :func:`cochains` builds one from the cells of
@@ -88,11 +90,10 @@ class CochainComplex:
     def __init__(self, seds, layout, pairs, p):
         self.seds, self.layout, self.pairs, self.p = seds, layout, pairs, p
         self._dims = tuple(
-            {i: math.comb(seds[i][1].ambient_rank - seds[i][1].dim, p) for i in ids}
+            {i: math.comb(seds[i].ambient_rank - seds[i].dim, p) for i in ids}
             for ids in layout
         )
         self._offsets = tuple(block_offsets(dims.items()) for dims in self._dims)
-        self._blocks = {}  # (coface, face) sedentarity keys -> columns
         self._rows = {}
         self._ranks = {}
 
@@ -127,21 +128,16 @@ class CochainComplex:
 
         Row j of the block of a coface holds column j of each of its face
         maps, times the scalar, in the columns of the face.  A face map
-        depends only on the two sedentarities, so it is made once per
-        pair of keys, as sparse columns, and kept for the other degrees.
+        depends only on the two sedentarities; it is read, as sparse
+        columns, from the cache of ``stratum_wedge``, made once per pair of
+        sedentarities and p.
         """
         roff, coff = self.offsets(q + 1), self.offsets(q)
         rows = [{} for _ in range(self.space_dim(q + 1))]
+        seds = self.seds
         for fid, cid, scalar in self.pairs(q):
-            (c_key, c_sed), (f_key, f_sed) = self.seds[cid], self.seds[fid]
-            cols = self._blocks.get((c_key, f_key))
-            if cols is None:
-                wedge = stratum_wedge(c_sed, f_sed, self.p)
-                cols = self._blocks[c_key, f_key] = tuple(
-                    tuple((i, x) for i, x in enumerate(col) if x) for col in wedge
-                )
             r0, c0 = roff[cid], coff[fid]
-            for j, col in enumerate(cols):
+            for j, col in enumerate(stratum_wedge(seds[cid], seds[fid], self.p)):
                 row = rows[r0 + j]
                 for i, x in col:
                     row[c0 + i] = scalar * x
@@ -171,14 +167,14 @@ class CochainComplex:
 
 def cochains(cx: TropComplex, p: int) -> CochainComplex:
     """The incidence cochain complex of the cells of ``cx`` for p, one per
-    (complex, p): an id is a cell id, the key of its sedentarity the
-    mask of ``cx.cell_keys``, and the pairs are ``cx.face_pairs``."""
+    (complex, p): an id is a cell id, its sedentarity that of the cell,
+    and the pairs are ``cx.face_pairs``."""
     if p not in cx.cochains:
         cx.require_full_cofaces()
         layout = [[] for _ in range(cx.top_dim + 1)]
         for i, c in enumerate(cx.cells):
             layout[c.dim].append(i)
-        seds = tuple((s, c.sedentarity) for c, (s, _) in zip(cx.cells, cx.cell_keys))
+        seds = tuple(c.sedentarity for c in cx.cells)
         cx.cochains[p] = CochainComplex(seds, layout, cx.face_pairs, p)
     return cx.cochains[p]
 
@@ -188,12 +184,13 @@ def _orbit_data(fan):
     """(seds, layout, pairs) of the orbit complex of a fan, for every p.
 
     A cone sigma of the fan is one open cell, the stratum N_sigma,R of
-    dimension n - dim sigma; its id is its position in ``fan.cones`` and
-    is also the key of its sedentarity.  ``layout[q]`` lists the ids of
-    the cones of dimension n - q, in fan order.  ``pairs[q]`` lists (id
-    of sigma, id of sigma', epsilon(sigma', sigma)) for each sigma in
-    ``layout[q]`` and each facet sigma' of it, whose stratum has that of
-    sigma as a face at infinity (:func:`_epsilon`).
+    dimension n - dim sigma; its id is its position in ``fan.cones``, and
+    sigma is its sedentarity, so ``seds`` is ``fan.cones`` itself.
+    ``layout[q]`` lists the ids of the cones of dimension n - q, in fan
+    order.  ``pairs[q]`` lists (id of sigma, id of sigma',
+    epsilon(sigma', sigma)) for each sigma in ``layout[q]`` and each facet
+    sigma' of it, whose stratum has that of sigma as a face at infinity
+    (:func:`_epsilon`).
     """
     n = fan.ambient_rank
     ids = {c: i for i, c in enumerate(fan.cones)}
@@ -209,7 +206,7 @@ def _orbit_data(fan):
         )
         for q in range(n)
     )
-    return tuple(enumerate(fan.cones)), layout, pairs
+    return fan.cones, layout, pairs
 
 
 def _epsilon(face, cone):

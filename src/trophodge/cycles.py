@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from trophodge import cohomology, fans, weightss
 from trophodge.exactla import QSubspace, null_rows
-from trophodge.fans import Cone, Fan, orbit_lattice
+from trophodge.fans import Cone, Fan, orbit_proj
 from trophodge.tropspace import Cell, TropComplex, volume_element
 
 
@@ -131,7 +131,7 @@ def _balancing_blocks(fan: Fan, codim: int):
     n = fan.ambient_rank
     cols = fan.cones_of_dim(n - codim)
     blocks = {
-        sigma: tuple({} for _ in range(orbit_lattice(sigma).proj.rows))
+        sigma: tuple({} for _ in range(orbit_proj(sigma).rows))
         for sigma in fan.cones_of_dim(n - codim - 1)
     }
     for j, tau in enumerate(cols):

@@ -17,17 +17,21 @@ pivot, for unit pivots (:func:`_rref`, so an RREF or a kernel,
 :meth:`QSubspace.kernel`), and a cohomology representative by its entry
 at its free column (:func:`_solve_free`).  A rank makes none, and
 neither does :func:`integer_rref`, the same RREF as primitive integer
-rows.  :func:`homology_quotient` reads the RREF of ker + im off one
-forward elimination with rightmost pivots and back-solves only the rows
-it returns.  The differentials of the package, delta of the cochain
-complex and d_1 of the weight spectral sequence, are written as such
-integer rows and reach :func:`sparse_rank` and, for delta,
-:func:`homology_quotient` directly.
+rows.  :func:`homology_quotient` needs d_out @ d_in = 0, as for two
+consecutive differentials of one complex: it reads the RREF of ker + im
+off one forward elimination of d_out with rightmost pivots and
+back-solves only the rows it returns.  The differentials of the
+package, delta of the cochain complex and d_1 of the weight spectral
+sequence, are written as such integer rows and reach
+:func:`sparse_rank` and, for delta, :func:`homology_quotient` directly.
 :class:`QMatrix` is only a dense view of such rows, for the benchmark's
 counts.  Every determinant (a Plucker coordinate, an entry of a wedge
 power, an orientation sign) comes out of :func:`_bareiss`: fraction-free
 Bareiss elimination on integer rows.  Both cores clear the denominators
-of a row by the same positive factor, :func:`_cleared`.
+of a row by the same positive factor, :func:`_cleared`.  A wedge power
+has one block form, the sparse columns of :func:`wedge_columns`: each
+column the (row index, nonzero minor) pairs, which both differentials
+write from.
 """
 
 from __future__ import annotations
@@ -343,24 +347,24 @@ def homology_quotient(out_rows, ncols, in_rows):
     ``out_rows`` are the {column: entry} rows of d_out, whose source has
     ``ncols`` coordinates; ``in_rows`` are the rows of d_in, which maps
     into that source (one row per coordinate), or None for no incoming
-    map.  The image is read off ``in_rows`` by a sparse transpose; empty
-    rows and zero entries are skipped.  ``d_out @ d_in`` need not vanish.
-    The result is the reduced basis of the vectors of W = ker + im that
-    vanish at the pivot columns of im: the rows of the RREF of W at the
-    other pivots, as dense tuples of Fraction, one per dimension of the
-    homology at the middle space when ``d_out @ d_in`` does vanish.
+    map.  The caller guarantees ``d_out @ d_in = 0``, as for delta_q and
+    delta_{q-1} of one cochain complex; this is not checked.  The image is
+    read off ``in_rows`` by a sparse transpose; empty rows and zero
+    entries are skipped.  The result is the reduced basis of the vectors
+    of ker d_out that vanish at the pivot columns of im: the rows of its
+    RREF at the other pivots, as dense tuples of Fraction, one per
+    dimension of the homology at the middle space.
 
-    Those rows come from one forward elimination of a matrix M with
-    kernel W (:func:`_annihilator`: d_out itself when the composite
-    vanishes), with its columns reversed, so that its pivots are the
-    rightmost ones.  A column f is free there iff column f of M is a
-    combination of the columns right of it, that is iff some vector of W
-    has its first nonzero entry at f: the free columns are exactly the
-    pivots of the RREF of W.  The RREF row at a free column f is the one
-    vector of W that is 1 at f and 0 at the other free columns; it is
-    back-solved from the echelon rows (:func:`_solve_free`) only for the
-    f that are not pivots of im.  The image pivots come from the forward
-    pass over the columns of d_in alone.
+    Those rows come from one forward elimination of d_out with its columns
+    reversed, so that its pivots are the rightmost ones.  A column f is
+    free there iff column f of d_out is a combination of the columns right
+    of it, that is iff some vector of the kernel has its first nonzero
+    entry at f: the free columns are exactly the pivots of the RREF of the
+    kernel.  The RREF row at a free column f is the one kernel vector that
+    is 1 at f and 0 at the other free columns; it is back-solved from the
+    echelon rows (:func:`_solve_free`) only for the f that are not pivots
+    of im.  The image pivots come from the forward pass over the columns
+    of d_in alone.
     """
     columns = {}
     for i, row in enumerate(in_rows or ()):
@@ -370,8 +374,7 @@ def homology_quotient(out_rows, ncols, in_rows):
     image_pivots = _gauss_jordan([columns[j] for j in sorted(columns)], reduce=False)
     last = ncols - 1
     echelon = _gauss_jordan(
-        [{last - j: x for j, x in row.items()} for row in _annihilator(out_rows, in_rows)],
-        reduce=False,
+        [{last - j: x for j, x in row.items()} for row in out_rows], reduce=False
     )
     order = sorted(echelon, reverse=True)
     return tuple(
@@ -381,48 +384,14 @@ def homology_quotient(out_rows, ncols, in_rows):
     )
 
 
-def _annihilator(out_rows, in_rows):
-    """Rows of a matrix M with ker M = ker d_out + im d_in.
-
-    That is d_out when d_out @ d_in vanishes.  Otherwise M = L @ d_out,
-    for L the rows of a basis of the left null space of A = d_out @ d_in:
-    ker L is the column space of A, so d_out v lies in it iff v lies in
-    ker d_out + im d_in.
-    """
-    if not in_rows:
-        return out_rows
-    composite = []
-    for row in out_rows:
-        acc = {}
-        for i, x in row.items():
-            if x:
-                for j, y in in_rows[i].items():
-                    acc[j] = acc.get(j, 0) + x * y
-        composite.append({j: v for j, v in acc.items() if v})
-    if not any(composite):
-        return out_rows
-    columns = {}
-    for r, row in enumerate(composite):
-        for j, x in row.items():
-            columns.setdefault(j, {})[r] = x
-    out = []
-    for left in null_rows(list(columns.values()), len(out_rows)):
-        acc = {}
-        for r, c in left.items():
-            for j, x in out_rows[r].items():
-                acc[j] = acc.get(j, 0) + c * x
-        out.append(acc)
-    return out
-
-
 def _solve_free(echelon, order, f, ncols):
-    """The vector of ker M that is 1 at the free column f and 0 at the
+    """The vector of ker d_out that is 1 at the free column f and 0 at the
     other free columns, as a dense tuple of Fraction over the original
     columns.
 
     ``echelon`` is the forward pass of :func:`_gauss_jordan` on the rows
-    of M with columns reversed, ``order`` its pivot columns in decreasing
-    order, and f a free column in the same reversed order.  The pivots
+    of d_out with columns reversed, ``order`` its pivot columns in
+    decreasing order, and f a free column in the same reversed order.  The pivots
     right of f stay 0; each pivot c < f, from the right, is solved from
     its row, whose other entries lie right of c.  The solution is kept as
     an integer vector y over the positive denominator y[f], which grows
@@ -649,17 +618,20 @@ def _bareiss(a):
 
 
 def wedge_columns(m: ZMatrix, p: int) -> tuple:
-    """wedge^p(m) as a tuple of integer columns, in lex p-subset bases.
+    """wedge^p(m) as a tuple of sparse integer columns, in lex p-subset bases.
 
-    Each entry is a p x p minor from :func:`_bareiss`.  The shape comes from
-    m.rows and m.cols, so a map with no rows still has its columns.
+    Column s lists the (row-subset index, minor) pairs of its nonzero p x p
+    minors, from :func:`_bareiss`, in increasing index order: the one block
+    form of every wedge power in the package.  The shape comes from m.rows
+    and m.cols, so a map with no rows still has its columns.
     """
     a = m.entries
     row_subs = lex_subsets(m.rows, p)
-    return tuple(
-        tuple(_bareiss([[a[i][j] for j in cs] for i in rs]) for rs in row_subs)
+    minors = (
+        enumerate(_bareiss([[a[i][j] for j in cs] for i in rs]) for rs in row_subs)
         for cs in lex_subsets(m.cols, p)
     )
+    return tuple(tuple((i, x) for i, x in col if x) for col in minors)
 
 
 def wedge_vector(vectors, n, p):

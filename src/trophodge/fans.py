@@ -44,7 +44,6 @@ from trophodge.exactla import (
     sparse_rows,
     wedge_columns,
 )
-from trophodge.record import Record
 
 
 def _integer(x):
@@ -312,51 +311,44 @@ def is_smooth(cone: Cone) -> bool:
     the invariant factors.  wedge^k of the k x n ray matrix has one row.
     """
     mat = ZMatrix.from_rows(cone.rays, cone.ambient_rank)
-    return math.gcd(*(m for (m,) in wedge_columns(mat, len(cone.rays)))) == 1
-
-
-class OrbitLattice(Record):
-    """Lattice data of the torus orbit of a cone.
-
-    ``proj`` maps N onto N_sigma = N / (span(sigma) cap N) in a fixed
-    Z-basis, so it has rank N_sigma rows; they are also the dual Z-basis
-    of M cap sigma-perp, the pairing between the two bases the identity.
-    """
-
-    fields = ("cone", "proj")
+    minors = wedge_columns(mat, len(cone.rays))
+    return math.gcd(*(m for col in minors for _, m in col)) == 1
 
 
 @functools.lru_cache(maxsize=None)
-def orbit_lattice(cone: Cone) -> OrbitLattice:
+def orbit_proj(cone: Cone) -> ZMatrix:
+    """The map of N onto N_sigma = N / (span(sigma) cap N) in a fixed Z-basis.
+
+    It has rank N_sigma rows; they are also the dual Z-basis of
+    M cap sigma-perp, the pairing between the two bases the identity.
+    """
     n = cone.ambient_rank
     if cone.is_zero:
-        return OrbitLattice(cone, ZMatrix.identity(n))
+        return ZMatrix.identity(n)
     cols = ZMatrix.from_rows(
         [[r[i] for r in cone.rays] for i in range(n)], len(cone.rays)
     )
     u, d, _ = smith_normal_form(cols)
     r = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
-    rows = u.entries[r:]
-    proj = ZMatrix.from_rows([list(row) for row in rows], n) if rows else ZMatrix(0, n, [])
-    return OrbitLattice(cone, proj)
+    return ZMatrix.from_rows(u.entries[r:], n)
 
 
 def project(cone: Cone, vec) -> tuple:
     """The image of a vector of N in N_sigma: its pairings with the rows of
-    ``proj``, the basis of M cap sigma-perp."""
+    ``orbit_proj(cone)``, the basis of M cap sigma-perp."""
     return tuple(
-        sum(a * x for a, x in zip(m, vec)) for m in orbit_lattice(cone).proj.entries
+        sum(a * x for a, x in zip(m, vec)) for m in orbit_proj(cone).entries
     )
 
 
 @functools.lru_cache(maxsize=None)
 def proj_section(cone: Cone) -> ZMatrix:
-    """An integer right inverse of ``orbit_lattice(cone).proj``.
+    """An integer right inverse of ``orbit_proj(cone)``.
 
     proj is onto N_sigma, so its Smith form U @ proj @ V is [I 0] and
     V[:, :k] @ U is a right inverse.
     """
-    proj = orbit_lattice(cone).proj
+    proj = orbit_proj(cone)
     u, _, v = smith_normal_form(proj)
     k = proj.rows
     return ZMatrix(v.rows, k, [row[:k] for row in v.entries]) @ u

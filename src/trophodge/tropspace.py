@@ -55,7 +55,9 @@ powers (``exactla.wedge_columns``, shared with d_1 in
 :mod:`trophodge.weightss`) are computed in ints, and every Plucker
 coordinate and orientation is an integer determinant.  Since every F_p
 has the identity basis, every face map is integral: :func:`stratum_wedge`
-of the two sedentarities, the identity inside a stratum.
+of the two sedentarities, the identity inside a stratum, in the sparse
+column form of ``wedge_columns``.  Its cache, keyed by the two
+sedentarity cones and p, is the one store of face maps.
 """
 
 from __future__ import annotations
@@ -70,11 +72,12 @@ from trophodge.exactla import (
     _bareiss,
     integer_rref,
     pivot_columns,
+    sparse_rank,
     sparse_rows,
     wedge_columns,
     wedge_vector,
 )
-from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
+from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
 from trophodge.record import Record
 
 
@@ -364,7 +367,9 @@ class TropComplex:
         the determinant is |y|^2 / det(y; X), so its sign is that of the
         lifted frame, with no lift computed.  Every row is in ints: the
         face basis vectors and the columns are scaled by the positive
-        factors of :func:`_integer_basis`, which keeps the sign.
+        factors of :func:`_integer_basis`, which keeps the sign.  The
+        vectors read at the coface pivots must lie in the coface span: one
+        ``sparse_rank`` of the basis with them checks it, else ValueError.
         """
         pivots, basis = _integer_basis(coface)
         scales = [v[c] for v, c in zip(basis, pivots)]
@@ -382,9 +387,8 @@ class TropComplex:
                 [sum(x * y for x, y in zip(b[i], v)) for v in basis]
                 for i in _integer_basis(face)[0]
             ]
-        for vec in vecs:
-            if not _in_span(vec, basis, pivots):
-                raise ValueError("orientation vector leaves the coface span")
+        if sparse_rank(sparse_rows([*basis, *vecs])) > len(pivots):
+            raise ValueError("orientation vector leaves the coface span")
         rows = [[m * vec[c] for m, c in zip(scales, pivots)] for vec in vecs]
         det = _bareiss((rows + b_rows)[:len(pivots)])
         if det == 0:
@@ -454,24 +458,6 @@ def _pair_sign(o_f, o_c, face_key, coface_key):
     return -sign if same else sign
 
 
-def _in_span(vec, basis, pivots):
-    """Whether an integer vector lies in the span of a scaled RREF basis.
-
-    ``basis[k]`` is the k-th RREF vector, with its pivot at ``pivots[k]``,
-    times m_k = basis[k][pivots[k]] > 0.  With L the lcm of the m_k, vec
-    lies in the span iff L * vec = sum_k vec[pivots[k]] * (L / m_k) * basis[k].
-    """
-    if len(pivots) == len(vec):
-        return True
-    scales = [v[c] for v, c in zip(basis, pivots)]
-    lcm = math.lcm(*scales)
-    coeffs = [vec[c] * (lcm // m) for c, m in zip(pivots, scales)]
-    return all(
-        lcm * x == sum(a * v[j] for a, v in zip(coeffs, basis))
-        for j, x in enumerate(vec)
-    )
-
-
 def _ray_sum(rays):
     return tuple(map(sum, zip(*rays)))
 
@@ -504,8 +490,8 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
     It is the b with b @ proj1 = proj2; that b is integral, because proj1
     is onto, so b = proj2 @ (a right inverse of proj1).
     """
-    p1 = orbit_lattice(sed_small).proj
-    p2 = orbit_lattice(sed_big).proj
+    p1 = orbit_proj(sed_small)
+    p2 = orbit_proj(sed_big)
     b = p2 @ fans.proj_section(sed_small)
     if b @ p1 != p2:
         raise ValueError("stratum projections are not nested")
@@ -514,12 +500,14 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
 
 @functools.lru_cache(maxsize=None)
 def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
-    """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as its
-    integer columns: the face map of a face pair of cells with these
-    sedentarities, the identity when they are equal."""
+    """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as the
+    sparse integer columns of :func:`~trophodge.exactla.wedge_columns`:
+    the face map of a face pair of cells with these sedentarities, the
+    identity, ((i, 1),) in column i, when they are equal.  This cache is
+    the one store of face maps; the cochain complexes read it per pair."""
     if sed_small == sed_big:
         n = sed_small.ambient_rank - sed_small.dim
-        return ZMatrix.identity(math.comb(n, p)).entries
+        return tuple(((i, 1),) for i in range(math.comb(n, p)))
     return wedge_columns(_stratum_projection(sed_small, sed_big), p)
 
 

@@ -2,8 +2,8 @@
 
 E_1^{p,q} is the direct sum over p-dimensional cones sigma of
 wedge^{q-p} M_sigma, M_sigma = M cap sigma-perp, in lex coordinates of
-the rows of ``orbit_lattice(sigma).proj``, a basis of M_sigma.  d_1 is
-the Gersten residue.  For tau = sigma + rho, the contraction with the
+the rows of ``orbit_proj(sigma)``, a basis of M_sigma.  d_1 is the
+Gersten residue.  For tau = sigma + rho, the contraction with the
 image rho-bar of rho in N_sigma lands in wedge^{k-1} M_tau, since it
 squares to zero, and any left inverse of the inclusion M_tau -> M_sigma
 reads off its coordinates there.  r^T with r = proj_sigma @
@@ -83,10 +83,10 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
     E_2 page reads them directly.  With k = q - p, the block of sigma <
     tau = sigma + rho sends the lex k-subset s to sum_a (-1)^a
     rho-bar[s_a] wedge^{k-1}(r^T) e_{s - s_a} (see the module docstring);
-    its integer rows are written at the ``block_offsets`` of the two
-    layouts.  The pairs are the facets sigma of each (p+1)-cone tau, and
-    rho-bar and r^T are ``fans.facet_frame(sigma, tau)``, made once per
-    pair.
+    its integer rows are written, from the sparse columns of
+    ``wedge_columns``, at the ``block_offsets`` of the two layouts.  The
+    pairs are the facets sigma of each (p+1)-cone tau, and rho-bar and
+    r^T are ``fans.facet_frame(sigma, tau)``, made once per pair.
     """
     _require_smooth(fan)
     src = _e1_layout(fan, p, q)
@@ -111,8 +111,8 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
             for j, s in enumerate(lex_subsets(m, k)):
                 for a, e in enumerate(s):
                     c = (-1) ** a * rho_bar[e]
-                    for i, x in enumerate(wedge[subsets[s[:a] + s[a + 1:]]]):
-                        if c * x:
+                    if c:
+                        for i, x in wedge[subsets[s[:a] + s[a + 1:]]]:
                             row = rows[r0 + i]
                             row[c0 + j] = row.get(c0 + j, 0) + c * x
     return rows, ncols

@@ -39,7 +39,8 @@ test of smoothness that the minors of ``fans.is_smooth`` replaced as
 
 :func:`composes_to` multiplies matrices given as rows, for the checks
 that delta and d_1 square to zero and that face maps compose.  The face
-maps between cells of full F_p are :func:`face_map_columns`, and
+maps between cells of full F_p are :func:`face_map_columns`, dense
+columns (:func:`dense_columns` of the sparse ``stratum_wedge``), and
 :func:`coordinates` reads a vector in the echelon basis of a
 ``QSubspace``; no production path needs either.
 
@@ -79,7 +80,7 @@ from trophodge.exactla import (
     sparse_rank,
     wedge_vector,
 )
-from trophodge.fans import Cone, Fan, face_set, faces, orbit_lattice
+from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
 from trophodge.tropspace import Cell, TropComplex, _projected_rays, stratum_wedge
 
 
@@ -115,6 +116,18 @@ def composes_to(after, before, product=None):
         if {k: x for k, x in acc.items() if x} != {k: x for k, x in want.items() if x}:
             return False
     return True
+
+
+def dense_columns(columns, nrows):
+    """Sparse (row index, entry) columns, as ``exactla.wedge_columns``
+    gives them, as dense integer columns of ``nrows`` entries."""
+    out = []
+    for col in columns:
+        dense = [0] * nrows
+        for i, x in col:
+            dense[i] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def homology_quotient(out_rows, ncols, in_rows):
@@ -382,7 +395,8 @@ def face_map_columns(cx: TropComplex, face, coface, p):
             ) from None
     cx.f_lower(face, p)
     cx.f_lower(coface, p)
-    return stratum_wedge(coface.sedentarity, face.sedentarity, p)
+    wedge = stratum_wedge(coface.sedentarity, face.sedentarity, p)
+    return dense_columns(wedge, math.comb(face.stratum_rank, p))
 
 
 def cell_span(cell) -> QSubspace:
@@ -622,10 +636,10 @@ def _apply(rows, vec):
 @functools.lru_cache(maxsize=None)
 def fraction_stratum_projection(sed_small, sed_big) -> tuple:
     """N_{sigma1} -> N_{sigma2} over Q, as rows: proj2 solved against proj1."""
-    p1 = orbit_lattice(sed_small).proj
+    p1 = orbit_proj(sed_small)
     p1t = [[row[j] for row in p1.entries] for j in range(p1.cols)]
     rows = []
-    for row in orbit_lattice(sed_big).proj.entries:
+    for row in orbit_proj(sed_big).entries:
         sol = _solve(p1t, row, p1.rows)
         if sol is None:
             raise ValueError("stratum projections are not nested")
@@ -638,7 +652,7 @@ def _fraction_stratum_wedge(sed_small, sed_big, p) -> tuple:
     """The columns of wedge^p of the rational stratum map, in lex bases:
     column s holds the Plucker coordinates of the columns of the map in s."""
     b = fraction_stratum_projection(sed_small, sed_big)
-    n_small = orbit_lattice(sed_small).proj.rows
+    n_small = orbit_proj(sed_small).rows
     cols = [[row[j] for row in b] for j in range(n_small)]
     return tuple(
         wedge_vector([cols[j] for j in s], len(b), p) for s in lex_subsets(n_small, p)
@@ -673,7 +687,7 @@ def fraction_face_map(cx: TropComplex, face, coface, p) -> tuple:
 def fraction_incidence_sign(face, coface):
     """The incidence sign with each face vector lifted by a rational solve."""
     bp = cell_span(coface)
-    proj = orbit_lattice(coface.sedentarity).proj.entries
+    proj = orbit_proj(coface.sedentarity).entries
     face_basis = cell_span(face).basis
     if face.sedentarity == coface.sedentarity:
         off_face = [r for r in coface.tau.rays if r not in face.tau.rays]

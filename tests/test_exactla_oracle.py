@@ -176,12 +176,18 @@ def sympy_homology_quotient(out_rows, in_rows, n):
     st.data(),
 )
 def test_homology_quotient_matches_sympy(out_rows, k, data):
-    # d_in is arbitrary, so d_out @ d_in need not vanish, as under verify's
-    # corrupted d_1 sign; k = 0 stands for no incoming map
+    # the columns of d_in are combinations of kernel vectors of d_out, so
+    # d_out @ d_in = 0; k = 0 stands for no incoming map
     n = len(out_rows[0])
-    in_rows = data.draw(st.lists(
-        st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n,
-    )) if k else []
+    ker = QSubspace.kernel(sparse(out_rows), n).basis
+    coeffs = data.draw(st.lists(
+        st.lists(entries, min_size=k, max_size=k),
+        min_size=len(ker), max_size=len(ker),
+    ))
+    in_rows = [
+        [sum(v[i] * c[j] for v, c in zip(ker, coeffs)) for j in range(k)]
+        for i in range(n)
+    ] if k else []
     # the rows keep their zero entries, which the transpose has to skip
     d_out = [dict(enumerate(row)) for row in out_rows]
     d_in = [dict(enumerate(row)) for row in in_rows] if k else None

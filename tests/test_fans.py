@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from test_fan_digest import moved_zoo
 from trophodge import exactla, fans
-from trophodge.fans import Cone, Fan, faces, orbit_lattice
+from trophodge.fans import Cone, Fan, faces, orbit_proj
 
 
 def test_primitive():
@@ -98,20 +98,20 @@ def test_is_smooth_matches_the_smith_form_oracle(ray_set):
 
 
 def test_orbit_lattice_examples():
-    zero = orbit_lattice(Cone(2, []))
-    assert zero.proj.rows == 2
-    ray = orbit_lattice(Cone(2, [(1, 0)]))
-    assert ray.proj.rows == 1
-    assert [list(v) for v in ray.proj.entries] in ([[0, 1]], [[0, -1]])
-    diag = orbit_lattice(Cone(2, [(1, 1)]))
-    m = diag.proj.entries[0]
+    zero = orbit_proj(Cone(2, []))
+    assert zero.rows == 2
+    ray = orbit_proj(Cone(2, [(1, 0)]))
+    assert ray.rows == 1
+    assert [list(v) for v in ray.entries] in ([[0, 1]], [[0, -1]])
+    diag = orbit_proj(Cone(2, [(1, 1)]))
+    m = diag.entries[0]
     assert m[0] + m[1] == 0 and abs(m[0]) == 1
 
 
 def test_orbit_lattice_rank_identity():
     fan = fans.builtin("p3")
     for c in fan.cones:
-        assert orbit_lattice(c).proj.rows + c.dim == fan.ambient_rank
+        assert orbit_proj(c).rows + c.dim == fan.ambient_rank
 
 
 def test_fan_rejects_overlapping_cones():
