@@ -6,10 +6,12 @@ N_sigma)^dual for each open cell of sedentarity sigma, and the signed
 duals of the stratum maps as differential.  It owns the block layout,
 writes each delta_q once as sparse integer rows at the
 ``block_offsets`` of that layout, holds the rows, and ranks them once.
-Each face map is read as sparse columns from the cache of
-:func:`~trophodge.tropspace.stratum_wedge`, keyed by the two
-sedentarity cones, the one store of face maps.  Two builders feed it,
-and they differ only in the cells, their sedentarity cones, their
+Each face map is read as sparse columns from
+:func:`~trophodge.tropspace.stratum_wedge` of the two sedentarity
+cones, whose minors come from the content-keyed store of
+``exactla.wedge_columns``: a stratum map that many cone pairs share,
+such as the identity of each rank, is expanded once.  Two builders feed
+it, and they differ only in the cells, their sedentarity cones, their
 degrees and their signed face pairs.
 
 Betti tables come from :func:`orbit_cochains`, the orbit complex of the
@@ -129,8 +131,8 @@ class CochainComplex:
         Row j of the block of a coface holds column j of each of its face
         maps, times the scalar, in the columns of the face.  A face map
         depends only on the two sedentarities; it is read, as sparse
-        columns, from the cache of ``stratum_wedge``, made once per pair of
-        sedentarities and p.
+        columns, from ``stratum_wedge``, whose minors are computed once per
+        distinct stratum matrix and p.
         """
         roff, coff = self.offsets(q + 1), self.offsets(q)
         rows = [{} for _ in range(self.space_dim(q + 1))]

@@ -25,13 +25,16 @@ package, delta of the cochain complex and d_1 of the weight spectral
 sequence, are written as such integer rows and reach
 :func:`sparse_rank` and, for delta, :func:`homology_quotient` directly.
 :class:`QMatrix` is only a dense view of such rows, for the benchmark's
-counts.  Every determinant (a Plucker coordinate, an entry of a wedge
-power, an orientation sign) comes out of :func:`_bareiss`: fraction-free
-Bareiss elimination on integer rows.  Both cores clear the denominators
+counts.  Every determinant (an entry of a wedge power, an orientation
+sign) comes out of :func:`_bareiss`: fraction-free Bareiss elimination
+on integer rows.  Both cores clear the denominators
 of a row by the same positive factor, :func:`_cleared`.  A wedge power
 has one block form, the sparse columns of :func:`wedge_columns`: each
-column the (row index, nonzero minor) pairs, which both differentials
-write from.
+column the (row index, nonzero minor) pairs.  Its cache, keyed by the
+content of the matrix (a :class:`ZMatrix` hashes its rows, cols and
+entries) and p, is the one store of minors: both differentials, the
+smoothness test and the volume elements of cells read it, and a matrix
+that many cone pairs share is expanded once.
 """
 
 from __future__ import annotations
@@ -169,12 +172,6 @@ def integer_rref(rows, ncols):
         s = 1 if row[c] > 0 else -1
         out.append(tuple(s * row.get(j, 0) for j in range(ncols)))
     return out
-
-
-def pivot_columns(rows):
-    """The pivot columns of the reduced row echelon form of sparse rows, in
-    order, from the forward pass of :func:`_gauss_jordan` alone."""
-    return sorted(_gauss_jordan(rows, reduce=False))
 
 
 def null_rows(rows, ncols):
@@ -431,7 +428,7 @@ def block_offsets(layout):
 
 
 class ZMatrix:
-    """Immutable dense integer matrix."""
+    """Immutable dense integer matrix, hashed and compared by its content."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -469,6 +466,9 @@ class ZMatrix:
             and (self.rows, self.cols, self.entries)
             == (other.rows, other.cols, other.entries)
         )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"ZMatrix({self.rows}x{self.cols})"
@@ -574,21 +574,6 @@ def lex_subsets(n, p):
     return list(itertools.combinations(range(n), p))
 
 
-def _integer_rows(rows):
-    """Each row times the positive lcm of its denominators, and their product.
-
-    Scaling rows by positive factors keeps the sign of a determinant and
-    divides its value by the product.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        ints, m = _cleared(row)
-        out.append(ints)
-        scale *= m
-    return out, scale
-
-
 def _bareiss(a):
     """Determinant of a square integer matrix (a list of lists it overwrites).
 
@@ -617,13 +602,17 @@ def _bareiss(a):
     return sign * a[n - 1][n - 1] if n else 1
 
 
+@functools.lru_cache(maxsize=None)
 def wedge_columns(m: ZMatrix, p: int) -> tuple:
     """wedge^p(m) as a tuple of sparse integer columns, in lex p-subset bases.
 
     Column s lists the (row-subset index, minor) pairs of its nonzero p x p
     minors, from :func:`_bareiss`, in increasing index order: the one block
     form of every wedge power in the package.  The shape comes from m.rows
-    and m.cols, so a map with no rows still has its columns.
+    and m.cols, so a map with no rows still has its columns.  The cache is
+    the one store of minors: a ZMatrix hashes and compares by its content,
+    so each (rows, cols, entries, p) is computed once, and equal matrices
+    share one tuple, whichever caller built them.
     """
     a = m.entries
     row_subs = lex_subsets(m.rows, p)
@@ -632,18 +621,3 @@ def wedge_columns(m: ZMatrix, p: int) -> tuple:
         for cs in lex_subsets(m.cols, p)
     )
     return tuple(tuple((i, x) for i, x in col if x) for col in minors)
-
-
-def wedge_vector(vectors, n, p):
-    """Plucker coordinates of v_1 ^ ... ^ v_p in the lex p-subset basis of Q^n.
-
-    They are the p x p minors of the rows v_i, which are cleared of
-    denominators once for all of them.
-    """
-    if len(vectors) != p:
-        raise ValueError("need exactly p vectors")
-    a, scale = _integer_rows(vectors)
-    return tuple(
-        Fraction(_bareiss([[row[j] for j in cols] for row in a]), scale)
-        for cols in lex_subsets(n, p)
-    )

@@ -673,14 +673,20 @@ def completion(fan: Fan) -> Fan:
 
     Complete fans are their own completion.  Otherwise the orthant fan is
     tried; fans whose cones are not coordinate-orthant faces are rejected
-    (no general completion algorithm at desk scale).
+    (no general completion algorithm at desk scale).  The error names the
+    library call that takes a completion, since no CLI command does.
     """
     if is_complete(fan):
         return fan
     orth = orthant_fan(fan.ambient_rank)
     if fan.is_subfan_of(orth):
         return orth
-    raise ValueError("no built-in completion contains this fan; supply one explicitly")
+    raise ValueError(
+        "no built-in completion contains this fan: only fans whose cones are"
+        " faces of the coordinate orthants have one; for another fan, pass a"
+        " complete fan containing it to the library call"
+        " tropspace.tautological_complex(fan, structure)"
+    )
 
 
 def to_json_dict(fan: Fan) -> dict:

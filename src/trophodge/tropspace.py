@@ -56,8 +56,12 @@ powers (``exactla.wedge_columns``, shared with d_1 in
 coordinate and orientation is an integer determinant.  Since every F_p
 has the identity basis, every face map is integral: :func:`stratum_wedge`
 of the two sedentarities, the identity inside a stratum, in the sparse
-column form of ``wedge_columns``.  Its cache, keyed by the two
-sedentarity cones and p, is the one store of face maps.
+column form of ``wedge_columns``.  It holds nothing itself: the stratum
+projection is cached per cone pair and its wedge by matrix content in
+``wedge_columns``, the one store of minors, which the volume elements
+also read for the maximal minors of a cell basis.  The orientation of a
+cell and its volume element read the pivots and rows of one cached
+integer basis of its span.
 """
 
 from __future__ import annotations
@@ -71,11 +75,9 @@ from trophodge.exactla import (
     ZMatrix,
     _bareiss,
     integer_rref,
-    pivot_columns,
     sparse_rank,
     sparse_rows,
     wedge_columns,
-    wedge_vector,
 )
 from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
 from trophodge.record import Record
@@ -415,23 +417,26 @@ def volume_element(cell: Cell):
     echelon basis of the span, as :meth:`TropComplex._incidence_sign` is.
 
     The rows of :func:`_integer_basis` are positive integer multiples of
-    that basis, so their wedge is an integral positive multiple of its
-    wedge.  It is computed once per cell."""
+    that basis, so their wedge, the one row of the maximal minors that
+    ``wedge_columns`` holds for the basis matrix, is an integral positive
+    multiple of its wedge.  It is computed once per cell."""
     _, basis = _integer_basis(cell)
-    return fans.primitive(wedge_vector(basis, cell.stratum_rank, len(basis)))
+    m = ZMatrix(len(basis), cell.stratum_rank, basis)
+    minors = wedge_columns(m, m.rows)
+    return fans.primitive([col[0][1] if col else 0 for col in minors])
 
 
 def _orientation(cell: Cell):
     """The orientation o of the images R in N_sigma of the free rays of a
     cell (those of the shape off the sedentarity, in order) against the
     echelon basis of the span: o = sign det(R at the pivot columns of that
-    basis, which are those of R), +1 for a point.  The images are nonzero,
-    and o is None when they are dependent (more of them than dim)."""
+    basis, the pivots of :func:`_integer_basis`), +1 for a point.  The
+    images are nonzero, and o is None when they are dependent (more of
+    them than dim)."""
     rays = _projected_rays(cell)
     if len(rays) != cell.dim:
         return None
-    n = cell.stratum_rank
-    pivots = range(n) if cell.dim == n else pivot_columns(sparse_rows(rays))
+    pivots, _ = _integer_basis(cell)
     det = _bareiss([[v[j] for j in pivots] for v in rays])
     return 1 if det > 0 else -1
 
@@ -498,16 +503,14 @@ def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
     return b
 
 
-@functools.lru_cache(maxsize=None)
 def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
     """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as the
     sparse integer columns of :func:`~trophodge.exactla.wedge_columns`:
-    the face map of a face pair of cells with these sedentarities, the
-    identity, ((i, 1),) in column i, when they are equal.  This cache is
-    the one store of face maps; the cochain complexes read it per pair."""
-    if sed_small == sed_big:
-        n = sed_small.ambient_rank - sed_small.dim
-        return tuple(((i, 1),) for i in range(math.comb(n, p)))
+    the face map of a face pair of cells with these sedentarities.  When
+    they are equal the projection is the identity, so its wedge is too,
+    ((i, 1),) in column i.  The columns come from the content-keyed store
+    of ``wedge_columns``, which holds the identity blocks once per (rank,
+    p) and any other matrix once however many pairs share it."""
     return wedge_columns(_stratum_projection(sed_small, sed_big), p)
 
 

@@ -37,6 +37,11 @@ replaced is kept as :func:`fraction_feasible`, and the Smith normal form
 test of smoothness that the minors of ``fans.is_smooth`` replaced as
 :func:`smith_is_smooth`.
 
+:func:`wedge_vector` gives the Plucker coordinates of rational vectors,
+each a Fraction minor of the rows cleared of denominators; it is the
+reference for the content-keyed minors of ``exactla.wedge_columns``,
+which production reads for every wedge block and volume element.
+
 :func:`composes_to` multiplies matrices given as rows, for the checks
 that delta and d_1 square to zero and that face maps compose.  The face
 maps between cells of full F_p are :func:`face_map_columns`, dense
@@ -70,6 +75,8 @@ from trophodge.cohomology import CohomologyResult, cochains
 from trophodge.exactla import (
     QSubspace,
     _as_fraction_rows,
+    _bareiss,
+    _cleared,
     _gauss_jordan,
     _rref,
     block_offsets,
@@ -78,7 +85,6 @@ from trophodge.exactla import (
     null_rows,
     smith_normal_form,
     sparse_rank,
-    wedge_vector,
 )
 from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
 from trophodge.tropspace import Cell, TropComplex, _projected_rays, stratum_wedge
@@ -116,6 +122,37 @@ def composes_to(after, before, product=None):
         if {k: x for k, x in acc.items() if x} != {k: x for k, x in want.items() if x}:
             return False
     return True
+
+
+def _integer_rows(rows):
+    """Each row times the positive lcm of its denominators, and their product.
+
+    Scaling rows by positive factors keeps the sign of a determinant and
+    divides its value by the product.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        ints, m = _cleared(row)
+        out.append(ints)
+        scale *= m
+    return out, scale
+
+
+def wedge_vector(vectors, n, p):
+    """Plucker coordinates of v_1 ^ ... ^ v_p in the lex p-subset basis of Q^n.
+
+    They are the p x p minors of the rows v_i, which are cleared of
+    denominators once for all of them; the reference for the columns of
+    ``exactla.wedge_columns``.
+    """
+    if len(vectors) != p:
+        raise ValueError("need exactly p vectors")
+    a, scale = _integer_rows(vectors)
+    return tuple(
+        Fraction(_bareiss([[row[j] for j in cols] for row in a]), scale)
+        for cols in lex_subsets(n, p)
+    )
 
 
 def dense_columns(columns, nrows):

@@ -362,6 +362,20 @@ def test_verify_a_fan_it_cannot_check_exits_4(capsys):
     assert err.count("\n") == 1
 
 
+def test_open_fan_with_no_built_in_completion_exits_4(tmp_path, capsys):
+    """An open fan whose cone is no face of a coordinate orthant has no
+    built-in completion; the error says which fans have one and names the
+    library call that takes a completion, as no CLI command does."""
+    path = tmp_path / "fan.json"
+    fan = {"rank": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
+    path.write_text(json.dumps(fan))
+    code, out, err = run(capsys, "cohomology", "--input", str(path), "--all")
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert "faces of the coordinate orthants" in err
+    assert "tropspace.tautological_complex(fan, structure)" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["fan-validate", "--builtin", "p2", "--input", "FILE"],
     ["cohomology", "--builtin", "p2", "--all", "--p", "0", "--q", "0"],

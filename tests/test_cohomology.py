@@ -375,19 +375,23 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
 def test_p4_delta_is_written_from_blocks_without_face_maps():
     """Every F_p of P^4 is full, so each face map is the identity or a
     stratum wedge, written from one block per pair of sedentarities:
-    building the complex for every p, from an empty ``stratum_wedge``
-    cache, makes that block once per such pair and p, and never per pair
-    of cells."""
+    building the complex for every p, from empty ``_stratum_projection``
+    and ``wedge_columns`` caches, makes one stratum projection per such
+    pair, never one per pair of cells, and reads the 505 (pair, p) blocks
+    from fewer minors, one entry per distinct (matrix content, p)."""
     cx = tropspace.tautological_complex(fans.projective_space(4))
     seds = {
         (cx.cells[c].sedentarity, cx.cells[f].sedentarity)
         for f, c, _ in cx.face_poset()
     }
-    tropspace.stratum_wedge.cache_clear()
+    tropspace._stratum_projection.cache_clear()
+    exactla.wedge_columns.cache_clear()
     for p in range(5):
         build_cochain_complex(cx, p)
     assert len(seds) < len(cx.face_poset())
-    assert tropspace.stratum_wedge.cache_info().misses == 5 * len(seds) == 505
+    assert tropspace._stratum_projection.cache_info().misses == len(seds) == 101
+    minors = exactla.wedge_columns.cache_info()
+    assert minors.misses == minors.currsize == 105 < 5 * len(seds)
     assert betti_table(cx) == diag_table(4, [1, 1, 1, 1, 1])
 
 

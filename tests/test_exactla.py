@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import composes_to, dense_columns
+from oracles import composes_to, dense_columns, wedge_vector
 from trophodge.exactla import (
     QSubspace,
     ZMatrix,
@@ -20,7 +20,6 @@ from trophodge.exactla import (
     smith_normal_form,
     sparse_rank,
     wedge_columns,
-    wedge_vector,
 )
 
 small_int = st.integers(min_value=-6, max_value=6)

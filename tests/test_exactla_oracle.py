@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from oracles import wedge_vector
 from trophodge.exactla import (
     QSubspace,
     ZMatrix,
@@ -15,7 +16,6 @@ from trophodge.exactla import (
     lex_subsets,
     smith_normal_form,
     sparse_rank,
-    wedge_vector,
 )
 
 sympy = pytest.importorskip("sympy")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_fan_digest import moved_zoo
-from trophodge import exactla, fans
+from trophodge import exactla, fans, tropspace
 from trophodge.fans import Cone, Fan, faces, orbit_proj
 
 
@@ -249,6 +249,30 @@ def test_fan_geometry_makes_no_fraction(monkeypatch):
     for fan in built:
         assert fan.is_smooth() and fans.is_complete(fan)
     assert fans.blowup_p2().f_vector() == (1, 4, 4)
+
+
+def test_cell_lattice_path_makes_no_fraction(monkeypatch):
+    """Cell orientations and volume elements run on integers.
+
+    With ``Fraction`` unusable in ``fans`` and ``exactla`` and the cell
+    caches emptied, ``face_poset()`` and ``volume_element`` of every cell
+    succeed on P^4, (P^1)^3 and the complete zoo fans in seeded
+    coordinates.
+    """
+    def no_fraction(*args):
+        raise AssertionError("the cell lattice path made a Fraction")
+
+    moved = [Fan(n, cones) for _, n, cones in moved_zoo()]
+    for cache in (tropspace.volume_element, tropspace._integer_basis,
+                  exactla.wedge_columns):
+        cache.cache_clear()
+    monkeypatch.setattr(fans, "Fraction", no_fraction)
+    monkeypatch.setattr(exactla, "Fraction", no_fraction)
+    for fan in [fans.projective_space(4), fans.orthant_fan(3), *moved]:
+        cx = tropspace.tautological_complex(fan)
+        assert len(cx.face_poset()) > 0
+        for cell in cx.cells:
+            assert any(tropspace.volume_element(cell))
 
 
 _COEFF = st.one_of(

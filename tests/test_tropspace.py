@@ -10,10 +10,11 @@ import sys
 import pytest
 
 import oracles
+from oracles import wedge_vector
 from test_cycles_digest import CUBE_FAN
 from test_fan_digest import moved_zoo
 from trophodge import fans, tropspace, weightss
-from trophodge.exactla import QSubspace, wedge_columns, wedge_vector
+from trophodge.exactla import QSubspace, wedge_columns
 from trophodge.fans import Cone
 from trophodge.tropspace import Cell, TropComplex
 
@@ -444,9 +445,9 @@ def test_integer_geometry_matches_the_fraction_oracle():
 
 def test_stratum_wedge_of_one_sedentarity_is_the_identity():
     """Inside a stratum the face map is the identity, ((i, 1),) in column
-    i: stratum_wedge(s, s, p), which returns it without a stratum
-    projection, equals the wedge of that projection for every sedentarity
-    s and every p of the zoo, P^4 and (P^1)^4."""
+    i: stratum_wedge(s, s, p), the wedge of the stratum projection of s
+    to itself, is that identity for every sedentarity s and every p of
+    the zoo, P^4 and (P^1)^4."""
     named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
     named += [fans.projective_space(4), fans.orthant_fan(4)]
     count = 0

@@ -88,6 +88,22 @@ def test_corrupt_sign_gives_a_nonzero_d1_square():
     assert not all(squares)
 
 
+def test_wedge_columns_are_held_by_matrix_content():
+    """``wedge_columns`` keeps one column tuple per (matrix content, p): two
+    ZMatrix objects with equal entries get the same tuple, and building
+    every d_1 of P^4 again adds no entry to the store."""
+    a = exactla.ZMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
+    b = exactla.ZMatrix.from_rows([(1, 0, -1), (0, 1, -1)])
+    assert a is not b
+    assert exactla.wedge_columns(a, 2) is exactla.wedge_columns(b, 2)
+    fan = fans.projective_space(4)
+    pq = [(p, q) for p in range(5) for q in range(5)]
+    first = [d1(fan, p, q) for p, q in pq]
+    size = exactla.wedge_columns.cache_info().currsize
+    assert [d1(fan, p, q) for p, q in pq] == first
+    assert exactla.wedge_columns.cache_info().currsize == size
+
+
 def test_d1_rejects_nonsmooth():
     sing = fans.Fan(2, [[(1, 0), (1, 2)]])
     with pytest.raises(ValueError):
