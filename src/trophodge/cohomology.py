@@ -203,8 +203,7 @@ def _orbit_data(fan):
         tuple(
             (i, ids[face], _epsilon(face, fan.cones[i]))
             for i in layout[q]
-            for face in fans.faces(fan.cones[i])
-            if face.dim == n - q - 1
+            for face in fan.cones[i].facets()
         )
         for q in range(n)
     )

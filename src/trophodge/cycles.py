@@ -135,9 +135,7 @@ def _balancing_blocks(fan: Fan, codim: int):
         for sigma in fan.cones_of_dim(n - codim - 1)
     }
     for j, tau in enumerate(cols):
-        for sigma in fans.faces(tau):
-            if sigma.dim != tau.dim - 1:
-                continue
+        for sigma in tau.facets():
             img = fans.project(sigma, fans.new_ray(sigma, tau))
             for row, x in zip(blocks[sigma], img):
                 if x:

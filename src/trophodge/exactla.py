@@ -2,8 +2,8 @@
 
 Every cohomology dimension computed by this package is the rank of a
 matrix over Q, and every lattice question (saturation, quotient
-coordinates) is a Smith normal form or, for smoothness, a gcd of minors.
-No floating point anywhere.
+coordinates and their integer section) is one Smith normal form, with
+U^-1, or, for smoothness, a gcd of minors.  No floating point anywhere.
 
 Every rank, reduced row echelon form and kernel comes out of one sparse
 fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan`, on rows
@@ -482,7 +482,9 @@ class ZMatrix:
 
 
 def smith_normal_form(m: ZMatrix):
-    """(U, D, V) with U @ m @ V = D diagonal, U, V unimodular, d_i | d_{i+1}.
+    """(U, D, V, U^-1) with U @ m @ V = D diagonal, U, V unimodular,
+    d_i | d_{i+1}; each row operation on U takes its inverse column
+    operation on U^-1.
 
     Deterministic: the pivot is always the smallest-magnitude nonzero
     entry of the working block, first occurrence in row-major order.
@@ -490,11 +492,14 @@ def smith_normal_form(m: ZMatrix):
     A = [list(row) for row in m.entries]
     R, C = m.rows, m.cols
     U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
+    U_inv = [row[:] for row in U]
     V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for row in U_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -505,6 +510,8 @@ def smith_normal_form(m: ZMatrix):
     def add_row(dst, src, k):
         A[dst] = [a + k * b for a, b in zip(A[dst], A[src])]
         U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
+        for row in U_inv:
+            row[src] -= k * row[dst]
 
     def add_col(dst, src, k):
         for row in A:
@@ -515,6 +522,8 @@ def smith_normal_form(m: ZMatrix):
     def negate_row(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
+        for row in U_inv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(R, C):
@@ -564,9 +573,7 @@ def smith_normal_form(m: ZMatrix):
         if A[t][t] < 0:
             negate_row(t)
         t += 1
-    Um = ZMatrix(R, R, U)
-    Vm = ZMatrix(C, C, V)
-    return Um, ZMatrix(R, C, A), Vm
+    return ZMatrix(R, R, U), ZMatrix(R, C, A), ZMatrix(C, C, V), ZMatrix(R, R, U_inv)
 
 
 def lex_subsets(n, p):

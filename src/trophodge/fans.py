@@ -24,10 +24,15 @@ a checked fan:
   zero there exactly on F, is <= 0 on every ray of the other
   (:func:`_certified`).  Only pairs without this certificate go to
   :func:`feasible`.
+* Every lattice map between torus-orbit strata is made here from one
+  Smith form per nonzero cone (:func:`orbit_frame`): the projection
+  N -> N_sigma and an integer section of it, read by :func:`stratum_map`
+  and :func:`facet_frame`, both cached per pair of cones.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -201,8 +206,10 @@ class Cone:
     def facet_normals(self):
         return _facet_normals(self)
 
+    @functools.lru_cache(maxsize=None)
     def facets(self):
-        # the rays of a facet are the cone's rays on it, in the cone's order
+        # the rays of a facet are the cone's rays on it, in the cone's order;
+        # cached, as every facet walk of the package reads it
         return tuple(
             Cone._canonical(self.ambient_rank, face_rays, self.dim - 1)
             for _, face_rays in self.facet_normals()
@@ -316,50 +323,63 @@ def is_smooth(cone: Cone) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def orbit_proj(cone: Cone) -> ZMatrix:
-    """The map of N onto N_sigma = N / (span(sigma) cap N) in a fixed Z-basis.
+def orbit_frame(cone: Cone) -> tuple:
+    """(proj, section): the map of N onto N_sigma = N / (span(sigma) cap N)
+    in a fixed Z-basis, and an integer right inverse of it.
 
-    It has rank N_sigma rows; they are also the dual Z-basis of
-    M cap sigma-perp, the pairing between the two bases the identity.
+    Both come from the Smith form U @ R @ V = D of the rays as columns:
+    proj is the rows of U past the rank, ``cone.dim``, and the section
+    the same columns of U^-1, so proj @ section = I.
     """
     n = cone.ambient_rank
     if cone.is_zero:
-        return ZMatrix.identity(n)
+        return ZMatrix.identity(n), ZMatrix.identity(n)
     cols = ZMatrix.from_rows(
         [[r[i] for r in cone.rays] for i in range(n)], len(cone.rays)
     )
-    u, d, _ = smith_normal_form(cols)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
-    return ZMatrix.from_rows(u.entries[r:], n)
+    u, _, _, u_inv = smith_normal_form(cols)
+    r = cone.dim
+    return (
+        ZMatrix(n - r, n, u.entries[r:]),
+        ZMatrix(n, n - r, [row[r:] for row in u_inv.entries]),
+    )
+
+
+def orbit_proj(cone: Cone) -> ZMatrix:
+    """The map of N onto N_sigma of :func:`orbit_frame`; its rows are also
+    the dual Z-basis of M cap sigma-perp, the pairing the identity."""
+    return orbit_frame(cone)[0]
 
 
 def project(cone: Cone, vec) -> tuple:
     """The image of a vector of N in N_sigma: its pairings with the rows of
     ``orbit_proj(cone)``, the basis of M cap sigma-perp."""
     return tuple(
-        sum(a * x for a, x in zip(m, vec)) for m in orbit_proj(cone).entries
+        sum(a * x for a, x in zip(m, vec)) for m in orbit_frame(cone)[0].entries
     )
 
 
 @functools.lru_cache(maxsize=None)
-def proj_section(cone: Cone) -> ZMatrix:
-    """An integer right inverse of ``orbit_proj(cone)``.
+def stratum_map(small: Cone, big: Cone) -> ZMatrix:
+    """Integer matrix b of N_small -> N_big, for small a face of big.
 
-    proj is onto N_sigma, so its Smith form U @ proj @ V is [I 0] and
-    V[:, :k] @ U is a right inverse.
+    It is the b with b @ proj_small = proj_big, so b = proj_big @
+    section_small, integral; a pair that is not nested raises ValueError.
     """
-    proj = orbit_proj(cone)
-    u, _, v = smith_normal_form(proj)
-    k = proj.rows
-    return ZMatrix(v.rows, k, [row[:k] for row in v.entries]) @ u
+    p1, section = orbit_frame(small)
+    p2 = orbit_frame(big)[0]
+    b = p2 @ section
+    if b @ p1 != p2:
+        raise ValueError("stratum projections are not nested")
+    return b
 
 
 @functools.lru_cache(maxsize=None)
 def facet_frame(face: Cone, cone: Cone):
     """(rho-bar, L^T) of a facet of a cone: the image in N_face of a ray
     rho of the cone off the face, and a ZMatrix whose rows, one per
-    coordinate of N_cone, are the columns L of ``proj_section(cone)``
-    projected to N_face.
+    coordinate of N_cone, are the columns L of the section of
+    ``orbit_frame(cone)`` projected to N_face.
 
     rho-bar spans the kernel of the stratum map N_face -> N_cone over Q,
     and L lifts a basis of N_cone, so together they are a basis of
@@ -367,7 +387,7 @@ def facet_frame(face: Cone, cone: Cone):
     side of the face, so any of them gives rho-bar up to a positive factor.
     """
     rho = next(r for r in cone.rays if r not in face.rays)
-    section = proj_section(cone)
+    section = orbit_frame(cone)[1]
     lifts = [project(face, v) for v in zip(*section.entries)]
     rho_bar = project(face, rho)
     return rho_bar, ZMatrix(section.cols, len(rho_bar), lifts)
@@ -510,20 +530,13 @@ def _intersection_inside_face(n, c1, c2, face):
 
 
 def is_complete(fan: Fan) -> bool:
-    """Support equals N_R: pure top-dimensional with paired interior walls."""
+    """Support equals N_R: pure top-dimensional with paired interior walls,
+    each wall a facet of exactly two maximal cones."""
     n = fan.ambient_rank
-    if n == 0:
-        return True
-    top = fan.cones_of_dim(n)
-    if not top:
-        return False
     if any(c.dim != n for c in fan.maximal_cones):
         return False
-    for wall in fan.cones_of_dim(n - 1):
-        count = sum(1 for c in top if wall in face_set(c))
-        if count != 2:
-            return False
-    return True
+    walls = collections.Counter(f for c in fan.maximal_cones for f in c.facets())
+    return all(count == 2 for count in walls.values())
 
 
 def star_subdivision(fan: Fan, ray) -> Fan:

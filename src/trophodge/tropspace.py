@@ -30,12 +30,11 @@ codim-1 face of a cell either keeps its sedentarity and drops a free ray
 from the shape (a face in its stratum), or keeps the shape and moves a
 free ray into the sedentarity (a face at infinity): at most 2 dim
 lookups per cell of a simplicial shape.  A shape that is not simplicial
-takes its facets, and its faces one dimension above the sedentarity,
-from ``fans.faces``.  Closure under faces, full-dimensional stratum
-cofaces, the cover of each stratum and boundary closedness all follow
-from the codim-1 faces, since the face poset of a cell is graded.  The
-span basis of a cell, the image of each ray in each N_sigma, and the
-stratum projections N_sigma1 -> N_sigma2 with their wedge powers are
+takes its facets from ``Cone.facets``, and its faces one dimension above
+the sedentarity from ``fans.faces``.  Closure under faces, full-dimensional
+stratum cofaces, the cover of each stratum and boundary closedness all
+follow from the codim-1 faces, since the face poset of a cell is graded.
+The span basis of a cell and the image of each ray in each N_sigma are
 cached like the cone data of :mod:`trophodge.fans`.
 
 Each cell is oriented by the RREF basis of its span.  When the projected
@@ -49,19 +48,19 @@ cell of dependent projected rays takes the determinant of
 :meth:`TropComplex._incidence_sign`.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
-rays (``fans.project``), the stratum maps proj2 @ ``fans.proj_section``
-(integral because each projection N -> N_sigma is onto) and their wedge
+rays (``fans.project``), the stratum maps ``fans.stratum_map`` (integral
+because each projection N -> N_sigma is onto) and their wedge
 powers (``exactla.wedge_columns``, shared with d_1 in
 :mod:`trophodge.weightss`) are computed in ints, and every Plucker
 coordinate and orientation is an integer determinant.  Since every F_p
 has the identity basis, every face map is integral: :func:`stratum_wedge`
 of the two sedentarities, the identity inside a stratum, in the sparse
 column form of ``wedge_columns``.  It holds nothing itself: the stratum
-projection is cached per cone pair and its wedge by matrix content in
-``wedge_columns``, the one store of minors, which the volume elements
-also read for the maximal minors of a cell basis.  The orientation of a
-cell and its volume element read the pivots and rows of one cached
-integer basis of its span.
+map is cached per cone pair in :mod:`trophodge.fans`, its wedge by matrix
+content in ``wedge_columns``, the one store of minors, which the volume
+elements also read for the maximal minors of a cell basis.  The
+orientation of a cell and its volume element read the pivots and rows of
+one cached integer basis of its span.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from trophodge.exactla import (
     sparse_rows,
     wedge_columns,
 )
-from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
+from trophodge.fans import Cone, Fan, face_set, faces
 from trophodge.record import Record
 
 
@@ -241,13 +240,13 @@ class TropComplex:
                 yield False, (s, t ^ bit)
                 yield True, (s | bit, t)
             return
+        for facet in tau.facets():
+            m = self._mask(facet)
+            if not s & ~m:
+                yield False, (s, m)
         for face in faces(tau):
             m = self._mask(face)
-            if s & ~m:
-                continue
-            if face.dim == tau.dim - 1:
-                yield False, (s, m)
-            if face.dim == sed.dim + 1:
+            if face.dim == sed.dim + 1 and not s & ~m:
                 yield True, (m, t)
 
     def face_poset(self):
@@ -384,7 +383,7 @@ class TropComplex:
         else:
             new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
             vecs = [fans.project(sed, _ray_sum(new_rays))]
-            b = _stratum_projection(sed, face.sedentarity).entries
+            b = fans.stratum_map(sed, face.sedentarity).entries
             b_rows = [
                 [sum(x * y for x, y in zip(b[i], v)) for v in basis]
                 for i in _integer_basis(face)[0]
@@ -488,21 +487,6 @@ def _integer_basis(cell: Cell) -> tuple:
     return tuple(next(j for j, x in enumerate(v) if x) for v in basis), basis
 
 
-@functools.lru_cache(maxsize=None)
-def _stratum_projection(sed_small: Cone, sed_big: Cone) -> ZMatrix:
-    """Integer matrix b of N_{sigma1} -> N_{sigma2}, sigma1 a face of sigma2.
-
-    It is the b with b @ proj1 = proj2; that b is integral, because proj1
-    is onto, so b = proj2 @ (a right inverse of proj1).
-    """
-    p1 = orbit_proj(sed_small)
-    p2 = orbit_proj(sed_big)
-    b = p2 @ fans.proj_section(sed_small)
-    if b @ p1 != p2:
-        raise ValueError("stratum projections are not nested")
-    return b
-
-
 def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
     """wedge^p of the stratum projection N_{sigma1} -> N_{sigma2}, as the
     sparse integer columns of :func:`~trophodge.exactla.wedge_columns`:
@@ -511,7 +495,7 @@ def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:
     ((i, 1),) in column i.  The columns come from the content-keyed store
     of ``wedge_columns``, which holds the identity blocks once per (rank,
     p) and any other matrix once however many pairs share it."""
-    return wedge_columns(_stratum_projection(sed_small, sed_big), p)
+    return wedge_columns(fans.stratum_map(sed_small, sed_big), p)
 
 
 def tautological_complex(fan: Fan, structure: Fan | None = None) -> TropComplex:

@@ -6,10 +6,10 @@ the rows of ``orbit_proj(sigma)``, a basis of M_sigma.  d_1 is the
 Gersten residue.  For tau = sigma + rho, the contraction with the
 image rho-bar of rho in N_sigma lands in wedge^{k-1} M_tau, since it
 squares to zero, and any left inverse of the inclusion M_tau -> M_sigma
-reads off its coordinates there.  r^T with r = proj_sigma @
-proj_section(tau) is one: b @ r = I for the stratum map b.  So each
-block is wedge^{k-1}(r^T) . i_{rho-bar}, in integers, with no splitting
-m0 with <m0, rho> = 1 to choose.
+reads off its coordinates there.  r^T with r = proj_sigma @ section_tau,
+the section of ``fans.orbit_frame(tau)``, is one: b @ r = I for the
+stratum map b.  So each block is wedge^{k-1}(r^T) . i_{rho-bar}, in
+integers, with no splitting m0 with <m0, rho> = 1 to choose.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from trophodge.exactla import (
     sparse_rank,
     wedge_columns,
 )
-from trophodge.fans import Fan, faces
+from trophodge.fans import Fan
 from trophodge.record import Record
 
 
@@ -102,9 +102,7 @@ def d1(fan: Fan, p: int, q: int) -> tuple:
     # anticommute), so the combinatorial sign is trivial; a position-based
     # sign would double instead of cancel.
     for tau, _ in dst:
-        for sigma in faces(tau):
-            if sigma.dim != p:
-                continue
+        for sigma in tau.facets():
             rho_bar, r_t = fans.facet_frame(sigma, tau)
             wedge = wedge_columns(r_t, k - 1)
             r0, c0 = roff[tau], coff[sigma]

@@ -49,6 +49,32 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fan-validate"], "need --builtin or --input"),
+    (["fan-validate", "--input", "{bad}"], "cannot parse"),
+    (["cohomology", "--builtin", "p2", "--p", "1"], "need --p and --q, or --all"),
+    (["chow", "--builtin", "p2"], "need --codim or --all"),
+    (["chow", "--builtin", "p2", "--codim", "3"], "codim must lie in 0..n"),
+    (["subdivide", "--builtin", "p2"], "need --ray a,b,..."),
+    (["subdivide", "--builtin", "p2", "--ray", "1,x"],
+     "ray must be a comma-separated integer vector"),
+    (["verify"], "need --builtin or --all-builtins"),
+], ids=[
+    "no-fan", "unparsable-json", "p-without-q", "chow-without-codim",
+    "codim-out-of-range", "subdivide-without-ray", "non-integer-ray",
+    "verify-without-fan",
+])
+def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rank": 2,')
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "x.tsv"
     code, out, err = run(

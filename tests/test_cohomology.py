@@ -375,7 +375,7 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
 def test_p4_delta_is_written_from_blocks_without_face_maps():
     """Every F_p of P^4 is full, so each face map is the identity or a
     stratum wedge, written from one block per pair of sedentarities:
-    building the complex for every p, from empty ``_stratum_projection``
+    building the complex for every p, from empty ``fans.stratum_map``
     and ``wedge_columns`` caches, makes one stratum projection per such
     pair, never one per pair of cells, and reads the 505 (pair, p) blocks
     from fewer minors, one entry per distinct (matrix content, p)."""
@@ -384,12 +384,12 @@ def test_p4_delta_is_written_from_blocks_without_face_maps():
         (cx.cells[c].sedentarity, cx.cells[f].sedentarity)
         for f, c, _ in cx.face_poset()
     }
-    tropspace._stratum_projection.cache_clear()
+    fans.stratum_map.cache_clear()
     exactla.wedge_columns.cache_clear()
     for p in range(5):
         build_cochain_complex(cx, p)
     assert len(seds) < len(cx.face_poset())
-    assert tropspace._stratum_projection.cache_info().misses == len(seds) == 101
+    assert fans.stratum_map.cache_info().misses == len(seds) == 101
     minors = exactla.wedge_columns.cache_info()
     assert minors.misses == minors.currsize == 105 < 5 * len(seds)
     assert betti_table(cx) == diag_table(4, [1, 1, 1, 1, 1])

@@ -113,7 +113,8 @@ def test_snf_example_diag_2_3():
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=2, max_size=4))
 def test_snf_transform_and_divisibility(rows):
     m = ZMatrix.from_rows(rows, 3)
-    u, d, v = smith_normal_form(m)
+    u, d, v, u_inv = smith_normal_form(m)
+    assert u @ u_inv == ZMatrix.identity(m.rows)
     prod = u @ m @ v
     assert prod.entries == d.entries
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]

@@ -269,8 +269,9 @@ smith_entries = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-10**6, 10
     ))))
 def test_smith_normal_form_diagonal_matches_sympy_invariant_factors(rows):
     m = ZMatrix.from_rows(rows)
-    u, d, v = smith_normal_form(m)
+    u, d, v, u_inv = smith_normal_form(m)
     assert u @ m @ v == d
+    assert u @ u_inv == ZMatrix.identity(m.rows)
     assert not any(x for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
     diagonal = tuple(d.entries[i][i] for i in range(min(m.rows, m.cols)))
     factors = normalforms.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)

@@ -114,6 +114,55 @@ def test_orbit_lattice_rank_identity():
         assert orbit_proj(c).rows + c.dim == fan.ambient_rank
 
 
+def test_orbit_frames_and_stratum_maps_commute():
+    """The section of each orbit frame is a right inverse of its
+    projection, and the stratum map of each face pair carries the smaller
+    cone's projection to the larger one's, on the complete zoo fans in
+    seeded coordinates, P^4 and (P^1)^4."""
+    named = [Fan(n, cones) for _, n, cones in moved_zoo()]
+    named += [fans.projective_space(4), fans.orthant_fan(4)]
+    pairs = 0
+    for fan in named:
+        for big in fan.cones:
+            proj, section = fans.orbit_frame(big)
+            assert proj == orbit_proj(big)
+            assert proj @ section == exactla.ZMatrix.identity(proj.rows)
+            for small in faces(big):
+                assert fans.stratum_map(small, big) @ orbit_proj(small) == proj
+                pairs += 1
+    assert pairs == 1200
+
+
+def test_stratum_map_rejects_cones_that_are_not_nested():
+    with pytest.raises(ValueError, match="not nested"):
+        fans.stratum_map(Cone(2, [(1, 0)]), Cone(2, []))
+
+
+def test_facet_normals_of_a_cone_with_dependent_ray_subsets():
+    """The cone over the join of a square and a segment: its four square
+    rays span only 3 dimensions, so some 4-subsets of its rays are
+    dependent and are skipped.  Each normal is >= 0 on the rays and zero
+    exactly on its facet."""
+    square = [(a, b, 0, 0, 1) for a in (1, -1) for b in (1, -1)]
+    cone = Cone(5, square + [(0, 0, 1, 0, 1), (0, 0, 0, 1, 1)])
+    assert cone.dim == 5 and Cone(5, square).dim == 3
+    normals = cone.facet_normals()
+    assert [len(facet) for _, facet in normals] == [4, 5, 5, 4, 4, 4]
+    for normal, facet in normals:
+        for ray in cone.rays:
+            value = sum(a * x for a, x in zip(normal, ray))
+            assert value >= 0 and (value == 0) == (ray in facet)
+    assert Fan(5, [cone]).f_vector() == (1, 6, 13, 13, 6, 1)
+
+
+@pytest.mark.parametrize("fan, complete", [
+    (Fan(2, [[(1, 0), (0, 1)], [(-1, -1)]]), False),
+    (fans.torus(0), True),
+], ids=["maximal-ray-below-full-dimension", "torus(0)"])
+def test_is_complete_edge_cases(fan, complete):
+    assert fans.is_complete(fan) is complete
+
+
 def test_fan_rejects_overlapping_cones():
     with pytest.raises(ValueError):
         Fan(2, [[(1, 0), (0, 1)], [(1, 1), (1, -1)]])
@@ -238,7 +287,8 @@ def test_fan_geometry_makes_no_fraction(monkeypatch):
         raise AssertionError("the fan geometry made a Fraction")
 
     moved = moved_zoo()
-    for cache in (fans.faces, fans.face_set, fans._facet_normals, fans.orthant_fan):
+    for cache in (fans.faces, fans.face_set, fans._facet_normals, Cone.facets,
+                  fans.orthant_fan):
         cache.cache_clear()
     monkeypatch.setattr(fans, "Fraction", no_fraction)
     monkeypatch.setattr(exactla, "Fraction", no_fraction)

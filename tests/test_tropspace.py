@@ -374,6 +374,17 @@ def test_validation_rejects_bad_intersections():
         TropComplex(t2, cells)
 
 
+def test_validation_rejects_a_missing_face_in_a_stratum():
+    """P^2's tautological cells without the open edge on (1, 0): the two
+    open 2-cells through that ray lose a face in their stratum."""
+    p2 = fans.builtin("p2")
+    edge = Cell(Cone(2, []), Cone(2, [(1, 0)]))
+    cells = [c for c in tropspace.tautological_complex(p2).cells if c != edge]
+    assert len(cells) == 18
+    with pytest.raises(ValueError, match="complex is not closed under faces"):
+        TropComplex(p2, cells)
+
+
 def test_refined_complex_reproduces_tautological():
     p2 = fans.builtin("p2")
     assert (
@@ -457,7 +468,7 @@ def test_stratum_wedge_of_one_sedentarity_is_the_identity():
             for p in range(n + 1):
                 identity = tuple(((i, 1),) for i in range(math.comb(n, p)))
                 assert tropspace.stratum_wedge(sigma, sigma, p) == identity
-                projection = tropspace._stratum_projection(sigma, sigma)
+                projection = fans.stratum_map(sigma, sigma)
                 assert wedge_columns(projection, p) == identity
                 count += 1
     assert count == 501
