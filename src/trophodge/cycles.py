@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from trophodge import cohomology, fans, weightss
-from trophodge.exactla import QSubspace, null_rows
+from trophodge.exactla import QSubspace, sparse_rank
 from trophodge.fans import Cone, Fan, orbit_proj
 from trophodge.tropspace import Cell, TropComplex, volume_element
 
@@ -162,18 +162,26 @@ def is_balanced(mw: MinkowskiWeight) -> bool:
     return not balancing_check(mw)
 
 
-def chow_space(fan: Fan, codim: int) -> QSubspace:
-    """Balanced weight vectors, indexed by the codim-``codim`` cones."""
+def _chow_system(fan: Fan, codim: int):
+    """(balancing rows, number of codim-``codim`` cones) of a smooth
+    complete fan, whose kernel is the Chow group in that codimension."""
     if not fan.is_smooth():
         raise ValueError("Chow groups via weights need a smooth fan")
     if not fans.is_complete(fan):
         raise ValueError("Chow groups via weights need a complete fan")
     blocks, cols = _balancing_blocks(fan, codim)
-    return QSubspace.kernel([row for _, block in blocks for row in block], len(cols))
+    return [row for _, block in blocks for row in block], len(cols)
+
+
+def chow_space(fan: Fan, codim: int) -> QSubspace:
+    """Balanced weight vectors, indexed by the codim-``codim`` cones."""
+    return QSubspace.kernel(*_chow_system(fan, codim))
 
 
 def chow_dim(fan: Fan, codim: int) -> int:
-    return chow_space(fan, codim).dim
+    """The dimension of ``chow_space`` by rank-nullity, with no back-solve."""
+    rows, ncols = _chow_system(fan, codim)
+    return ncols - sparse_rank(rows)
 
 
 class TropCycle:
@@ -320,6 +328,9 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
     sum of boundary divisor cycles in degree (n-1, n-1).  Its kernel is
     the projection to the ray weights of the null space of [D | delta^T],
     D with one divisor cycle per column, written as sparse rows over C^d.
+    With the ray columns first, the RREF rows of that null space
+    (``QSubspace.kernel``) whose pivots are ray columns, cut to those
+    columns, are the RREF of the projection; the others vanish there.
     """
     cx = weightss.trop_complex_for(fan)
     n = fan.ambient_rank
@@ -337,10 +348,9 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
     for j, row in enumerate(bnd):
         for i, x in row.items():
             ext[i][len(rays) + j] = x
-    ker = null_rows(ext, len(rays) + len(bnd))
-    return QSubspace.span(
-        [[v.get(r, 0) for r in range(len(rays))] for v in ker], len(rays)
-    )
+    k = len(rays)
+    ker = QSubspace.kernel(ext, k + len(bnd))
+    return QSubspace(k, [v[:k] for v in ker.basis if any(v[:k])])
 
 
 def divisor_combination(cx: TropComplex, ray_weights) -> TropCycle:

@@ -11,30 +11,31 @@ stored as {column: entry} dicts, the one matrix form of the package.
 Each input row, with int or Fraction entries, is scaled once to a
 primitive integer row; a row is cleared at a pivot row P as
 a * row - b * P with the smallest integers a and b that cancel the
-entry, then divided by its content.  Fractions are made only where an
-integer row is divided by one of its entries: a reduced row by its
-pivot, for unit pivots (:func:`_rref`, so an RREF or a kernel,
-:meth:`QSubspace.kernel`), and a cohomology representative by its entry
-at its free column (:func:`_solve_free`).  A rank makes none, and
-neither does :func:`integer_rref`, the same RREF as primitive integer
-rows.  :func:`homology_quotient` needs d_out @ d_in = 0, as for two
-consecutive differentials of one complex: it reads the RREF of ker + im
-off one forward elimination of d_out with rightmost pivots and
-back-solves only the rows it returns.  The differentials of the
+entry, then divided by its content.  A rank is the forward pass alone
+(:func:`sparse_rank`); the RREF of a span also clears each row at the
+pivots below it (``reduce``: :func:`integer_rref`, :func:`_rref`); every
+kernel is one forward pass with the columns reversed plus a back-solve
+per free column, its RREF as primitive integer rows
+(:func:`_kernel_rows`).  Fractions are made only where such a row is
+divided by its pivot, in :func:`_over_pivot`: for :func:`_rref`,
+:meth:`QSubspace.kernel` and the representatives of
+:func:`homology_quotient`, which needs d_out @ d_in = 0, as for two
+consecutive differentials of one complex, and back-solves only the
+kernel rows off the pivots of im d_in.  The differentials of the
 package, delta of the cochain complex and d_1 of the weight spectral
-sequence, are written as such integer rows and reach
-:func:`sparse_rank` and, for delta, :func:`homology_quotient` directly.
-:class:`QMatrix` is only a dense view of such rows, for the benchmark's
-counts.  Every determinant (an entry of a wedge power, an orientation
-sign) comes out of :func:`_bareiss`: fraction-free Bareiss elimination
-on integer rows.  Both cores clear the denominators
-of a row by the same positive factor, :func:`_cleared`.  A wedge power
-has one block form, the sparse columns of :func:`wedge_columns`: each
-column the (row index, nonzero minor) pairs.  Its cache, keyed by the
-content of the matrix (a :class:`ZMatrix` hashes its rows, cols and
-entries) and p, is the one store of minors: both differentials, the
-smoothness test and the volume elements of cells read it, and a matrix
-that many cone pairs share is expanded once.
+sequence, are written as such integer rows and reach :func:`sparse_rank`
+and, for delta, :func:`homology_quotient` directly.  :class:`QMatrix` is
+only a dense view of such rows, for the benchmark's counts.  Every
+determinant (an entry of a wedge power, an orientation sign) comes out
+of :func:`_bareiss`: fraction-free Bareiss elimination on integer rows.
+Both cores clear the denominators of a row by the same positive factor,
+:func:`_cleared`.  A wedge power has one block form, the sparse columns
+of :func:`wedge_columns`: each column the (row index, nonzero minor)
+pairs.  Its cache, keyed by the content of the matrix (a
+:class:`ZMatrix` hashes its rows, cols and entries) and p, is the one
+store of minors: both differentials, the smoothness test and the volume
+elements of cells read it, and a matrix that many cone pairs share is
+expanded once.
 """
 
 from __future__ import annotations
@@ -137,69 +138,36 @@ def _gauss_jordan(rows, reduce):
     return pivots
 
 
+def _over_pivot(row):
+    """A dense integer row divided by its pivot, its first nonzero entry,
+    as a tuple of Fraction: the one place the elimination makes them."""
+    v = next(x for x in row if x)
+    zero = Fraction(0)
+    return tuple(Fraction(x, v) if x else zero for x in row)
+
+
 def _rref(rows, ncols):
     """Reduced row echelon form over Q of sparse rows (as for sparse_rank).
 
     Returns (pivots, reduced_rows) with unit pivots; rows are dense tuples
-    of Fraction.  Each integer row of :func:`_gauss_jordan` is divided by
-    its pivot entry here, the one place the elimination makes Fractions.
+    of Fraction, the rows of :func:`integer_rref` divided by their pivots.
     """
-    pivots = _gauss_jordan(rows, reduce=True)
-    cols = sorted(pivots)
-    zero, one = Fraction(0), Fraction(1)
-    red = []
-    for c in cols:
-        row = pivots[c]
-        v = row[c]
-        dense = [zero] * ncols
-        for j, x in row.items():
-            dense[j] = Fraction(x, v)
-        dense[c] = one
-        red.append(tuple(dense))
-    return cols, red
+    red = [_over_pivot(row) for row in integer_rref(rows, ncols)]
+    return [next(j for j, x in enumerate(row) if x) for row in red], red
 
 
 def integer_rref(rows, ncols):
     """The reduced row echelon form of sparse rows, as integer rows.
 
-    Each dense tuple is the unit-pivot row of :func:`_rref` times the
-    positive lcm of its denominators: the primitive row of
-    :func:`_gauss_jordan` with its pivot entry made positive.  No Fraction
-    is made.
+    Each dense tuple is a reduced row of :func:`_gauss_jordan`, primitive,
+    with its pivot entry made positive: the RREF row times the positive
+    lcm of its denominators.  No Fraction is made.
     """
     out = []
     for c, row in sorted(_gauss_jordan(rows, reduce=True).items()):
         s = 1 if row[c] > 0 else -1
         out.append(tuple(s * row.get(j, 0) for j in range(ncols)))
     return out
-
-
-def null_rows(rows, ncols):
-    """The canonical basis of the right null space of sparse rows.
-
-    ``rows`` are {column: entry} dicts over ``ncols`` columns, which
-    :func:`_gauss_jordan` reduces.  For each free column f the vector is
-    e_f minus the entries at column f of the unit-pivot rows, as a sparse
-    integer row scaled by the lcm of their pivot entries; the basis is
-    not itself reduced.
-    """
-    pivots = _gauss_jordan(rows, reduce=True)
-    at = {}
-    for c, row in pivots.items():
-        for j, x in row.items():
-            if j != c:
-                at.setdefault(j, []).append((c, x, row[c]))
-    rows = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        terms = at.get(f, ())
-        m = math.lcm(*(v for _, _, v in terms))
-        row = {f: m}
-        for c, x, v in terms:
-            row[c] = -x * (m // v)
-        rows.append(row)
-    return rows
 
 
 class QMatrix:
@@ -292,10 +260,10 @@ class QSubspace:
     def kernel(cls, rows, ncols):
         """The right null space of {column: entry} rows over ``ncols`` columns.
 
-        Its basis is the RREF of the canonical null vectors
-        (:func:`null_rows`); with no rows it is the whole of Q^ncols.
+        Its basis is the RREF rows of :func:`_kernel_rows`, each divided by
+        its pivot entry; with no rows it is the whole of Q^ncols.
         """
-        return cls(ncols, _rref(null_rows(rows, ncols), ncols)[1])
+        return cls(ncols, [_over_pivot(row) for row in _kernel_rows(rows, ncols)])
 
     @classmethod
     @functools.lru_cache(maxsize=None)
@@ -348,20 +316,10 @@ def homology_quotient(out_rows, ncols, in_rows):
     delta_{q-1} of one cochain complex; this is not checked.  The image is
     read off ``in_rows`` by a sparse transpose; empty rows and zero
     entries are skipped.  The result is the reduced basis of the vectors
-    of ker d_out that vanish at the pivot columns of im: the rows of its
-    RREF at the other pivots, as dense tuples of Fraction, one per
-    dimension of the homology at the middle space.
-
-    Those rows come from one forward elimination of d_out with its columns
-    reversed, so that its pivots are the rightmost ones.  A column f is
-    free there iff column f of d_out is a combination of the columns right
-    of it, that is iff some vector of the kernel has its first nonzero
-    entry at f: the free columns are exactly the pivots of the RREF of the
-    kernel.  The RREF row at a free column f is the one kernel vector that
-    is 1 at f and 0 at the other free columns; it is back-solved from the
-    echelon rows (:func:`_solve_free`) only for the f that are not pivots
-    of im.  The image pivots come from the forward pass over the columns
-    of d_in alone.
+    of ker d_out that vanish at the pivot columns of im: the RREF rows of
+    the kernel (:func:`_kernel_rows`) at the other columns, the only ones
+    back-solved, as dense tuples of Fraction, one per dimension of the
+    homology at the middle space.
     """
     columns = {}
     for i, row in enumerate(in_rows or ()):
@@ -369,31 +327,53 @@ def homology_quotient(out_rows, ncols, in_rows):
             if x:
                 columns.setdefault(j, {})[i] = x
     image_pivots = _gauss_jordan([columns[j] for j in sorted(columns)], reduce=False)
+    return tuple(
+        _over_pivot(row) for row in _kernel_rows(out_rows, ncols, skip=image_pivots)
+    )
+
+
+def _kernel_rows(rows, ncols, skip=()):
+    """The RREF of the right null space of sparse rows, as integer rows.
+
+    ``rows`` are {column: entry} dicts over ``ncols`` columns.  They are
+    eliminated once, by the forward pass of :func:`_gauss_jordan` with
+    their columns reversed, so that its pivots are the rightmost ones.  A
+    column f is free there iff column f of the rows is a combination of
+    the columns right of it, that is iff some kernel vector has its first
+    nonzero entry at f: the free columns are exactly the pivots of the
+    RREF of the kernel.  The RREF row at a free column f is the one kernel
+    vector that is 1 at f and 0 at the other free columns; it is
+    back-solved from the echelon rows (:func:`_solve_free`) for each free
+    column not in ``skip``.  Each comes back as a dense tuple of ints, the
+    RREF row times the positive lcm of its denominators: primitive, with
+    a positive pivot.  No Fraction is made.
+    """
     last = ncols - 1
     echelon = _gauss_jordan(
-        [{last - j: x for j, x in row.items()} for row in out_rows], reduce=False
+        [{last - j: x for j, x in row.items()} for row in rows], reduce=False
     )
     order = sorted(echelon, reverse=True)
-    return tuple(
-        _solve_free(echelon, order, last - f, ncols)
-        for f in range(ncols)
-        if last - f not in echelon and f not in image_pivots
-    )
+    out = []
+    for f in range(ncols):
+        if last - f in echelon or f in skip:
+            continue
+        y = _solve_free(echelon, order, last - f)
+        g = math.gcd(*y.values())
+        out.append(tuple(y.get(last - j, 0) // g for j in range(ncols)))
+    return out
 
 
-def _solve_free(echelon, order, f, ncols):
-    """The vector of ker d_out that is 1 at the free column f and 0 at the
-    other free columns, as a dense tuple of Fraction over the original
-    columns.
+def _solve_free(echelon, order, f):
+    """The kernel vector that is 1 at the free column f and 0 at the other
+    free columns, as an integer vector y over the denominator y[f] > 0.
 
-    ``echelon`` is the forward pass of :func:`_gauss_jordan` on the rows
-    of d_out with columns reversed, ``order`` its pivot columns in
-    decreasing order, and f a free column in the same reversed order.  The pivots
-    right of f stay 0; each pivot c < f, from the right, is solved from
-    its row, whose other entries lie right of c.  The solution is kept as
-    an integer vector y over the positive denominator y[f], which grows
-    only where a pivot entry does not divide; the Fractions of the result
-    are made here, where y is divided by y[f].
+    ``echelon`` is the forward pass of :func:`_gauss_jordan` on rows with
+    their columns reversed, ``order`` its pivot columns in decreasing
+    order, and f a free column in the same reversed order; y is a
+    {column: entry} dict in that order.  The pivots right of f stay 0;
+    each pivot c < f, from the right, is solved from its row, whose other
+    entries lie right of c.  y[f] grows only where a pivot entry does not
+    divide.
     """
     y = {f: 1}
     for c in order:
@@ -410,11 +390,7 @@ def _solve_free(echelon, order, f, ncols):
             for j in y:
                 y[j] *= a
         y[c] = -(a * s) // v
-    last, denom = ncols - 1, y[f]
-    dense = [Fraction(0)] * ncols
-    for j, x in y.items():
-        dense[last - j] = Fraction(x, denom)
-    return tuple(dense)
+    return y
 
 
 def block_offsets(layout):

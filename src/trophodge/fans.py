@@ -10,11 +10,13 @@ a checked fan:
   pointed and has every ray extremal, so only dependent rays are checked
   by elimination.
 * Facet normals come from the (d-1)-subsets of the rays: the first RREF
-  row of a subset's null space (:func:`~trophodge.exactla.integer_rref`,
-  primitive with a positive pivot) that has one sign on the cone.  The
-  same rows for the null space of all the rays cut out the span of the
-  cone in :func:`_cone_system`, and ``Cone.contains`` is a rank test
-  plus integer normal evaluations.
+  row of a subset's null space that has one sign on the cone.  The rows
+  come from one reversed-column elimination of the subset and a
+  back-solve per free column (:func:`~trophodge.exactla._kernel_rows`),
+  as primitive integer rows with positive pivots.  The same rows for
+  the null space of all the rays cut out the span of the cone in
+  :func:`_cone_system`, and ``Cone.contains`` is a rank test plus
+  integer normal evaluations.
 * :func:`feasible` decides emptiness of a polyhedral system by
   substitution and Fourier-Motzkin elimination on primitive integer
   rows, with positive multipliers and each new row divided by its
@@ -42,8 +44,7 @@ from fractions import Fraction
 from trophodge.exactla import (
     ZMatrix,
     _cleared,
-    integer_rref,
-    null_rows,
+    _kernel_rows,
     smith_normal_form,
     sparse_rank,
     sparse_rows,
@@ -143,9 +144,9 @@ def _rank(vectors) -> int:
 
 
 def _perp_rows(vectors, n):
-    """The RREF basis of the null space of the vectors, as primitive
-    integer rows: the lcm-scaled basis of ``QSubspace.kernel``."""
-    return integer_rref(null_rows(sparse_rows(vectors), n), n)
+    """The RREF basis of the null space of the vectors, as the primitive
+    integer rows with positive pivots of ``exactla._kernel_rows``."""
+    return _kernel_rows(sparse_rows(vectors), n)
 
 
 def _dot(u, v):

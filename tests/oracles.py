@@ -82,7 +82,6 @@ from trophodge.exactla import (
     block_offsets,
     ZMatrix,
     lex_subsets,
-    null_rows,
     smith_normal_form,
     sparse_rank,
 )
@@ -165,6 +164,36 @@ def dense_columns(columns, nrows):
             dense[i] = x
         out.append(tuple(dense))
     return tuple(out)
+
+
+def null_rows(rows, ncols):
+    """The canonical basis of the right null space of sparse rows.
+
+    ``rows`` are {column: entry} dicts over ``ncols`` columns, which the
+    reduced pass of ``exactla._gauss_jordan`` eliminates.  For each free
+    column f the vector is e_f minus the entries at column f of the
+    unit-pivot rows, as a sparse integer row scaled by the lcm of their
+    pivot entries; the basis is not itself reduced.  The reference for
+    the kernels of ``exactla._kernel_rows``, which reverse the columns
+    and back-solve instead.
+    """
+    pivots = _gauss_jordan(rows, reduce=True)
+    at = {}
+    for c, row in pivots.items():
+        for j, x in row.items():
+            if j != c:
+                at.setdefault(j, []).append((c, x, row[c]))
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        terms = at.get(f, ())
+        m = math.lcm(*(v for _, _, v in terms))
+        row = {f: m}
+        for c, x, v in terms:
+            row[c] = -x * (m // v)
+        out.append(row)
+    return out
 
 
 def homology_quotient(out_rows, ncols, in_rows):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import cells_of_dim
-from trophodge import cohomology, cycles, fans
+from trophodge import cohomology, cycles, exactla, fans
 from trophodge.cycles import (
     MinkowskiWeight,
     balancing_check,
@@ -24,6 +24,8 @@ from trophodge.cycles import (
     weight_from_json,
     weight_to_json,
 )
+from trophodge.exactla import QSubspace
+from trophodge.fans import Cone
 from trophodge.weightss import trop_complex_for
 
 SURFACES = [
@@ -146,8 +148,6 @@ def test_p1xp1_kernels():
     fan = fans.builtin("p1xp1")
     report = numerical_kernel_check(fan)
     assert report["pass"]
-    from trophodge.exactla import QSubspace
-
     expected = QSubspace.span([[1, 0, 0, -1], [0, 1, -1, 0]], 4)
     assert report["numerical"] == expected
     assert divisor_class_kernel(fan) == expected
@@ -158,6 +158,60 @@ def test_kernels_agree_on_all_surfaces():
         report = numerical_kernel_check(fans.builtin(name))
         assert report["pass"], name
         assert report["homological"].dim == 2, name
+
+
+@pytest.mark.parametrize(
+    "name", ["p3", "p1xp1xp1", "projective_space(4)", "p1xp1xp1xp1"]
+)
+def test_divisor_kernel_is_spanned_by_the_principal_divisors(name):
+    """Above rank 2 the null-homologous ray weights are the principal
+    divisors: the span of div(e_i) for the n unit characters."""
+    fan = fans.builtin(name)
+    n = fan.ambient_rank
+    principal = [
+        principal_divisor_weights(fan, [int(i == j) for j in range(n)])
+        for i in range(n)
+    ]
+    kernel = divisor_class_kernel(fan)
+    assert kernel.dim == n
+    assert kernel == QSubspace.span(principal, len(fan.rays))
+
+
+def test_every_kernel_is_one_reversed_column_pass(monkeypatch):
+    """``QSubspace.kernel``, ``fans._perp_rows``, ``chow_space`` and
+    ``divisor_class_kernel`` take no reduced elimination
+    (``_gauss_jordan(reduce=True)``): each kernel is one forward pass with
+    the columns reversed plus a back-solve per free column.
+
+    The cell complexes are built first, since the cell spans are RREFs of
+    spans (``integer_rref``), which do reduce; the fans are built afresh
+    under the wrapper, so their facet normals and cone systems run there.
+    """
+    surfaces = [fans.builtin(name) for name in ("p2", "hirzebruch(1)")]
+    for fan in surfaces:
+        divisor_class_kernel(fan)
+    calls = []
+    real = exactla._gauss_jordan
+
+    def recording(rows, reduce):
+        calls.append(reduce)
+        return real(rows, reduce)
+
+    for cache in (fans.faces, fans.face_set, fans._facet_normals, Cone.facets):
+        cache.cache_clear()
+    monkeypatch.setattr(exactla, "_gauss_jordan", recording)
+    assert QSubspace.kernel([{0: 2, 1: 4}], 3).basis == (
+        (1, Fraction(-1, 2), 0), (0, 0, 1)
+    )
+    assert fans._perp_rows([(2, 4, 0)], 3) == [(2, -1, 0), (0, 0, 1)]
+    for name in ("p3", "p1xp1xp1"):
+        fan = fans.Fan(3, [c.rays for c in fans.builtin(name).maximal_cones])
+        assert [cycles.chow_space(fan, c).dim for c in range(4)] == [
+            chow_dim(fan, c) for c in range(4)
+        ]
+    for fan in surfaces:
+        assert divisor_class_kernel(fan).dim == 2
+    assert calls and not any(calls)
 
 
 def test_pairing_invariant_under_coboundary():

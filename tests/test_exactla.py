@@ -13,6 +13,7 @@ from trophodge.exactla import (
     QSubspace,
     ZMatrix,
     _bareiss,
+    _kernel_rows,
     _rref,
     homology_quotient,
     integer_rref,
@@ -86,17 +87,48 @@ def test_sparse_rank_matches_dense(rows):
     assert sparse_rank(fractions) == sparse_rank([dict(enumerate(r)) for r in rows])
 
 
+def lcm_scaled(red):
+    """Each Fraction row times the positive lcm of its denominators."""
+    out = []
+    for row in red:
+        m = math.lcm(*(x.denominator for x in row))
+        out.append(tuple(int(x * m) for x in row))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_integer_rref_is_the_lcm_scaled_rref(rows):
     _, red = _rref(sparse(rows), len(rows[0]))
-    scaled = []
-    for row in red:
-        m = 1
-        for x in row:
-            m = m * x.denominator // math.gcd(m, x.denominator)
-        scaled.append(tuple(int(x * m) for x in row))
-    assert integer_rref(sparse(rows), len(rows[0])) == scaled
+    assert integer_rref(sparse(rows), len(rows[0])) == lcm_scaled(red)
+
+
+def kernel_cases():
+    """(ncols, rows) with ncols 0-7 and up to five {column: entry} rows,
+    among them empty rows, all-zero rows and rows that keep zero entries."""
+    def rows(n):
+        dense = st.lists(small_int, min_size=n, max_size=n)
+        row = st.one_of(
+            st.just({}),
+            st.just(dict.fromkeys(range(n), 0)),
+            dense.map(lambda r: dict(enumerate(r))),
+            dense.map(lambda r: sparse([r])[0]),
+        )
+        return st.tuples(st.just(n), st.lists(row, max_size=5))
+
+    return st.integers(0, 7).flatmap(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_rows_are_the_lcm_scaled_rref_of_the_null_rows(case):
+    """The kernel of the reversed-column pass is the RREF of the reference
+    null space, as primitive integer rows with positive pivots."""
+    ncols, rows = case
+    got = _kernel_rows(rows, ncols)
+    for row in got:
+        assert next(x for x in row if x) > 0 and math.gcd(*row) == 1
+    assert got == lcm_scaled(_rref(oracles.null_rows(rows, ncols), ncols)[1])
 
 
 def test_rank_nullity():
@@ -387,13 +419,15 @@ def test_only_exactla_and_cohomology_bind_qmatrix():
 def test_no_module_reads_another_modules_private_names():
     """Each decision is kept in one module: no trophodge module imports or
     reads an ``_``-prefixed name of another, except the exact kernels
-    ``exactla._bareiss`` and ``exactla._cleared``."""
+    ``exactla._bareiss``, ``exactla._cleared`` and ``exactla._kernel_rows``."""
     import ast
     import pathlib
 
     import trophodge
 
-    allowed = {("exactla", "_bareiss"), ("exactla", "_cleared")}
+    allowed = {
+        ("exactla", "_bareiss"), ("exactla", "_cleared"), ("exactla", "_kernel_rows")
+    }
     found = []
     for path in sorted(pathlib.Path(trophodge.__path__[0]).glob("*.py")):
         tree = ast.parse(path.read_text())
