@@ -6,28 +6,29 @@ coordinates and their integer section) is one Smith normal form, with
 U^-1, or, for smoothness, a gcd of minors.  No floating point anywhere.
 
 Every rank, reduced row echelon form and kernel comes out of one sparse
-fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan`, on rows
+fraction-free forward elimination, :func:`_gauss_jordan`, on rows
 stored as {column: entry} dicts, the one matrix form of the package.
 Each input row, with int or Fraction entries, is scaled once to a
 primitive integer row; a row is cleared at a pivot row P as
 a * row - b * P with the smallest integers a and b that cancel the
-entry, then divided by its content.  A rank is the forward pass alone
-(:func:`sparse_rank`); the RREF of a span also clears each row at the
-pivots below it (``reduce``: :func:`integer_rref`, :func:`_rref`); every
-kernel is one forward pass with the columns reversed plus a back-solve
-per free column, its RREF as primitive integer rows
-(:func:`_kernel_rows`).  Fractions are made only where such a row is
-divided by its pivot, in :func:`_over_pivot`: for :func:`_rref`,
-:meth:`QSubspace.kernel` and the representatives of
-:func:`homology_quotient`, which needs d_out @ d_in = 0, as for two
-consecutive differentials of one complex, and back-solves only the
-kernel rows off the pivots of im d_in.  The differentials of the
-package, delta of the cochain complex and d_1 of the weight spectral
-sequence, are written as such integer rows and reach :func:`sparse_rank`
-and, for delta, :func:`homology_quotient` directly.  :class:`QMatrix` is
-only a dense view of such rows, for the benchmark's counts.  Every
-determinant (an entry of a wedge power, an orientation sign) comes out
-of :func:`_bareiss`: fraction-free Bareiss elimination on integer rows.
+entry, then divided by its content.  A rank is that pass alone
+(:func:`sparse_rank`); every kernel is one pass with the columns
+reversed plus a back-solve per free column, its RREF as primitive
+integer rows, yielded one at a time (:func:`_kernel_rows`).  No pass
+reduces above its pivots: the RREF of a span is the kernel of its
+annihilator (:meth:`QSubspace.span`), two such kernels.  Fractions are
+made only where such a row is divided by its pivot, in
+:func:`_over_pivot`: for :meth:`QSubspace.kernel` and the
+representatives of :func:`homology_quotient`, which needs
+d_out @ d_in = 0, as for two consecutive differentials of one complex,
+and back-solves only the kernel rows off the pivots of im d_in.  The
+differentials of the package, delta of the cochain complex and d_1 of
+the weight spectral sequence, are written as such integer rows and
+reach :func:`sparse_rank` and, for delta, :func:`homology_quotient`
+directly.  :class:`QMatrix` is only a dense view of such rows, for the
+benchmark's counts.  Every determinant (an entry of a wedge power, an
+orientation sign, a volume element) comes out of :func:`_bareiss`:
+fraction-free Bareiss elimination on integer rows.
 Both cores clear the denominators of a row by the same positive factor,
 :func:`_cleared`.  A wedge power has one block form, the sparse columns
 of :func:`wedge_columns`: each column the (row index, nonzero minor)
@@ -101,8 +102,8 @@ def _combine(row, c, pivot_row):
             row[j] //= g
 
 
-def _gauss_jordan(rows, reduce):
-    """The one exact elimination: sparse fraction-free Gauss-Jordan.
+def _gauss_jordan(rows):
+    """The one exact elimination: a sparse fraction-free forward pass.
 
     ``rows`` is a sequence of {column: entry} dicts, the entries ints or
     Fractions; it is not modified.  Each row is first scaled to a
@@ -115,11 +116,8 @@ def _gauss_jordan(rows, reduce):
     over Q with unit pivots would hold, and the pivots are the greedy
     leftmost columns, which are those of the reduced row echelon form.
 
-    Returns {pivot column: primitive integer row}.  With ``reduce`` each
-    row is also cleared, the same way, at the pivot columns of the rows
-    below it, so the rows are those of the reduced row echelon form up to
-    a nonzero factor each; without it they stay echelon.  No Fraction is
-    made here.
+    Returns {pivot column: primitive integer row}, in echelon form.  No
+    Fraction is made here.
     """
     pivots = {}
     for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
@@ -130,11 +128,6 @@ def _gauss_jordan(rows, reduce):
                 pivots[c] = row
                 break
             _combine(row, c, pivots[c])
-    if reduce:
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            for j in [j for j in row if j != c and j in pivots]:
-                _combine(row, j, pivots[j])
     return pivots
 
 
@@ -144,30 +137,6 @@ def _over_pivot(row):
     v = next(x for x in row if x)
     zero = Fraction(0)
     return tuple(Fraction(x, v) if x else zero for x in row)
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q of sparse rows (as for sparse_rank).
-
-    Returns (pivots, reduced_rows) with unit pivots; rows are dense tuples
-    of Fraction, the rows of :func:`integer_rref` divided by their pivots.
-    """
-    red = [_over_pivot(row) for row in integer_rref(rows, ncols)]
-    return [next(j for j, x in enumerate(row) if x) for row in red], red
-
-
-def integer_rref(rows, ncols):
-    """The reduced row echelon form of sparse rows, as integer rows.
-
-    Each dense tuple is a reduced row of :func:`_gauss_jordan`, primitive,
-    with its pivot entry made positive: the RREF row times the positive
-    lcm of its denominators.  No Fraction is made.
-    """
-    out = []
-    for c, row in sorted(_gauss_jordan(rows, reduce=True).items()):
-        s = 1 if row[c] > 0 else -1
-        out.append(tuple(s * row.get(j, 0) for j in range(ncols)))
-    return out
 
 
 class QMatrix:
@@ -251,10 +220,12 @@ class QSubspace:
 
     @classmethod
     def span(cls, vectors, ambient_dim):
-        vectors = _as_fraction_rows(vectors)
+        """The span of dense vectors of length ``ambient_dim``: the kernel
+        of its annihilator, both from :func:`_kernel_rows`."""
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length mismatch")
-        return cls(ambient_dim, _rref(sparse_rows(vectors), ambient_dim)[1])
+        perp = sparse_rows(_kernel_rows(sparse_rows(vectors), ambient_dim))
+        return cls.kernel(perp, ambient_dim)
 
     @classmethod
     def kernel(cls, rows, ncols):
@@ -303,7 +274,7 @@ def sparse_rank(rows) -> int:
     forward pass of :func:`_gauss_jordan` alone, without
     back-substitution, so on integer rows it makes no Fraction.
     """
-    return len(_gauss_jordan(rows, reduce=False))
+    return len(_gauss_jordan(rows))
 
 
 def homology_quotient(out_rows, ncols, in_rows):
@@ -326,7 +297,7 @@ def homology_quotient(out_rows, ncols, in_rows):
         for j, x in row.items():
             if x:
                 columns.setdefault(j, {})[i] = x
-    image_pivots = _gauss_jordan([columns[j] for j in sorted(columns)], reduce=False)
+    image_pivots = _gauss_jordan([columns[j] for j in sorted(columns)])
     return tuple(
         _over_pivot(row) for row in _kernel_rows(out_rows, ncols, skip=image_pivots)
     )
@@ -344,23 +315,21 @@ def _kernel_rows(rows, ncols, skip=()):
     RREF of the kernel.  The RREF row at a free column f is the one kernel
     vector that is 1 at f and 0 at the other free columns; it is
     back-solved from the echelon rows (:func:`_solve_free`) for each free
-    column not in ``skip``.  Each comes back as a dense tuple of ints, the
-    RREF row times the positive lcm of its denominators: primitive, with
-    a positive pivot.  No Fraction is made.
+    column not in ``skip``, only when the caller asks for it: the rows are
+    yielded one at a time, in pivot order, so a caller that stops early
+    back-solves no further.  Each is a dense tuple of ints, the RREF row
+    times the positive lcm of its denominators: primitive, with a positive
+    pivot.  No Fraction is made.
     """
     last = ncols - 1
-    echelon = _gauss_jordan(
-        [{last - j: x for j, x in row.items()} for row in rows], reduce=False
-    )
+    echelon = _gauss_jordan([{last - j: x for j, x in row.items()} for row in rows])
     order = sorted(echelon, reverse=True)
-    out = []
     for f in range(ncols):
         if last - f in echelon or f in skip:
             continue
         y = _solve_free(echelon, order, last - f)
         g = math.gcd(*y.values())
-        out.append(tuple(y.get(last - j, 0) // g for j in range(ncols)))
-    return out
+        yield tuple(y.get(last - j, 0) // g for j in range(ncols))
 
 
 def _solve_free(echelon, order, f):

@@ -34,18 +34,23 @@ takes its facets from ``Cone.facets``, and its faces one dimension above
 the sedentarity from ``fans.faces``.  Closure under faces, full-dimensional
 stratum cofaces, the cover of each stratum and boundary closedness all
 follow from the codim-1 faces, since the face poset of a cell is graded.
-The span basis of a cell and the image of each ray in each N_sigma are
-cached like the cone data of :mod:`trophodge.fans`.
+The image of each ray in each N_sigma is cached like the cone data of
+:mod:`trophodge.fans`.
 
-Each cell is oriented by the RREF basis of its span.  When the projected
-rays R of a cell c are independent, as for every cell of a simplicial
-fan, its orientation o(c) = sign det(R at the pivot columns of that
-basis) is taken once, +1 for a point.  A codim-1 face f of c drops one
-ray r of R, at position k, and keeps the rest in order; its sign is
--(-1)^k o(f) o(c) inside a stratum, f = (sigma, tau minus r), and
-(-1)^k o(f) o(c) across strata, f = (sigma + r, tau).  Only a pair with a
-cell of dependent projected rays takes the determinant of
-:meth:`TropComplex._incidence_sign`.
+Each cell is oriented by the maximal minors of its projected rays R
+alone, read in the lex order of their column subsets; the first nonzero
+one sits at the pivot columns of the RREF of R, so this is the
+orientation of the echelon basis of the span, with no elimination.
+When R is independent, as for every cell of a simplicial fan, its
+orientation o(c) is the sign of that first nonzero minor, taken once,
++1 for a point.  A codim-1 face f of c drops one ray r of R, at
+position k, and keeps the rest in order; its sign is -(-1)^k o(f) o(c)
+inside a stratum, f = (sigma, tau minus r), and (-1)^k o(f) o(c) across
+strata, f = (sigma + r, tau).  Only a pair with a cell of dependent
+projected rays takes :meth:`TropComplex._incidence_sign`, which reads
+the volume elements of the two cells: the primitive row of maximal
+minors of R, or of its first independent subset, signed so that its
+first nonzero entry is positive.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays (``fans.project``), the stratum maps ``fans.stratum_map`` (integral
@@ -58,26 +63,17 @@ of the two sedentarities, the identity inside a stratum, in the sparse
 column form of ``wedge_columns``.  It holds nothing itself: the stratum
 map is cached per cone pair in :mod:`trophodge.fans`, its wedge by matrix
 content in ``wedge_columns``, the one store of minors, which the volume
-elements also read for the maximal minors of a cell basis.  The
-orientation of a cell and its volume element read the pivots and rows of
-one cached integer basis of its span.
+elements also read for the maximal minors of the projected rays.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from trophodge import fans
-from trophodge.exactla import (
-    QSubspace,
-    ZMatrix,
-    _bareiss,
-    integer_rref,
-    sparse_rank,
-    sparse_rows,
-    wedge_columns,
-)
+from trophodge.exactla import QSubspace, ZMatrix, _bareiss, lex_subsets, wedge_columns
 from trophodge.fans import Cone, Fan, face_set, faces
 from trophodge.record import Record
 
@@ -353,48 +349,44 @@ class TropComplex:
     def _incidence_sign(self, face, coface):
         """Sign of the coface orientation against (outward vector, face).
 
-        :meth:`face_poset` takes this determinant only for a pair with a
-        cell of dependent projected rays; on any other pair it equals the
-        sign :func:`_pair_sign` reads off the two cell orientations.
+        :meth:`face_poset` takes this sign only for a pair with a cell of
+        dependent projected rays; on any other pair it equals the sign
+        :func:`_pair_sign` reads off the two cell orientations.
 
-        Each cell is oriented by the RREF basis of its span.  Within a
-        stratum the rows are the coordinates, in the coface basis, of the
-        outward vector (minus the sum of the coface rays off the face) and
-        of the face basis: their entries at the coface pivots.  Across
-        strata the first row is the coordinate vector y of the sum of the
-        new sedentarity rays, which the stratum map b kills; row i + 1
-        holds, for each coface basis vector, b[i] at the i-th face pivot
-        applied to it.  With X the coordinates of lifts of the face basis,
-        the determinant is |y|^2 / det(y; X), so its sign is that of the
-        lifted frame, with no lift computed.  Every row is in ints: the
-        face basis vectors and the columns are scaled by the positive
-        factors of :func:`_integer_basis`, which keeps the sign.  The
-        vectors read at the coface pivots must lie in the coface span: one
-        ``sparse_rank`` of the basis with them checks it, else ValueError.
+        Each cell is oriented by its :func:`volume_element`.  Within a
+        stratum the outward vector u is minus the sum of the coface rays
+        off the face, and the sign is that of u ^ vol(face) against
+        vol(coface).  Across strata y, the sum of the new sedentarity
+        rays, is killed by the stratum map b; contracting vol(coface) =
+        c y ^ X, X lifts of the face frame, by the covector <y, .> and
+        applying wedge^(k-1) b leaves c |y|^2 b(X), so the sign is that
+        of wedge^(k-1) b (iota_y vol(coface)) against vol(face), with the
+        wedge from :func:`stratum_wedge`.  Both vectors are integral; they
+        must be parallel and nonzero, else ValueError.
         """
-        pivots, basis = _integer_basis(coface)
-        scales = [v[c] for v, c in zip(basis, pivots)]
-        sed = coface.sedentarity
+        sed, k = coface.sedentarity, coface.dim
+        n = coface.stratum_rank
         if face.sedentarity == sed:
             off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
-            vecs = [[-x for x in fans.project(sed, _ray_sum(off_face))]]
-            vecs += _integer_basis(face)[1]
-            b_rows = []
+            u = [-x for x in fans.project(sed, _ray_sum(off_face))]
+            got = _wedge(u, volume_element(face), n, k - 1)
+            want = volume_element(coface)
         else:
             new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
-            vecs = [fans.project(sed, _ray_sum(new_rays))]
-            b = fans.stratum_map(sed, face.sedentarity).entries
-            b_rows = [
-                [sum(x * y for x, y in zip(b[i], v)) for v in basis]
-                for i in _integer_basis(face)[0]
-            ]
-        if sparse_rank(sparse_rows([*basis, *vecs])) > len(pivots):
-            raise ValueError("orientation vector leaves the coface span")
-        rows = [[m * vec[c] for m, c in zip(scales, pivots)] for vec in vecs]
-        det = _bareiss((rows + b_rows)[:len(pivots)])
-        if det == 0:
+            y = fans.project(sed, _ray_sum(new_rays))
+            inner = _contract(y, volume_element(coface), n, k)
+            want = volume_element(face)
+            got = [0] * len(want)
+            for x, col in zip(inner, stratum_wedge(sed, face.sedentarity, k - 1)):
+                if x:
+                    for i, m in col:
+                        got[i] += m * x
+        if not any(got):
             raise ValueError("degenerate incidence orientation")
-        return 1 if det > 0 else -1
+        j = next(i for i, x in enumerate(want) if x)
+        if any(a * want[j] != b * got[j] for a, b in zip(got, want)):
+            raise ValueError("orientation vector leaves the coface span")
+        return 1 if got[j] * want[j] > 0 else -1
 
     # -- validation ---------------------------------------------------
 
@@ -412,32 +404,36 @@ class TropComplex:
 
 @functools.lru_cache(maxsize=None)
 def volume_element(cell: Cell):
-    """Primitive generator of wedge^dim of the cell span, oriented by the
-    echelon basis of the span, as :meth:`TropComplex._incidence_sign` is.
+    """Primitive generator of wedge^dim of the cell span, in the lex basis
+    of wedge^dim N_sigma, with its first nonzero entry positive.
 
-    The rows of :func:`_integer_basis` are positive integer multiples of
-    that basis, so their wedge, the one row of the maximal minors that
-    ``wedge_columns`` holds for the basis matrix, is an integral positive
-    multiple of its wedge.  It is computed once per cell."""
-    _, basis = _integer_basis(cell)
-    m = ZMatrix(len(basis), cell.stratum_rank, basis)
-    minors = wedge_columns(m, m.rows)
-    return fans.primitive([col[0][1] if col else 0 for col in minors])
+    It is the primitive row of maximal minors of the projected rays R
+    (``wedge_columns``), or, when R is dependent, of the first subset of
+    them that is independent: every such subset spans the cell.  On
+    independent R its sign is :func:`_orientation`.  It is computed once
+    per cell."""
+    rays = _projected_rays(cell)
+    minors = wedge_columns(ZMatrix(len(rays), cell.stratum_rank, rays), cell.dim)
+    first = min(col[0][0] for col in minors if col)
+    vol = fans.primitive([dict(col).get(first, 0) for col in minors])
+    return vol if next(x for x in vol if x) > 0 else tuple(-x for x in vol)
 
 
 def _orientation(cell: Cell):
     """The orientation o of the images R in N_sigma of the free rays of a
-    cell (those of the shape off the sedentarity, in order) against the
-    echelon basis of the span: o = sign det(R at the pivot columns of that
-    basis, the pivots of :func:`_integer_basis`), +1 for a point.  The
+    cell (those of the shape off the sedentarity, in order): the sign of
+    the first nonzero maximal minor of R, its column subsets in lex
+    order, +1 for a point.  That subset is the pivot set of the RREF of
+    R, so o is the sign of R against the echelon basis of the span.  The
     images are nonzero, and o is None when they are dependent (more of
     them than dim)."""
     rays = _projected_rays(cell)
     if len(rays) != cell.dim:
         return None
-    pivots, _ = _integer_basis(cell)
-    det = _bareiss([[v[j] for j in pivots] for v in rays])
-    return 1 if det > 0 else -1
+    for cols in itertools.combinations(range(cell.stratum_rank), len(rays)):
+        det = _bareiss([[v[j] for j in cols] for v in rays])
+        if det:
+            return 1 if det > 0 else -1
 
 
 def _pair_sign(o_f, o_c, face_key, coface_key):
@@ -476,15 +472,31 @@ def _projected_rays(cell: Cell) -> tuple:
 _project = functools.lru_cache(maxsize=None)(fans.project)
 
 
-@functools.lru_cache(maxsize=None)
-def _integer_basis(cell: Cell) -> tuple:
-    """(pivots, basis) of the cell span: the ``integer_rref`` rows of the
-    projected rays (the identity on a full span) and their pivot columns."""
-    n = cell.stratum_rank
-    if cell.dim == n:
-        return tuple(range(n)), ZMatrix.identity(n).entries
-    basis = tuple(integer_rref(sparse_rows(_projected_rays(cell)), n))
-    return tuple(next(j for j, x in enumerate(v) if x) for v in basis), basis
+def _wedge(u, w, n, p):
+    """u ^ w in the lex basis of wedge^(p+1) Z^n, for u in Z^n and w in
+    the lex basis of wedge^p Z^n."""
+    index = {s: i for i, s in enumerate(lex_subsets(n, p + 1))}
+    out = [0] * len(index)
+    for t, x in zip(lex_subsets(n, p), w):
+        if x:
+            for r in range(n):
+                if u[r] and r not in t:
+                    j = sum(1 for i in t if i < r)
+                    out[index[t[:j] + (r,) + t[j:]]] += (-1) ** j * u[r] * x
+    return out
+
+
+def _contract(y, v, n, p):
+    """The contraction of v in the lex basis of wedge^p Z^n by the
+    covector <y, .>, in the lex basis of wedge^(p-1) Z^n."""
+    index = {t: i for i, t in enumerate(lex_subsets(n, p - 1))}
+    out = [0] * len(index)
+    for s, x in zip(lex_subsets(n, p), v):
+        if x:
+            for j, r in enumerate(s):
+                if y[r]:
+                    out[index[s[:j] + s[j + 1:]]] += (-1) ** j * y[r] * x
+    return out
 
 
 def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:

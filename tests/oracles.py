@@ -49,11 +49,17 @@ columns (:func:`dense_columns` of the sparse ``stratum_wedge``), and
 :func:`coordinates` reads a vector in the echelon basis of a
 ``QSubspace``; no production path needs either.
 
-:func:`homology_quotient` is the reference for
-``exactla.homology_quotient``: the RREF of ker d_out + im d_in from the
-canonical null vectors of d_out and the columns of d_in, by a second
-full reduced elimination, which the one forward elimination of the
-production path replaced.
+:func:`_rref` is a textbook Gauss-Jordan elimination on dense Fraction
+rows, the reference for every kernel and span of ``exactla``, which
+keeps only a forward elimination.  :func:`homology_quotient` is the
+reference for ``exactla.homology_quotient``: the RREF of
+ker d_out + im d_in from the canonical null vectors of d_out
+(:func:`null_rows`) and the columns of d_in, by a second full reduced
+elimination, which the one forward elimination of the production path
+replaced.  The cell orientations and volume elements that
+``tropspace`` reads off the minors of the projected rays are kept
+as :func:`rref_orientation` and :func:`rref_volume_element`, read off
+the RREF basis of the cell span (:func:`cell_span`).
 
 The negative control of the E_2 = tropical check is a d_1 with one block
 sign flipped: :func:`flip_first_d1_block` wraps a d_1, and
@@ -78,12 +84,12 @@ from trophodge.exactla import (
     _bareiss,
     _cleared,
     _gauss_jordan,
-    _rref,
     block_offsets,
     ZMatrix,
     lex_subsets,
     smith_normal_form,
     sparse_rank,
+    sparse_rows,
 )
 from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
 from trophodge.tropspace import Cell, TropComplex, _projected_rays, stratum_wedge
@@ -166,32 +172,50 @@ def dense_columns(columns, nrows):
     return tuple(out)
 
 
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q of sparse rows, by textbook
+    Gauss-Jordan elimination on dense Fraction rows.
+
+    ``rows`` are {column: entry} dicts over ``ncols`` columns.  Returns
+    (pivots, reduced_rows): the pivot columns in increasing order and the
+    nonzero rows, dense tuples of Fraction with unit pivots.  It shares
+    no step with ``exactla``, whose kernels and spans it checks.
+    """
+    work = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        v = work[r][c]
+        top = work[r] = [x / v for x in work[r]]
+        for other in work:
+            if other is not top and other[c]:
+                f = other[c]
+                other[:] = [a - f * b for a, b in zip(other, top)]
+        pivots.append(c)
+    return pivots, [tuple(row) for row in work[:len(pivots)]]
+
+
 def null_rows(rows, ncols):
     """The canonical basis of the right null space of sparse rows.
 
-    ``rows`` are {column: entry} dicts over ``ncols`` columns, which the
-    reduced pass of ``exactla._gauss_jordan`` eliminates.  For each free
-    column f the vector is e_f minus the entries at column f of the
-    unit-pivot rows, as a sparse integer row scaled by the lcm of their
-    pivot entries; the basis is not itself reduced.  The reference for
+    ``rows`` are {column: entry} dicts over ``ncols`` columns, which
+    :func:`_rref` reduces.  For each free column f the vector is e_f
+    minus the entries at column f of the unit-pivot rows, as a sparse
+    row of Fractions; the basis is not itself reduced.  The reference for
     the kernels of ``exactla._kernel_rows``, which reverse the columns
     and back-solve instead.
     """
-    pivots = _gauss_jordan(rows, reduce=True)
-    at = {}
-    for c, row in pivots.items():
-        for j, x in row.items():
-            if j != c:
-                at.setdefault(j, []).append((c, x, row[c]))
+    pivots, red = _rref(rows, ncols)
     out = []
     for f in range(ncols):
         if f in pivots:
             continue
-        terms = at.get(f, ())
-        m = math.lcm(*(v for _, _, v in terms))
-        row = {f: m}
-        for c, x, v in terms:
-            row[c] = -x * (m // v)
+        row = {c: -v[f] for c, v in zip(pivots, red) if v[f]}
+        row[f] = Fraction(1)
         out.append(row)
     return out
 
@@ -212,7 +236,7 @@ def homology_quotient(out_rows, ncols, in_rows):
             if x:
                 columns.setdefault(j, {})[i] = x
     image = [columns[j] for j in sorted(columns)]
-    image_pivots = _gauss_jordan(image, reduce=False)
+    image_pivots = _gauss_jordan(image)
     pivots, red = _rref(image + kernel, ncols)
     return tuple(r for c, r in zip(pivots, red) if c not in image_pivots)
 
@@ -467,7 +491,30 @@ def face_map_columns(cx: TropComplex, face, coface, p):
 
 def cell_span(cell) -> QSubspace:
     """The Q-span of a cell in N_sigma, by the RREF of its projected rays."""
-    return QSubspace.span(_projected_rays(cell), cell.stratum_rank)
+    n = cell.stratum_rank
+    return QSubspace(n, _rref(sparse_rows(_projected_rays(cell)), n)[1])
+
+
+def rref_orientation(cell):
+    """The orientation of a cell against the RREF basis of its span: the
+    sign of the determinant of its projected rays at the pivot columns,
+    +1 for a point, None when the rays are dependent.  The reference for
+    ``tropspace._orientation``, which reads the first nonzero maximal
+    minor instead."""
+    rays = _projected_rays(cell)
+    if len(rays) != cell.dim:
+        return None
+    det = _bareiss([[v[j] for j in cell_span(cell).pivots] for v in rays])
+    return 1 if det > 0 else -1
+
+
+def rref_volume_element(cell):
+    """The primitive integer multiple of the wedge of the RREF basis of the
+    cell span.  The reference for ``tropspace.volume_element``, which reads
+    the maximal minors of the projected rays instead."""
+    basis = cell_span(cell).basis
+    wedge, _ = _cleared(wedge_vector(basis, cell.stratum_rank, len(basis)))
+    return fans.primitive(wedge)
 
 
 def _put(rows, r0, c0, block, sign):

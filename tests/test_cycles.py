@@ -25,7 +25,6 @@ from trophodge.cycles import (
     weight_to_json,
 )
 from trophodge.exactla import QSubspace
-from trophodge.fans import Cone
 from trophodge.weightss import trop_complex_for
 
 SURFACES = [
@@ -179,39 +178,43 @@ def test_divisor_kernel_is_spanned_by_the_principal_divisors(name):
 
 def test_every_kernel_is_one_reversed_column_pass(monkeypatch):
     """``QSubspace.kernel``, ``fans._perp_rows``, ``chow_space`` and
-    ``divisor_class_kernel`` take no reduced elimination
-    (``_gauss_jordan(reduce=True)``): each kernel is one forward pass with
-    the columns reversed plus a back-solve per free column.
+    ``divisor_class_kernel`` each take one pass of the elimination
+    (``exactla._gauss_jordan``), on the rows with their columns reversed,
+    plus a back-solve per free column.
 
-    The cell complexes are built first, since the cell spans are RREFs of
-    spans (``integer_rref``), which do reduce; the fans are built afresh
-    under the wrapper, so their facet normals and cone systems run there.
+    The fans, their balancing systems and the cochains of the surfaces
+    are built first, so that only the kernels run under the wrapper.
     """
     surfaces = [fans.builtin(name) for name in ("p2", "hirzebruch(1)")]
+    solids = [fans.Fan(3, [c.rays for c in fans.builtin(name).maximal_cones])
+              for name in ("p3", "p1xp1xp1")]
+    dims = {(fan, c): chow_dim(fan, c) for fan in solids for c in range(4)}
     for fan in surfaces:
         divisor_class_kernel(fan)
     calls = []
     real = exactla._gauss_jordan
 
-    def recording(rows, reduce):
-        calls.append(reduce)
-        return real(rows, reduce)
+    def recording(rows):
+        calls.append(rows)
+        return real(rows)
 
-    for cache in (fans.faces, fans.face_set, fans._facet_normals, Cone.facets):
-        cache.cache_clear()
+    def passes(f, *args):
+        calls.clear()
+        return f(*args), len(calls)
+
     monkeypatch.setattr(exactla, "_gauss_jordan", recording)
-    assert QSubspace.kernel([{0: 2, 1: 4}], 3).basis == (
-        (1, Fraction(-1, 2), 0), (0, 0, 1)
+    kernel, n = passes(QSubspace.kernel, [{0: 2, 1: 4}], 3)
+    assert kernel.basis == ((1, Fraction(-1, 2), 0), (0, 0, 1))
+    assert (calls, n) == ([[{2: 2, 1: 4}]], 1)
+    assert passes(lambda: list(fans._perp_rows([(2, 4, 0)], 3))) == (
+        [(2, -1, 0), (0, 0, 1)], 1
     )
-    assert fans._perp_rows([(2, 4, 0)], 3) == [(2, -1, 0), (0, 0, 1)]
-    for name in ("p3", "p1xp1xp1"):
-        fan = fans.Fan(3, [c.rays for c in fans.builtin(name).maximal_cones])
-        assert [cycles.chow_space(fan, c).dim for c in range(4)] == [
-            chow_dim(fan, c) for c in range(4)
-        ]
+    for (fan, c), dim in dims.items():
+        space, n = passes(cycles.chow_space, fan, c)
+        assert (space.dim, n) == (dim, 1)
     for fan in surfaces:
-        assert divisor_class_kernel(fan).dim == 2
-    assert calls and not any(calls)
+        kernel, n = passes(divisor_class_kernel, fan)
+        assert (kernel.dim, n) == (2, 1)
 
 
 def test_pairing_invariant_under_coboundary():

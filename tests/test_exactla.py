@@ -8,15 +8,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import composes_to, dense_columns, wedge_vector
+from oracles import _rref, composes_to, dense_columns, wedge_vector
 from trophodge.exactla import (
     QSubspace,
     ZMatrix,
     _bareiss,
     _kernel_rows,
-    _rref,
     homology_quotient,
-    integer_rref,
     lex_subsets,
     smith_normal_form,
     sparse_rank,
@@ -98,9 +96,15 @@ def lcm_scaled(red):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
-def test_integer_rref_is_the_lcm_scaled_rref(rows):
-    _, red = _rref(sparse(rows), len(rows[0]))
-    assert integer_rref(sparse(rows), len(rows[0])) == lcm_scaled(red)
+def test_kernel_of_the_kernel_is_the_lcm_scaled_rref(rows):
+    """The span of the rows is the kernel of its annihilator: its
+    ``_kernel_rows`` are the RREF of the rows times the lcm of their
+    denominators, and ``QSubspace.span`` is that RREF."""
+    ncols = len(rows[0])
+    _, red = _rref(sparse(rows), ncols)
+    perp = sparse(_kernel_rows(sparse(rows), ncols))
+    assert list(_kernel_rows(perp, ncols)) == lcm_scaled(red)
+    assert QSubspace.span(rows, ncols).basis == tuple(red)
 
 
 def kernel_cases():
@@ -125,7 +129,7 @@ def test_kernel_rows_are_the_lcm_scaled_rref_of_the_null_rows(case):
     """The kernel of the reversed-column pass is the RREF of the reference
     null space, as primitive integer rows with positive pivots."""
     ncols, rows = case
-    got = _kernel_rows(rows, ncols)
+    got = list(_kernel_rows(rows, ncols))
     for row in got:
         assert next(x for x in row if x) > 0 and math.gcd(*row) == 1
     assert got == lcm_scaled(_rref(oracles.null_rows(rows, ncols), ncols)[1])

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import wedge_vector
+from oracles import _rref, wedge_vector
 from trophodge.exactla import (
     QSubspace,
     ZMatrix,
     _bareiss,
-    _rref,
     homology_quotient,
     lex_subsets,
     smith_normal_form,

@@ -13,7 +13,7 @@ import oracles
 from oracles import wedge_vector
 from test_cycles_digest import CUBE_FAN
 from test_fan_digest import moved_zoo
-from trophodge import fans, tropspace, weightss
+from trophodge import exactla, fans, tropspace, weightss
 from trophodge.exactla import QSubspace, wedge_columns
 from trophodge.fans import Cone
 from trophodge.tropspace import Cell, TropComplex
@@ -299,31 +299,32 @@ def fractions_made():
         sys.setprofile(None)
 
 
-def test_face_poset_takes_one_determinant_per_cell(monkeypatch):
-    """Signs come from one orientation per cell.
+def test_face_poset_runs_no_elimination_and_no_pair_determinant(monkeypatch):
+    """Signs come from one orientation per cell, read off minors.
 
-    P^4 has 211 cells and 650 face pairs; its face poset takes at most
-    one determinant per cell and no pair determinant.  On the fan over
-    the faces of a cube, exactly the pairs with a cell of dependent
-    projected rays take the pair determinant.
+    P^4 has 211 cells and 650 face pairs; its face poset runs no
+    elimination (``exactla._gauss_jordan``) and no pair determinant.  On
+    the fan over the faces of a cube, exactly the pairs with a cell of
+    dependent projected rays take the pair determinant.
     """
-    calls = {"det": 0, "pair": []}
-    bareiss = tropspace._bareiss
+    calls = {"elimination": 0, "pair": []}
     pair_sign = TropComplex._incidence_sign
 
-    def counting_det(a):
-        calls["det"] += 1
-        return bareiss(a)
+    def counting_elimination(rows):
+        calls["elimination"] += 1
+        return gauss_jordan(rows)
 
     def counting_pair(cx, face, coface):
         calls["pair"].append((face, coface))
         return pair_sign(cx, face, coface)
 
-    monkeypatch.setattr(tropspace, "_bareiss", counting_det)
+    gauss_jordan = exactla._gauss_jordan
+    monkeypatch.setattr(exactla, "_gauss_jordan", counting_elimination)
     monkeypatch.setattr(TropComplex, "_incidence_sign", counting_pair)
     cx = tropspace.tautological_complex(fans.projective_space(4))
+    calls["elimination"] = 0
     assert (len(cx.cells), len(cx.face_poset())) == (211, 650)
-    assert calls["det"] <= 211 and calls["pair"] == []
+    assert calls["elimination"] == 0 and calls["pair"] == []
     cube = tropspace.tautological_complex(CUBE_FAN)
 
     def dependent(cell):
@@ -472,3 +473,34 @@ def test_stratum_wedge_of_one_sedentarity_is_the_identity():
                 assert wedge_columns(projection, p) == identity
                 count += 1
     assert count == 501
+
+
+def test_orientations_and_volume_elements_match_the_rref_references():
+    """Every cell orientation is the sign of its projected rays against
+    the RREF basis of its span, and every volume element the primitive
+    wedge of that basis: on the zoo, the zoo moved by a seeded unimodular
+    change of coordinates, the fan over the faces of a cube, whose cells
+    include ones with dependent projected rays, P^5 and (P^1)^4."""
+    named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
+    named += [fans.Fan(n, cones) for _, n, cones in moved_zoo()]
+    named += [CUBE_FAN, fans.projective_space(5), fans.orthant_fan(4)]
+    cells = {c for fan in named for c in weightss.trop_complex_for(fan).cells}
+    assert any(len(tropspace._projected_rays(c)) > c.dim for c in cells)
+    for cell in cells:
+        assert tropspace._orientation(cell) == oracles.rref_orientation(cell)
+        assert tropspace.volume_element(cell) == oracles.rref_volume_element(cell)
+
+
+def test_incidence_signs_of_the_cube_times_p1_match_the_fraction_oracle():
+    """The pair determinant on every face pair of the cube x P^1 fan: rank
+    4, not simplicial, with cells of dependent projected rays inside
+    strata and across them."""
+    cx = weightss.trop_complex_for(fans.product(CUBE_FAN, fans.builtin("p1")))
+    pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _ in cx.face_poset()]
+    assert any(
+        len(tropspace._projected_rays(c)) > c.dim and f.sedentarity != c.sedentarity
+        for f, c in pairs
+    )
+    for face, coface in pairs:
+        assert cx._incidence_sign(face, coface) == (
+            oracles.fraction_incidence_sign(face, coface))
