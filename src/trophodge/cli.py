@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 verification failure, 2 parse error (including
 conflicting flags, an invalid weight file, an input file that cannot be
 read and an ``--output`` that cannot be written), 3 invalid fan (or an
 incomplete one where a complete fan is needed, as by ``chow`` and
-``pair``), 4 cohomology error (for ``verify``, a fan whose checks cannot
-run), 5 non-smooth input (for ``pair``, a fan on which the weight cycle
-cannot be built), 6 unbalanced weights.
+``pair``), 4 cohomology error (an open fan that is not smooth; for
+``verify``, a fan whose checks cannot run), 5 non-smooth input (for
+``pair``, a fan on which the weight cycle cannot be built), 6 unbalanced
+weights.
 
 Each subcommand declares the code of its library failures as
 ``failure``; :func:`main` turns a ``ValueError`` into that code.
@@ -91,9 +92,8 @@ def cmd_cohomology(args):
         raise CliError(EXIT_PARSE, "--all takes no --p or --q")
     fan = _load_fan(args)
     n = fan.ambient_rank
-    cx = weightss.trop_complex_for(fan)
     if args.all:
-        table = cohomology.betti_table(cx)
+        table = cohomology.betti_table(fan)
         if args.output and args.output.endswith(".json"):
             _emit(cohomology.betti_to_json(table) + "\n", args.output)
         else:
@@ -103,7 +103,7 @@ def cmd_cohomology(args):
         raise CliError(EXIT_PARSE, "need --p and --q, or --all")
     if not (0 <= args.p <= n and 0 <= args.q <= n):
         raise CliError(EXIT_PARSE, "p and q must lie in 0..n")
-    _emit(f"{cohomology.betti_table(cx)[args.p][args.q]}\n", args.output)
+    _emit(f"{cohomology.betti_table(fan)[args.p][args.q]}\n", args.output)
     return 0
 
 
@@ -192,8 +192,7 @@ def _verify_fan(name, fan):
             for p, q, e2, h_trop, ok in comparison["entries"]
             if not ok
         ]
-    cx = weightss.trop_complex_for(fan)
-    betti = cohomology.betti_table(cx)
+    betti = cohomology.betti_table(fan)
     record(
         "vanishing_above_diagonal",
         all(

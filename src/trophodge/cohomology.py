@@ -30,24 +30,23 @@ orientation N_sigma,R takes as a face at infinity of N_sigma',R.  The
 complex has as many coordinates as the E_1 page of the weight spectral
 sequence (121 on P^4, whose cells carry 1,441).
 
-Any cell complex whose cells cover every stratum of its base fan is a
-cell structure on the same space, so its cohomology is that of the orbit
-complex (``TropComplex.require_covered_strata`` decides the cover from
-the cells).  On a complete fan that space is compact and the complex
-computes sheaf cohomology.  On a fan that is not complete it is open, the
-orbit complex over the cones of the fan computes the compactly supported
-groups, and Poincare duality on a tropical manifold of dimension d,
-H^{p,q} = (H_c^{d-p,d-q})^dual (Jell-Shaw-Smacka, "Superforms, tropical
-cohomology and Poincare duality", arXiv:1512.07409), turns them into
-h^{p,q}.
+A Betti table is a function of the fan alone, and :func:`betti_table`
+builds no cell.  On a complete fan the strata make up a compact space
+and the orbit complex computes sheaf cohomology.  On one that is not
+complete the orbit complex over its cones computes the compactly
+supported groups, and Poincare duality on a smooth tropical manifold of
+dimension n, H^{p,q} = (H_c^{n-p,n-q})^dual (Jell-Shaw-Smacka,
+"Superforms, tropical cohomology and Poincare duality", arXiv:1512.07409),
+turns them into h^{p,q}.  A cell complex stands for its base fan once its
+cells cover every stratum (``TropComplex.require_covered_strata``).
 
-Representatives (a basis of ker modulo im) come from :func:`cohomology`,
-on boundary-closed complexes, from :func:`cochains`, the incidence
-complex of the cells: C^q is the direct sum of F^p over the q-cells,
-and delta_q is written from the signed codim-1 face pairs of the cells.
-The cycles of :mod:`trophodge.cycles` read its layout and rows.  No
-dense differential is built on any path; the one dense view,
-``CochainComplex.deltas``, is for the benchmark's counts.
+Cells are built only where a cochain lives on them.  Representatives (a
+basis of ker modulo im) come from :func:`cohomology`, on boundary-closed
+complexes, from :func:`cochains`, the incidence complex of the cells:
+C^q is the direct sum of F^p over the q-cells, and delta_q is written
+from their signed codim-1 face pairs; :mod:`trophodge.cycles` reads its
+layout and rows.  No dense differential is built on any path; the one
+dense view, ``CochainComplex.deltas``, is for the benchmark's counts.
 
 The unreduced ranks of the incidence complex, and the face-poset and Cech
 models, that cross-check these paths are test oracles in
@@ -251,33 +250,28 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     that are not pivots of the image.  Since delta_q delta_{q-1} = 0,
     ``exactla.homology_quotient`` reads them off one forward elimination
     of delta_q with rightmost pivots and back-solves only those rows; the
-    block sizes come from the stratum ranks.  Any other complex must be a
-    tropical manifold whose cells cover every stratum of its base fan, a
-    smooth one (``weightss.trop_complex_for`` builds one for every
-    non-complete fan it accepts).  Its dimension comes by Poincare
-    duality from the compactly supported groups of the orbit complex of
-    the base fan, with ``representatives=()``; a base fan that is not
-    smooth raises ValueError, as does a stratum the cells do not cover.
+    block sizes come from the stratum ranks.  Any other complex must
+    cover every stratum of its base fan, which must be smooth.  Its
+    dimension is that of :func:`betti_table` of the base fan, with
+    ``representatives=()``; ValueError otherwise.
     """
-    d = _duality_dim(cx)
-    if d is not None:
+    if not cx.is_boundary_closed():
         cx.require_covered_strata()
-        return CohomologyResult(p, q, _dim(cx.base_fan, p, q, d), ())
+        fan = cx.base_fan
+        return CohomologyResult(p, q, _dim(fan, p, q, _duality_dim(fan)), ())
     cc = cochains(cx, p)
     incoming = cc.delta(q - 1) if q >= 1 else None
     reps = homology_quotient(cc.delta(q), cc.space_dim(q), incoming)
     return CohomologyResult(p, q, len(reps), tuple(reps))
 
 
-def _duality_dim(cx):
-    """None if boundary closed, else the dimension d for Poincare duality."""
-    if cx.is_boundary_closed():
+def _duality_dim(fan):
+    """None on a complete fan, else the dimension n for Poincare duality."""
+    if fans.is_complete(fan):
         return None
-    if not cx.base_fan.is_smooth():
-        raise ValueError(
-            "a complex that is not boundary closed needs a smooth base fan"
-        )
-    return cx.top_dim
+    if not fan.is_smooth():
+        raise ValueError("a fan that is not complete needs a smooth base fan")
+    return fan.ambient_rank
 
 
 def _dim(fan, p, q, d):
@@ -290,20 +284,22 @@ def _dim(fan, p, q, d):
     return orbit_cochains(fan, p).dim(q)
 
 
-def betti_table(cx: TropComplex):
+def betti_table(fan):
     """Matrix h[p][q] for 0 <= p,q <= n, from the ranks of the orbit complex.
 
-    The dimensions are those :func:`cohomology` gives, but no
-    representative is computed and no cell of the complex enters a
-    differential: dim C^q - rk delta_q - rk delta_{q-1} of the orbit
-    complex of the base fan, taken at (d-p, d-q) by Poincare duality where
-    the complex is not boundary closed.  The cells must cover every
-    stratum of the base fan; otherwise ValueError.
+    The dimensions are those :func:`cohomology` gives, but no cell is
+    built and no representative is computed: dim C^q - rk delta_q -
+    rk delta_{q-1} of the orbit complex of the fan, taken at (n-p, n-q)
+    by Poincare duality where the fan is not complete, which needs a
+    smooth fan.  A ``TropComplex`` stands for its base fan once its cells
+    cover every stratum of it; otherwise ValueError.
     """
-    n = cx.base_fan.ambient_rank
-    d = _duality_dim(cx)
-    cx.require_covered_strata()
-    return [[_dim(cx.base_fan, p, q, d) for q in range(n + 1)] for p in range(n + 1)]
+    if isinstance(fan, TropComplex):
+        fan.require_covered_strata()
+        fan = fan.base_fan
+    n = fan.ambient_rank
+    d = _duality_dim(fan)
+    return [[_dim(fan, p, q, d) for q in range(n + 1)] for p in range(n + 1)]
 
 
 def betti_to_tsv(table):

@@ -16,11 +16,11 @@ wedge^p N_sigma, with the identity basis.  The cochain and cycle layers
 read its block size C(stratum rank, p) off the cell, after one check per
 complex, :meth:`TropComplex.require_full_cofaces`;
 :meth:`TropComplex.f_lower` is the view of one F_p as a subspace.  Both
-raise ValueError on a cell with no such coface.  The Betti tables of
-:mod:`trophodge.cohomology` read no cell: they come from the orbit
-complex of the base fan, one block per stratum N_sigma,R, once
-:meth:`TropComplex.require_covered_strata` finds that the cells cover
-every stratum of the base fan.
+raise ValueError on a cell with no such coface.  Cells are built only
+where a cochain lives on them.  The Betti tables of
+:mod:`trophodge.cohomology` read the fan alone, one block per stratum
+N_sigma,R; a complex given to them in place of its base fan must pass
+:meth:`TropComplex.require_covered_strata`.
 
 The incidence of the complex is its codimension-1 face relation, found by
 lookup in an index of the cells on ray ids.  The rays of the cell shapes,
@@ -411,7 +411,9 @@ def volume_element(cell: Cell):
     (``wedge_columns``), or, when R is dependent, of the first subset of
     them that is independent: every such subset spans the cell.  On
     independent R its sign is :func:`_orientation`.  It is computed once
-    per cell."""
+    per cell, and is (1,) on a cell that spans its stratum."""
+    if cell.dim == cell.stratum_rank:
+        return (1,)
     rays = _projected_rays(cell)
     minors = wedge_columns(ZMatrix(len(rays), cell.stratum_rank, rays), cell.dim)
     first = min(col[0][0] for col in minors if col)

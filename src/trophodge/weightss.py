@@ -139,7 +139,7 @@ def e2_page(fan: Fan) -> SSPage:
 
 @functools.lru_cache(maxsize=None)
 def trop_complex_for(fan: Fan):
-    """The cell structure used on the tropical side of the comparison.
+    """The cell structure on which the cochains of a fan's space live.
 
     Complete fans carry their tautological structure; non-complete fans
     are given the orthant structure of a built-in completion.
@@ -154,8 +154,7 @@ def compare_with_trop(fan: Fan):
     _require_smooth(fan)
     n = fan.ambient_rank
     e2 = e2_page(fan)
-    cx = trop_complex_for(fan)
-    betti = cohomology.betti_table(cx)
+    betti = cohomology.betti_table(fan)
     entries = []
     ok = True
     for p in range(n + 1):

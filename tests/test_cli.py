@@ -380,26 +380,36 @@ def test_verify_single_builtin(capsys):
     assert json.loads(out)["pass"] is True
 
 
-def test_verify_a_fan_it_cannot_check_exits_4(capsys):
-    # a non-complete fan with no built-in completion to give its cells
+def test_verify_an_open_fan_with_no_built_in_completion(capsys):
+    """``verify`` reads the Betti table off the fan, so an open fan with no
+    built-in completion to give its cells passes its checks: E_2 matches
+    the Kunneth table of P^2 x T^1, which vanishes above the diagonal."""
     code, out, err = run(capsys, "verify", "--builtin", "product(p2,torus(1))")
-    assert (code, out) == (4, "")
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    assert (code, err) == (0, "")
+    checks = [{"name": "e2_matches_tropical", "pass": True},
+              {"name": "vanishing_above_diagonal", "pass": True}]
+    report = {"fan": "product(p2,torus(1))", "checks": checks, "pass": True}
+    assert json.loads(out) == {"reports": [report], "pass": True}
 
 
 def test_open_fan_with_no_built_in_completion_exits_4(tmp_path, capsys):
-    """An open fan whose cone is no face of a coordinate orthant has no
-    built-in completion; the error says which fans have one and names the
-    library call that takes a completion, as no CLI command does."""
+    """An open fan that is not smooth has no Betti table by Poincare
+    duality: ``cohomology --all`` exits 4 with one error line that says
+    so.  Its cone is no face of a coordinate orthant, so it has no
+    built-in completion either: ``trop_complex_for`` says which fans have
+    one and names the library call that takes a completion, as no CLI
+    command does."""
     path = tmp_path / "fan.json"
     fan = {"rank": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
     path.write_text(json.dumps(fan))
     code, out, err = run(capsys, "cohomology", "--input", str(path), "--all")
     assert (code, out) == (4, "")
     assert err.count("\n") == 1
-    assert "faces of the coordinate orthants" in err
-    assert "tropspace.tautological_complex(fan, structure)" in err
+    assert "smooth base fan" in err
+    with pytest.raises(ValueError) as exc:
+        weightss.trop_complex_for(fans.from_json_dict(fan))
+    assert "faces of the coordinate orthants" in str(exc.value)
+    assert "tropspace.tautological_complex(fan, structure)" in str(exc.value)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """The orbit complex of a fan against the incidence complex of its cells."""
 
+import json
 import random
 import re
 
@@ -46,6 +47,52 @@ def test_orbit_betti_table_matches_both_oracles():
         assert table == oracles.unreduced_betti_table(cx), cx
         if len(cx.cells) < 200:
             assert table == oracles.poset_betti_table(cx), cx
+
+
+def test_betti_table_of_a_fan_equals_that_of_its_cells():
+    """A Betti table reads the fan alone: on the zoo, the moved zoo, P^4
+    and (P^1)^4 it equals the table of the complex ``trop_complex_for``
+    builds, and the fan is complete exactly where those cells are
+    boundary closed, so the duality degree read off the fan is the one
+    the cells give."""
+    named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
+    named += [fans.Fan(n, cones) for _, n, cones in moved_zoo()]
+    named += [fans.projective_space(4), fans.orthant_fan(4)]
+    assert len(named) == 16 + 10 + 2
+    for fan in named:
+        cx = weightss.trop_complex_for(fan)
+        assert fans.is_complete(fan) == cx.is_boundary_closed(), fan
+        assert cohomology.betti_table(fan) == cohomology.betti_table(cx), fan
+
+
+def _kunneth(a, b):
+    """The table of a product from the tables of its two factors."""
+    n = len(a) + len(b) - 2
+    out = [[0] * (n + 1) for _ in range(n + 1)]
+    for p1, row1 in enumerate(a):
+        for q1, x in enumerate(row1):
+            for p2, row2 in enumerate(b):
+                for q2, y in enumerate(row2):
+                    out[p1 + p2][q1 + q2] += x * y
+    return out
+
+
+@pytest.mark.parametrize("first, table", [
+    ("p2", [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0]]),
+    ("hirzebruch(2)", [[1, 0, 0, 0], [1, 2, 0, 0], [0, 2, 1, 0], [0, 0, 1, 0]]),
+], ids=["p2", "hirzebruch(2)"])
+def test_kunneth_tables_of_open_fans_with_no_built_in_completion(first, table):
+    """X x T^1 for a complete smooth surface X has no built-in completion,
+    so no cells from ``trop_complex_for``; its Betti table comes from the
+    fan, equals the Kunneth product of the tables of the factors, and
+    equals E_2 transposed."""
+    fan = fans.builtin(f"product({first},torus(1))")
+    with pytest.raises(ValueError, match="no built-in completion"):
+        weightss.trop_complex_for(fan)
+    factors = [cohomology.betti_table(fans.builtin(name)) for name in (first, "torus(1)")]
+    assert cohomology.betti_table(fan) == _kunneth(*factors) == table
+    assert weightss.e2_page(fan).table() == [list(col) for col in zip(*table)]
+    assert weightss.compare_with_trop(fan)["pass"]
 
 
 def test_delta_squares_to_zero_on_the_orbit_complexes():
@@ -163,17 +210,26 @@ def test_the_cells_must_cover_every_stratum():
 
 @pytest.mark.parametrize("name", ["p3", "affine_space(3)"])
 def test_cohomology_all_builds_no_face_poset(monkeypatch, capsys, name):
-    """``cohomology --all`` prints the Betti table of the orbit complex and
-    builds no face poset of the cells."""
+    """``cohomology --all`` and ``--p/--q`` print the Betti table of the
+    orbit complex and build no cell, so no face poset either; on p3 neither
+    do ``verify`` and ``weightss``."""
     def forbidden(*args):
-        raise AssertionError("the Betti table built a face poset")
+        raise AssertionError("a Betti table built a cell complex")
 
-    monkeypatch.setattr(TropComplex, "face_poset", forbidden)
+    monkeypatch.setattr(TropComplex, "__init__", forbidden)
     cohomology.orbit_cochains.cache_clear()
     weightss.trop_complex_for.cache_clear()
     assert cli.main(["cohomology", "--builtin", name, "--all"]) == 0
     want = diag_table(3, [1, 1, 1, 1]) if name == "p3" else diag_table(3, [1])
     assert capsys.readouterr().out == cohomology.betti_to_tsv(want)
+    assert cli.main(["cohomology", "--builtin", name, "--p", "1", "--q", "1"]) == 0
+    assert capsys.readouterr().out == f"{want[1][1]}\n"
+    if name == "p3":
+        weightss.e2_page.cache_clear()
+        assert cli.main(["verify", "--builtin", name]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
+        assert cli.main(["weightss", "--builtin", name]) == 0
+        assert json.loads(capsys.readouterr().out)["level"] == 2
 
 
 def test_p4_betti_table_hashes_few_cones(monkeypatch):

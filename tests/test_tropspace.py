@@ -491,6 +491,22 @@ def test_orientations_and_volume_elements_match_the_rref_references():
         assert tropspace.volume_element(cell) == oracles.rref_volume_element(cell)
 
 
+def test_full_cells_take_no_minors():
+    """A cell that is full-dimensional in its stratum has the volume
+    element (1,), the one coordinate of the top wedge of N_sigma, and
+    adds nothing to the store of minors: on every full cell of P^5 and
+    (P^1)^4, after their face posets."""
+    for fan in (fans.projective_space(5), fans.orthant_fan(4)):
+        cx = weightss.trop_complex_for(fan)
+        cx.face_poset()
+        full = [c for c in cx.cells if c.dim == c.stratum_rank]
+        assert len(full) > 100
+        tropspace.volume_element.cache_clear()
+        before = wedge_columns.cache_info().currsize
+        assert {tropspace.volume_element(c) for c in full} == {(1,)}
+        assert wedge_columns.cache_info().currsize == before
+
+
 def test_incidence_signs_of_the_cube_times_p1_match_the_fraction_oracle():
     """The pair determinant on every face pair of the cube x P^1 fan: rank
     4, not simplicial, with cells of dependent projected rays inside
