@@ -6,8 +6,8 @@ read and an ``--output`` that cannot be written), 3 invalid fan (or an
 incomplete one where a complete fan is needed, as by ``chow`` and
 ``pair``), 4 cohomology error (an open fan that is not smooth; for
 ``verify``, a fan whose checks cannot run), 5 non-smooth input (for
-``pair``, a fan on which the weight cycle cannot be built), 6 unbalanced
-weights.
+``pair``, a weight cycle that cannot be built or paired, which no known
+input reaches), 6 unbalanced weights.
 
 Each subcommand declares the code of its library failures as
 ``failure``; :func:`main` turns a ``ValueError`` into that code.
@@ -103,7 +103,7 @@ def cmd_cohomology(args):
         raise CliError(EXIT_PARSE, "need --p and --q, or --all")
     if not (0 <= args.p <= n and 0 <= args.q <= n):
         raise CliError(EXIT_PARSE, "p and q must lie in 0..n")
-    _emit(f"{cohomology.betti_table(fan)[args.p][args.q]}\n", args.output)
+    _emit(f"{cohomology.hodge_number(fan, args.p, args.q)}\n", args.output)
     return 0
 
 

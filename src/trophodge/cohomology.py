@@ -211,10 +211,10 @@ def _orbit_data(fan):
 
 def _epsilon(face, cone):
     """The sign of det[rho-bar | L] in N_face coordinates, for a facet of a
-    cone, with (rho-bar, L^T) = ``fans.facet_frame(face, cone)``: the
-    orientation N_cone,R takes as a face at infinity of N_face,R.  The
-    determinant is not zero, as rho-bar and L are a basis of N_face
-    tensor Q."""
+    cone, with (rho-bar, L^T) = ``fans.facet_frame(face, cone)``, rho-bar
+    the primitive lattice normal: the orientation N_cone,R takes as a face
+    at infinity of N_face,R.  The determinant is not zero, as rho-bar and
+    L are a basis of N_face tensor Q."""
     rho_bar, lifts = fans.facet_frame(face, cone)
     return 1 if _bareiss([list(rho_bar), *map(list, lifts.entries)]) > 0 else -1
 
@@ -257,8 +257,7 @@ def cohomology(cx: TropComplex, p: int, q: int) -> CohomologyResult:
     """
     if not cx.is_boundary_closed():
         cx.require_covered_strata()
-        fan = cx.base_fan
-        return CohomologyResult(p, q, _dim(fan, p, q, _duality_dim(fan)), ())
+        return CohomologyResult(p, q, hodge_number(cx.base_fan, p, q), ())
     cc = cochains(cx, p)
     incoming = cc.delta(q - 1) if q >= 1 else None
     reps = homology_quotient(cc.delta(q), cc.space_dim(q), incoming)
@@ -282,6 +281,11 @@ def _dim(fan, p, q, d):
             return 0
         p, q = d - p, d - q
     return orbit_cochains(fan, p).dim(q)
+
+
+def hodge_number(fan, p, q):
+    """h^{p,q} of a fan, its :func:`betti_table` entry, from one orbit complex."""
+    return _dim(fan, p, q, _duality_dim(fan))
 
 
 def betti_table(fan):

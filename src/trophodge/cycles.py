@@ -1,11 +1,12 @@
 """Minkowski weights, tropical cycle classes, and intersection pairings.
 
 A Minkowski weight of codimension p assigns rational weights to the
-codimension-p cones of a fan; balancing at every codimension-(p+1) cone
+codimension-p cones of a fan; balancing at every codimension-(p+1) cone,
+a sum of primitive lattice normals (Fulton-Sturmfels, Topology 1997),
 makes it a Chow cocycle.  Balanced weights and boundary divisors give
 cellular cycles, sums of volume elements, in the compactified fan space
-whose classes pair exactly with cohomology.  The intersection numbers of
-a surface come from its 2-cones, which pair each ray with its neighbours.
+whose classes pair exactly with cohomology.  The intersection numbers of a
+surface come from its 2-cones, which pair each ray with its neighbours.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from trophodge import cohomology, fans, weightss
 from trophodge.exactla import QSubspace, sparse_rank
-from trophodge.fans import Cone, Fan, orbit_proj
+from trophodge.fans import Cone, Fan
 from trophodge.tropspace import Cell, TropComplex, volume_element
 
 
@@ -125,18 +126,21 @@ def _balancing_blocks(fan: Fan, codim: int):
     sigma of dimension n - codim - 1, and the codim-``codim`` cones that
     index the columns, both in fan order.
 
+    A weight c is balanced at sigma when sum c(tau) u_{tau/sigma} over the
+    cones tau > sigma is 0 in N_sigma, u_{tau/sigma} the primitive lattice
+    normal ``fans.facet_frame`` of the pair (Fulton-Sturmfels 1997).
     Column j enters the block of each facet of its cone.  Built once per
     (fan, codim); the callers must not modify the rows.
     """
     n = fan.ambient_rank
     cols = fan.cones_of_dim(n - codim)
     blocks = {
-        sigma: tuple({} for _ in range(orbit_proj(sigma).rows))
+        sigma: tuple({} for _ in range(n - sigma.dim))
         for sigma in fan.cones_of_dim(n - codim - 1)
     }
     for j, tau in enumerate(cols):
         for sigma in tau.facets():
-            img = fans.project(sigma, fans.new_ray(sigma, tau))
+            img = fans.facet_frame(sigma, tau)[0]
             for row, x in zip(blocks[sigma], img):
                 if x:
                     row[j] = x
@@ -280,7 +284,7 @@ def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
         cx.divisors[key] = _volume_cycle(
             cx,
             n - 1,
-            [(Cell(rho, tau), 1) for tau in fan.cones_of_dim(n) if rho in fans.face_set(tau)],
+            [(Cell(rho, tau), 1) for tau in fan.cones_of_dim(n) if rho in fans.faces(tau)],
         )
     return cx.divisors[key]
 

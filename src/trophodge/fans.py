@@ -29,7 +29,9 @@ a checked fan:
 * Every lattice map between torus-orbit strata is made here from one
   Smith form per nonzero cone (:func:`orbit_frame`): the projection
   N -> N_sigma and an integer section of it, read by :func:`stratum_map`
-  and :func:`facet_frame`, both cached per pair of cones.
+  and :func:`facet_frame`, both cached per pair of cones.  Only
+  :func:`facet_frame` makes the primitive lattice normal of a facet pair,
+  for the orbit signs, d_1, balancing and the cross-strata cell signs.
 """
 
 from __future__ import annotations
@@ -288,26 +290,12 @@ def _facet_normals(cone):
 
 
 @functools.lru_cache(maxsize=None)
-def faces(cone: Cone):
+def faces(cone: Cone) -> frozenset:
     """All faces of the cone, including the zero cone and the cone itself."""
     out = {cone}
     for facet in cone.facets():
         out.update(faces(facet))
-    return tuple(sorted(out, key=lambda c: (c.dim, c.rays)))
-
-
-@functools.lru_cache(maxsize=None)
-def face_set(cone: Cone) -> frozenset:
-    """The faces of the cone as a set, for membership tests by hash."""
-    return frozenset(faces(cone))
-
-
-def new_ray(sigma: Cone, tau: Cone):
-    """The one ray of tau outside its facet sigma; ValueError if not one."""
-    new = [r for r in tau.rays if r not in sigma.rays]
-    if len(new) != 1:
-        raise ValueError("expected a one-ray cone extension")
-    return new[0]
+    return frozenset(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,15 +334,10 @@ def orbit_frame(cone: Cone) -> tuple:
     )
 
 
-def orbit_proj(cone: Cone) -> ZMatrix:
-    """The map of N onto N_sigma of :func:`orbit_frame`; its rows are also
-    the dual Z-basis of M cap sigma-perp, the pairing the identity."""
-    return orbit_frame(cone)[0]
-
-
 def project(cone: Cone, vec) -> tuple:
     """The image of a vector of N in N_sigma: its pairings with the rows of
-    ``orbit_proj(cone)``, the basis of M cap sigma-perp."""
+    the projection of :func:`orbit_frame`, the dual Z-basis of M cap
+    sigma-perp."""
     return tuple(
         sum(a * x for a, x in zip(m, vec)) for m in orbit_frame(cone)[0].entries
     )
@@ -377,20 +360,21 @@ def stratum_map(small: Cone, big: Cone) -> ZMatrix:
 
 @functools.lru_cache(maxsize=None)
 def facet_frame(face: Cone, cone: Cone):
-    """(rho-bar, L^T) of a facet of a cone: the image in N_face of a ray
-    rho of the cone off the face, and a ZMatrix whose rows, one per
-    coordinate of N_cone, are the columns L of the section of
-    ``orbit_frame(cone)`` projected to N_face.
+    """(rho-bar, L^T) of a facet of a cone: the lattice normal u_{cone/face},
+    the primitive image in N_face of a ray rho of the cone off the face,
+    and a ZMatrix whose rows, one per coordinate of N_cone, are the
+    columns L of the section of ``orbit_frame(cone)`` projected to N_face.
 
     rho-bar spans the kernel of the stratum map N_face -> N_cone over Q,
     and L lifts a basis of N_cone, so together they are a basis of
-    N_face tensor Q.  Every ray of the cone off the face lies on one
-    side of the face, so any of them gives rho-bar up to a positive factor.
+    N_face tensor Q.  The cone maps onto a ray of N_face, so every ray of
+    the cone off the face has the same primitive image rho-bar, the
+    generator of that ray's lattice points.
     """
     rho = next(r for r in cone.rays if r not in face.rays)
     section = orbit_frame(cone)[1]
     lifts = [project(face, v) for v in zip(*section.entries)]
-    rho_bar = project(face, rho)
+    rho_bar = primitive(project(face, rho))
     return rho_bar, ZMatrix(section.cols, len(rho_bar), lifts)
 
 
@@ -477,7 +461,7 @@ def check_face_intersections(cones):
     of faces exists only if a bad pair of maximal cones does.
     """
     for c1, c2 in itertools.combinations(cones, 2):
-        common = face_set(c1) & face_set(c2)
+        common = faces(c1) & faces(c2)
         top = max(common, key=lambda c: c.dim)
         if sum(1 for c in common if c.dim == top.dim) != 1:
             raise ValueError("cones intersect badly (two maximal common faces)")

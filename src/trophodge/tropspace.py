@@ -74,7 +74,7 @@ import math
 
 from trophodge import fans
 from trophodge.exactla import QSubspace, ZMatrix, _bareiss, lex_subsets, wedge_columns
-from trophodge.fans import Cone, Fan, face_set, faces
+from trophodge.fans import Cone, Fan, faces
 from trophodge.record import Record
 
 
@@ -84,7 +84,7 @@ class Cell(Record):
     fields = ("sedentarity", "tau")
 
     def __init__(self, sedentarity: Cone, tau: Cone):
-        if sedentarity not in face_set(tau):
+        if sedentarity not in faces(tau):
             raise ValueError("sedentarity must be a face of the lifted shape")
         object.__setattr__(self, "sedentarity", sedentarity)
         object.__setattr__(self, "tau", tau)
@@ -356,24 +356,25 @@ class TropComplex:
         Each cell is oriented by its :func:`volume_element`.  Within a
         stratum the outward vector u is minus the sum of the coface rays
         off the face, and the sign is that of u ^ vol(face) against
-        vol(coface).  Across strata y, the sum of the new sedentarity
-        rays, is killed by the stratum map b; contracting vol(coface) =
-        c y ^ X, X lifts of the face frame, by the covector <y, .> and
-        applying wedge^(k-1) b leaves c |y|^2 b(X), so the sign is that
-        of wedge^(k-1) b (iota_y vol(coface)) against vol(face), with the
-        wedge from :func:`stratum_wedge`.  Both vectors are integral; they
-        must be parallel and nonzero, else ValueError.
+        vol(coface).  Across strata y, the lattice normal of the two
+        sedentarities (``fans.facet_frame``), a positive multiple of the
+        image of each new sedentarity ray, is killed by the stratum map b;
+        contracting vol(coface) = c y ^ X, X lifts of the face frame, by
+        the covector <y, .> and applying wedge^(k-1) b leaves
+        c |y|^2 b(X), so the sign is that of wedge^(k-1) b (iota_y
+        vol(coface)) against vol(face), with the wedge from
+        :func:`stratum_wedge`.  Both vectors are integral; they must be
+        parallel and nonzero, else ValueError.
         """
         sed, k = coface.sedentarity, coface.dim
         n = coface.stratum_rank
         if face.sedentarity == sed:
             off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
-            u = [-x for x in fans.project(sed, _ray_sum(off_face))]
+            u = [-x for x in fans.project(sed, tuple(map(sum, zip(*off_face))))]
             got = _wedge(u, volume_element(face), n, k - 1)
             want = volume_element(coface)
         else:
-            new_rays = [r for r in face.sedentarity.rays if r not in sed.rays]
-            y = fans.project(sed, _ray_sum(new_rays))
+            y = fans.facet_frame(sed, face.sedentarity)[0]
             inner = _contract(y, volume_element(coface), n, k)
             want = volume_element(face)
             got = [0] * len(want)
@@ -458,10 +459,6 @@ def _pair_sign(o_f, o_c, face_key, coface_key):
     bit = t_c ^ t_f if same else s_f ^ s_c
     sign = o_f * o_c * (-1) ** (t_c & ~s_c & (bit - 1)).bit_count()
     return -sign if same else sign
-
-
-def _ray_sum(rays):
-    return tuple(map(sum, zip(*rays)))
 
 
 def _projected_rays(cell: Cell) -> tuple:

@@ -91,7 +91,7 @@ from trophodge.exactla import (
     sparse_rank,
     sparse_rows,
 )
-from trophodge.fans import Cone, Fan, face_set, faces, orbit_proj
+from trophodge.fans import Cone, Fan, faces, orbit_frame
 from trophodge.tropspace import Cell, TropComplex, _projected_rays, stratum_wedge
 
 
@@ -258,7 +258,7 @@ def flip_first_d1_block(d1):
         coff, _ = block_offsets(src)
         for sigma, width in src:
             for tau, height in dst:
-                if sigma in face_set(tau):
+                if sigma in faces(tau):
                     r0, c0 = roff[tau], coff[sigma]
                     cols = range(c0, c0 + width)
                     for r in range(r0, r0 + height):
@@ -352,8 +352,8 @@ def tropical_line() -> TropComplex:
 def is_face_of(face, cell) -> bool:
     """The face relation of cells: sigma <= sigma' and tau' <= tau."""
     return (
-        cell.sedentarity in face_set(face.sedentarity)
-        and face.tau in face_set(cell.tau)
+        cell.sedentarity in faces(face.sedentarity)
+        and face.tau in faces(cell.tau)
     )
 
 
@@ -380,7 +380,7 @@ def face_scan(cx: TropComplex):
             top = cell.dim == cell.stratum_rank
             for t in faces(cell.tau):
                 for s in faces(t):
-                    if cell.sedentarity in face_set(s):
+                    if cell.sedentarity in faces(s):
                         i = index.get((s, t))
                         if i is None:
                             lack.append((s, t))
@@ -749,10 +749,10 @@ def _apply(rows, vec):
 @functools.lru_cache(maxsize=None)
 def fraction_stratum_projection(sed_small, sed_big) -> tuple:
     """N_{sigma1} -> N_{sigma2} over Q, as rows: proj2 solved against proj1."""
-    p1 = orbit_proj(sed_small)
+    p1 = orbit_frame(sed_small)[0]
     p1t = [[row[j] for row in p1.entries] for j in range(p1.cols)]
     rows = []
-    for row in orbit_proj(sed_big).entries:
+    for row in orbit_frame(sed_big)[0].entries:
         sol = _solve(p1t, row, p1.rows)
         if sol is None:
             raise ValueError("stratum projections are not nested")
@@ -765,7 +765,7 @@ def _fraction_stratum_wedge(sed_small, sed_big, p) -> tuple:
     """The columns of wedge^p of the rational stratum map, in lex bases:
     column s holds the Plucker coordinates of the columns of the map in s."""
     b = fraction_stratum_projection(sed_small, sed_big)
-    n_small = orbit_proj(sed_small).rows
+    n_small = orbit_frame(sed_small)[0].rows
     cols = [[row[j] for row in b] for j in range(n_small)]
     return tuple(
         wedge_vector([cols[j] for j in s], len(b), p) for s in lex_subsets(n_small, p)
@@ -800,7 +800,7 @@ def fraction_face_map(cx: TropComplex, face, coface, p) -> tuple:
 def fraction_incidence_sign(face, coface):
     """The incidence sign with each face vector lifted by a rational solve."""
     bp = cell_span(coface)
-    proj = orbit_proj(coface.sedentarity).entries
+    proj = orbit_frame(coface.sedentarity)[0].entries
     face_basis = cell_span(face).basis
     if face.sedentarity == coface.sedentarity:
         off_face = [r for r in coface.tau.rays if r not in face.tau.rays]

@@ -170,6 +170,29 @@ def test_cohomology_single_entry(capsys):
                 assert code == 0 and out == f"{want}\n", (name, p, q)
 
 
+def test_cohomology_single_entry_builds_one_orbit_complex(tmp_path, capsys):
+    """``cohomology --p P --q Q`` builds the orbit complex of its one p,
+    prints the entry ``--all`` prints, on a complete and on an open fan,
+    and exits 4 on an open fan that is not smooth."""
+    cohomology.orbit_cochains.cache_clear()
+    p4 = ("cohomology", "--builtin", "projective_space(4)")
+    assert run(capsys, *p4, "--p", "1", "--q", "1") == (0, "1\n", "")
+    assert cohomology.orbit_cochains.cache_info().misses == 1
+    for name in ("p3", "product(p2,torus(1))"):
+        _, table, _ = run(capsys, "cohomology", "--builtin", name, "--all")
+        for p, line in enumerate(table.splitlines()[1:]):
+            for q, entry in enumerate(line.split("\t")[1:]):
+                got = run(capsys, "cohomology", "--builtin", name,
+                          "--p", str(p), "--q", str(q))
+                assert got == (0, entry + "\n", ""), (name, p, q)
+    path = tmp_path / "fan.json"
+    fan = {"rank": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
+    path.write_text(json.dumps(fan))
+    code, out, err = run(capsys, "cohomology", "--input", str(path),
+                         "--p", "0", "--q", "0")
+    assert (code, out) == (4, "") and "smooth base fan" in err
+
+
 def test_cohomology_out_of_range_exits_2(capsys):
     code, _, _ = run(capsys, "cohomology", "--builtin", "p2", "--p", "5", "--q", "0")
     assert code == 2
@@ -262,7 +285,7 @@ CUBE_FACES = [
 
 @pytest.mark.parametrize("data, code, out", [
     ({"fan": {"rank": 3, "rays": CUBE_VERTICES, "cones": CUBE_FACES},
-      "codim": 0, "weights": [{"cone": f, "w": 1} for f in CUBE_FACES]}, 5, ""),
+      "codim": 0, "weights": [{"cone": f, "w": 1} for f in CUBE_FACES]}, 0, "-1\n"),
     ({"fan": {"rank": 2, "rays": [[1, 0], [1, 1]], "cones": [[0, 1]]},
       "codim": 2, "weights": [{"cone": [], "w": 1}]}, 3, ""),
     ({"fan": "affine_space(2)", "codim": 2, "weights": [{"cone": [], "w": 1}]}, 3, ""),
@@ -280,6 +303,33 @@ def test_pair_needs_a_fan_it_can_build_the_cycle_on(tmp_path, capsys, data, code
     assert (got_code, got_out) == (code, out)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+P112 = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+        "cones": [[0, 1], [1, 2], [2, 0]]}
+P2 = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+      "cones": [[0, 1], [1, 2], [2, 0]]}
+CUBE = {"rank": 3, "rays": CUBE_VERTICES, "cones": CUBE_FACES}
+
+
+@pytest.mark.parametrize("fan, weights, code, out, defects", [
+    (P112, [1, 1, 1], 0, "-1\n", 0),
+    (P2, [1, 1, 1], 0, "-1\n", 0),
+    (CUBE, [2, 1, 1, 1, 1, 1], 6, "", 4),
+], ids=["p112-fundamental", "p2-fundamental", "cube-unbalanced"])
+def test_pair_balances_top_weights_by_primitive_normals(
+        tmp_path, capsys, fan, weights, code, out, defects):
+    """Top weights are balanced along the primitive lattice normal of each
+    wall, also on fans that are not smooth or not simplicial: the
+    fundamental class pairs to -1, and weight 2 on one square of the cube
+    fan is unbalanced at the four walls of that square."""
+    data = {"fan": fan, "codim": 0,
+            "weights": [{"cone": c, "w": w} for c, w in zip(fan["cones"], weights)]}
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(data))
+    got = run(capsys, "pair", "--input", str(path))
+    assert got[:2] == (code, out)
+    assert got[2].count("unbalanced at cone") == defects
 
 
 @pytest.mark.parametrize("field, value", [("cone", [-1]), ("w", 0.1), ("cone", [0, 0])])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import cells_of_dim
+from test_cli import CUBE_FACES, CUBE_VERTICES
 from trophodge import cohomology, cycles, exactla, fans
 from trophodge.cycles import (
     MinkowskiWeight,
@@ -95,6 +96,57 @@ def test_balanced_weight_gives_cycle():
     assert line.is_cycle()
     bad = cycle_class(cx, ray_weight(p2, [1, 1, 2]))
     assert not bad.is_cycle()
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+NON_SMOOTH_FANS = {
+    "P(1,1,2)": fans.Fan(2, [
+        [(1, 0), (0, 1)], [(0, 1), (-1, -2)], [(-1, -2), (1, 0)],
+    ]),
+    "P(1,1,1,2)": fans.Fan(3, [
+        [E1, E2, E3], [E1, E2, (-1, -1, -2)],
+        [E1, E3, (-1, -1, -2)], [E2, E3, (-1, -1, -2)],
+    ]),
+    "cube": fans.Fan(3, [[CUBE_VERTICES[i] for i in f] for f in CUBE_FACES]),
+}
+
+
+def _seeded_weights(fan, seed):
+    """The fundamental class, then per codimension five seeded integer
+    weights and a seeded combination of those ``balancing_check`` accepts."""
+    n = fan.ambient_rank
+    rng = random.Random(seed)
+    out = [MinkowskiWeight(fan, 0, {c: 1 for c in fan.cones_of_dim(n)})]
+    for codim in range(n):
+        cones = fan.cones_of_dim(n - codim)
+        for _ in range(5):
+            values = {c: rng.randint(-2, 2) for c in cones}
+            out.append(MinkowskiWeight(fan, codim, values))
+        blocks, _ = cycles._balancing_blocks(fan, codim)
+        rows = [row for _, block in blocks for row in block]
+        values = [0] * len(cones)
+        for vec in QSubspace.kernel(rows, len(cones)).basis:
+            c = rng.randint(-3, 3)
+            values = [v + c * x for v, x in zip(values, vec)]
+        out.append(MinkowskiWeight(fan, codim, dict(zip(cones, values))))
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    *NON_SMOOTH_FANS,
+    *(n for n in fans.BUILTIN_ZOO if fans.is_complete(fans.builtin(n))),
+])
+def test_balancing_agrees_with_the_cellular_boundary(name):
+    """A weight is balanced, its lattice normals summing to zero at every
+    cone, exactly when its cycle class has no boundary: on seeded weights
+    of every codimension, on fans that are not smooth or not simplicial as
+    on the complete zoo fans."""
+    fan = NON_SMOOTH_FANS.get(name) or fans.builtin(name)
+    cx = trop_complex_for(fan)
+    seed = sum(map(ord, name))
+    for mw in _seeded_weights(fan, seed):
+        assert (not balancing_check(mw)) == cycle_class(cx, mw).is_cycle(), (
+            mw.codim, mw.weights)
 
 
 def test_tropical_line_pairs_to_unit():
@@ -284,7 +336,7 @@ def test_balancing_blocks_are_built_once_per_fan_and_codim(monkeypatch):
         raise AssertionError("the balancing blocks were built again")
 
     monkeypatch.setattr(fans, "project", forbidden)
-    monkeypatch.setattr(fans, "new_ray", forbidden)
+    monkeypatch.setattr(fans, "facet_frame", forbidden)
     assert [balancing_check(ray_weight(fan, v)) for v in values] == first
     assert first[0] == [] and first[1] != []
 
