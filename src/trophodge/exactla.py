@@ -387,6 +387,14 @@ class ZMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _of_ints(cls, rows, cols, entries):
+        """Unchecked: for rows of ints by construction, as in products."""
+        m = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rows, cols, tuple(map(tuple, entries)))):
+            object.__setattr__(m, name, value)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("ZMatrix is immutable")
 
@@ -403,7 +411,7 @@ class ZMatrix:
     @functools.lru_cache(maxsize=None)
     def identity(cls, n):
         """The n x n identity; one shared copy per n."""
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of_ints(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         return (
@@ -423,7 +431,7 @@ class ZMatrix:
             raise ValueError("shape mismatch")
         ot = list(zip(*other.entries)) if other.rows else [()] * other.cols
         out = [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-        return ZMatrix(self.rows, other.cols, out)
+        return ZMatrix._of_ints(self.rows, other.cols, out)
 
 
 def smith_normal_form(m: ZMatrix):
@@ -518,7 +526,8 @@ def smith_normal_form(m: ZMatrix):
         if A[t][t] < 0:
             negate_row(t)
         t += 1
-    return ZMatrix(R, R, U), ZMatrix(R, C, A), ZMatrix(C, C, V), ZMatrix(R, R, U_inv)
+    z = ZMatrix._of_ints
+    return z(R, R, U), z(R, C, A), z(C, C, V), z(R, R, U_inv)
 
 
 def lex_subsets(n, p):

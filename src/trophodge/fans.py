@@ -6,26 +6,20 @@ geometry runs on integer rows through the elimination core of
 a checked fan:
 
 * ``Cone.dim`` is the :func:`~trophodge.exactla.sparse_rank` of the rays.
-  Rays that are linearly independent span a simplicial cone, which is
-  pointed and has every ray extremal, so only dependent rays are checked
-  by elimination.
-* Facet normals come from the (d-1)-subsets of the rays: the first RREF
-  row of a subset's null space that has one sign on the cone.  The rows
-  come from one reversed-column elimination of the subset and a
-  back-solve per free column (:func:`~trophodge.exactla._kernel_rows`),
-  as primitive integer rows with positive pivots.  The same rows for
-  the null space of all the rays cut out the span of the cone in
-  :func:`_cone_system`, and ``Cone.contains`` is a rank test plus
-  integer normal evaluations.
-* :func:`feasible` decides emptiness of a polyhedral system by
-  substitution and Fourier-Motzkin elimination on primitive integer
-  rows, with positive multipliers and each new row divided by its
-  content.
+  Independent rays span a simplicial cone, pointed with every ray
+  extremal; dependent rays are pointed iff their facet normals have rank
+  dim on them, and the extremal ones are the 1-dimensional faces.
+* Facet normals come from the (d-1)-subsets of the rays: the first row
+  of a subset's null space (:func:`~trophodge.exactla._kernel_rows`) that
+  has one sign on the cone.  Only given cones and the readers of normals,
+  ``Cone.contains`` and the intersection checks, compute them: the
+  facets of each face of a given cone are the largest of its
+  intersections with the cone's facets (:func:`_enter_face_lattice`).
 * Two maximal cones meet in their largest common face F when the sum of
-  one cone's facet normals through F, which is >= 0 on that cone and
-  zero there exactly on F, is <= 0 on every ray of the other
-  (:func:`_certified`).  Only pairs without this certificate go to
-  :func:`feasible`.
+  one cone's facet normals through F, >= 0 on that cone and zero there
+  exactly on F, is <= 0 on every ray of the other (:func:`_certified`).
+  Only other pairs go to :func:`feasible`, a Fourier-Motzkin elimination
+  on primitive integer rows.
 * Every lattice map between torus-orbit strata is made here from one
   Smith form per nonzero cone (:func:`orbit_frame`): the projection
   N -> N_sigma and an integer section of it, read by :func:`stratum_map`
@@ -164,15 +158,17 @@ class Cone:
         rays = [primitive(r) for r in rays]
         if any(len(r) != ambient_rank for r in rays):
             raise ValueError("ray length does not match ambient rank")
-        rays = sorted(set(rays))
+        rays = tuple(sorted(set(rays)))
         dim = _rank(rays)
-        # linearly independent rays span a simplicial cone: pointed, with
-        # every ray extremal
+        # independent rays span a simplicial cone; dependent ones hold a line
+        # iff the facet normals have rank < dim on them, and keep their 1-faces
         if dim < len(rays):
-            if not _pointed(ambient_rank, rays):
+            walls = _facet_normals(Cone._canonical(ambient_rank, rays, dim))
+            if _rank([[_dot(u, r) for r in rays] for u, _ in walls]) != dim:
                 raise ValueError("cone is not strongly convex")
-            rays = _extremal(ambient_rank, rays)
-        self._set(ambient_rank, tuple(rays), dim)
+            meet = set(rays).intersection
+            rays = tuple(r for r in rays if meet(*(f for _, f in walls if r in f)) == {r})
+        self._set(ambient_rank, rays, dim)
 
     def _set(self, ambient_rank, rays, dim):
         values = (ambient_rank, rays, dim, hash((ambient_rank, rays)))
@@ -209,14 +205,11 @@ class Cone:
     def facet_normals(self):
         return _facet_normals(self)
 
-    @functools.lru_cache(maxsize=None)
     def facets(self):
-        # the rays of a facet are the cone's rays on it, in the cone's order;
-        # cached, as every facet walk of the package reads it
-        return tuple(
-            Cone._canonical(self.ambient_rank, face_rays, self.dim - 1)
-            for _, face_rays in self.facet_normals()
-        )
+        """The facets, sorted by rays, read off a face lattice."""
+        if self not in _facet_table:
+            _enter_face_lattice(self)
+        return _facet_table[self]
 
     def contains(self, vec):
         """vec in the cone: in its span, and on the inner side of each facet.
@@ -228,34 +221,10 @@ class Cone:
         return all(_dot(normal, vec) >= 0 for normal, _ in self.facet_normals())
 
 
-def _pointed(n, rays):
-    # pointed iff 0 is not in the convex hull of the rays: no combination
-    # with multipliers >= 0 sends the rays (r, 1) to (0, 1)
-    return not _in_cone_of(n + 1, [r + (1,) for r in rays], (0,) * n + (1,))
-
-
-def _in_cone_of(n, rays, vec):
-    """vec in cone(rays), decided in generator coordinates."""
-    k = len(rays)
-    eqs = [
-        [rays[i][c] for i in range(k)] + [-vec[c]] for c in range(n)
-    ]
-    ineqs = [[1 if i == j else 0 for i in range(k)] + [0] for j in range(k)]
-    return feasible(k, eqs, ineqs)
-
-
-def _extremal(n, rays):
-    out = []
-    for i, r in enumerate(rays):
-        others = [s for j, s in enumerate(rays) if j != i]
-        if not _in_cone_of(n, others, r):
-            out.append(r)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _facet_normals(cone):
-    """((normal, facet_rays), ...): primitive inward normals with their facets.
+    """((normal, facet_rays), ...): primitive inward normals with their
+    facets, sorted by facet rays; faces of given cones need none.
 
     Each (d-1)-subset of independent rays has a null space; its first RREF
     line that does not vanish on the cone is, if it has one sign on the
@@ -289,9 +258,30 @@ def _facet_normals(cone):
     return tuple((v, k) for k, v in sorted(found.items()))
 
 
+_facet_table = {}  # the facets of each cone, filled by _enter_face_lattice
+_face = functools.lru_cache(maxsize=None)(Cone._canonical)  # one object per face
+
+
+def _enter_face_lattice(cone):
+    """Put the facets of the cone and of its faces in the table: those of a
+    face G are the largest proper G cap F over the facets F of the cone, as
+    every face is a meet of facets (Ziegler, Lectures on Polytopes, 2.3)."""
+    walls = [frozenset(facet) for _, facet in _facet_normals(cone)]
+    todo = [cone]
+    while todo:
+        face = todo.pop()
+        if face in _facet_table:
+            continue
+        cuts = {w.intersection(face.rays) for w in walls} - {frozenset(face.rays)}
+        tops = [c for c in cuts if not any(c < t for t in cuts)]
+        rays = sorted(tuple(r for r in face.rays if r in c) for c in tops)
+        _facet_table[face] = tuple(_face(cone.ambient_rank, f, face.dim - 1) for f in rays)
+        todo += _facet_table[face]
+
+
 @functools.lru_cache(maxsize=None)
 def faces(cone: Cone) -> frozenset:
-    """All faces of the cone, including the zero cone and the cone itself."""
+    """All faces of the cone, the zero cone and itself included, by facets."""
     out = {cone}
     for facet in cone.facets():
         out.update(faces(facet))
@@ -329,8 +319,8 @@ def orbit_frame(cone: Cone) -> tuple:
     u, _, _, u_inv = smith_normal_form(cols)
     r = cone.dim
     return (
-        ZMatrix(n - r, n, u.entries[r:]),
-        ZMatrix(n, n - r, [row[r:] for row in u_inv.entries]),
+        ZMatrix._of_ints(n - r, n, u.entries[r:]),
+        ZMatrix._of_ints(n, n - r, [row[r:] for row in u_inv.entries]),
     )
 
 
@@ -375,7 +365,7 @@ def facet_frame(face: Cone, cone: Cone):
     section = orbit_frame(cone)[1]
     lifts = [project(face, v) for v in zip(*section.entries)]
     rho_bar = primitive(project(face, rho))
-    return rho_bar, ZMatrix(section.cols, len(rho_bar), lifts)
+    return rho_bar, ZMatrix._of_ints(section.cols, len(rho_bar), lifts)
 
 
 class Fan:

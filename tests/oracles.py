@@ -35,7 +35,12 @@ columns, and each face vector lifted into the coface span by a solve.
 The Fraction Fourier-Motzkin elimination that the integer ``fans.feasible``
 replaced is kept as :func:`fraction_feasible`, and the Smith normal form
 test of smoothness that the minors of ``fans.is_smooth`` replaced as
-:func:`smith_is_smooth`.
+:func:`smith_is_smooth`.  The generator-coordinate programs that decided
+pointedness and extremal rays before ``Cone`` read them off its facets
+are :func:`pointed`, :func:`in_cone_of` and :func:`extremal`, and the
+faces and facets of a cone from the facet normals of each face, before
+the face lattice of ``fans`` read them off the facets of the given cone,
+are :func:`faces_by_normals` and :func:`facets_by_normals`.
 
 :func:`wedge_vector` gives the Plucker coordinates of rational vectors,
 each a Fraction minor of the rows cleared of denominators; it is the
@@ -879,3 +884,44 @@ def smith_is_smooth(cone) -> bool:
     d = smith_normal_form(mat)[1].entries
     divisors = [d[i][i] for i in range(min(len(d), cone.ambient_rank)) if d[i][i]]
     return len(divisors) == len(cone.rays) and all(x == 1 for x in divisors)
+
+
+def in_cone_of(n, rays, vec):
+    """vec in cone(rays), decided in generator coordinates: a point x >= 0
+    with sum x_i rays_i = vec."""
+    k = len(rays)
+    eqs = [[rays[i][c] for i in range(k)] + [-vec[c]] for c in range(n)]
+    ineqs = [[int(i == j) for i in range(k)] + [0] for j in range(k)]
+    return fraction_feasible(k, eqs, ineqs)
+
+
+def pointed(n, rays):
+    """Whether cone(rays) contains no line: 0 is not in the convex hull of
+    the rays, so no combination with multipliers >= 0 sends the (r, 1) to
+    (0, 1)."""
+    return not in_cone_of(n + 1, [tuple(r) + (1,) for r in rays], (0,) * n + (1,))
+
+
+def extremal(n, rays):
+    """The rays of a pointed cone that are not in the cone of the others."""
+    return [r for i, r in enumerate(rays) if not in_cone_of(n, rays[:i] + rays[i + 1:], r)]
+
+
+def facets_by_normals(cone):
+    """The facets of a cone from its own facet normals, sorted by rays,
+    each with the rank of its rays as dim."""
+    n = cone.ambient_rank
+    return tuple(
+        Cone._canonical(n, rays, sparse_rank(sparse_rows(rays)))
+        for _, rays in fans._facet_normals(cone)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def faces_by_normals(cone):
+    """All faces of a cone, by recursion through :func:`facets_by_normals`
+    of each face."""
+    out = {cone}
+    for facet in facets_by_normals(cone):
+        out.update(faces_by_normals(facet))
+    return frozenset(out)

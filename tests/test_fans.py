@@ -8,6 +8,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_cycles_digest import CUBE_FAN
 from test_fan_digest import moved_zoo
 from trophodge import exactla, fans, tropspace
 from trophodge.fans import Cone, Fan, faces, orbit_frame
@@ -95,6 +96,103 @@ def test_is_smooth_matches_the_smith_form_oracle(ray_set):
     assert fans.is_smooth(cone) == oracles.smith_is_smooth(cone)
     if kind == "empty":
         assert fans.is_smooth(cone)
+
+
+@st.composite
+def _canonicalization_sets(draw):
+    """(kind, rank, rays): rays of mixed signs, more than the rank, whose
+    cone may contain a line; rays with a positive first entry plus a ray
+    and its negative; rays with a positive first entry plus sums of two
+    or three of them, which lie inside the cone."""
+    kind = draw(st.sampled_from(("mixed", "line", "interior")))
+    n = draw(st.integers(2, 4))
+    ray = st.tuples(*[_SMALL] * n).filter(any)
+    if kind == "mixed":
+        return kind, n, draw(st.lists(ray, min_size=n + 1, max_size=n + 3))
+    positive = st.tuples(st.integers(1, 3), *[_SMALL] * (n - 1))
+    rays = draw(st.lists(positive, min_size=2, max_size=n + 2, unique=True))
+    if kind == "line":
+        r = draw(ray)
+        return kind, n, rays + [r, tuple(-x for x in r)]
+    group = st.lists(st.sampled_from(rays), min_size=2, max_size=3, unique=True)
+    sums = draw(st.lists(group, min_size=1, max_size=2))
+    return kind, n, rays + [tuple(map(sum, zip(*g))) for g in sums]
+
+
+@seed(3507)
+@settings(max_examples=150, deadline=None)
+@given(_canonicalization_sets())
+def test_cone_canonicalization_matches_the_generator_lp_oracle(ray_set):
+    """Cone() rejects exactly the ray sets whose cone contains a line, and
+    keeps exactly the extremal rays, as the programs in generator
+    coordinates decide."""
+    kind, n, rays = ray_set
+    distinct = sorted({fans.primitive(r) for r in rays})
+    if not oracles.pointed(n, distinct):
+        assert kind != "interior"
+        with pytest.raises(ValueError, match="not strongly convex"):
+            Cone(n, rays)
+        return
+    assert kind != "line"
+    assert list(Cone(n, rays).rays) == oracles.extremal(n, distinct)
+
+
+def _assert_lattice_matches_the_oracle(cone):
+    assert faces(cone) == oracles.faces_by_normals(cone)
+    for face in faces(cone):
+        got = [(f.rays, f.dim) for f in face.facets()]
+        assert got == [(f.rays, f.dim) for f in oracles.facets_by_normals(face)]
+
+
+def test_face_lattice_matches_the_per_face_normals_oracle():
+    """faces() and the facets of every face, in order and with their dims,
+    equal those the facet normals of each face give: on the zoo, the cube
+    fan, cube x P^1 and star subdivisions, of the cube fan too."""
+    named = [fans.builtin(name) for name in fans.BUILTIN_ZOO]
+    named += [CUBE_FAN, fans.product(CUBE_FAN, fans.builtin("p1"))]
+    named += [
+        fans.star_subdivision(fans.builtin("p3"), (1, 1, 1)),
+        fans.star_subdivision(fans.builtin("p1xp1xp1"), (1, 1, 0)),
+        fans.star_subdivision(CUBE_FAN, (1, 0, 0)),
+        fans.star_subdivision(CUBE_FAN, (2, 1, 1)),
+    ]
+    for fan in named:
+        for cone in fan.maximal_cones:
+            _assert_lattice_matches_the_oracle(cone)
+
+
+@seed(3508)
+@settings(max_examples=60, deadline=None)
+@given(_ray_sets().filter(lambda ray_set: ray_set[0] == "dependent"))
+def test_face_lattice_of_non_simplicial_cones_matches_the_oracle(ray_set):
+    _, n, rays = ray_set
+    _assert_lattice_matches_the_oracle(Cone(n, rays))
+
+
+def test_fan_build_reads_the_normals_of_the_given_cones_only(monkeypatch):
+    """With the caches and face lattices emptied, building orthant(4) and
+    P^4 runs ``_facet_normals`` once on each maximal cone and on no other
+    cone: every face takes its facets from the lattice of a given cone."""
+    given = [
+        [c.rays for c in fan.maximal_cones]
+        for fan in (fans.orthant_fan(4), fans.projective_space(4))
+    ]
+    seen = []
+    normals = fans._facet_normals
+
+    def recording(cone):
+        seen.append(cone)
+        return normals(cone)
+
+    for cache in (fans.faces, fans._face, normals):
+        cache.cache_clear()
+    monkeypatch.setattr(fans, "_facet_table", {})
+    monkeypatch.setattr(fans, "_facet_normals", recording)
+    built = [Fan(4, cones) for cones in given]
+    maximal = {c for fan in built for c in fan.maximal_cones}
+    assert len(maximal) == 16 + 5 - 1  # the positive orthant is in both
+    assert set(seen) == maximal
+    assert normals.cache_info().misses == len(maximal)
 
 
 def test_orbit_lattice_examples():
@@ -212,9 +310,10 @@ def test_fan_checks_intersections_of_maximal_pairs_only(monkeypatch):
 
 
 def test_smooth_fans_build_without_elimination(monkeypatch):
-    """Simplicial cones skip the pointedness and extremality eliminations,
-    and the face functional certifies every maximal pair of orthant(4) and
-    P^4, so building them runs no Fourier-Motzkin at all."""
+    """Simplicial cones skip the facet enumeration that settles
+    pointedness and extremal rays, and the face functional certifies every
+    maximal pair of orthant(4) and P^4, so building them runs no
+    Fourier-Motzkin at all."""
     given = [
         [c.rays for c in fan.maximal_cones]
         for fan in (fans.orthant_fan(4), fans.projective_space(4))
@@ -277,7 +376,7 @@ def test_certificate_settles_only_pairs_elimination_confirms():
 def test_fan_geometry_makes_no_fraction(monkeypatch):
     """Facet normals, cone tests and intersection checks run on integers.
 
-    The fan caches are emptied, then orthant(4), P^4, the blow-up of P^2
+    The fan caches and face lattices are emptied, then orthant(4), P^4, the blow-up of P^2
     (through star_subdivision and Cone.contains) and the complete zoo fans
     in seeded coordinates are built with ``Fraction`` unusable in both
     ``fans`` and ``exactla``.
@@ -286,9 +385,9 @@ def test_fan_geometry_makes_no_fraction(monkeypatch):
         raise AssertionError("the fan geometry made a Fraction")
 
     moved = moved_zoo()
-    for cache in (fans.faces, fans._facet_normals, Cone.facets,
-                  fans.orthant_fan):
+    for cache in (fans.faces, fans._facet_normals, fans._face, fans.orthant_fan):
         cache.cache_clear()
+    monkeypatch.setattr(fans, "_facet_table", {})
     monkeypatch.setattr(fans, "Fraction", no_fraction)
     monkeypatch.setattr(exactla, "Fraction", no_fraction)
     with pytest.raises(AssertionError):
