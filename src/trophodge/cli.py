@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including
 conflicting flags, an invalid weight file, an input file that cannot be
-read and an ``--output`` that cannot be written), 3 invalid fan (or an
+read, is not UTF-8 JSON or repeats a key in an object, and an
+``--output`` that cannot be written), 3 invalid fan (or an
 incomplete one where a complete fan is needed, as by ``chow`` and
 ``pair``), 4 cohomology error (an open fan that is not smooth; for
 ``verify``, a fan whose checks cannot run), 5 non-smooth input (for
@@ -57,11 +58,22 @@ def _load_fan(args):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or a repeated key
         raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}")
+
+
+def _json_object(pairs):
+    """A JSON object as a dict; ValueError on a repeated key, which
+    ``json`` would otherwise let the last value overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def _emit(text, output):

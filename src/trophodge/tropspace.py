@@ -46,24 +46,23 @@ orientation o(c) is the sign of that first nonzero minor, taken once,
 +1 for a point.  A codim-1 face f of c drops one ray r of R, at
 position k, and keeps the rest in order; its sign is -(-1)^k o(f) o(c)
 inside a stratum, f = (sigma, tau minus r), and (-1)^k o(f) o(c) across
-strata, f = (sigma + r, tau).  Only a pair with a cell of dependent
-projected rays takes :meth:`TropComplex._incidence_sign`, which reads
-the volume elements of the two cells: the primitive row of maximal
-minors of R, or of its first independent subset, signed so that its
-first nonzero entry is positive.
+strata, f = (sigma + r, tau).  A pair with a cell of dependent
+projected rays takes :meth:`TropComplex._incidence_sign`: the minors of
+the outward vector, or the lattice normal of the two strata, and the
+face's first independent rays, against the coface's volume element.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays (``fans.project``), the stratum maps ``fans.stratum_map`` (integral
-because each projection N -> N_sigma is onto) and their wedge
-powers (``exactla.wedge_columns``, shared with d_1 in
+because each projection N -> N_sigma is onto) and their wedge powers
+(``exactla.wedge_columns``, shared with d_1 in
 :mod:`trophodge.weightss`) are computed in ints, and every Plucker
-coordinate and orientation is an integer determinant.  Since every F_p
-has the identity basis, every face map is integral: :func:`stratum_wedge`
-of the two sedentarities, the identity inside a stratum, in the sparse
-column form of ``wedge_columns``.  It holds nothing itself: the stratum
-map is cached per cone pair in :mod:`trophodge.fans`, its wedge by matrix
-content in ``wedge_columns``, the one store of minors, which the volume
-elements also read for the maximal minors of the projected rays.
+coordinate, orientation and incidence sign is an integer determinant.
+Since every F_p has the identity basis, every face map is integral:
+:func:`stratum_wedge` of the two sedentarities, the identity inside a
+stratum, in the sparse column form of ``wedge_columns``.  It holds
+nothing itself: the stratum map is cached per cone pair in
+:mod:`trophodge.fans`, its wedge by matrix content in ``wedge_columns``,
+the one store of minors, which the volume elements also read.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import itertools
 import math
 
 from trophodge import fans
-from trophodge.exactla import QSubspace, ZMatrix, _bareiss, lex_subsets, wedge_columns
+from trophodge.exactla import QSubspace, ZMatrix, _bareiss, wedge_columns
 from trophodge.fans import Cone, Fan, faces
 from trophodge.record import Record
 
@@ -347,47 +346,38 @@ class TropComplex:
     # -- orientation and signs ----------------------------------------
 
     def _incidence_sign(self, face, coface):
-        """Sign of the coface orientation against (outward vector, face).
+        """Sign of the coface orientation against (v, face), in and across
+        strata; on independent projected rays :func:`_pair_sign` gives it.
 
-        :meth:`face_poset` takes this sign only for a pair with a cell of
-        dependent projected rays; on any other pair it equals the sign
-        :func:`_pair_sign` reads off the two cell orientations.
-
-        Each cell is oriented by its :func:`volume_element`.  Within a
-        stratum the outward vector u is minus the sum of the coface rays
-        off the face, and the sign is that of u ^ vol(face) against
-        vol(coface).  Across strata y, the lattice normal of the two
-        sedentarities (``fans.facet_frame``), a positive multiple of the
-        image of each new sedentarity ray, is killed by the stratum map b;
-        contracting vol(coface) = c y ^ X, X lifts of the face frame, by
-        the covector <y, .> and applying wedge^(k-1) b leaves
-        c |y|^2 b(X), so the sign is that of wedge^(k-1) b (iota_y
-        vol(coface)) against vol(face), with the wedge from
-        :func:`stratum_wedge`.  Both vectors are integral; they must be
-        parallel and nonzero, else ValueError.
+        F is the :func:`_frame` of the face and s_f the sign of its first
+        nonzero maximal minor; X is F lifted to the coface stratum N_sigma.
+        Within a stratum v is the outward vector u, minus the sum of the
+        coface rays off the face, and X = F; across strata v is the lattice
+        normal rho-bar of ``fans.facet_frame``, which the stratum map b
+        kills, and b(X) = F.  The sign is s_f times that of the maximal
+        minors of (v, X) against the :func:`volume_element` of the coface
+        at its first nonzero entry: u ^ vol(face) = (s_f/g) minors(u, F),
+        g > 0, and vol(coface) = c rho-bar ^ X makes wedge^(k-1) b of its
+        contraction by rho-bar c |rho-bar|^2 wedge F.  Zero minors, or
+        minors not parallel to vol(coface), raise ValueError.
         """
         sed, k = coface.sedentarity, coface.dim
-        n = coface.stratum_rank
         if face.sedentarity == sed:
-            off_face = [r for r in coface.tau.rays if r not in face.tau.rays]
-            u = [-x for x in fans.project(sed, tuple(map(sum, zip(*off_face))))]
-            got = _wedge(u, volume_element(face), n, k - 1)
-            want = volume_element(coface)
+            off = [_project(sed, r) for r in coface.tau.rays if r not in face.tau.rays]
+            v = [-sum(x) for x in zip(*off)]
         else:
-            y = fans.facet_frame(sed, face.sedentarity)[0]
-            inner = _contract(y, volume_element(coface), n, k)
-            want = volume_element(face)
-            got = [0] * len(want)
-            for x, col in zip(inner, stratum_wedge(sed, face.sedentarity, k - 1)):
-                if x:
-                    for i, m in col:
-                        got[i] += m * x
+            v = fans.facet_frame(sed, face.sedentarity)[0]
+        frame, s_f = _frame(face)
+        rows = [v, *(_project(sed, r) for r in frame)]
+        got = [_bareiss([[r[j] for j in cols] for r in rows])
+               for cols in itertools.combinations(range(coface.stratum_rank), k)]
         if not any(got):
             raise ValueError("degenerate incidence orientation")
+        want = volume_element(coface)
         j = next(i for i, x in enumerate(want) if x)
         if any(a * want[j] != b * got[j] for a, b in zip(got, want)):
             raise ValueError("orientation vector leaves the coface span")
-        return 1 if got[j] * want[j] > 0 else -1
+        return 1 if got[j] * want[j] * s_f > 0 else -1
 
     # -- validation ---------------------------------------------------
 
@@ -408,18 +398,30 @@ def volume_element(cell: Cell):
     """Primitive generator of wedge^dim of the cell span, in the lex basis
     of wedge^dim N_sigma, with its first nonzero entry positive.
 
-    It is the primitive row of maximal minors of the projected rays R
-    (``wedge_columns``), or, when R is dependent, of the first subset of
-    them that is independent: every such subset spans the cell.  On
-    independent R its sign is :func:`_orientation`.  It is computed once
-    per cell, and is (1,) on a cell that spans its stratum."""
+    It is the primitive row of the maximal minors of the :func:`_frame`
+    of the cell, whose span is the cell's; on independent projected rays
+    its sign is :func:`_orientation`.  It is computed once per cell, and
+    is (1,) on a cell that spans its stratum."""
     if cell.dim == cell.stratum_rank:
         return (1,)
-    rays = _projected_rays(cell)
-    minors = wedge_columns(ZMatrix(len(rays), cell.stratum_rank, rays), cell.dim)
-    first = min(col[0][0] for col in minors if col)
-    vol = fans.primitive([dict(col).get(first, 0) for col in minors])
-    return vol if next(x for x in vol if x) > 0 else tuple(-x for x in vol)
+    frame, s = _frame(cell)
+    rays = [_project(cell.sedentarity, r) for r in frame]
+    minors = wedge_columns(ZMatrix(cell.dim, cell.stratum_rank, rays), cell.dim)
+    return tuple(s * x for x in fans.primitive([c[0][1] if c else 0 for c in minors]))
+
+
+def _frame(cell: Cell):
+    """(F, s): the first subset F of the free rays of a cell, in lex order,
+    whose images in N_sigma are independent (they span the cell), and the
+    sign s of their first nonzero maximal minor, column subsets in lex order."""
+    sed = cell.sedentarity
+    free = [r for r in cell.tau.rays if r not in sed.rays]
+    for frame in itertools.combinations(free, cell.dim):
+        rays = [_project(sed, r) for r in frame]
+        for cols in itertools.combinations(range(cell.stratum_rank), cell.dim):
+            det = _bareiss([[v[j] for j in cols] for v in rays])
+            if det:
+                return frame, 1 if det > 0 else -1
 
 
 def _orientation(cell: Cell):
@@ -469,33 +471,6 @@ def _projected_rays(cell: Cell) -> tuple:
 
 # a ray lies in many cells of one sedentarity; each image is computed once
 _project = functools.lru_cache(maxsize=None)(fans.project)
-
-
-def _wedge(u, w, n, p):
-    """u ^ w in the lex basis of wedge^(p+1) Z^n, for u in Z^n and w in
-    the lex basis of wedge^p Z^n."""
-    index = {s: i for i, s in enumerate(lex_subsets(n, p + 1))}
-    out = [0] * len(index)
-    for t, x in zip(lex_subsets(n, p), w):
-        if x:
-            for r in range(n):
-                if u[r] and r not in t:
-                    j = sum(1 for i in t if i < r)
-                    out[index[t[:j] + (r,) + t[j:]]] += (-1) ** j * u[r] * x
-    return out
-
-
-def _contract(y, v, n, p):
-    """The contraction of v in the lex basis of wedge^p Z^n by the
-    covector <y, .>, in the lex basis of wedge^(p-1) Z^n."""
-    index = {t: i for i, t in enumerate(lex_subsets(n, p - 1))}
-    out = [0] * len(index)
-    for s, x in zip(lex_subsets(n, p), v):
-        if x:
-            for j, r in enumerate(s):
-                if y[r]:
-                    out[index[s[:j] + s[j + 1:]]] += (-1) ** j * y[r] * x
-    return out
 
 
 def stratum_wedge(sed_small: Cone, sed_big: Cone, p: int) -> tuple:

@@ -49,9 +49,25 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+# input files that are not UTF-8 JSON with unique keys, by placeholder
+BAD_FILES = {
+    "{bad}": b'{"rank": 2,',
+    "{utf16}": '{"rank": 1}'.encode("utf-16"),  # starts with the bytes ff fe
+    "{cones-twice}": b'{"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0]],'
+                     b' "cones": [[0, 1]]}',
+    "{w-twice}": b'{"fan": "p2", "codim": 1, "divisor": true,'
+                 b' "weights": [{"cone": [0], "w": 1, "w": 5}]}',
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fan-validate"], "need --builtin or --input"),
     (["fan-validate", "--input", "{bad}"], "cannot parse"),
+    (["fan-validate", "--input", "{utf16}"], "cannot parse {utf16}: 'utf-8' codec"),
+    (["pair", "--input", "{utf16}"], "cannot parse {utf16}: 'utf-8' codec"),
+    (["fan-validate", "--input", "{cones-twice}"],
+     "cannot parse {cones-twice}: repeated key 'cones'"),
+    (["pair", "--input", "{w-twice}"], "cannot parse {w-twice}: repeated key 'w'"),
     (["cohomology", "--builtin", "p2", "--p", "1"], "need --p and --q, or --all"),
     (["chow", "--builtin", "p2"], "need --codim or --all"),
     (["chow", "--builtin", "p2", "--codim", "3"], "codim must lie in 0..n"),
@@ -60,14 +76,17 @@ def test_missing_file_exits_2(capsys):
      "ray must be a comma-separated integer vector"),
     (["verify"], "need --builtin or --all-builtins"),
 ], ids=[
-    "no-fan", "unparsable-json", "p-without-q", "chow-without-codim",
+    "no-fan", "unparsable-json", "fan-not-utf8", "weights-not-utf8",
+    "fan-key-repeated", "weight-key-repeated", "p-without-q", "chow-without-codim",
     "codim-out-of-range", "subdivide-without-ray", "non-integer-ray",
     "verify-without-fan",
 ])
 def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"rank": 2,')
-    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    for i, (name, content) in enumerate(BAD_FILES.items()):
+        path = tmp_path / f"bad{i}.json"
+        path.write_bytes(content)
+        argv = [str(path) if a == name else a for a in argv]
+        message = message.replace(name, str(path))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

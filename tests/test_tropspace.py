@@ -5,6 +5,7 @@ import fractions
 import functools
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import oracles
 from oracles import wedge_vector
 from test_cycles_digest import CUBE_FAN
-from test_fan_digest import moved_zoo
+from test_fan_digest import _shears, moved_zoo
 from trophodge import exactla, fans, tropspace, weightss
 from trophodge.exactla import QSubspace, wedge_columns
 from trophodge.fans import Cone
@@ -520,3 +521,59 @@ def test_incidence_signs_of_the_cube_times_p1_match_the_fraction_oracle():
     for face, coface in pairs:
         assert cx._incidence_sign(face, coface) == (
             oracles.fraction_incidence_sign(face, coface))
+
+
+def moved_copy(fan, seed):
+    """The fan moved by the seeded unimodular change of coordinates of
+    ``test_fan_digest._shears``."""
+    mat = _shears(random.Random(seed), fan.ambient_rank)
+    return fans.Fan(fan.ambient_rank, [
+        [tuple(sum(a * x for a, x in zip(row, r)) for row in mat) for r in c.rays]
+        for c in fan.maximal_cones
+    ])
+
+
+def test_signs_of_the_moved_cube_fans_match_the_fraction_oracle(monkeypatch):
+    """The cube fan and cube x P^1, each moved by two seeded unimodular
+    changes of coordinates, have stratum maps of facet pairs that the fans
+    in fixed coordinates do not.  On every moved copy each ``face_poset``
+    sign equals the fraction oracle, and ``_incidence_sign`` runs on
+    exactly the pairs with a cell of dependent projected rays, in strata
+    and across them."""
+    calls = []
+    incidence_sign = TropComplex._incidence_sign
+
+    def counting(cx, face, coface):
+        calls.append((face, coface))
+        return incidence_sign(cx, face, coface)
+
+    def facet_maps(fan):
+        return {fans.stratum_map(s, t) for t in fan.cones for s in t.facets()}
+
+    def dependent(cell):
+        return len(tropspace._projected_rays(cell)) > cell.dim
+
+    monkeypatch.setattr(TropComplex, "_incidence_sign", counting)
+    for fan in (CUBE_FAN, fans.product(CUBE_FAN, fans.builtin("p1"))):
+        for seed in (1, 2):
+            moved = moved_copy(fan, seed)
+            assert not facet_maps(moved) <= facet_maps(fan)
+            cx = weightss.trop_complex_for(moved)
+            calls.clear()
+            poset = cx.face_poset()
+            pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _ in poset]
+            assert calls == [(f, c) for f, c in pairs if dependent(f) or dependent(c)]
+            assert {f.sedentarity == c.sedentarity for f, c in calls} == {True, False}
+            for (face, coface), (_, _, sign) in zip(pairs, poset):
+                assert sign == oracles.fraction_incidence_sign(face, coface)
+
+
+def test_incidence_sign_rejects_a_face_off_the_coface_span():
+    """The ray e3 is no face of the cone on e1, e2: u ^ e3 is not a
+    multiple of e1 ^ e2, and the sign raises ValueError."""
+    cx = tropspace.tautological_complex(fans.builtin("p3"))
+    zero = Cone(3, [])
+    face = Cell(zero, Cone(3, [(0, 0, 1)]))
+    coface = Cell(zero, Cone(3, [(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(ValueError, match="leaves the coface span"):
+        cx._incidence_sign(face, coface)
