@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from trophodge import cohomology, cycles, fans, weightss
@@ -40,7 +41,15 @@ def _builtin(name):
     try:
         return fans.builtin(name)
     except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"unknown builtin: {exc}")
+        raise CliError(EXIT_PARSE, exc.args[0])
+
+
+def _decimal(text):
+    """An integer in ASCII decimal, -?[0-9]+; ``int`` alone would also read
+    '_', '+', spaces and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
 
 
 def _load_fan(args):
@@ -181,8 +190,8 @@ def cmd_subdivide(args):
     if not args.ray:
         raise CliError(EXIT_PARSE, "need --ray a,b,...")
     try:
-        ray = tuple(int(x) for x in args.ray.split(","))
-    except ValueError:
+        ray = tuple(_decimal(x) for x in args.ray.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise CliError(EXIT_PARSE, "ray must be a comma-separated integer vector")
     out = fans.star_subdivision(fan, ray)
     _emit(json.dumps(fans.to_json_dict(out), sort_keys=True) + "\n", args.output)
@@ -270,19 +279,19 @@ def build_parser():
 
     p = sub.add_parser("cohomology", help="tropical Hodge numbers h^{p,q}")
     fan_flags(p)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--p", type=_decimal)
+    p.add_argument("--q", type=_decimal)
     p.add_argument("--all", action="store_true", help="full Betti table")
     p.set_defaults(func=cmd_cohomology, failure=EXIT_COHOMOLOGY)
 
     p = sub.add_parser("weightss", help="weight spectral sequence page dims")
     fan_flags(p)
-    p.add_argument("--level", type=int, choices=(1, 2), default=2)
+    p.add_argument("--level", type=_decimal, choices=(1, 2), default=2)
     p.set_defaults(func=cmd_weightss, failure=EXIT_NONSMOOTH)
 
     p = sub.add_parser("chow", help="Minkowski-weight Chow group dimensions")
     fan_flags(p)
-    p.add_argument("--codim", type=int)
+    p.add_argument("--codim", type=_decimal)
     p.add_argument("--all", action="store_true")
     p.set_defaults(func=cmd_chow, failure=EXIT_NONSMOOTH)
 

@@ -580,6 +580,8 @@ def blowup_p2() -> Fan:
 @functools.lru_cache(maxsize=None)
 def orthant_fan(n: int) -> Fan:
     """Complete fan of all 2^n orthants, the fan of (P^1)^n."""
+    if n < 0:
+        raise ValueError("orthant needs n >= 0")
     new_max = []
     for signs in itertools.product((1, -1), repeat=n):
         new_max.append(
@@ -631,7 +633,7 @@ def builtin(name: str) -> Fan:
         "hirzebruch": hirzebruch,
         "orthant": orthant_fan,
     }
-    if head in with_arg and arg is not None:
+    if head in with_arg and arg is not None and re.fullmatch("-?[0-9]+", arg):
         return with_arg[head](int(arg))
     raise KeyError(f"unknown builtin fan: {name!r}")
 

@@ -37,19 +37,20 @@ follow from the codim-1 faces, since the face poset of a cell is graded.
 The image of each ray in each N_sigma is cached like the cone data of
 :mod:`trophodge.fans`.
 
-Each cell is oriented by the maximal minors of its projected rays R
-alone, read in the lex order of their column subsets; the first nonzero
-one sits at the pivot columns of the RREF of R, so this is the
-orientation of the echelon basis of the span, with no elimination.
-When R is independent, as for every cell of a simplicial fan, its
-orientation o(c) is the sign of that first nonzero minor, taken once,
-+1 for a point.  A codim-1 face f of c drops one ray r of R, at
-position k, and keeps the rest in order; its sign is -(-1)^k o(f) o(c)
-inside a stratum, f = (sigma, tau minus r), and (-1)^k o(f) o(c) across
-strata, f = (sigma + r, tau).  A pair with a cell of dependent
-projected rays takes :meth:`TropComplex._incidence_sign`: the minors of
-the outward vector, or the lattice normal of the two strata, and the
-face's first independent rays, against the coface's volume element.
+Each cell is oriented by one scan, :func:`_frame`: the first subset F
+of its free rays (those of the shape off the sedentarity), in lex order,
+whose images in N_sigma are independent, and the sign s of their first
+nonzero maximal minor, column subsets in lex order.  That minor sits at
+the pivot columns of the RREF of F, so s orients F against the echelon
+basis of the span, with no elimination.  When the free rays are
+independent, as on every cell of a simplicial fan, F is all of them and
+s is the orientation o(c) of the cell, +1 for a point.  A codim-1 face f
+of c drops one free ray r, at position k, and keeps the rest in order;
+its sign is -(-1)^k o(f) o(c) inside a stratum, f = (sigma, tau minus
+r), and (-1)^k o(f) o(c) across strata, f = (sigma + r, tau).  A pair
+with a cell of dependent free rays takes
+:meth:`TropComplex._incidence_sign`, which reads the face's frame and
+the coface's volume element, built on its frame.
 
 The lattice data is integral in orbit-lattice coordinates: the projected
 rays (``fans.project``), the stratum maps ``fans.stratum_map`` (integral
@@ -248,12 +249,14 @@ class TropComplex:
         """Codimension-1 face pairs: (face_id, coface_id, sign).
 
         The sign is read off one orientation per cell (:func:`_pair_sign`),
+        the sign of its :func:`_frame` when that holds all its free rays,
         or taken by :meth:`_incidence_sign` for a pair with a cell of
-        dependent projected rays.  The pairs are also kept grouped by the
+        dependent free rays.  The pairs are also kept grouped by the
         dimension of the face, for :meth:`face_pairs`.
         """
         if self._poset_cache is None:
-            orient = [_orientation(c) for c in self.cells]
+            orient = [None if len(c.tau.rays) - len(c.sedentarity.rays) > c.dim
+                      else _frame(c)[1] for c in self.cells]
             keys = self.cell_keys
             out, by_dim = [], {}
             for cid, faces_of in enumerate(self._incidence()[0]):
@@ -347,7 +350,7 @@ class TropComplex:
 
     def _incidence_sign(self, face, coface):
         """Sign of the coface orientation against (v, face), in and across
-        strata; on independent projected rays :func:`_pair_sign` gives it.
+        strata; on independent free rays :func:`_pair_sign` gives it.
 
         F is the :func:`_frame` of the face and s_f the sign of its first
         nonzero maximal minor; X is F lifted to the coface stratum N_sigma.
@@ -399,9 +402,9 @@ def volume_element(cell: Cell):
     of wedge^dim N_sigma, with its first nonzero entry positive.
 
     It is the primitive row of the maximal minors of the :func:`_frame`
-    of the cell, whose span is the cell's; on independent projected rays
-    its sign is :func:`_orientation`.  It is computed once per cell, and
-    is (1,) on a cell that spans its stratum."""
+    of the cell, whose span is the cell's, signed by the frame's sign s,
+    the orientation of a cell of independent free rays.  It is computed
+    once per cell, and is (1,) on a cell that spans its stratum."""
     if cell.dim == cell.stratum_rank:
         return (1,)
     frame, s = _frame(cell)
@@ -413,7 +416,8 @@ def volume_element(cell: Cell):
 def _frame(cell: Cell):
     """(F, s): the first subset F of the free rays of a cell, in lex order,
     whose images in N_sigma are independent (they span the cell), and the
-    sign s of their first nonzero maximal minor, column subsets in lex order."""
+    sign s of their first nonzero maximal minor, column subsets in lex order.
+    The images are nonzero; when there are dim of them, F is all of them."""
     sed = cell.sedentarity
     free = [r for r in cell.tau.rays if r not in sed.rays]
     for frame in itertools.combinations(free, cell.dim):
@@ -424,27 +428,11 @@ def _frame(cell: Cell):
                 return frame, 1 if det > 0 else -1
 
 
-def _orientation(cell: Cell):
-    """The orientation o of the images R in N_sigma of the free rays of a
-    cell (those of the shape off the sedentarity, in order): the sign of
-    the first nonzero maximal minor of R, its column subsets in lex
-    order, +1 for a point.  That subset is the pivot set of the RREF of
-    R, so o is the sign of R against the echelon basis of the span.  The
-    images are nonzero, and o is None when they are dependent (more of
-    them than dim)."""
-    rays = _projected_rays(cell)
-    if len(rays) != cell.dim:
-        return None
-    for cols in itertools.combinations(range(cell.stratum_rank), len(rays)):
-        det = _bareiss([[v[j] for j in cols] for v in rays])
-        if det:
-            return 1 if det > 0 else -1
-
-
 def _pair_sign(o_f, o_c, face_key, coface_key):
     """The sign of :meth:`TropComplex._incidence_sign` for a codim-1 pair of
-    cells with independent projected rays, from their orientations and
-    their ``cell_keys``; None if either orientation is None.
+    cells with independent free rays, from their orientations (the signs
+    of their :func:`_frame`) and their ``cell_keys``; None if either
+    orientation is None.
 
     The face drops one free ray r of the coface, at position k among its
     free rays in id order, and keeps the others in order: inside one
@@ -461,12 +449,6 @@ def _pair_sign(o_f, o_c, face_key, coface_key):
     bit = t_c ^ t_f if same else s_f ^ s_c
     sign = o_f * o_c * (-1) ** (t_c & ~s_c & (bit - 1)).bit_count()
     return -sign if same else sign
-
-
-def _projected_rays(cell: Cell) -> tuple:
-    """The nonzero images of the lifted rays of a cell in N_sigma, in ints."""
-    sed = cell.sedentarity
-    return tuple(v for v in (_project(sed, r) for r in cell.tau.rays) if any(v))
 
 
 # a ray lies in many cells of one sedentarity; each image is computed once

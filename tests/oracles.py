@@ -62,7 +62,7 @@ ker d_out + im d_in from the canonical null vectors of d_out
 (:func:`null_rows`) and the columns of d_in, by a second full reduced
 elimination, which the one forward elimination of the production path
 replaced.  The cell orientations and volume elements that
-``tropspace`` reads off the minors of the projected rays are kept
+``tropspace`` reads off the minors of the cell frames are kept
 as :func:`rref_orientation` and :func:`rref_volume_element`, read off
 the RREF basis of the cell span (:func:`cell_span`).
 
@@ -97,7 +97,7 @@ from trophodge.exactla import (
     sparse_rows,
 )
 from trophodge.fans import Cone, Fan, faces, orbit_frame
-from trophodge.tropspace import Cell, TropComplex, _projected_rays, stratum_wedge
+from trophodge.tropspace import Cell, TropComplex, stratum_wedge
 
 
 _held = {}
@@ -439,7 +439,7 @@ def f_lower(cx: TropComplex, cell, p) -> QSubspace:
         wedges = {
             wedge_vector(sub, n, p)
             for c in stratum_cofaces(cx, cell)
-            for sub in itertools.combinations(_projected_rays(c), p)
+            for sub in itertools.combinations(projected_rays(c), p)
         }
         cache[key] = QSubspace.span(sorted(wedges), math.comb(n, p))
     return cache[key]
@@ -494,19 +494,26 @@ def face_map_columns(cx: TropComplex, face, coface, p):
     return dense_columns(wedge, math.comb(face.stratum_rank, p))
 
 
+def projected_rays(cell) -> tuple:
+    """The nonzero images of the lifted rays of a cell in N_sigma, in ints."""
+    sed = cell.sedentarity
+    return tuple(v for v in (fans.project(sed, r) for r in cell.tau.rays) if any(v))
+
+
 def cell_span(cell) -> QSubspace:
     """The Q-span of a cell in N_sigma, by the RREF of its projected rays."""
     n = cell.stratum_rank
-    return QSubspace(n, _rref(sparse_rows(_projected_rays(cell)), n)[1])
+    return QSubspace(n, _rref(sparse_rows(projected_rays(cell)), n)[1])
 
 
 def rref_orientation(cell):
     """The orientation of a cell against the RREF basis of its span: the
     sign of the determinant of its projected rays at the pivot columns,
     +1 for a point, None when the rays are dependent.  The reference for
-    ``tropspace._orientation``, which reads the first nonzero maximal
-    minor instead."""
-    rays = _projected_rays(cell)
+    the orientation ``TropComplex.face_poset`` reads, the sign of
+    ``tropspace._frame`` on a cell of independent free rays, which is
+    that of the first nonzero maximal minor instead."""
+    rays = projected_rays(cell)
     if len(rays) != cell.dim:
         return None
     det = _bareiss([[v[j] for j in cell_span(cell).pivots] for v in rays])

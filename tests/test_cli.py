@@ -94,6 +94,50 @@ def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
     assert line.startswith("error: ") and message in line
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--builtin", "p2", "--p", "\u0661", "--q", "1"],
+     "argument --p: not an ASCII decimal integer: '\u0661'"),
+    (["cohomology", "--builtin", "p2", "--p", "0_1", "--q", "1"],
+     "argument --p: not an ASCII decimal integer: '0_1'"),
+    (["cohomology", "--builtin", "p2", "--p", "1", "--q", "+1"],
+     "argument --q: not an ASCII decimal integer: '+1'"),
+    (["chow", "--builtin", "p2", "--codim", "\u0661"],
+     "argument --codim: not an ASCII decimal integer: '\u0661'"),
+    (["weightss", "--builtin", "p2", "--level", "\u0662"],
+     "argument --level: not an ASCII decimal integer: '\u0662'"),
+    (["subdivide", "--builtin", "p2", "--ray", "1_0,1"],
+     "ray must be a comma-separated integer vector"),
+    (["subdivide", "--builtin", "p2", "--ray", "+1,1"],
+     "ray must be a comma-separated integer vector"),
+    (["cohomology", "--builtin", "hirzebruch(1_0)", "--all"],
+     "unknown builtin fan: 'hirzebruch(1_0)'"),
+    (["cohomology", "--builtin", "torus(\u0662)", "--all"],
+     "unknown builtin fan: 'torus(\u0662)'"),
+    (["fan-validate", "--builtin", "hirzebruch()"], "unknown builtin fan: 'hirzebruch()'"),
+    (["fan-validate", "--builtin", "orthant(-1)"], "orthant needs n >= 0"),
+    (["fan-validate", "--builtin", "p1xp1xq"], "unknown builtin fan: 'p1xp1xq'"),
+], ids=[
+    "p-arabic-indic-digit", "p-underscore", "q-plus", "codim-arabic-indic-digit",
+    "level-arabic-indic-digit", "ray-underscore", "ray-plus", "builtin-underscore",
+    "builtin-arabic-indic-digit", "builtin-empty-argument", "builtin-negative-orthant",
+    "builtin-unknown-name",
+])
+def test_integers_and_builtin_names_are_read_strictly(capsys, argv, message):
+    """Integers on the command line and in builtin names are ASCII decimal,
+    -?[0-9]+: anything else exits 2, with argparse's usage error for a
+    typed option, else one ``error: `` line that names the builtin fan or
+    the bound it breaks, quoted once."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a typed option
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert lines[-1].endswith(f"error: {message}")
+    assert len(lines) == 1 or lines[0].startswith("usage: ")
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "x.tsv"
     code, out, err = run(

@@ -28,6 +28,13 @@ def complexes_for_functoriality():
     ]
 
 
+def dependent(cell):
+    """True iff the cell has more free rays (shape rays off the
+    sedentarity) than its dimension: ``face_poset`` then gives it no
+    orientation, and its pairs take ``_incidence_sign``."""
+    return len(cell.tau.rays) - len(cell.sedentarity.rays) > cell.dim
+
+
 def test_p1_cell_count_and_closure():
     cx = tropspace.tautological_complex(fans.builtin("p1"))
     assert len(cx.cells) == 5
@@ -327,10 +334,6 @@ def test_face_poset_runs_no_elimination_and_no_pair_determinant(monkeypatch):
     assert (len(cx.cells), len(cx.face_poset())) == (211, 650)
     assert calls["elimination"] == 0 and calls["pair"] == []
     cube = tropspace.tautological_complex(CUBE_FAN)
-
-    def dependent(cell):
-        return len(tropspace._projected_rays(cell)) > cell.dim
-
     assert calls["pair"] == [
         (cube.cells[fid], cube.cells[cid]) for fid, cid, _ in cube.face_poset()
         if dependent(cube.cells[fid]) or dependent(cube.cells[cid])
@@ -441,7 +444,7 @@ def test_integer_geometry_matches_the_fraction_oracle():
         x.denominator > 1 for cell in complexes[-1].cells
         for v in oracles.cell_span(cell).basis for x in v
     )
-    assert any(len(tropspace._projected_rays(c)) > c.dim for c in cube.cells)
+    assert any(dependent(c) for c in cube.cells)
     for cx in complexes:
         for fid, cid, sign in cx.face_poset():
             face, coface = cx.cells[fid], cx.cells[cid]
@@ -486,9 +489,11 @@ def test_orientations_and_volume_elements_match_the_rref_references():
     named += [fans.Fan(n, cones) for _, n, cones in moved_zoo()]
     named += [CUBE_FAN, fans.projective_space(5), fans.orthant_fan(4)]
     cells = {c for fan in named for c in weightss.trop_complex_for(fan).cells}
-    assert any(len(tropspace._projected_rays(c)) > c.dim for c in cells)
+    assert any(dependent(c) for c in cells)
     for cell in cells:
-        assert tropspace._orientation(cell) == oracles.rref_orientation(cell)
+        assert dependent(cell) == (len(oracles.projected_rays(cell)) > cell.dim)
+        orientation = None if dependent(cell) else tropspace._frame(cell)[1]
+        assert orientation == oracles.rref_orientation(cell)
         assert tropspace.volume_element(cell) == oracles.rref_volume_element(cell)
 
 
@@ -515,7 +520,7 @@ def test_incidence_signs_of_the_cube_times_p1_match_the_fraction_oracle():
     cx = weightss.trop_complex_for(fans.product(CUBE_FAN, fans.builtin("p1")))
     pairs = [(cx.cells[fid], cx.cells[cid]) for fid, cid, _ in cx.face_poset()]
     assert any(
-        len(tropspace._projected_rays(c)) > c.dim and f.sedentarity != c.sedentarity
+        dependent(c) and f.sedentarity != c.sedentarity
         for f, c in pairs
     )
     for face, coface in pairs:
@@ -549,9 +554,6 @@ def test_signs_of_the_moved_cube_fans_match_the_fraction_oracle(monkeypatch):
 
     def facet_maps(fan):
         return {fans.stratum_map(s, t) for t in fan.cones for s in t.facets()}
-
-    def dependent(cell):
-        return len(tropspace._projected_rays(cell)) > cell.dim
 
     monkeypatch.setattr(TropComplex, "_incidence_sign", counting)
     for fan in (CUBE_FAN, fans.product(CUBE_FAN, fans.builtin("p1"))):
