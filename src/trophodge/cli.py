@@ -49,7 +49,10 @@ def _decimal(text):
     '_', '+', spaces and non-ASCII digits."""
     if not re.fullmatch("-?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
-    return int(text)
+    try:
+        return fans.decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0])
 
 
 def _load_fan(args):
@@ -67,10 +70,10 @@ def _load_fan(args):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_json_object)
+            return json.load(fh, object_pairs_hook=_json_object, parse_int=fans.decimal)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
-    except ValueError as exc:  # not UTF-8, not JSON, or a repeated key
+    except ValueError as exc:  # not UTF-8, not JSON, a repeated key or a long integer
         raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}")
 
 

@@ -115,7 +115,7 @@ def _weight_value(w):
     if type(w) is int:
         return Fraction(w)
     if isinstance(w, str) and _WEIGHT_RE.fullmatch(w):
-        return Fraction(w)
+        return Fraction(*map(fans.decimal, w.split("/")))
     raise ValueError(f"weight {w!r} is not an integer or a 'num/den' string")
 
 

@@ -2,8 +2,9 @@
 
 Every cohomology dimension computed by this package is the rank of a
 matrix over Q, and every lattice question (saturation, quotient
-coordinates and their integer section) is one Smith normal form, with
-U^-1, or, for smoothness, a gcd of minors.  No floating point anywhere.
+coordinates and their integer section) is one unimodular row reduction
+to echelon form, with U^-1 (:func:`unimodular_echelon`), or, for
+smoothness, a gcd of minors.  No floating point anywhere.
 
 Every rank, reduced row echelon form and kernel comes out of one sparse
 fraction-free forward elimination, :func:`_gauss_jordan`, on rows
@@ -434,100 +435,46 @@ class ZMatrix:
         return ZMatrix._of_ints(self.rows, other.cols, out)
 
 
-def smith_normal_form(m: ZMatrix):
-    """(U, D, V, U^-1) with U @ m @ V = D diagonal, U, V unimodular,
-    d_i | d_{i+1}; each row operation on U takes its inverse column
-    operation on U^-1.
+def unimodular_echelon(m: ZMatrix):
+    """(U, U^-1), U unimodular with U @ m in row echelon form up to a
+    column permutation: the rows of U past the rank of m span the integer
+    vectors that vanish on its columns (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, 2.4).
 
-    Deterministic: the pivot is always the smallest-magnitude nonzero
-    entry of the working block, first occurrence in row-major order.
+    Row operations on m beside the identity, each mirrored on U^-1 as its
+    inverse column operation.  Step t swaps to (t, t) the smallest nonzero
+    |entry| of the rows and columns >= t, first in row-major order (the
+    column swap in the working copy only), clears column t below it by row
+    Euclid steps and makes it positive.  That is the pivot rule of the
+    Smith normal form, so where every pivot is 1, as on the rays of a
+    smooth cone (the pivots multiply to the gcd of the maximal minors), U
+    is the Smith form's: its column steps then only clear row t.
     """
-    A = [list(row) for row in m.entries]
     R, C = m.rows, m.cols
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    U_inv = [row[:] for row in U]
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for row in U_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        A[dst] = [a + k * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
-        for row in U_inv:
-            row[src] -= k * row[dst]
-
-    def add_col(dst, src, k):
-        for row in A:
-            row[dst] += k * row[src]
-        for row in V:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for row in U_inv:
-            row[i] = -row[i]
-
-    t = 0
-    while t < min(R, C):
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    W = [list(row) + [int(i == j) for j in range(R)] for i, row in enumerate(m.entries)]
+    T = [[int(i == j) for j in range(R)] for i in range(R)]  # U^-1 transposed
+    for t in range(min(R, C)):
+        block = [(abs(W[i][j]), i, j) for i in range(t, R) for j in range(t, C) if W[i][j]]
+        if not block:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            piv = A[t][t]
-            done = True
-            for i in range(t + 1, R):
-                if A[i][t] != 0:
-                    q = A[i][t] // piv
-                    add_row(i, t, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, C):
-                if A[t][j] != 0:
-                    q = A[t][j] // piv
-                    add_col(j, t, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-                        break
-            if done:
-                piv = A[t][t]
-                bad = None
-                for i in range(t + 1, R):
-                    for j in range(t + 1, C):
-                        if A[i][j] % piv != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                add_row(t, bad, 1)
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-    z = ZMatrix._of_ints
-    return z(R, R, U), z(R, C, A), z(C, C, V), z(R, R, U_inv)
+        _, i, j = min(block)
+        W[t], W[i], T[t], T[i] = W[i], W[t], T[i], T[t]
+        for row in W:
+            row[t], row[j] = row[j], row[t]
+        i = t + 1
+        while i < R:
+            if W[i][t]:
+                k = W[i][t] // W[t][t]
+                W[i] = [a - k * b for a, b in zip(W[i], W[t])]
+                T[t] = [a + k * b for a, b in zip(T[t], T[i])]
+                if W[i][t]:
+                    W[t], W[i], T[t], T[i] = W[i], W[t], T[i], T[t]
+                    i = t
+            i += 1
+        if W[t][t] < 0:
+            W[t] = [-a for a in W[t]]
+            T[t] = [-a for a in T[t]]
+    return ZMatrix._of_ints(R, R, [row[C:] for row in W]), ZMatrix._of_ints(R, R, zip(*T))
 
 
 def lex_subsets(n, p):

@@ -21,7 +21,8 @@ a checked fan:
   Only other pairs go to :func:`feasible`, a Fourier-Motzkin elimination
   on primitive integer rows.
 * Every lattice map between torus-orbit strata is made here from one
-  Smith form per nonzero cone (:func:`orbit_frame`): the projection
+  row reduction of the rays per nonzero cone, pivot the smallest |entry|
+  left (:func:`orbit_frame`): the projection
   N -> N_sigma and an integer section of it, read by :func:`stratum_map`
   and :func:`facet_frame`, both cached per pair of cones.  Only
   :func:`facet_frame` makes the primitive lattice normal of a facet pair,
@@ -35,15 +36,16 @@ import functools
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from trophodge.exactla import (
     ZMatrix,
     _cleared,
     _kernel_rows,
-    smith_normal_form,
     sparse_rank,
     sparse_rows,
+    unimodular_echelon,
     wedge_columns,
 )
 
@@ -55,6 +57,16 @@ def _integer(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise ValueError(f"{x!r} is not an integer")
+
+
+def decimal(text):
+    """int(text) for ASCII decimal digits with an optional sign; past the
+    digits that Python converts, the ValueError names that bound."""
+    try:
+        return int(text)
+    except ValueError:
+        digits, limit = len(text.lstrip("+-")), sys.get_int_max_str_digits()
+        raise ValueError(f"integer has {digits} digits; at most {limit} are read") from None
 
 
 def ray_at(rays, i):
@@ -306,17 +318,15 @@ def orbit_frame(cone: Cone) -> tuple:
     """(proj, section): the map of N onto N_sigma = N / (span(sigma) cap N)
     in a fixed Z-basis, and an integer right inverse of it.
 
-    Both come from the Smith form U @ R @ V = D of the rays as columns:
-    proj is the rows of U past the rank, ``cone.dim``, and the section
-    the same columns of U^-1, so proj @ section = I.
+    Both come from the unimodular row reduction U of the rays as columns
+    (:func:`~trophodge.exactla.unimodular_echelon`): proj is the rows of U
+    past the rank, ``cone.dim``, and the section the same columns of
+    U^-1, so proj @ section = I.
     """
     n = cone.ambient_rank
     if cone.is_zero:
         return ZMatrix.identity(n), ZMatrix.identity(n)
-    cols = ZMatrix.from_rows(
-        [[r[i] for r in cone.rays] for i in range(n)], len(cone.rays)
-    )
-    u, _, _, u_inv = smith_normal_form(cols)
+    u, u_inv = unimodular_echelon(ZMatrix.from_rows(zip(*cone.rays), len(cone.rays)))
     r = cone.dim
     return (
         ZMatrix._of_ints(n - r, n, u.entries[r:]),
@@ -634,7 +644,7 @@ def builtin(name: str) -> Fan:
         "orthant": orthant_fan,
     }
     if head in with_arg and arg is not None and re.fullmatch("-?[0-9]+", arg):
-        return with_arg[head](int(arg))
+        return with_arg[head](decimal(arg))
     raise KeyError(f"unknown builtin fan: {name!r}")
 
 

@@ -33,8 +33,11 @@ stratum map solved over Q, its wedge power as Plucker coordinates of its
 columns, and each face vector lifted into the coface span by a solve.
 
 The Fraction Fourier-Motzkin elimination that the integer ``fans.feasible``
-replaced is kept as :func:`fraction_feasible`, and the Smith normal form
-test of smoothness that the minors of ``fans.is_smooth`` replaced as
+replaced is kept as :func:`fraction_feasible`.  The Smith normal form
+U @ m @ V = D that ``fans.orbit_frame`` read before the row-only
+``exactla.unimodular_echelon`` replaced it, with the same pivot rule and
+the same U on smooth cones, is :func:`smith_normal_form`; its test of
+smoothness, which the minors of ``fans.is_smooth`` replaced, is
 :func:`smith_is_smooth`.  The generator-coordinate programs that decided
 pointedness and extremal rays before ``Cone`` read them off its facets
 are :func:`pointed`, :func:`in_cone_of` and :func:`extremal`, and the
@@ -92,7 +95,6 @@ from trophodge.exactla import (
     block_offsets,
     ZMatrix,
     lex_subsets,
-    smith_normal_form,
     sparse_rank,
     sparse_rows,
 )
@@ -880,6 +882,102 @@ def fraction_feasible(nvars, eqs, ineqs):
                 new.append(combo)
         ineqs = new
     return all(r[nvars] >= 0 for r in ineqs)
+
+
+def smith_normal_form(m: ZMatrix):
+    """(U, D, V, U^-1) with U @ m @ V = D diagonal, U, V unimodular,
+    d_i | d_{i+1}; each row operation on U takes its inverse column
+    operation on U^-1.
+
+    Deterministic: the pivot is always the smallest-magnitude nonzero
+    entry of the working block, first occurrence in row-major order.
+    """
+    A = [list(row) for row in m.entries]
+    R, C = m.rows, m.cols
+    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
+    U_inv = [row[:] for row in U]
+    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+        for row in U_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, k):
+        A[dst] = [a + k * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
+        for row in U_inv:
+            row[src] -= k * row[dst]
+
+    def add_col(dst, src, k):
+        for row in A:
+            row[dst] += k * row[src]
+        for row in V:
+            row[dst] += k * row[src]
+
+    def negate_row(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+        for row in U_inv:
+            row[i] = -row[i]
+
+    t = 0
+    while t < min(R, C):
+        best = None
+        for i in range(t, R):
+            for j in range(t, C):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            piv = A[t][t]
+            done = True
+            for i in range(t + 1, R):
+                if A[i][t] != 0:
+                    q = A[i][t] // piv
+                    add_row(i, t, -q)
+                    if A[i][t] != 0:
+                        swap_rows(t, i)
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(t + 1, C):
+                if A[t][j] != 0:
+                    q = A[t][j] // piv
+                    add_col(j, t, -q)
+                    if A[t][j] != 0:
+                        swap_cols(t, j)
+                        done = False
+                        break
+            if done:
+                piv = A[t][t]
+                bad = None
+                for i in range(t + 1, R):
+                    for j in range(t + 1, C):
+                        if A[i][j] % piv != 0:
+                            bad = i
+                            break
+                    if bad is not None:
+                        break
+                if bad is None:
+                    break
+                add_row(t, bad, 1)
+        if A[t][t] < 0:
+            negate_row(t)
+        t += 1
+    z = ZMatrix._of_ints
+    return z(R, R, U), z(R, C, A), z(C, C, V), z(R, R, U_inv)
 
 
 def smith_is_smooth(cone) -> bool:

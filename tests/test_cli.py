@@ -94,6 +94,19 @@ def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
     assert line.startswith("error: ") and message in line
 
 
+# 5,000 digits, past the 4,300 that Python converts by default
+_LONG = "1" * 5000
+_TOO_LONG = f"integer has 5000 digits; at most {sys.get_int_max_str_digits()} are read"
+
+# the input files that cases below name, written to the test's directory
+_STRICT_FILES = {
+    "long_rank.json": '{"rank": %s, "rays": [], "cones": []}' % _LONG,
+    "long_weight.json": json.dumps(
+        {"fan": "p1", "codim": 0, "weights": [{"cone": [0], "w": _LONG}]}
+    ),
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cohomology", "--builtin", "p2", "--p", "\u0661", "--q", "1"],
      "argument --p: not an ASCII decimal integer: '\u0661'"),
@@ -116,17 +129,29 @@ def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
     (["fan-validate", "--builtin", "hirzebruch()"], "unknown builtin fan: 'hirzebruch()'"),
     (["fan-validate", "--builtin", "orthant(-1)"], "orthant needs n >= 0"),
     (["fan-validate", "--builtin", "p1xp1xq"], "unknown builtin fan: 'p1xp1xq'"),
+    (["cohomology", "--builtin", "p2", "--p", _LONG, "--q", "1"], f"argument --p: {_TOO_LONG}"),
+    (["fan-validate", "--builtin", f"torus({_LONG})"], _TOO_LONG),
+    (["fan-validate", "--input", "long_rank.json"], f"cannot parse long_rank.json: {_TOO_LONG}"),
+    (["pair", "--input", "long_weight.json"], f"invalid weight file: {_TOO_LONG}"),
 ], ids=[
     "p-arabic-indic-digit", "p-underscore", "q-plus", "codim-arabic-indic-digit",
     "level-arabic-indic-digit", "ray-underscore", "ray-plus", "builtin-underscore",
     "builtin-arabic-indic-digit", "builtin-empty-argument", "builtin-negative-orthant",
-    "builtin-unknown-name",
+    "builtin-unknown-name", "p-5000-digits", "builtin-5000-digits", "json-5000-digits",
+    "weight-5000-digits",
 ])
-def test_integers_and_builtin_names_are_read_strictly(capsys, argv, message):
+def test_integers_and_builtin_names_are_read_strictly(
+    tmp_path, monkeypatch, capsys, argv, message
+):
     """Integers on the command line and in builtin names are ASCII decimal,
     -?[0-9]+: anything else exits 2, with argparse's usage error for a
     typed option, else one ``error: `` line that names the builtin fan or
-    the bound it breaks, quoted once."""
+    the bound it breaks, quoted once.  An integer longer than Python
+    converts, there, in a JSON file or in a weight, names the digit bound,
+    not the interpreter setting or the reader's name."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in _STRICT_FILES.items():
+        (tmp_path / name).write_text(text)
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse rejects a typed option
@@ -136,6 +161,8 @@ def test_integers_and_builtin_names_are_read_strictly(capsys, argv, message):
     lines = captured.err.splitlines()
     assert lines[-1].endswith(f"error: {message}")
     assert len(lines) == 1 or lines[0].startswith("usage: ")
+    assert "set_int_max_str_digits" not in captured.err
+    assert "_decimal" not in captured.err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

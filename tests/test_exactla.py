@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import _rref, composes_to, dense_columns, wedge_vector
+from oracles import _rref, composes_to, dense_columns, smith_normal_form, wedge_vector
 from trophodge.exactla import (
     QSubspace,
     ZMatrix,
@@ -16,7 +16,6 @@ from trophodge.exactla import (
     _kernel_rows,
     homology_quotient,
     lex_subsets,
-    smith_normal_form,
     sparse_rank,
     wedge_columns,
 )

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import _rref, wedge_vector
+from oracles import _rref, smith_normal_form, wedge_vector
 from trophodge.exactla import (
     QSubspace,
     ZMatrix,
     _bareiss,
     homology_quotient,
     lex_subsets,
-    smith_normal_form,
     sparse_rank,
 )
 

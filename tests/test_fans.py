@@ -230,6 +230,77 @@ def test_orbit_frames_and_stratum_maps_commute():
     assert pairs == 1200
 
 
+@st.composite
+def _smooth_ray_sets(draw):
+    """("smooth", rank, rays): the first k rows of a unimodular matrix,
+    the identity after up to six row steps r_i += c r_j, so the rays
+    extend to a Z-basis of N."""
+    n = draw(st.integers(1, 5))
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(-2, 2))
+        for i, shift, c in draw(st.lists(steps, max_size=6)):
+            j = (i + shift) % n
+            basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
+    k = draw(st.integers(1, n))
+    return "smooth", n, [tuple(row) for row in basis[:k]]
+
+
+def _ray_columns(cone):
+    return exactla.ZMatrix.from_rows(zip(*cone.rays), len(cone.rays))
+
+
+def _smith_frame(cone):
+    """The orbit frame read off the Smith normal form oracle: the rows of
+    U past the rank and the same columns of U^-1."""
+    r = cone.dim
+    u, _, _, u_inv = oracles.smith_normal_form(_ray_columns(cone))
+    return u.entries[r:], tuple(row[r:] for row in u_inv.entries)
+
+
+def _assert_valid_frame(cone):
+    """proj has n - dim rows, kills every ray and has the section as a
+    right inverse: so it is onto, and its kernel, of rank dim, saturated
+    and holding the rays, is span(sigma) cap N."""
+    proj, section = orbit_frame(cone)
+    assert proj.rows == cone.ambient_rank - cone.dim
+    assert not any(sum(a * x for a, x in zip(m, ray)) for m in proj.entries for ray in cone.rays)
+    assert proj @ section == exactla.ZMatrix.identity(proj.rows)
+
+
+@seed(3809)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ray_sets(), _smooth_ray_sets()))
+def test_orbit_frame_is_a_lattice_frame_and_the_smith_frame_on_smooth_cones(ray_set):
+    """On random strongly convex cones the row reduction is unimodular and
+    its frame valid; on smooth cones, where every pivot is 1, it is the
+    frame the Smith normal form gives."""
+    kind, n, rays = ray_set
+    cone = Cone(n, rays)
+    _assert_valid_frame(cone)
+    if cone.is_zero:
+        return
+    u, u_inv = exactla.unimodular_echelon(_ray_columns(cone))
+    assert u @ u_inv == exactla.ZMatrix.identity(n)
+    assert orbit_frame(cone)[0].entries == u.entries[cone.dim:]
+    if kind == "smooth":
+        assert fans.is_smooth(cone)
+    if fans.is_smooth(cone):
+        proj, section = orbit_frame(cone)
+        assert (proj.entries, section.entries) == _smith_frame(cone)
+
+
+def test_orbit_frame_of_a_non_smooth_cone_may_differ_from_the_smith_frame():
+    """Invariant factors 1, 1, 2: the Smith form's column steps at the
+    pivot 2 reach back into U, so its section differs from the row
+    reduction's, and both frames are valid."""
+    cone = Cone(5, [(-4, -3, -1, -5, -3), (-2, -1, 5, -1, 3), (4, -3, -5, 3, -2)])
+    assert not fans.is_smooth(cone)
+    proj, section = orbit_frame(cone)
+    assert (proj.entries, section.entries) != _smith_frame(cone)
+    _assert_valid_frame(cone)
+
+
 def test_stratum_map_rejects_cones_that_are_not_nested():
     with pytest.raises(ValueError, match="not nested"):
         fans.stratum_map(Cone(2, [(1, 0)]), Cone(2, []))
