@@ -30,6 +30,10 @@ EXIT_COHOMOLOGY = 4
 EXIT_NONSMOOTH = 5
 EXIT_UNBALANCED = 6
 
+# an integer in ASCII decimal; ``int`` alone would also read '_', '+',
+# spaces and non-ASCII digits
+_DECIMAL = re.compile("-?[0-9]+")
+
 
 class CliError(Exception):
     def __init__(self, code, message):
@@ -45,9 +49,8 @@ def _builtin(name):
 
 
 def _decimal(text):
-    """An integer in ASCII decimal, -?[0-9]+; ``int`` alone would also read
-    '_', '+', spaces and non-ASCII digits."""
-    if not re.fullmatch("-?[0-9]+", text):
+    """An integer in ASCII decimal (``_DECIMAL``), as an option's type."""
+    if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
     try:
         return fans.decimal(text)
@@ -192,10 +195,13 @@ def cmd_subdivide(args):
     fan = _load_fan(args)
     if not args.ray:
         raise CliError(EXIT_PARSE, "need --ray a,b,...")
-    try:
-        ray = tuple(_decimal(x) for x in args.ray.split(","))
-    except (ValueError, argparse.ArgumentTypeError):
+    coords = args.ray.split(",")
+    if not all(map(_DECIMAL.fullmatch, coords)):
         raise CliError(EXIT_PARSE, "ray must be a comma-separated integer vector")
+    try:
+        ray = tuple(map(fans.decimal, coords))
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, f"ray: {exc.args[0]}")
     out = fans.star_subdivision(fan, ray)
     _emit(json.dumps(fans.to_json_dict(out), sort_keys=True) + "\n", args.output)
     return 0

@@ -46,7 +46,8 @@ complexes, from :func:`cochains`, the incidence complex of the cells:
 C^q is the direct sum of F^p over the q-cells, and delta_q is written
 from their signed codim-1 face pairs; :mod:`trophodge.cycles` reads its
 layout and rows.  No dense differential is built on any path; the one
-dense view, ``CochainComplex.deltas``, is for the benchmark's counts.
+dense view, ``CochainComplex.deltas``, is an integer ``ZMatrix`` per
+delta_q, for the benchmark's counts, and no matrix of Fractions exists.
 
 The unreduced ranks of the incidence complex, and the face-poset and Cech
 models, that cross-check these paths are test oracles in
@@ -61,7 +62,7 @@ import math
 
 from trophodge import fans
 from trophodge.exactla import (
-    QMatrix,
+    ZMatrix,
     _bareiss,
     block_offsets,
     homology_quotient,
@@ -82,10 +83,11 @@ class CochainComplex:
     scalar times the ``stratum_wedge`` of their sedentarities.  The
     offsets and block sizes of each C^q are made with the complex;
     :meth:`delta` writes each delta_q once and holds it, and
-    :meth:`rank` ranks it once.  ``rows`` and the dense ``QMatrix``
-    :attr:`deltas`, built on request for the benchmark's counts, are
-    views of every delta_q.  :func:`cochains` builds one from the cells of
-    a complex, :func:`orbit_cochains` one from the cones of a fan.
+    :meth:`rank` ranks it once.  ``rows`` and the dense integer
+    ``ZMatrix``es of :attr:`deltas`, built on request for the benchmark's
+    counts, are views of every delta_q.  :func:`cochains` builds one from
+    the cells of a complex, :func:`orbit_cochains` one from the cones of a
+    fan.
     """
 
     def __init__(self, seds, layout, pairs, p):
@@ -160,10 +162,12 @@ class CochainComplex:
 
     @property
     def deltas(self):
-        return tuple(
-            QMatrix.from_sparse(rows, self.space_dim(q))
-            for q, rows in enumerate(self.rows)
-        )
+        out = []
+        for q, rows in enumerate(self.rows):
+            cols = range(self.space_dim(q))
+            dense = [[row.get(j, 0) for j in cols] for row in rows]
+            out.append(ZMatrix(self.space_dim(q + 1), len(cols), dense))
+        return tuple(out)
 
 
 def cochains(cx: TropComplex, p: int) -> CochainComplex:

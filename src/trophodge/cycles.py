@@ -269,24 +269,13 @@ def cycle_class(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
 
 
 def divisor_cycle(cx: TropComplex, ray) -> TropCycle:
-    """The boundary divisor of a ray as a weight-one sedentary cycle.
-
-    Built once per complex and ray and held in ``cx.divisors``; the
-    callers must not modify its chain.
-    """
-    key = fans.primitive(ray)
-    if key not in cx.divisors:
-        fan = cx.base_fan
-        n = fan.ambient_rank
-        rho = Cone(n, [key])
-        if not fan.contains_cone(rho):
-            raise ValueError("not a ray of the fan")
-        cx.divisors[key] = _volume_cycle(
-            cx,
-            n - 1,
-            [(Cell(rho, tau), 1) for tau in fan.cones_of_dim(n) if rho in fans.faces(tau)],
-        )
-    return cx.divisors[key]
+    """The boundary divisor of a ray as a weight-one sedentary cycle: the
+    unit-weight case of :func:`divisor_combination`."""
+    fan = cx.base_fan
+    rho = Cone(fan.ambient_rank, [fans.primitive(ray)])
+    if not fan.contains_cone(rho):
+        raise ValueError("not a ray of the fan")
+    return divisor_combination(cx, [int(r == rho) for r in fan.cones_of_dim(1)])
 
 
 def pair(cocycle_coords, cycle: TropCycle) -> Fraction:
@@ -337,48 +326,48 @@ def divisor_class_kernel(fan: Fan) -> QSubspace:
     columns, are the RREF of the projection; the others vanish there.
     """
     cx = weightss.trop_complex_for(fan)
-    n = fan.ambient_rank
-    d = n - 1
-    rays = fan.rays
+    d = fan.ambient_rank - 1
+    k = len(fan.rays)
     cc = cohomology.cochains(cx, d)
     offs = cc.offsets(d)
     ext = [{} for _ in range(cc.space_dim(d))]
-    for r, ray in enumerate(rays):
-        for cid, block in divisor_cycle(cx, ray).chain.items():
+    for r in range(k):
+        unit = [int(i == r) for i in range(k)]
+        for cid, block in divisor_combination(cx, unit).chain.items():
             for i, x in enumerate(block):
                 if x:
                     ext[offs[cid] + i][r] = x
     bnd = cc.delta(d)
     for j, row in enumerate(bnd):
         for i, x in row.items():
-            ext[i][len(rays) + j] = x
-    k = len(rays)
+            ext[i][k + j] = x
     ker = QSubspace.kernel(ext, k + len(bnd))
     return QSubspace(k, [v[:k] for v in ker.basis if any(v[:k])])
 
 
 def divisor_combination(cx: TropComplex, ray_weights) -> TropCycle:
-    """Weighted sum of boundary divisor cycles, one weight per fan ray."""
+    """Weighted sum of boundary divisor cycles, one weight per fan ray, in
+    the order of ``fan.rays``: w_rho times the volume element of the
+    sedentary cell (rho, tau), for each ray rho of nonzero weight and
+    each maximal cone tau over it."""
     fan = cx.base_fan
-    rays = fan.rays
+    n = fan.ambient_rank
+    rays = fan.cones_of_dim(1)
     if len(ray_weights) != len(rays):
         raise ValueError("need one weight per ray")
-    total = {}
-    for r, w in zip(rays, ray_weights):
-        w = Fraction(w)
-        if not w:
-            continue
-        for cid, block in divisor_cycle(cx, r).chain.items():
-            cur = total.get(cid, (0,) * len(block))
-            total[cid] = tuple(a + w * x for a, x in zip(cur, block))
-    return TropCycle(cx, fan.ambient_rank - 1, total)
+    maximal = fan.cones_of_dim(n)
+    return _volume_cycle(cx, n - 1, [
+        (Cell(rho, tau), w)
+        for rho, w in zip(rays, ray_weights) if w
+        for tau in maximal if rho in fans.faces(tau)
+    ])
 
 
 def weight_cycle(cx: TropComplex, mw: MinkowskiWeight) -> TropCycle:
     """The cycle of a weight: mobile fan cycle, or boundary divisor sum."""
     if mw.divisor:
-        n = mw.fan.ambient_rank
-        return divisor_combination(cx, [mw.weight(Cone(n, [r])) for r in mw.fan.rays])
+        rays = mw.fan.cones_of_dim(1)
+        return divisor_combination(cx, [mw.weight(rho) for rho in rays])
     return cycle_class(cx, mw)
 
 

@@ -26,10 +26,11 @@ and back-solves only the kernel rows off the pivots of im d_in.  The
 differentials of the package, delta of the cochain complex and d_1 of
 the weight spectral sequence, are written as such integer rows and
 reach :func:`sparse_rank` and, for delta, :func:`homology_quotient`
-directly.  :class:`QMatrix` is only a dense view of such rows, for the
-benchmark's counts.  Every determinant (an entry of a wedge power, an
-orientation sign, a volume element) comes out of :func:`_bareiss`:
-fraction-free Bareiss elimination on integer rows.
+directly.  No dense matrix of Fractions exists: the one dense view of
+such rows, for the benchmark's counts, is an integer :class:`ZMatrix`
+(``CochainComplex.deltas``).  Every determinant (an entry of a wedge
+power, an orientation sign, a volume element) comes out of
+:func:`_bareiss`: fraction-free Bareiss elimination on integer rows.
 Both cores clear the denominators of a row by the same positive factor,
 :func:`_cleared`.  A wedge power has one block form, the sparse columns
 of :func:`wedge_columns`: each column the (row index, nonzero minor)
@@ -46,12 +47,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-
-
-def _as_fraction_rows(rows):
-    return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
-    )
 
 
 def _cleared(values):
@@ -140,52 +135,6 @@ def _over_pivot(row):
     return tuple(Fraction(x, v) if x else zero for x in row)
 
 
-class QMatrix:
-    """Immutable dense matrix over Q (row-major).
-
-    The one dense rational matrix of the package: a view of sparse rows,
-    which ``CochainComplex.deltas`` gives the benchmark's counts.  All
-    rational algebra runs on the sparse rows themselves.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = _as_fraction_rows(entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry shape does not match rows x cols")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QMatrix is immutable")
-
-    @classmethod
-    def from_sparse(cls, rows, cols):
-        """The dense matrix of {column: entry} rows with ``cols`` columns."""
-        zero = Fraction(0)
-        ent = [[zero] * cols for _ in rows]
-        for out, row in zip(ent, rows):
-            for j, v in row.items():
-                out[j] = v
-        return cls(len(rows), cols, ent)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols})"
-
-
 class QSubspace:
     """Subspace of Q^n, stored by its reduced row echelon basis.
 
@@ -199,7 +148,9 @@ class QSubspace:
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis):
-        basis = _as_fraction_rows(basis)
+        basis = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in basis
+        )
         if any(len(v) != ambient_dim for v in basis):
             raise ValueError("basis vector length mismatch")
         pivots = []

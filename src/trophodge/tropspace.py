@@ -129,7 +129,6 @@ class TropComplex:
         self._pairs_by_dim = None
         self._incidence_cache = None
         self.cochains = {}  # p -> cohomology.CochainComplex, by cohomology.cochains
-        self.divisors = {}  # primitive ray -> cycles.TropCycle, by cycles.divisor_cycle
         if validate:
             self._validate()
 

@@ -88,7 +88,6 @@ from trophodge import fans, weightss
 from trophodge.cohomology import CohomologyResult, cochains
 from trophodge.exactla import (
     QSubspace,
-    _as_fraction_rows,
     _bareiss,
     _cleared,
     _gauss_jordan,
@@ -459,8 +458,8 @@ def coordinates(space: QSubspace, vec):
     if len(vec) != space.ambient_dim:
         raise ValueError("vector length mismatch")
     if len(space.pivots) == space.ambient_dim:
-        return _as_fraction_rows([vec])[0]
-    (coords,) = _as_fraction_rows([[vec[c] for c in space.pivots]])
+        return tuple(map(Fraction, vec))
+    coords = tuple(Fraction(vec[c]) for c in space.pivots)
     terms = [(a, v) for a, v in zip(coords, space.basis) if a]
     pivot_set = set(space.pivots)
     for j, x in enumerate(vec):

@@ -133,12 +133,13 @@ _STRICT_FILES = {
     (["fan-validate", "--builtin", f"torus({_LONG})"], _TOO_LONG),
     (["fan-validate", "--input", "long_rank.json"], f"cannot parse long_rank.json: {_TOO_LONG}"),
     (["pair", "--input", "long_weight.json"], f"invalid weight file: {_TOO_LONG}"),
+    (["subdivide", "--builtin", "p2", "--ray", f"{_LONG},1"], f"ray: {_TOO_LONG}"),
 ], ids=[
     "p-arabic-indic-digit", "p-underscore", "q-plus", "codim-arabic-indic-digit",
     "level-arabic-indic-digit", "ray-underscore", "ray-plus", "builtin-underscore",
     "builtin-arabic-indic-digit", "builtin-empty-argument", "builtin-negative-orthant",
     "builtin-unknown-name", "p-5000-digits", "builtin-5000-digits", "json-5000-digits",
-    "weight-5000-digits",
+    "weight-5000-digits", "ray-5000-digits",
 ])
 def test_integers_and_builtin_names_are_read_strictly(
     tmp_path, monkeypatch, capsys, argv, message

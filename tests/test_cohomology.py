@@ -349,7 +349,7 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
 
     On a fresh P^3 complex, with its geometry (cell spans, F_p, face
     poset) built first and a cycle made, ``cohomology``, ``e2_page`` and
-    ``pair`` never call ``QMatrix.from_sparse``, the one dense view.
+    ``pair`` never read ``CochainComplex.deltas``, the one dense view.
     """
     from trophodge import cycles
 
@@ -363,15 +363,36 @@ def test_differentials_reach_the_elimination_as_rows(monkeypatch):
     line = cycles.cycle_class(cx, weight)
     weightss.e2_page.cache_clear()
 
-    def forbidden(*args):
+    def forbidden(self):
         raise AssertionError("a differential was densified")
 
-    monkeypatch.setattr(exactla.QMatrix, "from_sparse", classmethod(forbidden))
+    monkeypatch.setattr(cohomology.CochainComplex, "deltas", property(forbidden))
     dims = [cohomology.cohomology(cx, p, q).dim for p in range(4) for q in range(4)]
     assert dims == [int(p == q) for p in range(4) for q in range(4)]
     assert weightss.e2_page(fan).table() == diag_table(3, [1, 1, 1, 1])
     (rep,) = cohomology.cohomology(cx, 1, 1).representatives
     assert cycles.pair(rep, line) in (-1, 1)
+
+
+@pytest.mark.parametrize("fan", [fans.projective_space(4), fans.orthant_fan(3)],
+                         ids=["p4", "orthant3"])
+def test_deltas_are_the_rows_as_integer_matrices(fan):
+    """The benchmark's dense view: ``deltas`` is a tuple of integer
+    ``ZMatrix``es, delta_q of shape dim C^{q+1} x dim C^q, whose nonzero
+    entries are exactly ``rows``, so its nnz and rank are theirs."""
+    cx = tropspace.tautological_complex(fan)
+    for p in range(fan.ambient_rank + 1):
+        cc = build_cochain_complex(cx, p)
+        deltas = cc.deltas
+        assert type(deltas) is tuple and len(deltas) == len(cc.rows)
+        for q, (delta, rows) in enumerate(zip(deltas, cc.rows)):
+            assert type(delta) is exactla.ZMatrix
+            assert (delta.rows, delta.cols) == (cc.space_dim(q + 1), cc.space_dim(q))
+            assert all(type(x) is int for row in delta.entries for x in row)
+            nonzero = [{j: x for j, x in enumerate(row) if x} for row in delta.entries]
+            assert nonzero == rows
+            assert sum(map(len, nonzero)) == sum(map(len, rows))
+            assert exactla.sparse_rank(nonzero) == exactla.sparse_rank(rows) == cc.rank(q)
 
 
 def test_p4_delta_is_written_from_blocks_without_face_maps():

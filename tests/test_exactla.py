@@ -402,10 +402,9 @@ def test_subspace_equality_is_basis_free():
     assert a == b
 
 
-def test_only_exactla_and_cohomology_bind_qmatrix():
-    """Sparse rows are the one matrix form of the package: the dense
-    QMatrix is bound where it is defined and in ``CochainComplex.deltas``,
-    the benchmark's view, and in no other module."""
+def test_no_module_binds_qmatrix():
+    """Sparse rows are the one matrix form of the package, and no dense
+    matrix of Fractions exists: no module defines or binds a QMatrix."""
     import importlib
     import pkgutil
 
@@ -415,7 +414,7 @@ def test_only_exactla_and_cohomology_bind_qmatrix():
         info.name for info in pkgutil.iter_modules(trophodge.__path__)
         if hasattr(importlib.import_module(f"trophodge.{info.name}"), "QMatrix")
     ]
-    assert sorted(bound) == ["cohomology", "exactla"]
+    assert bound == []
     assert not hasattr(trophodge, "QMatrix")
 
 
